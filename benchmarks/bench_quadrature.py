@@ -1,13 +1,10 @@
-"""Benchmark: numba vs numpy paths of the hot grid kernels.
+"""Benchmark: the hot grid kernels.
 
 Times the midpoint partial-trace table and the kernel grid sampler at the
 sizes the quadrature oracle and positivity probe actually hit, plus one
 oversized case.  Run:
 
     python benchmarks/bench_quadrature.py
-
-Set PQK_NO_NUMBA=1 to confirm the numpy path is the one being exercised by
-the package itself.
 """
 
 import time
@@ -45,32 +42,22 @@ def bench_quad(n_fine, n_coarse, grid, eval_points):
     us = np.stack([a.ravel() for a in axes], axis=-1)
     uks = us @ rng.normal(size=(d, n_fine))
     weight = h**d
-    rows = [f"quad  {n_fine}->{n_coarse} grid={grid:4d} table={len(xps)}^2"]
-    if _kernels.USE_NUMBA:
-        _kernels.quad_table_numba(P, R, s, logw, xps, xps, uks, weight)  # warm JIT
-        t = timeit(_kernels.quad_table_numba, P, R, s, logw, xps, xps, uks, weight)
-        rows.append(f"numba {t * 1e3:9.1f} ms")
-    t = timeit(_kernels.quad_table_numpy, P, R, s, logw, xps, xps, uks, weight)
-    rows.append(f"numpy {t * 1e3:9.1f} ms")
-    print("  ".join(rows))
+    t = timeit(_kernels.quad_table, P, R, s, logw, xps, xps, uks, weight)
+    print(
+        f"quad  {n_fine}->{n_coarse} grid={grid:4d} table={len(xps)}^2"
+        f"  {t * 1e3:9.1f} ms"
+    )
 
 
 def bench_table(n, points):
     rng = np.random.default_rng(1)
     P, R, s, logw = make_params(rng, n)
     xs = rng.normal(size=(points, n))
-    rows = [f"table dim={n} points={points:5d}^2"]
-    if _kernels.USE_NUMBA:
-        _kernels.kernel_table_numba(P, R, s, logw, xs, xs)
-        t = timeit(_kernels.kernel_table_numba, P, R, s, logw, xs, xs)
-        rows.append(f"numba {t * 1e3:9.1f} ms")
-    t = timeit(_kernels.kernel_table_numpy, P, R, s, logw, xs, xs)
-    rows.append(f"numpy {t * 1e3:9.1f} ms")
-    print("  ".join(rows))
+    t = timeit(_kernels.kernel_table, P, R, s, logw, xs, xs)
+    print(f"table dim={n} points={points:5d}^2  {t * 1e3:9.1f} ms")
 
 
 def main():
-    print(f"numba path active: {_kernels.USE_NUMBA}")
     bench_quad(2, 1, 64, 8)
     bench_quad(3, 1, 64, 8)
     bench_quad(3, 1, 128, 8)

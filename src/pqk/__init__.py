@@ -17,7 +17,6 @@ from .errors import (
     DocumentError,
     ExtentTooSmallError,
     FrameMismatchError,
-    IncompatibleOverlapError,
     MissingActionError,
     NotARightInverseError,
     NotPositiveDefiniteError,
@@ -47,6 +46,7 @@ from .systems import (
     SpanProbe,
     SystemLabel,
     check_assumptions,
+    close_witnesses,
     combine_operators,
     compose_witnesses,
     embedding_matrix,
@@ -82,6 +82,7 @@ from .dpg import (
     EdgeWord,
     Face,
     Graph,
+    System,
     TestConnection,
     decompose_edges,
     dof_id,

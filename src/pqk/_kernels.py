@@ -1,10 +1,7 @@
 """Hot numeric kernels: grid sampling of Gaussian density kernels.
 
-Two implementations of each kernel: a numba ``@njit`` version and a pure
-numpy version.  The active path is chosen at import time; set the
-environment variable ``PQK_NO_NUMBA=1`` (or run without numba installed)
-to force the numpy path.  ``benchmarks/bench_quadrature.py`` compares the
-two.
+Both kernels are vectorized numpy; ``benchmarks/bench_quadrature.py`` times
+them at the sizes the quadrature oracle and positivity probe hit.
 
 Exponent convention, shared with :mod:`pqk.gaussian`:
 
@@ -14,19 +11,10 @@ Exponent convention, shared with :mod:`pqk.gaussian`:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("PQK_NO_NUMBA", "") not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - depends on environment
-        USE_NUMBA = False
 
-
-def kernel_table_numpy(P, R, s, logw, xs, ys):
+def kernel_table(P, R, s, logw, xs, ys):
     """Sample exp(E(x, y)) on the grid xs x ys.
 
     xs: (nx, N) real, ys: (ny, N) real; returns (nx, ny) complex.
@@ -47,7 +35,7 @@ def kernel_table_numpy(P, R, s, logw, xs, ys):
     return np.exp(expo)
 
 
-def quad_table_numpy(P, R, s, logw, xps, yps, uks, weight, chunk=256):
+def quad_table(P, R, s, logw, xps, yps, uks, weight, chunk=256):
     """Midpoint sum over kernel coordinates of the source-kernel samples.
 
     xps = W @ x for each output x (nx, Np), yps likewise (ny, Np), and
@@ -82,59 +70,3 @@ def quad_table_numpy(P, R, s, logw, xps, yps, uks, weight, chunk=256):
         out += np.exp(expo).sum(axis=0)
     return out * weight
 
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _expo_point(P, R, s, logw, xp, yp):  # pragma: no cover - jitted
-        n = xp.shape[0]
-        acc = logw + 0j
-        for m in range(n):
-            rx = 0j
-            ry = 0j
-            cr = 0j
-            for k in range(n):
-                rx += P[m, k] * xp[k]
-                ry += np.conj(P[m, k]) * yp[k]
-                cr += R[m, k] * yp[k]
-            acc += -0.5 * xp[m] * rx - 0.5 * yp[m] * ry + xp[m] * cr
-            acc += s[m] * xp[m] + np.conj(s[m]) * yp[m]
-        return acc
-
-    @njit(cache=True)
-    def kernel_table_numba(P, R, s, logw, xs, ys):  # pragma: no cover - jitted
-        nx = xs.shape[0]
-        ny = ys.shape[0]
-        out = np.empty((nx, ny), dtype=np.complex128)
-        for i in range(nx):
-            for j in range(ny):
-                out[i, j] = np.exp(_expo_point(P, R, s, logw, xs[i], ys[j]))
-        return out
-
-    @njit(cache=True)
-    def quad_table_numba(
-        P, R, s, logw, xps, yps, uks, weight
-    ):  # pragma: no cover - jitted
-        nx = xps.shape[0]
-        ny = yps.shape[0]
-        nu = uks.shape[0]
-        npr = xps.shape[1]
-        out = np.zeros((nx, ny), dtype=np.complex128)
-        xp = np.empty(npr, dtype=np.float64)
-        yp = np.empty(npr, dtype=np.float64)
-        for i in range(nx):
-            for j in range(ny):
-                acc = 0j
-                for t in range(nu):
-                    for m in range(npr):
-                        xp[m] = uks[t, m] + xps[i, m]
-                        yp[m] = uks[t, m] + yps[j, m]
-                    acc += np.exp(_expo_point(P, R, s, logw, xp, yp))
-                out[i, j] = acc * weight
-        return out
-
-    kernel_table = kernel_table_numba
-    quad_table = quad_table_numba
-else:
-    kernel_table = kernel_table_numpy
-    quad_table = quad_table_numpy

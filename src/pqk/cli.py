@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import io
-from .dpg import random_system, system_join
+from .dpg import System, random_system, system_join
 from .errors import DocumentError, OrderViolationError, PqkError
 from .almost_periodic import inner_product, limit_equal, promote
 from .gaussian import (
@@ -27,7 +27,7 @@ from .systems import (
     ASSUMPTION_TITLES,
     OrderEdge,
     check_assumptions,
-    compose_witnesses,
+    close_witnesses,
 )
 
 
@@ -35,11 +35,11 @@ def _print(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
-def _load_system(path: str) -> io.LoadedSystem:
+def _load_system(path: str) -> System:
     return io.document_to_system(io.load_json(path))
 
 
-def _load_state(path: str, system: io.LoadedSystem, expected_label: str | None):
+def _load_state(path: str, system: System, expected_label: str | None):
     doc = io.load_json(path)
     label = doc.get("label")
     if not isinstance(label, str) or label not in system.labels:
@@ -51,7 +51,7 @@ def _load_state(path: str, system: io.LoadedSystem, expected_label: str | None):
     return io.document_to_state(doc, system.labels[label].dim)
 
 
-def _require_label(system: io.LoadedSystem, name: str, field: str) -> None:
+def _require_label(system: System, name: str, field: str) -> None:
     if name not in system.labels:
         raise DocumentError(f"{field}: unknown label {name!r}")
 
@@ -91,39 +91,13 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _witness_for(system: io.LoadedSystem, upper: str, lower: str):
-    """Direct witness, or one composed along a path of declared relations."""
-    if system.has_relation(upper, lower):
-        return system.find_witness(upper, lower)
-    frontier = [upper]
-    paths = {upper: None}
-    while frontier:
-        current = frontier.pop(0)
-        for edge in system.order:
-            if edge.upper != current or edge.lower in paths:
-                continue
-            paths[edge.lower] = (current, edge.witness)
-            if edge.lower == lower:
-                witness = None
-                node = lower
-                while paths[node] is not None:
-                    parent, step = paths[node]
-                    witness = (
-                        step if witness is None else compose_witnesses(step, witness)
-                    )
-                    node = parent
-                return witness
-            frontier.append(edge.lower)
-    raise OrderViolationError(f"no witnessed relation {upper} >= {lower}")
-
-
 def cmd_project(args) -> int:
     system = _load_system(args.system)
     _require_label(system, args.src, "--from")
     _require_label(system, args.dest, "--to")
     label, state = _load_state(args.state, system, args.src)
     try:
-        witness = _witness_for(system, args.src, args.dest)
+        witness = system.find_witness(args.src, args.dest)
         projected = project_state(
             state, system.labels[args.src], system.labels[args.dest], witness
         )
@@ -167,9 +141,9 @@ def cmd_consistency(args) -> int:
             system.labels[top],
             system.labels[mid],
             system.labels[bot],
-            _witness_for(system, top, mid),
-            _witness_for(system, mid, bot),
-            _witness_for(system, top, bot),
+            system.find_witness(top, mid),
+            system.find_witness(mid, bot),
+            system.find_witness(top, bot),
             tol=args.tol,
         )
     except OrderViolationError as exc:
@@ -220,35 +194,23 @@ def cmd_join(args) -> int:
             known[e] = eid
             counter += 1
 
-    order = list(system.order)
-    order.append(OrderEdge(join_name, a, result.witness_a))
-    order.append(OrderEdge(join_name, b, result.witness_b))
-    for part, witness in ((a, result.witness_a), (b, result.witness_b)):
-        for edge in system.order:
-            if edge.upper == part:
-                order.append(
-                    OrderEdge(
-                        join_name,
-                        edge.lower,
-                        compose_witnesses(witness, edge.witness),
-                    )
-                )
-    seen = set()
-    unique = []
-    for edge in order:
-        if (edge.upper, edge.lower) not in seen:
-            seen.add((edge.upper, edge.lower))
-            unique.append(edge)
-
+    order = (
+        *system.order,
+        OrderEdge(join_name, a, result.witness_a),
+        OrderEdge(join_name, b, result.witness_b),
+    )
+    closure = close_witnesses(order, join_name)
     dlabels = dict(system.dlabels)
     dlabels[join_name] = result.label
-    merged = io.LoadedSystem(
+    merged = System(
         atoms=system.atoms,
         words=words,
-        faces={},
         dlabels=dlabels,
         labels={},
-        order=tuple(unique),
+        order=(
+            *system.order,
+            *(OrderEdge(join_name, lower, w) for lower, w in closure.items()),
+        ),
     )
     io.dump_json(io.system_to_document(merged), args.out)
     _print(
@@ -269,7 +231,7 @@ def cmd_oracle(args) -> int:
     _require_label(system, args.dest, "--to")
     label, state = _load_state(args.state, system, args.src)
     try:
-        witness = _witness_for(system, args.src, args.dest)
+        witness = system.find_witness(args.src, args.dest)
         report = oracle_report(
             state,
             system.labels[args.src],

@@ -26,7 +26,7 @@ from .systems import (
     Probes,
     SpanProbe,
     SystemLabel,
-    compose_witnesses,
+    close_witnesses,
     select_independent_dofs,
 )
 
@@ -177,15 +177,6 @@ class Face:
     @property
     def incidence_map(self) -> dict[str, Fraction]:
         return dict(self.incidence)
-
-
-GEOMETRIC_INCIDENCES = (
-    Fraction(-1),
-    Fraction(-1, 2),
-    Fraction(0),
-    Fraction(1, 2),
-    Fraction(1),
-)
 
 
 @dataclass(frozen=True)
@@ -586,25 +577,32 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
     )
 
 
-# --- seeded random systems ----------------------------------------------------
+# --- families ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class RandomSystem:
-    """A generated family: labels, witnessed order, and audit probes."""
+class System:
+    """A family of labels with its witnessed order, generated or loaded.
+
+    ``words`` maps edge ids to the words every label is materialized on;
+    ``probes`` holds the generator's audit probes and is ``None`` for a
+    family loaded from a document (:func:`pqk.io.default_probes` derives
+    them on demand).
+    """
 
     atoms: Mapping[str, AtomicEdge]
+    words: Mapping[str, EdgeWord]
     dlabels: Mapping[str, DpgLabel]
     labels: Mapping[str, SystemLabel]
     order: tuple[OrderEdge, ...]
-    probes: Probes
-    universe_words: tuple[EdgeWord, ...]
+    probes: Probes | None = None
 
     def find_witness(self, upper: str, lower: str) -> OrderWitness:
-        for e in self.order:
-            if e.upper == upper and e.lower == lower:
-                return e.witness
-        raise KeyError(f"no witnessed relation {upper} >= {lower}")
+        """The declared witness for ``upper >= lower``, else a composed one."""
+        return close_witnesses(self.order, upper, lower)[lower]
+
+    def has_relation(self, upper: str, lower: str) -> bool:
+        return any(e.upper == upper and e.lower == lower for e in self.order)
 
     def chains(self) -> tuple[tuple[str, str, str], ...]:
         """All witnessed triples top >= mid >= bottom."""
@@ -615,6 +613,34 @@ class RandomSystem:
                 if mid == mid2 and (top, bot) in pairs and top != mid != bot:
                     out.append((top, mid, bot))
         return tuple(out)
+
+
+def surjectivity_rows(graph: Graph) -> tuple[dict[DofId, Fraction], ...]:
+    """A2 probe: edge holonomies of connections hitting each unit target."""
+    n = len(graph.edges)
+    rows = []
+    for t in range(n):
+        conn = witness_connection(graph, [Fraction(int(i == t)) for i in range(n)])
+        rows.append(
+            {dof: holonomy(e, conn) for dof, e in zip(graph.dofs, graph.edges)}
+        )
+    return tuple(rows)
+
+
+def span_probe(label: DpgLabel) -> SpanProbe:
+    """A1a probe: the label's frame spans the inverses of its edges."""
+    edges = label.graph.edges
+    inverses = tuple(e.inverse() for e in edges)
+    return SpanProbe(
+        label=label.id,
+        combos={
+            dof_id(inv): {dof_id(e): Fraction(-1)} for inv, e in zip(inverses, edges)
+        },
+        dof_values=word_values((*edges, *inverses)),
+    )
+
+
+# --- seeded random systems ----------------------------------------------------
 
 
 def _random_graph(rng: random.Random, n_edges: int, atom_ids: Sequence[str]) -> Graph:
@@ -674,13 +700,14 @@ def _random_label(
     return DpgLabel(id=name, graph=graph, faces=duals)
 
 
-def random_system(n_edges: int, depth: int, seed: int) -> RandomSystem:
+def random_system(n_edges: int, depth: int, seed: int) -> System:
     """Deterministic family of labels built by repeated joins.
 
     Emits ``depth`` base labels on random graphs, every pairwise join, and
     for depth >= 3 a chain of iterated joins, together with all witnessed
     order relations (direct and composed), an orientation-flipped twin of
     the first base label, and the probe data the assumption audit consumes.
+    Edge ids ``e0, e1, ...`` number the words in order of first appearance.
     """
     if n_edges < 1 or depth < 1:
         raise ValueError("n_edges and depth must be at least 1")
@@ -693,7 +720,7 @@ def random_system(n_edges: int, depth: int, seed: int) -> RandomSystem:
     atom_ids = sorted(atoms)
 
     dlabels: dict[str, DpgLabel] = {}
-    direct: list[tuple[str, str, OrderWitness]] = []
+    direct: list[OrderEdge] = []
 
     for i in range(depth):
         graph = _random_graph(rng, n_edges, atom_ids)
@@ -704,106 +731,56 @@ def random_system(n_edges: int, depth: int, seed: int) -> RandomSystem:
     if depth >= 2:
         b0 = dlabels["b0"]
         flipped = Graph((b0.graph.edges[0].inverse(), *b0.graph.edges[1:]))
-        twin = DpgLabel(id="b0t", graph=flipped, faces=b0.faces)
-        dlabels["b0t"] = twin
+        dlabels["b0t"] = DpgLabel(id="b0t", graph=flipped, faces=b0.faces)
         values = word_values((*b0.graph.edges, *flipped.edges))
-        fwd = OrderWitness(
-            combos={
-                dof_id(e): {dof_id(f): Fraction(-1 if k == 0 else 1)}
-                for k, (e, f) in enumerate(zip(b0.graph.edges, flipped.edges))
-            },
-            op_membership={f.id: {f.id: Fraction(1)} for f in b0.faces},
-            dof_values=values,
-        )
-        back = OrderWitness(
-            combos={
-                dof_id(f): {dof_id(e): Fraction(-1 if k == 0 else 1)}
-                for k, (e, f) in enumerate(zip(b0.graph.edges, flipped.edges))
-            },
-            op_membership={f.id: {f.id: Fraction(1)} for f in b0.faces},
-            dof_values=values,
-        )
-        direct.append(("b0t", "b0", fwd))
-        direct.append(("b0", "b0t", back))
+        for upper, lower, fine, coarse in (
+            ("b0t", "b0", flipped, b0.graph),
+            ("b0", "b0t", b0.graph, flipped),
+        ):
+            flip = OrderWitness(
+                combos={
+                    dof_id(e): {dof_id(f): Fraction(-1 if k == 0 else 1)}
+                    for k, (e, f) in enumerate(zip(coarse.edges, fine.edges))
+                },
+                op_membership={f.id: {f.id: Fraction(1)} for f in b0.faces},
+                dof_values=values,
+            )
+            direct.append(OrderEdge(upper, lower, flip))
+
+    def add_join(a: str, b: str, name: str) -> None:
+        res = system_join(dlabels[a], dlabels[b], name)
+        dlabels[name] = res.label
+        direct.append(OrderEdge(name, a, res.witness_a))
+        direct.append(OrderEdge(name, b, res.witness_b))
 
     for i in range(depth):
         for j in range(i + 1, depth):
-            res = system_join(
-                dlabels[f"b{i}"], dlabels[f"b{j}"], f"j(b{i}+b{j})"
-            )
-            dlabels[res.label.id] = res.label
-            direct.append((res.label.id, f"b{i}", res.witness_a))
-            direct.append((res.label.id, f"b{j}", res.witness_b))
+            add_join(f"b{i}", f"b{j}", f"j(b{i}+b{j})")
 
     if depth >= 3:
         current = "j(b0+b1)"
         for k in range(2, depth):
-            res = system_join(
-                dlabels[current], dlabels[f"b{k}"], f"c{k}"
-            )
-            dlabels[res.label.id] = res.label
-            direct.append((res.label.id, current, res.witness_a))
-            direct.append((res.label.id, f"b{k}", res.witness_b))
-            current = res.label.id
+            add_join(current, f"b{k}", f"c{k}")
+            current = f"c{k}"
 
-    universe_words: list[EdgeWord] = []
-    seen_words: set[EdgeWord] = set()
-    for name in dlabels:
-        for e in dlabels[name].graph.edges:
-            if e not in seen_words:
-                seen_words.add(e)
-                universe_words.append(e)
+    first_seen: dict[EdgeWord, None] = {}
+    for d in dlabels.values():
+        first_seen.update(dict.fromkeys(d.graph.edges))
+    words = {f"e{i}": w for i, w in enumerate(first_seen)}
 
     labels = {
-        name: materialize(d, universe_words) for name, d in sorted(dlabels.items())
+        name: materialize(d, words.values()) for name, d in sorted(dlabels.items())
     }
-
-    # Transitive closure with composed witnesses, shortest paths first.
-    witnesses: dict[tuple[str, str], OrderWitness] = {
-        (u, l): w for u, l, w in direct
-    }
-    changed = True
-    while changed:
-        changed = False
-        for (u1, l1), w1 in sorted(witnesses.items()):
-            for (u2, l2), w2 in sorted(witnesses.items()):
-                if l1 == u2 and (u1, l2) not in witnesses and u1 != l2:
-                    witnesses[(u1, l2)] = compose_witnesses(w1, w2)
-                    changed = True
     order = tuple(
-        OrderEdge(u, l, w) for (u, l), w in sorted(witnesses.items())
+        OrderEdge(upper, lower, w)
+        for upper in sorted(dlabels)
+        for lower, w in sorted(close_witnesses(direct, upper).items())
     )
-
-    surjectivity = {}
-    for name, d in sorted(dlabels.items()):
-        rows = []
-        for t in range(len(d.graph.edges)):
-            targets = [Fraction(1 if i == t else 0) for i in range(len(d.graph.edges))]
-            conn = witness_connection(d.graph, targets)
-            rows.append(
-                {dof: holonomy(e, conn) for dof, e in zip(d.graph.dofs, d.graph.edges)}
-            )
-        surjectivity[name] = tuple(rows)
-
-    span_instances = []
-    for name in base_ids:
-        d = dlabels[name]
-        inverses = tuple(e.inverse() for e in d.graph.edges)
-        span_instances.append(
-            SpanProbe(
-                label=name,
-                combos={
-                    dof_id(inv): {dof_id(e): Fraction(-1)}
-                    for inv, e in zip(inverses, d.graph.edges)
-                },
-                dof_values=word_values((*d.graph.edges, *inverses)),
-            )
-        )
 
     op_instances = []
     if depth >= 2:
         target = "j(b0+b1)"
-        w = witnesses[(target, "b0")]
+        w = close_witnesses(direct, target, "b0")["b0"]
         probe_op = labels["b0"].ops[0]
         op_instances.append(
             OpProbe(
@@ -814,23 +791,25 @@ def random_system(n_edges: int, depth: int, seed: int) -> RandomSystem:
         )
 
     probes = Probes(
-        span_instances=tuple(span_instances),
+        span_instances=tuple(span_probe(dlabels[name]) for name in base_ids),
         op_instances=tuple(op_instances),
-        surjectivity=surjectivity,
+        surjectivity={
+            name: surjectivity_rows(d.graph) for name, d in sorted(dlabels.items())
+        },
         equal_space_pairs=(("b0", "b0t"),) if depth >= 2 else (),
         directed_pairs=tuple(
             (base_ids[i], base_ids[j])
             for i in range(depth)
             for j in range(i + 1, depth)
         ),
-        dof_values=word_values(universe_words),
+        dof_values=word_values(words.values()),
     )
 
-    return RandomSystem(
+    return System(
         atoms=atoms,
+        words=words,
         dlabels=dict(sorted(dlabels.items())),
         labels=labels,
         order=order,
         probes=probes,
-        universe_words=tuple(universe_words),
     )

@@ -53,11 +53,6 @@ class ExtentTooSmallError(PqkError):
     """The quadrature window misses a non-negligible tail mass."""
 
 
-class IncompatibleOverlapError(PqkError):
-    """Reserved: two edges traverse an atom with unsplittable letter
-    structure.  Cannot occur for reduced words."""
-
-
 class DocumentError(PqkError):
     """A system or state document is malformed; the message names the
     offending field."""

@@ -12,9 +12,7 @@ load and then fail verification rather than failing to parse.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
@@ -25,25 +23,18 @@ from .dpg import (
     EdgeWord,
     Face,
     Graph,
-    RandomSystem,
+    System,
     dof_id,
     materialize,
+    span_probe,
+    surjectivity_rows,
     validate_word,
-    witness_connection,
-    holonomy,
     word_values,
 )
 from .errors import DocumentError, PqkError
 from .frames import ProjectionMatrix, ReducedFrame
 from .gaussian import GaussianKernel, GaussianMixtureState, trace
-from .systems import (
-    OpProbe,
-    OrderEdge,
-    OrderWitness,
-    Probes,
-    SpanProbe,
-    SystemLabel,
-)
+from .systems import OpProbe, OrderEdge, OrderWitness, Probes
 from . import ratlin
 
 
@@ -71,34 +62,9 @@ def _expect(doc, key: str, kind, where: str):
     return value
 
 
-@dataclass(frozen=True)
-class LoadedSystem:
-    """A system document in memory, with materialized generic labels."""
-
-    atoms: Mapping[str, AtomicEdge]
-    words: Mapping[str, EdgeWord]
-    faces: Mapping[str, Face]
-    dlabels: Mapping[str, DpgLabel]
-    labels: Mapping[str, SystemLabel]
-    order: tuple[OrderEdge, ...]
-
-    def find_witness(self, upper: str, lower: str) -> OrderWitness:
-        for e in self.order:
-            if e.upper == upper and e.lower == lower:
-                return e.witness
-        raise PqkError(f"no witnessed relation {upper} >= {lower}")
-
-    def has_relation(self, upper: str, lower: str) -> bool:
-        return any(e.upper == upper and e.lower == lower for e in self.order)
-
-
-def system_to_document(system: RandomSystem | LoadedSystem) -> dict:
-    """Serialize a family; edge ids are preserved or assigned in word order."""
-    if isinstance(system, LoadedSystem):
-        words_by_id = dict(system.words)
-    else:
-        words_by_id = {f"e{i}": w for i, w in enumerate(system.universe_words)}
-    id_by_dof = {dof_id(w): eid for eid, w in words_by_id.items()}
+def system_to_document(system: System) -> dict:
+    """Serialize a family under its own edge ids."""
+    id_by_dof = {dof_id(w): eid for eid, w in system.words.items()}
     faces: dict[str, Face] = {}
     for d in system.dlabels.values():
         for f in d.faces:
@@ -113,7 +79,7 @@ def system_to_document(system: RandomSystem | LoadedSystem) -> dict:
                 "id": eid,
                 "letters": [{"atom": a, "sign": s} for a, s in w.letters],
             }
-            for eid, w in sorted(words_by_id.items())
+            for eid, w in sorted(system.words.items())
         ],
         "faces": [
             {
@@ -153,7 +119,7 @@ def system_to_document(system: RandomSystem | LoadedSystem) -> dict:
     return doc
 
 
-def document_to_system(doc: dict) -> LoadedSystem:
+def document_to_system(doc: dict) -> System:
     atoms: dict[str, AtomicEdge] = {}
     for i, entry in enumerate(_expect(doc, "atomic_edges", list, "document")):
         where = f"atomic_edges[{i}]"
@@ -267,50 +233,22 @@ def document_to_system(doc: dict) -> LoadedSystem:
             OrderEdge(upper, lower, OrderWitness(combos, membership, values))
         )
 
-    return LoadedSystem(
+    return System(
         atoms=atoms,
         words=words,
-        faces=faces,
         dlabels=dlabels,
         labels=labels,
         order=tuple(order),
     )
 
 
-def default_probes(system: LoadedSystem) -> Probes:
+def default_probes(system: System) -> Probes:
     """Audit probes derivable from a document alone.
 
     Surjectivity witnesses come from explicit target-hitting connections,
     span instances from edge inverses, operator instances from the declared
     order witnesses; directedness is probed on every label pair.
     """
-    surjectivity = {}
-    for name, d in sorted(system.dlabels.items()):
-        rows = []
-        n = len(d.graph.edges)
-        for t in range(n):
-            conn = witness_connection(
-                d.graph, [Fraction(1 if i == t else 0) for i in range(n)]
-            )
-            rows.append(
-                {dof: holonomy(e, conn) for dof, e in zip(d.graph.dofs, d.graph.edges)}
-            )
-        surjectivity[name] = tuple(rows)
-
-    span_instances = []
-    for name, d in sorted(system.dlabels.items()):
-        inverses = tuple(e.inverse() for e in d.graph.edges)
-        span_instances.append(
-            SpanProbe(
-                label=name,
-                combos={
-                    dof_id(inv): {dof_id(e): Fraction(-1)}
-                    for inv, e in zip(inverses, d.graph.edges)
-                },
-                dof_values=word_values((*d.graph.edges, *inverses)),
-            )
-        )
-
     op_instances = []
     for edge in system.order:
         lower_ops = system.labels[edge.lower].ops
@@ -346,9 +284,14 @@ def default_probes(system: LoadedSystem) -> Probes:
     non_maximal = sorted({e.lower for e in system.order})
 
     return Probes(
-        span_instances=tuple(span_instances),
+        span_instances=tuple(
+            span_probe(d) for _, d in sorted(system.dlabels.items())
+        ),
         op_instances=tuple(op_instances),
-        surjectivity=surjectivity,
+        surjectivity={
+            name: surjectivity_rows(d.graph)
+            for name, d in sorted(system.dlabels.items())
+        },
         equal_space_pairs=equal_pairs,
         directed_pairs=tuple(
             (a, b)

@@ -52,11 +52,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def zeros(r: int, c: int) -> Mat:
-    zero = Fraction(0)
-    return tuple(tuple(zero for _ in range(c)) for _ in range(r))
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
@@ -80,21 +75,6 @@ def hstack(a: Mat, b: Mat) -> Mat:
     if len(a) != len(b):
         raise ValueError("row count mismatch in hstack")
     return tuple(ra + rb for ra, rb in zip(a, b))
-
-
-def scale(m: Mat, c) -> Mat:
-    c = as_fraction(c)
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
-def add(a: Mat, b: Mat) -> Mat:
-    if shape(a) != shape(b):
-        raise ValueError("shape mismatch in add")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def sub(a: Mat, b: Mat) -> Mat:
-    return add(a, scale(b, -1))
 
 
 def is_zero(m: Mat) -> bool:
@@ -178,11 +158,6 @@ def inv(m: Mat) -> Mat:
     return tuple(row[nr:] for row in red)
 
 
-def solve(a: Mat, b: Mat) -> Mat:
-    """Exact solution X of a @ X = b for square invertible a."""
-    return matmul(inv(a), b)
-
-
 def from_sparse(rows: Sequence[Mapping[str, Fraction]], keys: Sequence[str]) -> Mat:
     zero = Fraction(0)
     return tuple(tuple(row.get(k, zero) for k in keys) for row in rows)
@@ -190,11 +165,5 @@ def from_sparse(rows: Sequence[Mapping[str, Fraction]], keys: Sequence[str]) -> 
 
 def to_float(m: Mat) -> np.ndarray:
     a = np.array([[float(x) for x in row] for row in m], dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
-def vec_to_float(v: Sequence[Fraction]) -> np.ndarray:
-    a = np.array([float(x) for x in v], dtype=np.float64)
     a.flags.writeable = False
     return a

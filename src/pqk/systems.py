@@ -22,6 +22,7 @@ from .errors import (
     DegeneratePairingError,
     MissingActionError,
     NotResolvableError,
+    OrderViolationError,
     PqkError,
     WitnessInvalidError,
 )
@@ -170,6 +171,40 @@ def compose_witnesses(outer: OrderWitness, inner: OrderWitness) -> OrderWitness:
     values = dict(outer.dof_values)
     values.update(inner.dof_values)
     return OrderWitness(combos, membership, values)
+
+
+def close_witnesses(
+    order: Iterable[OrderEdge], top: str, target: str | None = None
+) -> dict[str, OrderWitness]:
+    """Witnesses for ``top >= x`` for every label ``x`` the order reaches.
+
+    Breadth first over ``order`` in its given order: a direct edge's witness
+    is returned as stored, and every other reached label is composed once,
+    along the first shortest path found.  Frame coordinates are unique, so
+    verified witnesses compose path-independently and that choice does not
+    change the result.  With a ``target`` the search stops once it is
+    reached, and raises :class:`OrderViolationError` when it is not.
+    """
+    successors: dict[str, list[OrderEdge]] = {}
+    for edge in order:
+        successors.setdefault(edge.upper, []).append(edge)
+    reached: dict[str, OrderWitness] = {}
+    queue = [top]
+    for current in queue:
+        for edge in successors.get(current, ()):
+            if edge.lower == top or edge.lower in reached:
+                continue
+            reached[edge.lower] = (
+                edge.witness
+                if current == top
+                else compose_witnesses(reached[current], edge.witness)
+            )
+            if edge.lower == target:
+                return reached
+            queue.append(edge.lower)
+    if target is not None:
+        raise OrderViolationError(f"no witnessed relation {top} >= {target}")
+    return reached
 
 
 def pairing_matrix(label: SystemLabel) -> Mat:
@@ -520,49 +555,51 @@ def check_assumptions(
                 break
         instances.append(AssumptionInstance("A1b", probe.label, ok, detail))
 
+    # Each order edge is refined once; A2, A5, A6 and directedness reuse it.
+    checks = [
+        refines(family[edge.upper], family[edge.lower], edge.witness)
+        if edge.upper in family and edge.lower in family
+        else None
+        for edge in order
+    ]
     verified_edges = {
-        (e.upper, e.lower)
-        for e in order
-        if e.upper in family
-        and e.lower in family
-        and refines(family[e.upper], family[e.lower], e.witness)
+        (edge.upper, edge.lower) for edge, check in zip(order, checks) if check
     }
 
-    surj_known: dict[str, bool] = {}
-
-    def surjective(name: str, visiting: frozenset[str] = frozenset()) -> bool:
-        if name in surj_known:
-            return surj_known[name]
-        if name in visiting:
-            return False
-        label = family[name]
-        mat = probes.surjectivity.get(name)
-        if mat is not None:
+    # A2: labels with evaluation probes are decided by them.  The others are
+    # surjective when reachable from a surjective label along verified edges
+    # whose projection builds (full row rank over a surjective finer frame
+    # makes the full-rank image matrix constructible): a least fixed point.
+    surjective = set()
+    for name, mat in probes.surjectivity.items():
+        if name in family:
+            label = family[name]
             rows = tuple(
                 tuple(row.get(dof, Fraction(0)) for dof in label.frame.dofs)
                 for row in mat
             )
-            surj_known[name] = ratlin.rank(rows) == label.dim
-            return surj_known[name]
-        # Derived witness: a witnessed combination over a surjective finer
-        # frame makes the full-rank image matrix constructible.
-        for upper, lower in verified_edges:
-            if lower != name or not surjective(upper, visiting | {name}):
+            if ratlin.rank(rows) == label.dim:
+                surjective.add(name)
+    derivable: dict[str, list[OrderEdge]] = {}
+    for edge, check in zip(order, checks):
+        if check and edge.lower not in probes.surjectivity:
+            derivable.setdefault(edge.upper, []).append(edge)
+    frontier = sorted(surjective)
+    while frontier:
+        for edge in derivable.get(frontier.pop(), ()):
+            if edge.lower in surjective:
                 continue
-            edge = next(e for e in order if (e.upper, e.lower) == (upper, lower))
             try:
-                b = projection_from_witness(
-                    family[upper], family[lower], edge.witness
-                ).entries
+                projection_from_witness(
+                    family[edge.upper], family[edge.lower], edge.witness
+                )
             except PqkError:
                 continue
-            surj_known[name] = ratlin.rank(b) == label.dim
-            return surj_known[name]
-        surj_known[name] = False
-        return False
+            surjective.add(edge.lower)
+            frontier.append(edge.lower)
 
     for name in sorted(family):
-        ok = surjective(name)
+        ok = name in surjective
         instances.append(
             AssumptionInstance(
                 "A2",
@@ -633,14 +670,13 @@ def check_assumptions(
             )
         )
 
-    for edge in order:
+    for edge, check in zip(order, checks):
         subject = f"{edge.upper} >= {edge.lower}"
-        if edge.upper not in family or edge.lower not in family:
+        if check is None:
             instances.append(
                 AssumptionInstance("A6", subject, False, "unknown label")
             )
             continue
-        check = refines(family[edge.upper], family[edge.lower], edge.witness)
         instances.append(
             AssumptionInstance("A6", subject, check.ok, check.diagnostic)
         )

@@ -1,8 +1,11 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pqk
 from pqk import (
     MomentumOperator,
     OrderWitness,
@@ -12,6 +15,17 @@ from pqk import (
     pure_state,
 )
 from pqk.dpg import random_system
+
+
+def subprocess_env(**extra):
+    """The current environment, importing this pqk checkout, plus ``extra``."""
+    src = str(Path(pqk.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {
+        **os.environ,
+        "PYTHONPATH": src + (os.pathsep + path if path else ""),
+        **extra,
+    }
 
 
 def random_pure(dim, rng, scale=1.0, displacement=0.5):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ from pqk import io as pio
 from pqk.cli import main
 from pqk.dpg import random_system
 
-from conftest import random_mixture
+from conftest import random_mixture, subprocess_env
 
 
 @pytest.fixture()
@@ -245,6 +247,73 @@ def test_cli_project_composes_missing_direct_witness(tmp_path, capsys):
         "--from", top, "--to", bot, "--out", direct_out,
     )
     assert code == 0 and report["passed"]
+
+
+def test_cli_join_adds_every_reachable_relation(tmp_path, capsys):
+    sys_path = str(tmp_path / "sys.json")
+    run_cli(capsys, "dpg-demo", "--edges", "2", "--depth", "3", "--seed", "6",
+            "--out", sys_path)
+    doc = pio.load_json(sys_path)
+    doc["order"] = [
+        e for e in doc["order"] if (e["upper"], e["lower"]) != ("c2", "b0")
+    ]
+    pio.dump_json(doc, sys_path)
+    out_path = str(tmp_path / "joined.json")
+    code, _ = run_cli(
+        capsys, "join", "--system", sys_path, "--labels", "c2,b2", "--out", out_path
+    )
+    assert code == 0
+    relations = {(e["upper"], e["lower"]) for e in pio.load_json(out_path)["order"]}
+    new = "j(c2+b2)"
+    reachable, frontier = set(), [new]
+    while frontier:
+        current = frontier.pop()
+        for upper, lower in relations:
+            if upper == current and lower not in reachable:
+                reachable.add(lower)
+                frontier.append(lower)
+    # b0 lies two steps below c2 now, so one level of composition misses it.
+    assert "b0" in reachable
+    assert {lower for upper, lower in relations if upper == new} == reachable
+    code, report = run_cli(capsys, "verify", out_path)
+    assert code == 0 and report["passed"]
+
+
+CLI_CHAIN = (
+    ("dpg-demo", "--edges", "2", "--depth", "3", "--seed", "5", "--out", "sys.json"),
+    ("verify", "sys.json", "--report", "audit.json"),
+    ("join", "--system", "sys.json", "--labels", "j(b0+b2),b1", "--out", "joined.json"),
+    ("project", "--system", "joined.json", "--state", "state.json",
+     "--from", "j(j(b0+b2)+b1)", "--to", "b0", "--out", "projected.json"),
+)
+
+
+def _run_cli_chain(work, hash_seed):
+    env = subprocess_env(PYTHONHASHSEED=str(hash_seed))
+    stdout = []
+    for argv in CLI_CHAIN:
+        if argv[0] == "project":
+            joined = pio.document_to_system(pio.load_json(str(work / "joined.json")))
+            _write_state(work, joined, "j(j(b0+b2)+b1)", seed=2)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqk.cli", *argv],
+            cwd=work, env=env, capture_output=True, check=True,
+        )
+        stdout.append(proc.stdout)
+    files = {
+        name: (work / name).read_bytes()
+        for name in ("sys.json", "audit.json", "joined.json", "projected.json")
+    }
+    return stdout, files
+
+
+def test_cli_bytes_ignore_hash_seed(tmp_path):
+    runs = []
+    for hash_seed in (0, 5):
+        work = tmp_path / f"seed{hash_seed}"
+        work.mkdir()
+        runs.append(_run_cli_chain(work, hash_seed))
+    assert runs[0] == runs[1]
 
 
 def test_cli_malformed_input_exits_2(tmp_path, capsys):

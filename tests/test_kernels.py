@@ -1,9 +1,4 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from pqk import _kernels
 
@@ -18,26 +13,50 @@ def random_kernel_params(rng, n):
     return P, R, s, -1.3
 
 
-@pytest.mark.skipif(not _kernels.USE_NUMBA, reason="numba path disabled")
-def test_kernel_table_paths_agree():
+def pointwise_exponent(P, R, s, logw, x, y):
+    """E(x, y) at one point, written out from the module's convention."""
+    return (
+        -0.5 * x @ P @ x
+        - 0.5 * y @ np.conj(P) @ y
+        + x @ R @ y
+        + s @ x
+        + np.conj(s) @ y
+        + logw
+    )
+
+
+def test_kernel_table_matches_pointwise_reference():
     rng = np.random.default_rng(0)
     P, R, s, logw = random_kernel_params(rng, 3)
     xs = rng.normal(size=(7, 3))
     ys = rng.normal(size=(5, 3))
-    a = _kernels.kernel_table_numba(P, R, s, logw, xs, ys)
-    b = _kernels.kernel_table_numpy(P, R, s, logw, xs, ys)
+    a = _kernels.kernel_table(P, R, s, logw, xs, ys)
+    b = np.array(
+        [[np.exp(pointwise_exponent(P, R, s, logw, x, y)) for y in ys] for x in xs]
+    )
     assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
-@pytest.mark.skipif(not _kernels.USE_NUMBA, reason="numba path disabled")
-def test_quad_table_paths_agree():
+def test_quad_table_matches_pointwise_reference():
     rng = np.random.default_rng(1)
     P, R, s, logw = random_kernel_params(rng, 3)
     xps = rng.normal(size=(6, 3))
     yps = rng.normal(size=(6, 3))
     uks = rng.normal(size=(40, 3))
-    a = _kernels.quad_table_numba(P, R, s, logw, xps, yps, uks, 0.25)
-    b = _kernels.quad_table_numpy(P, R, s, logw, xps, yps, uks, 0.25)
+    a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 0.25)
+    b = np.array(
+        [
+            [
+                0.25
+                * sum(
+                    np.exp(pointwise_exponent(P, R, s, logw, u + xp, u + yp))
+                    for u in uks
+                )
+                for yp in yps
+            ]
+            for xp in xps
+        ]
+    )
     assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
 
 
@@ -46,16 +65,6 @@ def test_numpy_chunking_is_seamless():
     P, R, s, logw = random_kernel_params(rng, 2)
     xps = rng.normal(size=(4, 2))
     uks = rng.normal(size=(33, 2))
-    a = _kernels.quad_table_numpy(P, R, s, logw, xps, xps, uks, 1.0, chunk=8)
-    b = _kernels.quad_table_numpy(P, R, s, logw, xps, xps, uks, 1.0, chunk=1000)
+    a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=8)
+    b = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=1000)
     assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-
-
-def test_env_flag_selects_numpy_path():
-    code = (
-        "from pqk import _kernels;"
-        "assert not _kernels.USE_NUMBA;"
-        "assert _kernels.quad_table is _kernels.quad_table_numpy"
-    )
-    env = dict(os.environ, PQK_NO_NUMBA="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
