@@ -1,7 +1,9 @@
 """Hot numeric kernels: grid sampling of Gaussian density kernels.
 
-Both kernels are vectorized numpy; ``benchmarks/bench_quadrature.py`` times
-them at the sizes the quadrature oracle and positivity probe hit.
+Both kernels are vectorized numpy; the ``oracle`` workload of the repository
+benchmark times them at the sizes the quadrature oracle and positivity probe
+hit (``python3 perfbench/run.py --workload oracle --seed 1 --seconds 16
+--trace 1`` reports ``kernels.quad_table`` and ``kernels.kernel_table``).
 
 Exponent convention, shared with :mod:`pqk.gaussian`:
 

@@ -96,21 +96,10 @@ def cmd_project(args) -> int:
     _require_label(system, args.src, "--from")
     _require_label(system, args.dest, "--to")
     label, state = _load_state(args.state, system, args.src)
-    try:
-        witness = system.find_witness(args.src, args.dest)
-        projected = project_state(
-            state, system.labels[args.src], system.labels[args.dest], witness
-        )
-    except OrderViolationError as exc:
-        _print(
-            {
-                "command": "project",
-                "passed": False,
-                "error": "OrderViolation",
-                "detail": str(exc),
-            }
-        )
-        return 1
+    witness = system.find_witness(args.src, args.dest)
+    projected = project_state(
+        state, system.labels[args.src], system.labels[args.dest], witness
+    )
     io.dump_json(io.state_to_document(projected, args.dest), args.out)
     _print(
         {
@@ -135,27 +124,16 @@ def cmd_consistency(args) -> int:
     for name in chain:
         _require_label(system, name, "--chain")
     label, state = _load_state(args.state, system, top)
-    try:
-        report = chain_consistency(
-            state,
-            system.labels[top],
-            system.labels[mid],
-            system.labels[bot],
-            system.find_witness(top, mid),
-            system.find_witness(mid, bot),
-            system.find_witness(top, bot),
-            tol=args.tol,
-        )
-    except OrderViolationError as exc:
-        _print(
-            {
-                "command": "consistency",
-                "passed": False,
-                "error": "OrderViolation",
-                "detail": str(exc),
-            }
-        )
-        return 1
+    report = chain_consistency(
+        state,
+        system.labels[top],
+        system.labels[mid],
+        system.labels[bot],
+        system.find_witness(top, mid),
+        system.find_witness(mid, bot),
+        system.find_witness(top, bot),
+        tol=args.tol,
+    )
     _print(
         {
             "command": "consistency",
@@ -230,26 +208,15 @@ def cmd_oracle(args) -> int:
     _require_label(system, args.src, "--from")
     _require_label(system, args.dest, "--to")
     label, state = _load_state(args.state, system, args.src)
-    try:
-        witness = system.find_witness(args.src, args.dest)
-        report = oracle_report(
-            state,
-            system.labels[args.src],
-            system.labels[args.dest],
-            witness,
-            grid_points=args.grid,
-            extent=args.extent,
-        )
-    except OrderViolationError as exc:
-        _print(
-            {
-                "command": "oracle",
-                "passed": False,
-                "error": "OrderViolation",
-                "detail": str(exc),
-            }
-        )
-        return 1
+    witness = system.find_witness(args.src, args.dest)
+    report = oracle_report(
+        state,
+        system.labels[args.src],
+        system.labels[args.dest],
+        witness,
+        grid_points=args.grid,
+        extent=args.extent,
+    )
     passed = report.max_rel_error <= args.tol
     _print(
         {
@@ -403,6 +370,16 @@ def main(argv: list[str] | None = None) -> int:
     except DocumentError as exc:
         print(json.dumps({"error": "DocumentError", "detail": str(exc)}))
         return 2
+    except OrderViolationError as exc:
+        _print(
+            {
+                "command": args.command,
+                "passed": False,
+                "error": "OrderViolation",
+                "detail": str(exc),
+            }
+        )
+        return 1
     except PqkError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         return 1

@@ -27,7 +27,6 @@ from .systems import (
     SpanProbe,
     SystemLabel,
     close_witnesses,
-    select_independent_dofs,
 )
 
 Sign = int
@@ -463,42 +462,23 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
     all_faces = (*a.faces, *b.faces)
     support = sorted({atom for f in all_faces for atom, _ in f.incidence})
     vectors = tuple(_face_vector(f, support) for f in all_faces)
-    basis_idx: list[int] = []
-    for i in range(len(all_faces)):
-        candidate = tuple(vectors[j] for j in (*basis_idx, i))
-        if ratlin.rank(candidate) > len(basis_idx):
-            basis_idx.append(i)
+    # Atoms as rows, faces as columns: the pivot columns are the greedy face
+    # basis and column i holds face i's coordinates over it.
+    reduced, basis_idx = ratlin.rref(ratlin.transpose(vectors))
     basis_faces = tuple(all_faces[i] for i in basis_idx)
     m = len(basis_faces)
-    basis_mat = ratlin.transpose(tuple(vectors[i] for i in basis_idx))
-    coords: dict[int, tuple[Fraction, ...]] = {}
-    for i, f in enumerate(all_faces):
-        solved, pivots = ratlin.rref(
-            ratlin.hstack(basis_mat, ratlin.transpose((vectors[i],)))
-        )
-        coeff = [Fraction(0)] * m
-        for r, p in enumerate(pivots):
-            coeff[p] = solved[r][m]
-        coords[i] = tuple(coeff)
+    coords = tuple(
+        tuple(reduced[r][i] for r in range(m)) for i in range(len(all_faces))
+    )
 
     joined = graph_join(a.graph, b.graph)
     act = tuple(
         tuple(incidence_number(f, e) for e in joined.edges) for f in basis_faces
     )
     if ratlin.rank(act) < m:
-        atom_dof = {f"hol:{atom}": atom for atom in support}
-        pool = sorted(atom_dof)
-        probes_ops = tuple(
-            MomentumOperator(
-                id=f.id,
-                action=tuple(
-                    (d, f.incidence_map.get(atom_dof[d], Fraction(0))) for d in pool
-                ),
-            )
-            for f in basis_faces
-        )
-        chosen = select_independent_dofs(probes_ops, pool)
-        extra = Graph(tuple(EdgeWord(((atom_dof[d], 1),)) for d in chosen))
+        # The basis vectors are independent, so this has m pivot atoms.
+        _, separating = ratlin.rref(tuple(vectors[i] for i in basis_idx))
+        extra = Graph(tuple(EdgeWord(((support[c], 1),)) for c in separating))
         joined = graph_join(joined, extra)
         act = tuple(
             tuple(incidence_number(f, e) for e in joined.edges) for f in basis_faces
@@ -548,7 +528,7 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
     )
     label = DpgLabel(id=name, graph=new_graph, faces=lead_faces + tail_faces)
 
-    t_inv = ratlin.inv(t)
+    t_inv_t = ratlin.transpose(ratlin.inv(t))
 
     def witness_for(part: DpgLabel, offset: int) -> OrderWitness:
         dec = decompose_edges(new_graph, part.graph)
@@ -558,8 +538,7 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
             )
         membership = {}
         for j, f in enumerate(part.faces):
-            c = coords[offset + j]
-            over_lead = ratlin.matvec(ratlin.transpose(t_inv), c)
+            over_lead = ratlin.matvec(t_inv_t, coords[offset + j])
             membership[f.id] = {
                 lead_faces[k].id: v for k, v in enumerate(over_lead) if v != 0
             }

@@ -121,10 +121,11 @@ def build_projection(
             )
         rows.append(row)
     entries = tuple(rows)
-    if ratlin.rank(entries) < target.dim:
+    rank = ratlin.rank(entries)
+    if rank < target.dim:
         raise RankDeficientError(
             f"target d.o.f. are dependent over the source frame "
-            f"(rank {ratlin.rank(entries)} < {target.dim})"
+            f"(rank {rank} < {target.dim})"
         )
     return ProjectionMatrix(entries, source_frame=source, target_frame=target)
 

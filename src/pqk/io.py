@@ -58,8 +58,27 @@ def _expect(doc, key: str, kind, where: str):
         raise DocumentError(f"{where}.{key}: missing")
     value = doc[key]
     if not isinstance(value, kind):
-        raise DocumentError(f"{where}.{key}: expected {kind.__name__}")
+        names = (kind,) if isinstance(kind, type) else kind
+        raise DocumentError(
+            f"{where}.{key}: expected {' or '.join(k.__name__ for k in names)}"
+        )
     return value
+
+
+def _expect_rows(doc, key: str, where: str) -> dict:
+    """A mapping field whose every value is itself a mapping."""
+    rows = _expect(doc, key, dict, where)
+    for name, row in rows.items():
+        if not isinstance(row, dict):
+            raise DocumentError(f"{where}.{key}.{name}: expected dict")
+    return rows
+
+
+def _expect_frame(doc, key: str, where: str) -> ReducedFrame:
+    try:
+        return ReducedFrame(tuple(_expect(doc, key, list, where)))
+    except PqkError as exc:
+        raise DocumentError(f"{where}.{key}: {exc}") from exc
 
 
 def system_to_document(system: System) -> dict:
@@ -170,7 +189,10 @@ def document_to_system(doc: dict) -> System:
             if atom not in atoms:
                 raise DocumentError(f"{iw}.atom: unknown atom {atom!r}")
             incidence.append((atom, json_to_rat(item.get("value"), f"{iw}.value")))
-        faces[fid] = Face(fid, tuple(incidence))
+        try:
+            faces[fid] = Face(fid, tuple(incidence))
+        except ValueError as exc:
+            raise DocumentError(f"{where}.incidence: {exc}") from exc
 
     dlabels: dict[str, DpgLabel] = {}
     for i, entry in enumerate(_expect(doc, "labels", list, "document")):
@@ -208,7 +230,7 @@ def document_to_system(doc: dict) -> System:
             if lid not in dlabels:
                 raise DocumentError(f"{where}.{side}: unknown label {lid!r}")
         combos = {}
-        for eid, row in _expect(entry, "combo_witness", dict, where).items():
+        for eid, row in _expect_rows(entry, "combo_witness", where).items():
             if eid not in words:
                 raise DocumentError(
                     f"{where}.combo_witness: unknown edge id {eid!r}"
@@ -224,7 +246,7 @@ def document_to_system(doc: dict) -> System:
                 )
             combos[dof_id(words[eid])] = parsed
         membership = {}
-        for op, row in _expect(entry, "op_witness", dict, where).items():
+        for op, row in _expect_rows(entry, "op_witness", where).items():
             membership[op] = {
                 src: json_to_rat(c, f"{where}.op_witness.{op}")
                 for src, c in row.items()
@@ -391,7 +413,7 @@ def ap_to_document(v: APVector) -> dict:
 
 
 def document_to_ap(doc: dict) -> APVector:
-    frame = ReducedFrame(tuple(_expect(doc, "frame", list, "ap")))
+    frame = _expect_frame(doc, "frame", "ap")
     terms = []
     for i, entry in enumerate(_expect(doc, "terms", list, "ap")):
         where = f"ap.terms[{i}]"
@@ -417,8 +439,8 @@ def projection_to_document(p: ProjectionMatrix) -> dict:
 
 
 def document_to_projection(doc: dict) -> ProjectionMatrix:
-    target = ReducedFrame(tuple(_expect(doc, "target_frame", list, "projection")))
-    source = ReducedFrame(tuple(_expect(doc, "source_frame", list, "projection")))
+    target = _expect_frame(doc, "target_frame", "projection")
+    source = _expect_frame(doc, "source_frame", "projection")
     entries = [
         [json_to_rat(x, f"projection.entries[{i}]") for x in row]
         for i, row in enumerate(_expect(doc, "entries", list, "projection"))

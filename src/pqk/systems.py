@@ -373,32 +373,20 @@ def select_independent_dofs(
 ) -> tuple[DofId, ...]:
     """Greedy subset of the pool on which the operators stay independent.
 
-    Walks the pool in order, keeping a d.o.f. exactly when its action
-    column strictly shrinks the joint null space of the accepted columns.
-    Each accepted column cuts the dimension by one, so the result has
+    The pool entries at the pivot columns of the reduced echelon form of
+    the ops x pool action matrix: walking the pool in order, a d.o.f. is
+    kept exactly when its action column is independent of the columns
+    kept before it, so the result is the first full-rank subset and has
     exactly as many d.o.f. as operators.  Raises
     :class:`NotResolvableError` when the pool cannot separate them.
     """
-    m = len(ops)
-    if m == 0:
-        return ()
-    chosen: list[DofId] = []
-    cols: list[tuple[Fraction, ...]] = []
-    current_rank = 0
-    for dof in pool:
-        if current_rank == m:
-            break
-        col = tuple(op.on_or_zero(dof) for op in ops)
-        r = ratlin.rank(ratlin.transpose(tuple(cols + [col])))
-        if r > current_rank:
-            chosen.append(dof)
-            cols.append(col)
-            current_rank = r
-    if current_rank < m:
+    action = tuple(tuple(op.on_or_zero(dof) for dof in pool) for op in ops)
+    _, pivots = ratlin.rref(action)
+    if len(pivots) < len(ops):
         raise NotResolvableError(
-            f"pool separates only {current_rank} of {m} operators"
+            f"pool separates only {len(pivots)} of {len(ops)} operators"
         )
-    return tuple(chosen)
+    return tuple(pool[c] for c in pivots)
 
 
 # --- assumption audit -------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -82,6 +83,58 @@ def test_document_errors_name_fields(tmp_path):
     doc["labels"] = [{"id": "L", "graph": ["nope"], "flux_basis": []}]
     with pytest.raises(DocumentError, match="unknown edge id"):
         pio.document_to_system(doc)
+    for kind, bad, field in malformed_documents():
+        with pytest.raises(DocumentError, match=field):
+            LOADERS[kind](bad)
+
+
+LOADERS = {
+    "system": pio.document_to_system,
+    "state": lambda doc: pio.document_to_state(doc, 2),
+    "ap": pio.document_to_ap,
+    "projection": pio.document_to_projection,
+}
+
+
+def malformed_documents():
+    """(loader kind, document, regex of the field its error must name)."""
+    system = pio.system_to_document(random_system(2, 2, seed=7))
+    state = pio.state_to_document(pure_state(np.eye(2), np.zeros(2)), "b0")
+    ap = {"frame": ["hol:a"], "terms": []}
+    projection = {"target_frame": ["k1"], "source_frame": ["k1", "k2"],
+                  "entries": [[1, 1]]}
+
+    def edited(doc, path, value):
+        doc = json.loads(json.dumps(doc))
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return doc
+
+    first_incidence = system["faces"][0]["incidence"][0]
+    combo_row = next(iter(system["order"][0]["combo_witness"]))
+    op_row = next(iter(system["order"][0]["op_witness"]))
+    return (
+        ("state", edited(state, ("terms", 0, "weight"), "heavy"),
+         r"state\.terms\[0\]\.weight"),
+        ("state", edited(state, ("terms", 0, "logw"), None),
+         r"state\.terms\[0\]\.logw"),
+        ("system", edited(system, ("faces", 0, "incidence"),
+                          [first_incidence, first_incidence]),
+         r"faces\[0\]\.incidence"),
+        ("system", edited(system, ("order", 0, "combo_witness", combo_row), []),
+         rf"order\[0\]\.combo_witness\.{re.escape(combo_row)}"),
+        ("system", edited(system, ("order", 0, "op_witness", op_row), []),
+         rf"order\[0\]\.op_witness\.{re.escape(op_row)}"),
+        ("ap", edited(ap, ("frame",), ["hol:a", "hol:a"]), r"ap\.frame"),
+        ("ap", edited(ap, ("frame",), []), r"ap\.frame"),
+        ("projection", edited(projection, ("source_frame",), ["k1", "k1"]),
+         r"projection\.source_frame"),
+        ("projection", edited(projection, ("target_frame",), []),
+         r"projection\.target_frame"),
+    )
 
 
 def test_rational_serialization_round_trip():
@@ -143,18 +196,30 @@ def test_cli_demo_verify_project_consistency(tmp_path, capsys):
     assert report["hs_distance"] <= 1e-9
 
 
-def test_cli_project_requires_witnessed_relation(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["project", "consistency", "oracle"])
+def test_cli_project_requires_witnessed_relation(tmp_path, capsys, command):
     sys_path = str(tmp_path / "sys.json")
     run_cli(capsys, "dpg-demo", "--edges", "2", "--depth", "2", "--seed", "1",
             "--out", sys_path)
     loaded = pio.document_to_system(pio.load_json(sys_path))
     _, state_path = _write_state(tmp_path, loaded, "b0", seed=4)
+    out_path = tmp_path / "x.json"
+    relation = {
+        "project": ("--from", "b0", "--to", "b1", "--out", str(out_path)),
+        "consistency": ("--chain", "b0,b1,b0t"),
+        "oracle": ("--from", "b0", "--to", "b1"),
+    }[command]
     code, report = run_cli(
-        capsys, "project", "--system", sys_path, "--state", state_path,
-        "--from", "b0", "--to", "b1", "--out", str(tmp_path / "x.json"),
+        capsys, command, "--system", sys_path, "--state", state_path, *relation
     )
     assert code == 1
-    assert report["error"] == "OrderViolation"
+    assert report == {
+        "command": command,
+        "passed": False,
+        "error": "OrderViolation",
+        "detail": "no witnessed relation b0 >= b1",
+    }
+    assert not out_path.exists()
 
 
 def test_cli_oracle(tmp_path, capsys):
@@ -326,6 +391,25 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     worse.write_text("{not json")
     code, report = run_cli(capsys, "verify", str(worse))
     assert code == 2
+
+    sys_path = str(tmp_path / "sys.json")
+    pio.dump_json(pio.system_to_document(random_system(2, 2, seed=7)), sys_path)
+    ap_path = str(tmp_path / "ap.json")
+    pio.dump_json({"frame": ["k1", "k2"], "terms": []}, ap_path)
+    bad_path = str(tmp_path / "malformed.json")
+    commands = {
+        "system": ("verify", bad_path),
+        "state": ("project", "--system", sys_path, "--state", bad_path,
+                  "--from", "b0", "--to", "b0t", "--out", str(tmp_path / "x.json")),
+        "ap": ("ap", "--op", "inner", "--in", bad_path, bad_path),
+        "projection": ("ap", "--op", "promote", "--in", ap_path, bad_path),
+    }
+    for kind, bad, field in malformed_documents():
+        pio.dump_json(bad, bad_path)
+        code, report = run_cli(capsys, *commands[kind])
+        assert code == 2, (kind, field, report)
+        assert report["error"] == "DocumentError"
+        assert re.search(field, report["detail"]), (field, report)
 
 
 def test_cli_ap_inner_and_limit_equal(tmp_path, capsys):

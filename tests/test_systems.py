@@ -192,6 +192,14 @@ def test_select_independent_not_resolvable():
     ops = (op("u", k1=1, k2=2), op("v", k1=2, k2=4))
     with pytest.raises(NotResolvableError):
         select_independent_dofs(ops, ("k1", "k2"))
+    independent = (op("u", k1=1, k2=0), op("v", k1=0, k2=1))
+    for ops, pool in (
+        (independent[:1], ()),
+        (independent, ()),
+        (independent, ("k1",)),
+    ):
+        with pytest.raises(NotResolvableError, match=f"of {len(ops)} operators"):
+            select_independent_dofs(ops, pool)
 
 
 def test_check_assumptions_passes_on_generated(demo_system):
