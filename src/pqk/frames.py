@@ -12,7 +12,10 @@ factor that makes the measure factorization exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import ratlin
 from .errors import (
@@ -96,6 +99,12 @@ class KernelDecomposition:
     @property
     def kernel_dim(self) -> int:
         return self.projection.cols - self.projection.rows
+
+    @cached_property
+    def floats(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Read-only float64 copies of (Kb, W, Lebesgue factor)."""
+        kb, w = ratlin.to_float(self.kernel_basis), ratlin.to_float(self.embedding)
+        return kb, w, float(self.lebesgue_factor)
 
 
 def build_projection(

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels, ratlin
+from . import _kernels
 from .errors import (
     DimensionMismatchError,
     DivergentError,
@@ -32,16 +32,9 @@ from .errors import (
     NotPositiveDefiniteError,
     OrderViolationError,
 )
-from .frames import KernelDecomposition, kernel_decomposition
-from .systems import (
-    OrderEdge,
-    OrderWitness,
-    SystemLabel,
-    compose_witnesses,
-    embedding_matrix,
-    projection_from_witness,
-    refines,
-)
+from .frames import KernelDecomposition
+from .systems import OrderEdge, OrderWitness, SystemLabel, compose_witnesses
+from .systems import refines  # noqa: F401  kept for perfbench's tracer test
 
 _STRUCTURE_TOL = 1e-12
 
@@ -371,12 +364,6 @@ def purity(state: GaussianMixtureState) -> float:
     return hs_inner(state, state).real
 
 
-def _decomposition_floats(kdec: KernelDecomposition):
-    kb = ratlin.to_float(kdec.kernel_basis)
-    w = ratlin.to_float(kdec.embedding)
-    return kb, w, float(kdec.lebesgue_factor)
-
-
 def _project_kernel(k: GaussianKernel, kb: np.ndarray, w: np.ndarray, lf: float) -> GaussianKernel:
     """Integrate the kernel over its kernel-basis directions in closed form.
 
@@ -422,7 +409,7 @@ def _project_terms(
     state: GaussianMixtureState, kdec: KernelDecomposition
 ) -> tuple[tuple[tuple[float, GaussianKernel], ...], float]:
     """Project every term; returns (unnormalized terms, pre-normalization trace)."""
-    kb, w, lf = _decomposition_floats(kdec)
+    kb, w, lf = kdec.floats
     if w.shape[0] != state.dim:
         raise DimensionMismatchError(
             f"state dimension {state.dim} != projection source {w.shape[0]}"
@@ -449,15 +436,12 @@ def project_with(
 def decomposition_for(
     fine: SystemLabel, coarse: SystemLabel, witness: OrderWitness
 ) -> KernelDecomposition:
-    """Kernel decomposition of the witnessed projection fine -> coarse."""
-    check = refines(fine, coarse, witness)
-    if not check:
-        raise OrderViolationError(
-            f"relation not witnessed: {check.diagnostic}"
-        )
-    b = projection_from_witness(fine, coarse, witness)
-    w = embedding_matrix(fine, coarse, witness)
-    return kernel_decomposition(b, w)
+    """Kernel decomposition of the witnessed projection fine -> coarse,
+    verified and built once per witness and label pair."""
+    plan = witness.plan(fine, coarse)
+    if not plan.check:
+        raise OrderViolationError(f"relation not witnessed: {plan.check.diagnostic}")
+    return plan.decomposition
 
 
 def project_state(
@@ -592,7 +576,7 @@ def quadrature_partial_trace(
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
     kdec = decomposition_for(fine, coarse, witness)
-    kb, w, lf = _decomposition_floats(kdec)
+    kb, w, lf = kdec.floats
     n = kdec.projection.rows
     d = kdec.kernel_dim
     corner_axis = np.array([-eval_extent, eval_extent])

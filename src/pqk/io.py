@@ -12,6 +12,7 @@ load and then fail verification rather than failing to parse.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from .dpg import (
     validate_word,
     word_values,
 )
-from .errors import DocumentError, PqkError
+from .errors import DimensionMismatchError, DocumentError, PqkError
 from .frames import ProjectionMatrix, ReducedFrame
 from .gaussian import GaussianKernel, GaussianMixtureState, trace
 from .systems import OpProbe, OrderEdge, OrderWitness, Probes
@@ -49,7 +50,7 @@ def rat_to_json(x: Fraction):
 def json_to_rat(x, where: str) -> Fraction:
     try:
         return ratlin.as_fraction(x)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise DocumentError(f"{where}: not a rational value ({x!r})") from exc
 
 
@@ -74,10 +75,19 @@ def _expect_rows(doc, key: str, where: str) -> dict:
     return rows
 
 
+def _expect_items(doc, key: str, kind: type, where: str) -> list:
+    """A list field whose every element is a ``kind``."""
+    items = _expect(doc, key, list, where)
+    for i, item in enumerate(items):
+        if not isinstance(item, kind):
+            raise DocumentError(f"{where}.{key}[{i}]: expected {kind.__name__}")
+    return items
+
+
 def _expect_frame(doc, key: str, where: str) -> ReducedFrame:
     try:
-        return ReducedFrame(tuple(_expect(doc, key, list, where)))
-    except PqkError as exc:
+        return ReducedFrame(tuple(_expect_items(doc, key, str, where)))
+    except DimensionMismatchError as exc:
         raise DocumentError(f"{where}.{key}: {exc}") from exc
 
 
@@ -200,8 +210,8 @@ def document_to_system(doc: dict) -> System:
         lid = _expect(entry, "id", str, where)
         if lid in dlabels:
             raise DocumentError(f"{where}.id: duplicate label {lid!r}")
-        edge_ids = _expect(entry, "graph", list, where)
-        face_ids = _expect(entry, "flux_basis", list, where)
+        edge_ids = _expect_items(entry, "graph", str, where)
+        face_ids = _expect_items(entry, "flux_basis", str, where)
         for eid in edge_ids:
             if eid not in words:
                 raise DocumentError(f"{where}.graph: unknown edge id {eid!r}")
@@ -363,11 +373,11 @@ def document_to_state(doc: dict, dim: int) -> tuple[str, GaussianMixtureState]:
     for i, entry in enumerate(_expect(doc, "terms", list, "state")):
         where = f"state.terms[{i}]"
         weight = _expect(entry, "weight", (int, float), where)
-        if weight <= 0:
-            raise DocumentError(f"{where}.weight: must be positive")
+        if not 0 < weight <= sys.float_info.max:
+            raise DocumentError(f"{where}.weight: must be positive and finite")
 
         def matrix(key: str) -> np.ndarray:
-            rows = _expect(entry, key, list, where)
+            rows = _expect_items(entry, key, list, where)
             return np.array(
                 [
                     [_json_to_complex(z, f"{where}.{key}") for z in row]
@@ -380,6 +390,8 @@ def document_to_state(doc: dict, dim: int) -> tuple[str, GaussianMixtureState]:
             [_json_to_complex(z, f"{where}.s") for z in _expect(entry, "s", list, where)]
         )
         logw = _expect(entry, "logw", (int, float), where)
+        if not abs(logw) <= sys.float_info.max:
+            raise DocumentError(f"{where}.logw: must be finite")
         try:
             kernel = GaussianKernel(dim=dim, P=matrix("P"), R=matrix("R"), s=s, logw=logw)
         except (ValueError, PqkError) as exc:
@@ -443,7 +455,7 @@ def document_to_projection(doc: dict) -> ProjectionMatrix:
     source = _expect_frame(doc, "source_frame", "projection")
     entries = [
         [json_to_rat(x, f"projection.entries[{i}]") for x in row]
-        for i, row in enumerate(_expect(doc, "entries", list, "projection"))
+        for i, row in enumerate(_expect_items(doc, "entries", list, "projection"))
     ]
     try:
         return ProjectionMatrix(entries, source_frame=source, target_frame=target)

@@ -26,7 +26,8 @@ from .errors import (
     PqkError,
     WitnessInvalidError,
 )
-from .frames import DofId, ProjectionMatrix, ReducedFrame, build_projection
+from .frames import DofId, KernelDecomposition, ProjectionMatrix, ReducedFrame
+from .frames import build_projection, kernel_decomposition
 from .ratlin import Fraction, Mat
 
 # Sparse evaluation data: dof -> {probe id -> value}. Absent probes are 0.
@@ -142,6 +143,15 @@ class OrderWitness:
                 for d, row in dict(self.dof_values).items()
             },
         )
+
+    def plan(self, fine: SystemLabel, coarse: SystemLabel) -> EdgePlan:
+        """The verified plan of ``fine >= coarse``, kept on this witness for
+        the label objects last asked about (matched by identity)."""
+        plan = self.__dict__.get("_plan")
+        if plan is None or plan.fine is not fine or plan.coarse is not coarse:
+            plan = EdgePlan(fine, coarse, self.combos, refines(fine, coarse, self))
+            object.__setattr__(self, "_plan", plan)
+        return plan
 
 
 def identity_witness(label: SystemLabel, dof_values: DofValues | None = None) -> OrderWitness:
@@ -330,15 +340,43 @@ def refines(
     return RefinementCheck(True, "verified")
 
 
+@dataclass(frozen=True, eq=False)
+class EdgePlan:
+    """One witnessed edge ``fine >= coarse``: its :func:`refines` verdict,
+    then its projection and kernel decomposition, each built on first use
+    and kept (a build that raises keeps nothing).  It holds the witness's
+    combinations, not the witness, so the two form no reference cycle."""
+
+    fine: SystemLabel
+    coarse: SystemLabel
+    combos: Mapping[DofId, Mapping[DofId, Fraction]]
+    check: RefinementCheck
+
+    @cached_property
+    def projection(self) -> ProjectionMatrix:
+        if not self.check:
+            raise WitnessInvalidError(self.check.diagnostic)
+        combos = {
+            dof: [self.combos[dof].get(s, Fraction(0)) for s in self.fine.frame.dofs]
+            for dof in self.coarse.frame.dofs
+        }
+        return build_projection(self.coarse.frame, self.fine.frame, combos)
+
+    @cached_property
+    def decomposition(self) -> KernelDecomposition:
+        b = self.projection
+        g = pairing_matrix(self.coarse)
+        g_fine = tuple(operator_point(op, self.fine.frame) for op in self.coarse.ops)
+        w = ratlin.matmul(ratlin.transpose(g_fine), ratlin.inv(ratlin.transpose(g)))
+        return kernel_decomposition(b, w)
+
+
 def projection_from_witness(
     fine: SystemLabel, coarse: SystemLabel, witness: OrderWitness
 ) -> ProjectionMatrix:
-    """Build the coarse<-fine projection matrix out of the witness combos."""
-    combos = {
-        dof: [witness.combos[dof].get(s, Fraction(0)) for s in fine.frame.dofs]
-        for dof in coarse.frame.dofs
-    }
-    return build_projection(coarse.frame, fine.frame, combos)
+    """The coarse<-fine projection of the witness's combinations, built once
+    per witness and label pair; :class:`WitnessInvalidError` if unverified."""
+    return witness.plan(fine, coarse).projection
 
 
 def embedding_matrix(
@@ -350,22 +388,10 @@ def embedding_matrix(
     configuration space, so the embedding selects exactly the directions
     those operators generate.  Computed as G'^T (G^T)^{-1} from the coarse
     pairing matrix G and the coarse operators' actions G' on the fine frame;
-    B @ W = I holds exactly for every verified witness.
+    B @ W = I holds exactly for every verified witness and is checked once,
+    by :func:`pqk.frames.kernel_decomposition`.
     """
-    check = refines(fine, coarse, witness)
-    if not check:
-        raise WitnessInvalidError(check.diagnostic)
-    g = pairing_matrix(coarse)
-    g_fine = tuple(
-        tuple(op.on(dof) for dof in fine.frame.dofs) for op in coarse.ops
-    )
-    w = ratlin.matmul(ratlin.transpose(g_fine), ratlin.inv(ratlin.transpose(g)))
-    b = projection_from_witness(fine, coarse, witness).entries
-    if ratlin.matmul(b, w) != ratlin.identity(coarse.dim):
-        raise WitnessInvalidError(
-            "witnessed projection and operator embedding do not compose to id"
-        )
-    return w
+    return witness.plan(fine, coarse).decomposition.embedding
 
 
 def select_independent_dofs(
@@ -543,15 +569,16 @@ def check_assumptions(
                 break
         instances.append(AssumptionInstance("A1b", probe.label, ok, detail))
 
-    # Each order edge is refined once; A2, A5, A6 and directedness reuse it.
-    checks = [
-        refines(family[edge.upper], family[edge.lower], edge.witness)
+    # Each order edge is verified once, by its witness's plan; A2, A5, A6,
+    # directedness and later projections along the edge reuse it.
+    plans = [
+        edge.witness.plan(family[edge.upper], family[edge.lower])
         if edge.upper in family and edge.lower in family
         else None
         for edge in order
     ]
     verified_edges = {
-        (edge.upper, edge.lower) for edge, check in zip(order, checks) if check
+        (e.upper, e.lower) for e, plan in zip(order, plans) if plan and plan.check
     }
 
     # A2: labels with evaluation probes are decided by them.  The others are
@@ -568,23 +595,21 @@ def check_assumptions(
             )
             if ratlin.rank(rows) == label.dim:
                 surjective.add(name)
-    derivable: dict[str, list[OrderEdge]] = {}
-    for edge, check in zip(order, checks):
-        if check and edge.lower not in probes.surjectivity:
-            derivable.setdefault(edge.upper, []).append(edge)
+    derivable: dict[str, list[tuple[str, EdgePlan]]] = {}
+    for edge, plan in zip(order, plans):
+        if plan and plan.check and edge.lower not in probes.surjectivity:
+            derivable.setdefault(edge.upper, []).append((edge.lower, plan))
     frontier = sorted(surjective)
     while frontier:
-        for edge in derivable.get(frontier.pop(), ()):
-            if edge.lower in surjective:
+        for lower, plan in derivable.get(frontier.pop(), ()):
+            if lower in surjective:
                 continue
             try:
-                projection_from_witness(
-                    family[edge.upper], family[edge.lower], edge.witness
-                )
+                plan.projection
             except PqkError:
                 continue
-            surjective.add(edge.lower)
-            frontier.append(edge.lower)
+            surjective.add(lower)
+            frontier.append(lower)
 
     for name in sorted(family):
         ok = name in surjective
@@ -658,15 +683,15 @@ def check_assumptions(
             )
         )
 
-    for edge, check in zip(order, checks):
+    for edge, plan in zip(order, plans):
         subject = f"{edge.upper} >= {edge.lower}"
-        if check is None:
+        if plan is None:
             instances.append(
                 AssumptionInstance("A6", subject, False, "unknown label")
             )
             continue
         instances.append(
-            AssumptionInstance("A6", subject, check.ok, check.diagnostic)
+            AssumptionInstance("A6", subject, plan.check.ok, plan.check.diagnostic)
         )
 
     for a, b in probes.directed_pairs:

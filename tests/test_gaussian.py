@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,7 +18,6 @@ from pqk import (
     check_coherent_family,
     hs_distance,
     hs_inner,
-    kernel_decomposition,
     kernel_matrix,
     min_eigenvalue,
     mix,
@@ -28,9 +29,18 @@ from pqk import (
     quadrature_partial_trace,
     trace,
 )
-from pqk import ratlin
+from pqk import OrderViolationError, RankDeficientError, WitnessInvalidError
+from pqk import ratlin, systems
+from pqk import io as pio
+from pqk.dpg import random_system
 from pqk.gaussian import _gram_distance, _perturbative_distance, decomposition_for
-from pqk.systems import OrderEdge, identity_witness
+from pqk.systems import (
+    OrderEdge,
+    OrderWitness,
+    embedding_matrix,
+    identity_witness,
+    projection_from_witness,
+)
 
 from conftest import generic_reduction, random_mixture, random_pure
 
@@ -192,12 +202,11 @@ def test_projection_kernel_basis_invariance():
     dec = decomposition_for(fine, coarse, witness)
     out1 = project_with(st, dec)
     m = ratlin.mat([[3]])  # rescale the 1-dim kernel basis
-    dec2 = kernel_decomposition(dec.projection, dec.embedding)
-    object.__setattr__(dec2, "kernel_basis", ratlin.matmul(dec.kernel_basis, m))
-    object.__setattr__(
-        dec2,
-        "lebesgue_factor",
-        abs(ratlin.det(ratlin.hstack(dec2.kernel_basis, dec2.embedding))),
+    kb = ratlin.matmul(dec.kernel_basis, m)
+    dec2 = dataclasses.replace(
+        dec,
+        kernel_basis=kb,
+        lebesgue_factor=abs(ratlin.det(ratlin.hstack(kb, dec.embedding))),
     )
     out2 = project_with(st, dec2)
     assert hs_distance(out1, out2) <= 1e-10
@@ -315,8 +324,7 @@ def test_chain_consistency_detects_corrupted_embedding(deep_system):
     )
     w = [list(row) for row in dec.embedding]
     w[0][0] += Fraction(1, 10)
-    object.__setattr__(dec, "embedding", ratlin.mat(w))
-    corrupted = project_with(st, dec)
+    corrupted = project_with(st, dataclasses.replace(dec, embedding=ratlin.mat(w)))
     assert hs_distance(direct, corrupted) > 1e-3
 
 
@@ -485,3 +493,109 @@ def test_coherent_family_single_label_vacuous():
     st = random_mixture(1, 1, np.random.default_rng(18))
     family = CoherentFamily({"only": coarse}, {"only": st}, ())
     assert check_coherent_family(family).passed
+
+
+# --- verified edge plans --------------------------------------------------------
+
+
+def test_decomposition_is_built_once_per_witness():
+    fine, coarse, witness = generic_reduction([[1, 1, 0], [0, 0, 1]])
+    dec = decomposition_for(fine, coarse, witness)
+    assert decomposition_for(fine, coarse, witness) is dec
+    assert embedding_matrix(fine, coarse, witness) is dec.embedding
+
+
+def test_each_order_edge_is_refined_once(monkeypatch):
+    # A freshly loaded system, so no plan exists yet.
+    system = pio.document_to_system(
+        pio.system_to_document(random_system(2, 3, seed=11))
+    )
+    labels = system.labels
+    calls = collections.Counter()
+    refines = systems.refines
+
+    def counting(fine, coarse, witness):
+        calls[id(fine), id(coarse)] += 1
+        return refines(fine, coarse, witness)
+
+    monkeypatch.setattr(systems, "refines", counting)
+    rng = np.random.default_rng(23)
+    audit = systems.check_assumptions(
+        dict(labels), system.order, pio.default_probes(system)
+    )
+    assert audit.passed
+    top = max(labels, key=lambda n: sum(e.upper == n for e in system.order))
+    st = random_mixture(labels[top].dim, 2, rng)
+    states = {top: st}
+    for edge in system.order:
+        upper, lower = labels[edge.upper], labels[edge.lower]
+        source = st if edge.upper == top else random_mixture(upper.dim, 1, rng)
+        projected = project_state(source, upper, lower, edge.witness)
+        if edge.upper == top:
+            states[edge.lower] = projected
+    edges = tuple(e for e in system.order if {e.upper, e.lower} <= set(states))
+    family = CoherentFamily({n: labels[n] for n in states}, states, edges)
+    assert check_coherent_family(family).passed
+    chains = [c for c in system.chains() if c[0] == top]
+    assert chains
+    for a, b, c in chains:
+        report = chain_consistency(
+            st, labels[a], labels[b], labels[c],
+            system.find_witness(a, b), system.find_witness(b, c),
+            system.find_witness(a, c),
+        )
+        assert report.passed
+    edge_pairs = {(id(labels[e.upper]), id(labels[e.lower])) for e in system.order}
+    assert set(calls) == edge_pairs
+    assert set(calls.values()) == {1}
+
+
+def test_failing_witness_raises_on_every_call():
+    fine, coarse, witness = generic_reduction([[1, 1, 0]])
+    bad = OrderWitness(
+        {"y0": {"x0": Fraction(1)}}, witness.op_membership, witness.dof_values
+    )
+    st = random_mixture(3, 1, np.random.default_rng(24))
+    for _ in range(2):
+        with pytest.raises(OrderViolationError, match="not witnessed"):
+            project_state(st, fine, coarse, bad)
+        with pytest.raises(WitnessInvalidError):
+            embedding_matrix(fine, coarse, bad)
+        with pytest.raises(WitnessInvalidError):
+            projection_from_witness(fine, coarse, bad)
+    assert not bad.plan(fine, coarse).check
+    # Verifies, but the projection is rank deficient: the build raises anew.
+    fine, coarse, witness = generic_reduction([[1, 1], [1, 1]])
+    assert witness.plan(fine, coarse).check
+    for _ in range(2):
+        with pytest.raises(RankDeficientError):
+            decomposition_for(fine, coarse, witness)
+
+
+def test_equal_but_distinct_label_gets_its_own_plan(monkeypatch):
+    fine, coarse, witness = generic_reduction([[1, 1, 0], [0, 0, 1]])
+    dec = decomposition_for(fine, coarse, witness)
+    calls = []
+    refines = systems.refines
+    monkeypatch.setattr(
+        systems, "refines", lambda *args: calls.append(args) or refines(*args)
+    )
+    twin = dataclasses.replace(fine)
+    assert twin == fine and twin is not fine
+    twin_dec = decomposition_for(twin, coarse, witness)
+    assert len(calls) == 1 and calls[0][0] is twin
+    assert twin_dec is not dec and twin_dec == dec
+    assert witness.plan(twin, coarse).fine is twin
+
+
+def test_project_with_replaced_decomposition_uses_its_embedding():
+    fine, coarse, witness = generic_reduction([[1, 1, 0]])
+    st = random_mixture(3, 2, np.random.default_rng(25))
+    dec = decomposition_for(fine, coarse, witness)
+    before = project_with(st, dec)  # fills the cached float copies
+    scaled = ratlin.matmul(dec.embedding, ratlin.mat([[2]]))
+    replaced = dataclasses.replace(dec, embedding=scaled)
+    assert np.array_equal(replaced.floats[1], ratlin.to_float(scaled))
+    assert hs_distance(before, project_with(st, replaced)) > 1e-3
+    assert decomposition_for(fine, coarse, witness) is dec
+    assert hs_distance(before, project_with(st, dec)) == 0.0

@@ -134,6 +134,30 @@ def malformed_documents():
          r"projection\.source_frame"),
         ("projection", edited(projection, ("target_frame",), []),
          r"projection\.target_frame"),
+        ("system", edited(system, ("faces", 0, "incidence", 0, "value"), "1/0"),
+         r"faces\[0\]\.incidence\[0\]\.value"),
+        ("system", edited(system, ("faces", 0, "incidence", 0, "value"),
+                          float("inf")),
+         r"faces\[0\]\.incidence\[0\]\.value"),
+        ("state", edited(state, ("terms", 0, "weight"), float("nan")),
+         r"state\.terms\[0\]\.weight"),
+        ("state", edited(state, ("terms", 0, "logw"), float("nan")),
+         r"state\.terms\[0\]\.logw"),
+        ("state", edited(state, ("terms", 0, "weight"), 10**400),
+         r"state\.terms\[0\]\.weight"),
+        ("state", edited(state, ("terms", 0, "logw"), -(10**400)),
+         r"state\.terms\[0\]\.logw"),
+        ("system", edited(system, ("labels", 0, "graph", 0), ["e0"]),
+         r"labels\[0\]\.graph\[0\]"),
+        ("system", edited(system, ("labels", 0, "flux_basis", 0), {"id": "f"}),
+         r"labels\[0\]\.flux_basis\[0\]"),
+        ("ap", edited(ap, ("frame", 0), ["hol:a"]), r"ap\.frame\[0\]"),
+        ("projection", edited(projection, ("entries", 0), 1),
+         r"projection\.entries\[0\]"),
+        ("state", edited(state, ("terms", 0, "P", 0), 1.0),
+         r"state\.terms\[0\]\.P\[0\]"),
+        ("state", edited(state, ("terms", 0, "R", 0), 1.0),
+         r"state\.terms\[0\]\.R\[0\]"),
     )
 
 
