@@ -18,6 +18,7 @@ cross-check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -196,6 +197,17 @@ def trace(state: GaussianMixtureState) -> float:
     return float(sum(w * math.exp(k.log_trace()) for w, k in state.terms))
 
 
+def _log_integrals(M: np.ndarray, v: np.ndarray) -> list[complex]:
+    """Logs of the integrals of exp(-z^T M z / 2 + v^T z) over a stack of
+    forms M (K, m, m) and v (K, m), one Cholesky checking all of them."""
+    if not _is_pd(M.real):
+        raise DivergentError("quadratic form has non-positive-definite real part")
+    logdets = np.sum(np.log(np.linalg.eigvals(M)), axis=-1)
+    quads = (v[:, None, :] @ np.linalg.solve(M, v[:, :, None]))[:, 0, 0]
+    const = 0.5 * M.shape[-1] * math.log(2 * math.pi)
+    return [const - 0.5 * complex(d) + 0.5 * complex(q) for d, q in zip(logdets, quads)]
+
+
 def gaussian_log_integral(M: np.ndarray, v: np.ndarray) -> complex:
     """log of the n-dimensional integral of exp(-z^T M z / 2 + v^T z).
 
@@ -204,39 +216,45 @@ def gaussian_log_integral(M: np.ndarray, v: np.ndarray) -> complex:
     the determinant is then taken eigenvalue by eigenvalue with principal
     branches, the branch continuously connected to the real case.
     """
-    n = M.shape[0]
-    if n == 0:
+    if M.shape[0] == 0:
         return 0.0 + 0.0j
-    if not _is_pd(M.real):
-        raise DivergentError("quadratic form has non-positive-definite real part")
-    eig = np.linalg.eigvals(M)
-    logdet = complex(np.sum(np.log(eig)))
-    quad = complex(v @ np.linalg.solve(M, v))
-    return 0.5 * n * math.log(2 * math.pi) - 0.5 * logdet + 0.5 * quad
+    return _log_integrals(M[None], np.asarray(v)[None])[0]
 
 
-def _hs_pair(k1: GaussianKernel, k2: GaussianKernel) -> complex:
-    """Hilbert-Schmidt pairing integral of conj(k1) with k2."""
-    n = k1.dim
-    cross = -(k1.R.conj() + k2.R)
-    M = np.block([[k1.P.conj() + k2.P, cross], [cross.T, k1.P + k2.P.conj()]])
-    v = np.concatenate([k1.s.conj() + k2.s, k1.s + k2.s.conj()])
-    return complex(np.exp(k1.logw + k2.logw + gaussian_log_integral(M, v)))
+def _term_arrays(state: GaussianMixtureState) -> list[np.ndarray]:
+    """P, R and s of every term, stacked along a leading term axis."""
+    return [np.stack([getattr(k, a) for _, k in state.terms]) for a in "PRs"]
 
 
-def hs_inner(s1: GaussianMixtureState, s2: GaussianMixtureState) -> complex:
-    """HS inner product <s1, s2>, conjugate-linear in the first slot."""
+def _pair_forms(
+    s1: GaussianMixtureState, s2: GaussianMixtureState
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, complex]]]:
+    """Hilbert-Schmidt pairing forms of conj(k1) with k2 for every term pair.
+
+    Pairs run t-major over (terms of s1) x (terms of s2).  Returns the
+    stacked forms M and v and, per pair, the weight product w1 w2 and the
+    log of the pairing integral including both kernels' logw.
+    """
     if s1.dim != s2.dim:
         raise DimensionMismatchError(
             f"states live in dimensions {s1.dim} and {s2.dim}"
         )
-    return complex(
-        sum(
-            w1 * w2 * _hs_pair(k1, k2)
-            for w1, k1 in s1.terms
-            for w2, k2 in s2.terms
-        )
-    )
+    P1, R1, v1 = (x[:, None] for x in _term_arrays(s1))
+    P2, R2, v2 = (x[None] for x in _term_arrays(s2))
+    cross = -(R1.conj() + R2)
+    M = np.block([[P1.conj() + P2, cross], [cross.swapaxes(-1, -2), P1 + P2.conj()]])
+    v = np.concatenate([v1.conj() + v2, v1 + v2.conj()], axis=-1)
+    M, v = M.reshape(-1, *M.shape[-2:]), v.reshape(-1, v.shape[-1])
+    pairs = [
+        (w1 * w2, k1.logw + k2.logw) for w1, k1 in s1.terms for w2, k2 in s2.terms
+    ]
+    return M, v, [(w, lw + g) for (w, lw), g in zip(pairs, _log_integrals(M, v))]
+
+
+def hs_inner(s1: GaussianMixtureState, s2: GaussianMixtureState) -> complex:
+    """HS inner product <s1, s2>, conjugate-linear in the first slot."""
+    _, _, pairs = _pair_forms(s1, s2)
+    return complex(sum(w * complex(np.exp(lg)) for w, lg in pairs))
 
 
 def _gram_distance(s1: GaussianMixtureState, s2: GaussianMixtureState) -> float:
@@ -260,27 +278,24 @@ def _term_deviation(
     return max(parts)
 
 
-def _moment_product(A, b, c, B, d, e, sigma, mu) -> complex:
+def _moment_product(
+    tA, tB, tASBS, mAm, mBm, bm, dm, mASBm, mASd, mBSb, bSd, c, e
+) -> complex:
     """E[(z^T A z / 2 + b^T z + c)(z^T B z / 2 + d^T z + e)] under an
-    analytic Gaussian with formal mean mu and covariance sigma (Wick)."""
-    tA = np.trace(A @ sigma)
-    tB = np.trace(B @ sigma)
-    mAm = mu @ A @ mu
-    mBm = mu @ B @ mu
-    bm = b @ mu
-    dm = d @ mu
-    out = 0.25 * (
-        tA * tB
-        + 2 * np.trace(A @ sigma @ B @ sigma)
-        + tA * mBm
-        + tB * mAm
-        + 4 * (mu @ A @ sigma @ B @ mu)
-        + mAm * mBm
-    )
-    out += 0.5 * (tA * dm + 2 * (mu @ A @ sigma @ d) + mAm * dm)
+    analytic Gaussian with formal mean mu and covariance S (Wick), from the
+    traces tA = tr(A S), tB = tr(B S), tASBS = tr(A S B S) and the
+    contractions mAm = mu.A.mu, mBm, bm = b.mu, dm, mASBm = mu.A S B.mu,
+    mASd, mBSb and bSd = b.S.d of one term pair.
+
+    The complex scalars are combined here, one pair at a time, because
+    numpy's array complex multiply may round differently from its scalar
+    one on SIMD hardware; the scalar form gives the same bits everywhere.
+    """
+    out = 0.25 * (tA * tB + 2 * tASBS + tA * mBm + tB * mAm + 4 * mASBm + mAm * mBm)
+    out += 0.5 * (tA * dm + 2 * mASd + mAm * dm)
     out += 0.5 * e * (tA + mAm)
-    out += 0.5 * (tB * bm + 2 * (mu @ B @ sigma @ b) + mBm * bm)
-    out += b @ sigma @ d + bm * dm
+    out += 0.5 * (tB * bm + 2 * mBSb + mBm * bm)
+    out += bSd + bm * dm
     out += e * bm
     out += c * (0.5 * (tB + mBm) + dm + e)
     return complex(out)
@@ -295,41 +310,45 @@ def _perturbative_distance(
     form loses the distance under cancellation of O(1) integrals; here each
     term difference is expanded as reference-kernel times a small quadratic
     form, so every contribution is computed directly at the size of the
-    deviation itself.
+    deviation itself.  The pairing forms, their inverses and every trace and
+    contraction of the expansion run once over the stack of term pairs.
     """
-    n = s1.dim
-    deltas = []
-    for (w1, k1), (w2, k2) in zip(s1.terms, s2.terms):
-        dP = k1.P - k2.P
-        dR = k1.R - k2.R
-        ds = k1.s - k2.s
-        dc = (k1.logw - k2.logw) + math.log(w1 / w2)
-        A = np.block([[-dP, dR], [dR.T, -dP.conj()]])
-        b = np.concatenate([ds, ds.conj()])
-        deltas.append((A, b, dc))
+    (P1, R1, v1), (P2, R2, v2) = _term_arrays(s1), _term_arrays(s2)
+    dP, dR, ds = P1 - P2, R1 - R2, v1 - v2
+    A = np.block([[-dP, dR], [dR.swapaxes(-1, -2), -dP.conj()]])
+    b = np.concatenate([ds, ds.conj()], axis=-1)
+    c = [
+        (k1.logw - k2.logw) + math.log(w1 / w2)
+        for (w1, k1), (w2, k2) in zip(s1.terms, s2.terms)
+    ]
+    M, v, pairs = _pair_forms(s2, s2)
+    t, m = len(c), M.shape[-1]
+    sigma = np.linalg.inv(M)
+    sigma = ((sigma + sigma.swapaxes(-1, -2)) / 2).reshape(t, t, m, m)
+    mu = (sigma @ v.reshape(t, t, m, 1))[..., 0]
+    # pair (t, u) contracts conj(A_t), conj(b_t) with A_u, b_u
+    At, Au, bt, bu = A.conj()[:, None], A[None], b.conj()[:, None], b[None]
+    row, col = mu[..., None, :], mu[..., :, None]
+    AS, muA, muB = At @ sigma, row @ At, row @ Au
+    muAS = muA @ sigma
+    moments = [
+        np.trace(AS, axis1=-2, axis2=-1),
+        np.trace(Au @ sigma, axis1=-2, axis2=-1),
+        np.trace(AS @ Au @ sigma, axis1=-2, axis2=-1),
+        muA @ col,
+        muB @ col,
+        bt[..., None, :] @ col,
+        bu[..., None, :] @ col,
+        muAS @ Au @ col,
+        muAS @ bu[..., :, None],
+        muB @ sigma @ bt[..., :, None],
+        bt[..., None, :] @ sigma @ bu[..., :, None],
+    ]
     total = 0.0 + 0.0j
-    for t, (wt, kt) in enumerate(s2.terms):
-        for u, (wu, ku) in enumerate(s2.terms):
-            cross = -(kt.R.conj() + ku.R)
-            M = np.block(
-                [[kt.P.conj() + ku.P, cross], [cross.T, kt.P + ku.P.conj()]]
-            )
-            v = np.concatenate([kt.s.conj() + ku.s, kt.s + ku.s.conj()])
-            if not _is_pd(M.real):
-                raise DivergentError(
-                    "quadratic form has non-positive-definite real part"
-                )
-            sigma = np.linalg.inv(M)
-            sigma = (sigma + sigma.T) / 2
-            mu = sigma @ v
-            base = wt * wu * np.exp(
-                kt.logw + ku.logw + gaussian_log_integral(M, v)
-            )
-            At, bt, ct = deltas[t]
-            Au, bu, cu = deltas[u]
-            total += base * _moment_product(
-                At.conj(), bt.conj(), np.conj(ct), Au, bu, cu, sigma, mu
-            )
+    for (w, lg), (ct, cu), mts in zip(
+        pairs, itertools.product(c, repeat=2), zip(*(x.reshape(-1) for x in moments))
+    ):
+        total += w * np.exp(lg) * _moment_product(*mts, np.conj(ct), cu)
     return math.sqrt(max(total.real, 0.0))
 
 

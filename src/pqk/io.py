@@ -348,6 +348,8 @@ def _json_to_complex(x, where: str) -> complex:
         or not all(isinstance(v, (int, float)) for v in x)
     ):
         raise DocumentError(f"{where}: expected [re, im]")
+    if not all(abs(v) <= sys.float_info.max for v in x):
+        raise DocumentError(f"{where}: parts must be finite")
     return complex(x[0], x[1])
 
 
@@ -376,24 +378,23 @@ def document_to_state(doc: dict, dim: int) -> tuple[str, GaussianMixtureState]:
         if not 0 < weight <= sys.float_info.max:
             raise DocumentError(f"{where}.weight: must be positive and finite")
 
+        def row(items: list, name: str) -> list[complex]:
+            return [_json_to_complex(z, f"{name}[{j}]") for j, z in enumerate(items)]
+
         def matrix(key: str) -> np.ndarray:
             rows = _expect_items(entry, key, list, where)
             return np.array(
-                [
-                    [_json_to_complex(z, f"{where}.{key}") for z in row]
-                    for row in rows
-                ],
+                [row(items, f"{where}.{key}[{r}]") for r, items in enumerate(rows)],
                 dtype=np.complex128,
             )
 
-        s = np.array(
-            [_json_to_complex(z, f"{where}.s") for z in _expect(entry, "s", list, where)]
-        )
+        s = np.array(row(_expect(entry, "s", list, where), f"{where}.s"))
         logw = _expect(entry, "logw", (int, float), where)
         if not abs(logw) <= sys.float_info.max:
             raise DocumentError(f"{where}.logw: must be finite")
+        P, R = matrix("P"), matrix("R")
         try:
-            kernel = GaussianKernel(dim=dim, P=matrix("P"), R=matrix("R"), s=s, logw=logw)
+            kernel = GaussianKernel(dim=dim, P=P, R=R, s=s, logw=logw)
         except (ValueError, PqkError) as exc:
             raise DocumentError(f"{where}: {exc}") from exc
         terms.append((float(weight), kernel))

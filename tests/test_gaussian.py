@@ -1,7 +1,11 @@
 import collections
 import dataclasses
 import math
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,13 @@ from pqk import OrderViolationError, RankDeficientError, WitnessInvalidError
 from pqk import ratlin, systems
 from pqk import io as pio
 from pqk.dpg import random_system
-from pqk.gaussian import _gram_distance, _perturbative_distance, decomposition_for
+from pqk.gaussian import (
+    _PERTURBATIVE_THRESHOLD,
+    _gram_distance,
+    _perturbative_distance,
+    _term_deviation,
+    decomposition_for,
+)
 from pqk.systems import (
     OrderEdge,
     OrderWitness,
@@ -42,7 +52,7 @@ from pqk.systems import (
     projection_from_witness,
 )
 
-from conftest import generic_reduction, random_mixture, random_pure
+from conftest import generic_reduction, random_mixture, random_pure, subprocess_env
 
 
 def midpoint_integral_1d(f, lo, hi, n=4096):
@@ -276,6 +286,195 @@ def test_perturbative_distance_tracks_gram():
         g = _gram_distance(base, shifted)
         p = _perturbative_distance(base, shifted)
         assert abs(g - p) <= 5 * eps * g
+
+
+# Per-pair reference: the HS pairing one term pair at a time, as the module
+# computed it before the pairs were stacked.  The stacked pass must give the
+# same bits, not merely close values.
+
+
+def naive_log_integral(M, v):
+    n = M.shape[0]
+    try:
+        np.linalg.cholesky(M.real)
+    except np.linalg.LinAlgError:
+        raise DivergentError("quadratic form has non-positive-definite real part")
+    logdet = complex(np.sum(np.log(np.linalg.eigvals(M))))
+    quad = complex(v @ np.linalg.solve(M, v))
+    return 0.5 * n * math.log(2 * math.pi) - 0.5 * logdet + 0.5 * quad
+
+
+def naive_pair_form(k1, k2):
+    cross = -(k1.R.conj() + k2.R)
+    M = np.block([[k1.P.conj() + k2.P, cross], [cross.T, k1.P + k2.P.conj()]])
+    v = np.concatenate([k1.s.conj() + k2.s, k1.s + k2.s.conj()])
+    return M, v
+
+
+def naive_hs_inner(s1, s2):
+    if s1.dim != s2.dim:
+        raise DimensionMismatchError(
+            f"states live in dimensions {s1.dim} and {s2.dim}"
+        )
+    return complex(
+        sum(
+            w1 * w2 * complex(
+                np.exp(k1.logw + k2.logw + naive_log_integral(*naive_pair_form(k1, k2)))
+            )
+            for w1, k1 in s1.terms
+            for w2, k2 in s2.terms
+        )
+    )
+
+
+def naive_gram_distance(s1, s2):
+    d2 = (
+        naive_hs_inner(s1, s1) + naive_hs_inner(s2, s2)
+        - 2 * naive_hs_inner(s1, s2).real
+    ).real
+    return math.sqrt(max(d2, 0.0))
+
+
+def naive_moment_product(A, b, c, B, d, e, sigma, mu):
+    tA = np.trace(A @ sigma)
+    tB = np.trace(B @ sigma)
+    mAm = mu @ A @ mu
+    mBm = mu @ B @ mu
+    bm = b @ mu
+    dm = d @ mu
+    out = 0.25 * (
+        tA * tB
+        + 2 * np.trace(A @ sigma @ B @ sigma)
+        + tA * mBm
+        + tB * mAm
+        + 4 * (mu @ A @ sigma @ B @ mu)
+        + mAm * mBm
+    )
+    out += 0.5 * (tA * dm + 2 * (mu @ A @ sigma @ d) + mAm * dm)
+    out += 0.5 * e * (tA + mAm)
+    out += 0.5 * (tB * bm + 2 * (mu @ B @ sigma @ b) + mBm * bm)
+    out += b @ sigma @ d + bm * dm
+    out += e * bm
+    out += c * (0.5 * (tB + mBm) + dm + e)
+    return complex(out)
+
+
+def naive_perturbative_distance(s1, s2):
+    deltas = []
+    for (w1, k1), (w2, k2) in zip(s1.terms, s2.terms):
+        dP, dR, ds = k1.P - k2.P, k1.R - k2.R, k1.s - k2.s
+        dc = (k1.logw - k2.logw) + math.log(w1 / w2)
+        A = np.block([[-dP, dR], [dR.T, -dP.conj()]])
+        deltas.append((A, np.concatenate([ds, ds.conj()]), dc))
+    total = 0.0 + 0.0j
+    for t, (wt, kt) in enumerate(s2.terms):
+        for u, (wu, ku) in enumerate(s2.terms):
+            M, v = naive_pair_form(kt, ku)
+            gli = naive_log_integral(M, v)
+            sigma = np.linalg.inv(M)
+            sigma = (sigma + sigma.T) / 2
+            mu = sigma @ v
+            base = wt * wu * np.exp(kt.logw + ku.logw + gli)
+            At, bt, ct = deltas[t]
+            Au, bu, cu = deltas[u]
+            total += base * naive_moment_product(
+                At.conj(), bt.conj(), np.conj(ct), Au, bu, cu, sigma, mu
+            )
+    return math.sqrt(max(total.real, 0.0))
+
+
+def naive_hs_distance(s1, s2):
+    if s1.dim != s2.dim:
+        raise DimensionMismatchError(
+            f"states live in dimensions {s1.dim} and {s2.dim}"
+        )
+    if len(s1.terms) == len(s2.terms):
+        dev = max(_term_deviation(t1, t2) for t1, t2 in zip(s1.terms, s2.terms))
+        if dev <= _PERTURBATIVE_THRESHOLD:
+            return naive_perturbative_distance(s1, s2)
+    return naive_gram_distance(s1, s2)
+
+
+HS_ROUTINES = (
+    (hs_inner, naive_hs_inner),
+    (_gram_distance, naive_gram_distance),
+    (_perturbative_distance, naive_perturbative_distance),
+    (hs_distance, naive_hs_distance),
+)
+
+
+def perturbed(state, eps, rng):
+    """Every term moved by about eps in each parameter and in its weight."""
+    terms = []
+    for w, k in state.terms:
+        n = k.dim
+        dP = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        dR = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        ds = rng.normal(size=n) + 1j * rng.normal(size=n)
+        kernel = GaussianKernel(
+            n, k.P + eps * (dP + dP.T), k.R + eps * (dR + dR.conj().T),
+            k.s + eps * ds, k.logw + eps * rng.normal(),
+        )
+        terms.append((w * (1 + eps * rng.normal()), kernel))
+    return GaussianMixtureState(state.dim, tuple(terms))
+
+
+def assert_same_result(s1, s2):
+    for routine, reference in HS_ROUTINES:
+        got, want = routine(s1, s2), reference(s1, s2)
+        assert type(got) is type(want) and got == want, (routine.__name__, got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_stacked_hs_pairing_matches_per_pair_reference(dim):
+    rng = np.random.default_rng(dim)
+    for n_terms in range(1, 9):
+        base = random_mixture(dim, n_terms, rng)
+        for eps in (1e-14, 1e-10, 1e-7):
+            assert_same_result(base, perturbed(base, eps, rng))
+        assert_same_result(base, random_mixture(dim, n_terms, rng))
+        other = random_mixture(dim, 9 - n_terms, rng)
+        for routine, reference in HS_ROUTINES[:2] + HS_ROUTINES[3:]:
+            assert routine(base, other) == reference(base, other)
+
+
+WIDE_SIMD_OFF = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_stacked_hs_pairing_bits_hold_without_wide_simd():
+    # numpy's array complex multiply rounds differently with and without its
+    # AVX2/AVX-512 loops; the equality test must hold on either dispatch level.
+    env = subprocess_env(NPY_DISABLE_CPU_FEATURES=WIDE_SIMD_OFF)
+    probe = subprocess.run(
+        [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"],
+        env=env, capture_output=True, text=True,
+    )
+    if probe.returncode != 0:
+        pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES: {probe.stderr[-300:]}")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_stacked_hs_pairing_matches_per_pair_reference"],
+        env=env, cwd=Path(__file__).parent, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    assert "4 passed" in run.stdout
+
+
+def test_stacked_hs_pairing_keeps_its_errors():
+    rng = np.random.default_rng(9)
+    good = random_mixture(2, 3, rng)
+    divergent = GaussianKernel(2, -100 * np.eye(2), np.zeros((2, 2)), np.zeros(2), 0.0)
+    bad = GaussianMixtureState(2, good.terms[:2] + ((0.5, divergent),))
+    one_dim = random_mixture(1, 3, rng)
+    for routine, reference in HS_ROUTINES:
+        for s1, s2, error in ((bad, bad, DivergentError), (good, bad, DivergentError),
+                              (good, one_dim, DimensionMismatchError)):
+            if routine is _perturbative_distance and error is DimensionMismatchError:
+                continue
+            with pytest.raises(error) as expected:
+                reference(s1, s2)
+            with pytest.raises(error, match=re.escape(str(expected.value))):
+                routine(s1, s2)
 
 
 # --- chain consistency ----------------------------------------------------------

@@ -158,6 +158,12 @@ def malformed_documents():
          r"state\.terms\[0\]\.P\[0\]"),
         ("state", edited(state, ("terms", 0, "R", 0), 1.0),
          r"state\.terms\[0\]\.R\[0\]"),
+        ("state", edited(state, ("terms", 0, "P", 0, 0), [10**400, 0]),
+         r"state\.terms\[0\]\.P\[0\]\[0\]"),
+        ("state", edited(state, ("terms", 0, "s", 0), [float("nan"), 0]),
+         r"state\.terms\[0\]\.s\[0\]"),
+        ("state", edited(state, ("terms", 0, "R", 0, 1), [float("inf"), 0]),
+         r"state\.terms\[0\]\.R\[0\]\[1\]"),
     )
 
 
