@@ -203,7 +203,7 @@ class TestConnection:
 def holonomy(e: EdgeWord, conn: TestConnection) -> Fraction:
     """Signed sum of the connection's atom values along the word."""
     values = conn.value_map
-    return sum((s * values.get(a, Fraction(0)) for a, s in e.letters), Fraction(0))
+    return Fraction(sum(s * values[a] for a, s in e.letters if a in values))
 
 
 def witness_connection(graph: Graph, targets: Sequence) -> TestConnection:
@@ -226,15 +226,12 @@ def witness_connection(graph: Graph, targets: Sequence) -> TestConnection:
 def incidence_number(face: Face, e: EdgeWord) -> Fraction:
     """Total signed incidence of an edge word with a face."""
     inc = face.incidence_map
-    return sum((s * inc.get(a, Fraction(0)) for a, s in e.letters), Fraction(0))
+    return Fraction(sum(s * inc[a] for a, s in e.letters if a in inc))
 
 
 def flux_operator(face: Face, graph: Graph) -> MomentumOperator:
     """The flux of a face as an operator acting on a graph's holonomies."""
-    return MomentumOperator(
-        id=face.id,
-        action=tuple((dof_id(e), incidence_number(face, e)) for e in graph.edges),
-    )
+    return flux_operator_on(face, graph.edges)
 
 
 def flux_operator_on(face: Face, words: Iterable[EdgeWord]) -> MomentumOperator:
@@ -427,11 +424,6 @@ def materialize(label: DpgLabel, words: Iterable[EdgeWord]) -> SystemLabel:
     )
 
 
-def _face_vector(face: Face, atoms: Sequence[str]) -> tuple[Fraction, ...]:
-    inc = face.incidence_map
-    return tuple(inc.get(a, Fraction(0)) for a in atoms)
-
-
 def _combine_faces(
     coeffs: Sequence[Fraction], faces: Sequence[Face], new_id: str
 ) -> Face:
@@ -461,15 +453,14 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
     """
     all_faces = (*a.faces, *b.faces)
     support = sorted({atom for f in all_faces for atom, _ in f.incidence})
-    vectors = tuple(_face_vector(f, support) for f in all_faces)
+    vectors = tuple(
+        tuple(f.incidence_map.get(a, Fraction(0)) for a in support) for f in all_faces
+    )
     # Atoms as rows, faces as columns: the pivot columns are the greedy face
-    # basis and column i holds face i's coordinates over it.
-    reduced, basis_idx = ratlin.rref(ratlin.transpose(vectors))
+    # basis, which spans every face of both labels.
+    _, basis_idx = ratlin.rref(ratlin.transpose(vectors))
     basis_faces = tuple(all_faces[i] for i in basis_idx)
     m = len(basis_faces)
-    coords = tuple(
-        tuple(reduced[r][i] for r in range(m)) for i in range(len(all_faces))
-    )
 
     joined = graph_join(a.graph, b.graph)
     act = tuple(
@@ -486,61 +477,56 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
 
     n = len(joined.edges)
     rows = [list(r) for r in act]
-    t_rows = [list(r) for r in ratlin.identity(m)]
     cols = list(range(n))
     for r in range(m):
-        best = None
-        for p in range(r, n):
-            for i in range(r, m):
-                v = abs(rows[i][cols[p]])
-                if v == 0:
-                    continue
-                key = (-v, cols[p], i)
-                if best is None or key < best[0]:
-                    best = (key, i, p)
-        _, pivot_row, pivot_pos = best
+        _, pivot_row, pivot_pos = min(
+            ((-abs(rows[i][cols[p]]), cols[p], i), i, p)
+            for p in range(r, n)
+            for i in range(r, m)
+            if rows[i][cols[p]] != 0
+        )
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        t_rows[r], t_rows[pivot_row] = t_rows[pivot_row], t_rows[r]
         cols[r], cols[pivot_pos] = cols[pivot_pos], cols[r]
-        pv = rows[r][cols[r]]
-        rows[r] = [x / pv for x in rows[r]]
-        t_rows[r] = [x / pv for x in t_rows[r]]
-        for i in range(m):
-            if i != r and rows[i][cols[r]] != 0:
-                fct = rows[i][cols[r]]
-                rows[i] = [x - fct * y for x, y in zip(rows[i], rows[r])]
-                t_rows[i] = [x - fct * y for x, y in zip(t_rows[i], t_rows[r])]
-    t = tuple(tuple(row) for row in t_rows)
+        # Only the rows and columns not yet pivoted are searched again, so
+        # only they are reduced.
+        top, c = rows[r], cols[r]
+        for row in rows[r + 1 :]:
+            if row[c] != 0:
+                fct = row[c] / top[c]
+                for k in cols[r + 1 :]:
+                    row[k] -= fct * top[k]
+    # The lead faces pair with the first m new edges as I.  With A the lead
+    # columns act[:, cols[:m]] and B the basis faces' incidence vectors, the
+    # lead faces are inv(A) B, read off rref([A | B]) = [I | inv(A) B].  The
+    # inverse transform, each basis face over the lead faces, is A itself:
+    # the basis faces' incidences with the lead edges.
+    lead_cols = tuple(tuple(row[c] for c in cols[:m]) for row in act)
+    lead_vectors, _ = ratlin.rref(
+        ratlin.hstack(lead_cols, tuple(vectors[i] for i in basis_idx))
+    )
 
     new_edges = tuple(joined.edges[c] for c in cols)
     new_graph = Graph(new_edges)
     lead_faces = tuple(
-        _combine_faces(t[j], basis_faces, f"{name}.f{j}") for j in range(m)
+        Face(id=f"{name}.f{j}", incidence=tuple(zip(support, row[m:])))
+        for j, row in enumerate(lead_vectors)
     )
-    tail_source = Graph(new_edges[m:]) if n > m else None
-    tail_faces = (
-        tuple(
-            Face(id=f"{name}.f{m + j}", incidence=f.incidence)
-            for j, f in enumerate(dual_flux_basis(tail_source))
-        )
-        if tail_source
-        else ()
-    )
+    tail_faces = dual_flux_basis(new_graph, prefix=f"{name}.f")[m:] if n > m else ()
     label = DpgLabel(id=name, graph=new_graph, faces=lead_faces + tail_faces)
 
-    t_inv_t = ratlin.transpose(ratlin.inv(t))
-
-    def witness_for(part: DpgLabel, offset: int) -> OrderWitness:
+    def witness_for(part: DpgLabel) -> OrderWitness:
         dec = decompose_edges(new_graph, part.graph)
         if not dec.accepted:
             raise PqkError(
                 f"join lost refinement of {part.id!r}: {dec.reason}"
             )
+        # Every part face lies in the basis faces' span, so (see the lead
+        # faces) its lead-face coordinates are its incidences with lead edges.
         membership = {}
-        for j, f in enumerate(part.faces):
-            over_lead = ratlin.matvec(t_inv_t, coords[offset + j])
+        for f in part.faces:
+            over_lead = (incidence_number(f, e) for e in new_edges[:m])
             membership[f.id] = {
-                lead_faces[k].id: v for k, v in enumerate(over_lead) if v != 0
+                lead.id: v for lead, v in zip(lead_faces, over_lead) if v != 0
             }
         return OrderWitness(
             combos=combos_from_decomposition(dec),
@@ -550,8 +536,8 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
 
     return JoinResult(
         label=label,
-        witness_a=witness_for(a, 0),
-        witness_b=witness_for(b, len(a.faces)),
+        witness_a=witness_for(a),
+        witness_b=witness_for(b),
         span_dim=m,
     )
 

@@ -1,6 +1,7 @@
 """JSON document formats for systems, states and almost-periodic vectors.
 
-Rationals serialize as ints, exact halves, or "p/q" strings; complex
+Rationals serialize as ints, halves as floats while a float holds them
+exactly, or "p/q" strings; JSON booleans are never read as numbers; complex
 numbers as [re, im] pairs; matrices row-major.  Loading re-validates
 structural invariants (referential integrity, word composability, graph
 disjointness, kernel structure) and raises :class:`DocumentError` naming
@@ -42,13 +43,16 @@ from . import ratlin
 def rat_to_json(x: Fraction):
     if x.denominator == 1:
         return int(x)
-    if x.denominator == 2:
+    # A float carries 53 significant bits, so larger halves would round.
+    if x.denominator == 2 and abs(x.numerator) <= 2**53:
         return float(x)
     return f"{x.numerator}/{x.denominator}"
 
 
 def json_to_rat(x, where: str) -> Fraction:
     try:
+        if isinstance(x, bool):
+            raise TypeError("a boolean is not a number")
         return ratlin.as_fraction(x)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DocumentError(f"{where}: not a rational value ({x!r})") from exc
@@ -58,8 +62,9 @@ def _expect(doc, key: str, kind, where: str):
     if not isinstance(doc, dict) or key not in doc:
         raise DocumentError(f"{where}.{key}: missing")
     value = doc[key]
-    if not isinstance(value, kind):
-        names = (kind,) if isinstance(kind, type) else kind
+    names = (kind,) if isinstance(kind, type) else kind
+    # bool is a subclass of int, but a JSON true or false is not a number.
+    if not isinstance(value, kind) or isinstance(value, bool) and bool not in names:
         raise DocumentError(
             f"{where}.{key}: expected {' or '.join(k.__name__ for k in names)}"
         )
@@ -345,7 +350,7 @@ def _json_to_complex(x, where: str) -> complex:
     if (
         not isinstance(x, list)
         or len(x) != 2
-        or not all(isinstance(v, (int, float)) for v in x)
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in x)
     ):
         raise DocumentError(f"{where}: expected [re, im]")
     if not all(abs(v) <= sys.float_info.max for v in x):

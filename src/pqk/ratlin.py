@@ -3,13 +3,16 @@
 Matrices are immutable tuples of tuples of ``fractions.Fraction``.  Floats
 are dyadic rationals, so conversion through :func:`as_fraction` is lossless
 and every computation here (rank, null space, determinant, inverse) is
-exact.  Sizes stay at desk scale, so no attempt is made to be fast beyond
-avoiding gratuitous copies.
+exact.  All of them run on one fraction-free Gauss-Jordan elimination
+over integer rows: each row is scaled by the lcm of its denominators and
+each row update is divided by its gcd.  ``Fraction`` objects are made only
+on return, when a pivot row is divided by its pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,28 +84,57 @@ def is_zero(m: Mat) -> bool:
     return all(x == 0 for row in m for x in row)
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form with the list of pivot columns."""
-    rows = [list(row) for row in m]
+def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination: (rows, pivots, num, den).
+
+    Each pivot is the first nonzero entry at or below the current row, so
+    every integer row is a nonzero multiple of the row a ``Fraction``
+    elimination would hold.  For square m, det(rows) = det(m) * num / den.
+    """
+    rows = []
+    num = den = 1
+    for row in m:
+        scale = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        num *= scale
     nr, nc = shape(m)
     pivots: list[int] = []
     r = 0
     for c in range(nc):
-        pivot = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, nr) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            num = -num
+        top, pv = rows[r], rows[r][c]
         for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                row = [pv * x - f * y for x, y in zip(rows[i], top)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    den *= g
+                rows[i] = row
+                num *= pv
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return rows, pivots, num, den
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form with the list of pivot columns."""
+    rows, pivots, _, _ = _eliminate(m)
+    zero = Fraction(0)
+    out = [
+        tuple(Fraction(x, row[c]) if x else zero for x in row)
+        for row, c in zip(rows, pivots)
+    ]
+    out.extend(tuple(zero for _ in row) for row in rows[len(pivots) :])
+    return tuple(out), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -130,22 +162,11 @@ def det(m: Mat) -> Fraction:
     nr, nc = shape(m)
     if nr != nc:
         raise ValueError("determinant of a non-square matrix")
-    rows = [list(row) for row in m]
-    result = Fraction(1)
-    for c in range(nc):
-        pivot = next((i for i in range(c, nr) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv_pv = 1 / rows[c][c]
-        for i in range(c + 1, nr):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv_pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
+    rows, pivots, num, den = _eliminate(m)
+    if len(pivots) < nr:
+        return Fraction(0)
+    # Full rank: the eliminated rows are diagonal, pivot r in column r.
+    return Fraction(den * prod(row[r] for r, row in enumerate(rows)), num)
 
 
 def inv(m: Mat) -> Mat:

@@ -119,30 +119,12 @@ class OrderWitness:
     dof_values: DofValues = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "combos",
-            {
-                str(d): {str(s): ratlin.as_fraction(c) for s, c in row.items()}
-                for d, row in dict(self.combos).items()
-            },
-        )
-        object.__setattr__(
-            self,
-            "op_membership",
-            {
-                str(o): {str(s): ratlin.as_fraction(c) for s, c in row.items()}
-                for o, row in dict(self.op_membership).items()
-            },
-        )
-        object.__setattr__(
-            self,
-            "dof_values",
-            {
-                str(d): {str(p): ratlin.as_fraction(v) for p, v in row.items()}
-                for d, row in dict(self.dof_values).items()
-            },
-        )
+        for name in ("combos", "op_membership", "dof_values"):
+            rows = {
+                str(k): {str(s): ratlin.as_fraction(c) for s, c in row.items()}
+                for k, row in dict(getattr(self, name)).items()
+            }
+            object.__setattr__(self, name, rows)
 
     def plan(self, fine: SystemLabel, coarse: SystemLabel) -> EdgePlan:
         """The verified plan of ``fine >= coarse``, kept on this witness for
@@ -162,25 +144,27 @@ def identity_witness(label: SystemLabel, dof_values: DofValues | None = None) ->
     )
 
 
+def _compose_rows(outer: Mapping, inner: Mapping) -> dict[str, dict[str, Fraction]]:
+    """Each inner row, over mid entries, re-expressed over outer's entries."""
+    out: dict[str, dict[str, Fraction]] = {}
+    for key, mid_row in inner.items():
+        row: dict[str, Fraction] = {}
+        for mid, c in mid_row.items():
+            for top, b in outer.get(mid, {}).items():
+                row[top] = row.get(top, Fraction(0)) + c * b
+        out[key] = {k: v for k, v in row.items() if v != 0}
+    return out
+
+
 def compose_witnesses(outer: OrderWitness, inner: OrderWitness) -> OrderWitness:
     """Witness for top >= bottom from top >= mid (outer) and mid >= bottom."""
-    combos: dict[DofId, dict[DofId, Fraction]] = {}
-    for dof, mid_row in inner.combos.items():
-        row: dict[DofId, Fraction] = {}
-        for mid_dof, c in mid_row.items():
-            for top_dof, b in outer.combos.get(mid_dof, {}).items():
-                row[top_dof] = row.get(top_dof, Fraction(0)) + c * b
-        combos[dof] = {d: v for d, v in row.items() if v != 0}
-    membership: dict[str, dict[str, Fraction]] = {}
-    for op, mid_row in inner.op_membership.items():
-        row = {}
-        for mid_op, c in mid_row.items():
-            for top_op, b in outer.op_membership.get(mid_op, {}).items():
-                row[top_op] = row.get(top_op, Fraction(0)) + c * b
-        membership[op] = {o: v for o, v in row.items() if v != 0}
     values = dict(outer.dof_values)
     values.update(inner.dof_values)
-    return OrderWitness(combos, membership, values)
+    return OrderWitness(
+        _compose_rows(outer.combos, inner.combos),
+        _compose_rows(outer.op_membership, inner.op_membership),
+        values,
+    )
 
 
 def close_witnesses(

@@ -383,6 +383,32 @@ def test_system_join_randomized_block_form(seed):
     assert refines(joined, materialize(b, uni), res.witness_b)
 
 
+def _combined_incidence(membership, faces):
+    total = {}
+    for face_id, c in membership.items():
+        for atom, v in faces[face_id].incidence:
+            total[atom] = total.get(atom, 0) + c * v
+    return {atom: v for atom, v in total.items() if v != 0}
+
+
+@pytest.mark.parametrize(
+    "edges,depth", [(e, d) for e in range(1, 7) for d in range(3, 6)]
+)
+def test_join_witness_combines_lead_face_incidences(edges, depth):
+    """Each part face is, exactly, its witness combination of upper faces."""
+    for seed in (edges * 10 + depth, 1000 + edges * 10 + depth):
+        rs = random_system(edges, depth, seed)
+        joins = {name for name in rs.dlabels if name.startswith(("j(", "c"))}
+        checked = set()
+        for edge in rs.order:
+            upper = {f.id: f for f in rs.dlabels[edge.upper].faces}
+            for f in rs.dlabels[edge.lower].faces:
+                membership = edge.witness.op_membership[f.id]
+                assert _combined_incidence(membership, upper) == f.incidence_map
+            checked.add(edge.upper)
+        assert joins <= checked
+
+
 # --- random systems -------------------------------------------------------------
 
 

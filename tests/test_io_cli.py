@@ -116,6 +116,8 @@ def malformed_documents():
     first_incidence = system["faces"][0]["incidence"][0]
     combo_row = next(iter(system["order"][0]["combo_witness"]))
     op_row = next(iter(system["order"][0]["op_witness"]))
+    e, k = next((e, k) for e, edge in enumerate(system["edges"])
+                for k, letter in enumerate(edge["letters"]) if letter["sign"] == 1)
     return (
         ("state", edited(state, ("terms", 0, "weight"), "heavy"),
          r"state\.terms\[0\]\.weight"),
@@ -164,12 +166,65 @@ def malformed_documents():
          r"state\.terms\[0\]\.s\[0\]"),
         ("state", edited(state, ("terms", 0, "R", 0, 1), [float("inf"), 0]),
          r"state\.terms\[0\]\.R\[0\]\[1\]"),
+        # JSON booleans are not numbers, though bool is an int in Python.
+        ("system", edited(system, ("faces", 0, "incidence", 0, "value"), True),
+         r"faces\[0\]\.incidence\[0\]\.value"),
+        ("system", edited(system, ("order", 0, "combo_witness", combo_row),
+                          {src: True for src in
+                           system["order"][0]["combo_witness"][combo_row]}),
+         rf"order\[0\]\.combo_witness\.{re.escape(combo_row)}"),
+        ("state", edited(state, ("terms", 0, "weight"), True),
+         r"state\.terms\[0\]\.weight"),
+        ("state", edited(state, ("terms", 0, "logw"), False),
+         r"state\.terms\[0\]\.logw"),
+        ("state", edited(state, ("terms", 0, "P", 0, 0), [True, 0]),
+         r"state\.terms\[0\]\.P\[0\]\[0\]"),
+        ("ap", {"frame": ["hol:a"], "terms": [{"freq": [True], "re": 1}]},
+         r"ap\.terms\[0\]\.freq"),
+        ("projection", edited(projection, ("entries", 0, 0), True),
+         r"projection\.entries\[0\]"),
+        ("system", edited(system, ("edges", e, "letters", k, "sign"), True),
+         rf"edges\[{e}\]\.letters\[{k}\]\.sign"),
     )
 
 
 def test_rational_serialization_round_trip():
     for value in (Fraction(1), Fraction(-1, 2), Fraction(3, 7), Fraction(0)):
         assert pio.json_to_rat(pio.rat_to_json(value), "x") == value
+
+
+def test_large_halves_round_trip_exactly():
+    """Halves too large for a float are written as "p/2" strings."""
+    from pqk import QC, ProjectionMatrix, ReducedFrame, ap_vector
+
+    assert isinstance(pio.rat_to_json(Fraction(2**53 - 1, 2)), float)
+    halves = [Fraction(2**53 + 1, 2), Fraction(-(2**60 + 1), 2)]
+    for value in halves:
+        assert pio.rat_to_json(value) == f"{value.numerator}/2"
+
+    def reread(doc):
+        return json.loads(json.dumps(doc))
+
+    rs = random_system(2, 2, seed=7)
+    doc = pio.system_to_document(rs)
+    entry = doc["faces"][0]["incidence"][0]
+    entry["value"] = pio.rat_to_json(halves[1])
+    loaded = pio.document_to_system(reread(doc))
+    face = next(f for d in loaded.dlabels.values() for f in d.faces
+                if f.id == doc["faces"][0]["id"])
+    assert face.incidence_map[entry["atom"]] == halves[1]
+    assert pio.system_to_document(loaded)["faces"][0] == doc["faces"][0]
+
+    proj = ProjectionMatrix(
+        [[halves[0], Fraction(1)]],
+        source_frame=ReducedFrame(("k1", "k2")),
+        target_frame=ReducedFrame(("k1",)),
+    )
+    back = pio.document_to_projection(reread(pio.projection_to_document(proj)))
+    assert back.entries == proj.entries
+
+    v = ap_vector(ReducedFrame(("k1",)), {(halves[1],): QC(halves[0], halves[1])})
+    assert pio.document_to_ap(reread(pio.ap_to_document(v))) == v
 
 
 def test_ap_document_round_trip():

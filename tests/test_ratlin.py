@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,3 +76,115 @@ def test_rref_pivots():
 def test_from_sparse():
     rows = [{"a": Fraction(1)}, {"b": Fraction(2), "a": Fraction(-1)}]
     assert ratlin.from_sparse(rows, ["a", "b"]) == ratlin.mat([[1, 0], [-1, 2]])
+
+
+# --- the integer elimination kernel against plain Fraction elimination -------
+
+
+def naive_rref(m):
+    """Gauss-Jordan over Fractions, pivoting on the first nonzero entry at or
+    below the current row: the reference the integer kernel must equal."""
+    rows = [list(row) for row in m]
+    nr, nc = ratlin.shape(m)
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pivot = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def naive_det(m):
+    """Determinant by Fraction elimination below the diagonal."""
+    nr, nc = ratlin.shape(m)
+    rows = [list(row) for row in m]
+    result = Fraction(1)
+    for c in range(nc):
+        pivot = next((i for i in range(c, nr) if rows[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            result = -result
+        result *= rows[c][c]
+        inv_pv = 1 / rows[c][c]
+        for i in range(c + 1, nr):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv_pv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return result
+
+
+def outcome(fn, m):
+    try:
+        return fn(m)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+rational_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    # Dyadic floats, converted losslessly, with denominators up to 2**60.
+    st.builds(
+        lambda k, e: ratlin.as_fraction(math.ldexp(k, -e)),
+        st.integers(-(2**53), 2**53),
+        st.integers(0, 60),
+    ),
+)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Matrices up to 8x12 (0x0 and n x 0 included) with zero rows, zero
+    columns and rows repeating a multiple of another row."""
+    nr = draw(st.integers(0, 8))
+    nc = nr if square else draw(st.integers(0, 12))
+    rows = [[draw(rational_entry) for _ in range(nc)] for _ in range(nr)]
+    if nr and nc:
+        for i in draw(st.sets(st.integers(0, nr - 1), max_size=2)):
+            rows[i] = [Fraction(0)] * nc
+        for j in draw(st.sets(st.integers(0, nc - 1), max_size=2)):
+            for row in rows:
+                row[j] = Fraction(0)
+        if nr > 1 and draw(st.booleans()):
+            src, dst = draw(st.permutations(range(nr)))[:2]
+            factor = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+            rows[dst] = [factor * x for x in rows[src]]
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices())
+def test_integer_kernel_equals_fraction_elimination(m):
+    assert ratlin.rref(m) == naive_rref(m)
+    expected = {}
+    with mock.patch.object(ratlin, "rref", naive_rref):
+        expected["rank"] = ratlin.rank(m)
+        expected["nullspace"] = ratlin.nullspace(m)
+        expected["inv"] = outcome(ratlin.inv, m)
+    assert ratlin.rank(m) == expected["rank"]
+    assert ratlin.nullspace(m) == expected["nullspace"]
+    assert outcome(ratlin.inv, m) == expected["inv"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices(square=True))
+def test_integer_kernel_det_and_inverse(m):
+    assert ratlin.det(m) == naive_det(m)
+    with mock.patch.object(ratlin, "rref", naive_rref):
+        expected = outcome(ratlin.inv, m)
+    assert outcome(ratlin.inv, m) == expected
+    assert (expected[:1] == ("ValueError",)) == (naive_det(m) == 0)
