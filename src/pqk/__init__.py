@@ -57,25 +57,6 @@ from .systems import (
     refines,
     select_independent_dofs,
 )
-from .gaussian import (
-    CoherentFamily,
-    GaussianKernel,
-    GaussianMixtureState,
-    chain_consistency,
-    check_coherent_family,
-    hs_distance,
-    hs_inner,
-    kernel_matrix,
-    min_eigenvalue,
-    mix,
-    oracle_report,
-    project_state,
-    project_with,
-    pure_state,
-    purity,
-    quadrature_partial_trace,
-    trace,
-)
 from .dpg import (
     AtomicEdge,
     DpgLabel,
@@ -110,3 +91,24 @@ from .almost_periodic import (
 )
 
 __version__ = "0.1.0"
+
+# The Gaussian layer is the only one that needs numpy, so its exports load
+# on first access (PEP 562); the exact layers import without numpy.
+_GAUSSIAN_EXPORTS = (
+    "CoherentFamily", "GaussianKernel", "GaussianMixtureState",
+    "chain_consistency", "check_coherent_family", "hs_distance", "hs_inner",
+    "kernel_matrix", "min_eigenvalue", "mix", "oracle_report", "project_state",
+    "project_with", "pure_state", "purity", "quadrature_partial_trace", "trace",
+)
+
+
+def __getattr__(name: str):
+    if name in _GAUSSIAN_EXPORTS:
+        from . import gaussian
+
+        return getattr(gaussian, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_GAUSSIAN_EXPORTS})

@@ -3,12 +3,14 @@
 Subcommands: verify, project, consistency, join, oracle, dpg-demo, ap.
 Every command prints one JSON report to stdout.  Exit codes: 0 on success
 or a passing check, 1 on a verification/consistency failure, 2 on
-malformed input (the message names the offending field).
+malformed input (the message names the offending field).  Only project,
+consistency and oracle import the Gaussian layer, and numpy with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -17,12 +19,6 @@ from . import io
 from .dpg import System, random_system, system_join
 from .errors import DocumentError, OrderViolationError, PqkError
 from .almost_periodic import inner_product, limit_equal, promote
-from .gaussian import (
-    chain_consistency,
-    oracle_report,
-    project_state,
-    trace,
-)
 from .systems import (
     ASSUMPTION_TITLES,
     OrderEdge,
@@ -92,6 +88,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from .gaussian import project_state, trace
+
     system = _load_system(args.system)
     _require_label(system, args.src, "--from")
     _require_label(system, args.dest, "--to")
@@ -116,6 +114,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_consistency(args) -> int:
+    from .gaussian import chain_consistency
+
     system = _load_system(args.system)
     chain = args.chain.split(",")
     if len(chain) != 3:
@@ -160,17 +160,12 @@ def cmd_join(args) -> int:
     result = system_join(system.dlabels[a], system.dlabels[b], join_name)
 
     words = dict(system.words)
-    known = {w: eid for eid, w in words.items()}
-    counter = len(words)
+    known = set(words.values())
+    fresh = (f"e{i}" for i in itertools.count(len(words)) if f"e{i}" not in words)
     for e in result.label.graph.edges:
         if e not in known:
-            eid = f"e{counter}"
-            while eid in words:
-                counter += 1
-                eid = f"e{counter}"
-            words[eid] = e
-            known[e] = eid
-            counter += 1
+            words[next(fresh)] = e
+            known.add(e)
 
     order = (
         *system.order,
@@ -204,6 +199,8 @@ def cmd_join(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .gaussian import oracle_report
+
     system = _load_system(args.system)
     _require_label(system, args.src, "--from")
     _require_label(system, args.dest, "--to")

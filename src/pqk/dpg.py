@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import ratlin
@@ -30,6 +31,7 @@ from .systems import (
 )
 
 Sign = int
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ class Face:
             raise ValueError(f"face {self.id!r} has duplicate incidence entries")
         object.__setattr__(self, "incidence", pairs)
 
-    @property
+    @cached_property
     def incidence_map(self) -> dict[str, Fraction]:
         return dict(self.incidence)
 
@@ -195,7 +197,7 @@ class TestConnection:
         )
         object.__setattr__(self, "values", pairs)
 
-    @property
+    @cached_property
     def value_map(self) -> dict[str, Fraction]:
         return dict(self.values)
 
@@ -225,18 +227,20 @@ def witness_connection(graph: Graph, targets: Sequence) -> TestConnection:
 
 def incidence_number(face: Face, e: EdgeWord) -> Fraction:
     """Total signed incidence of an edge word with a face."""
+    # Signs are +-1.  Most words miss a given face; they share one zero.
     inc = face.incidence_map
-    return Fraction(sum(s * inc[a] for a, s in e.letters if a in inc))
+    terms = [inc[a] if s > 0 else -inc[a] for a, s in e.letters if a in inc]
+    return sum(terms[1:], terms[0]) if terms else _ZERO
 
 
 def flux_operator(face: Face, graph: Graph) -> MomentumOperator:
     """The flux of a face as an operator acting on a graph's holonomies."""
-    return flux_operator_on(face, graph.edges)
+    return _flux_operator_on(face, [(dof_id(e), e) for e in graph.edges])
 
 
-def flux_operator_on(face: Face, words: Iterable[EdgeWord]) -> MomentumOperator:
-    """Flux operator materialized on an arbitrary collection of words."""
-    action = {dof_id(w): incidence_number(face, w) for w in words}
+def _flux_operator_on(face: Face, keyed: Sequence[tuple]) -> MomentumOperator:
+    """Flux operator materialized on (d.o.f. id, word) pairs."""
+    action = {d: incidence_number(face, w) for d, w in keyed}
     return MomentumOperator(id=face.id, action=tuple(action.items()))
 
 
@@ -417,9 +421,9 @@ class DpgLabel:
 
 def materialize(label: DpgLabel, words: Iterable[EdgeWord]) -> SystemLabel:
     """The generic system view of a label, with actions on the given words."""
-    words = list(words)
+    keyed = [(dof_id(w), w) for w in words]
     return SystemLabel(
-        ops=tuple(flux_operator_on(f, words) for f in label.faces),
+        ops=tuple(_flux_operator_on(f, keyed) for f in label.faces),
         frame=label.graph.frame(),
     )
 
@@ -462,18 +466,19 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
     basis_faces = tuple(all_faces[i] for i in basis_idx)
     m = len(basis_faces)
 
+    def action(graph: Graph) -> ratlin.Mat:
+        return tuple(
+            tuple(incidence_number(f, e) for e in graph.edges) for f in basis_faces
+        )
+
     joined = graph_join(a.graph, b.graph)
-    act = tuple(
-        tuple(incidence_number(f, e) for e in joined.edges) for f in basis_faces
-    )
+    act = action(joined)
     if ratlin.rank(act) < m:
         # The basis vectors are independent, so this has m pivot atoms.
         _, separating = ratlin.rref(tuple(vectors[i] for i in basis_idx))
         extra = Graph(tuple(EdgeWord(((support[c], 1),)) for c in separating))
         joined = graph_join(joined, extra)
-        act = tuple(
-            tuple(incidence_number(f, e) for e in joined.edges) for f in basis_faces
-        )
+        act = action(joined)
 
     n = len(joined.edges)
     rows = [list(r) for r in act]

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import ratlin
 from .errors import (
@@ -25,6 +23,9 @@ from .errors import (
     RankDeficientError,
 )
 from .ratlin import Fraction, Mat
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DofId = str
 

@@ -90,9 +90,6 @@ class GaussianKernel:
         """Real symmetric matrix C with rho(x, x) = exp(-x^T C x + ...)."""
         return self.P.real - self.R.real
 
-    def converges(self) -> bool:
-        return _is_pd(self.diagonal_form())
-
     def log_trace(self) -> float:
         c = self.diagonal_form()
         if not _is_pd(c):
@@ -198,27 +195,15 @@ def trace(state: GaussianMixtureState) -> float:
 
 
 def _log_integrals(M: np.ndarray, v: np.ndarray) -> list[complex]:
-    """Logs of the integrals of exp(-z^T M z / 2 + v^T z) over a stack of
-    forms M (K, m, m) and v (K, m), one Cholesky checking all of them."""
+    """Logs of the integrals of exp(-z^T M z / 2 + v^T z) for stacked M (K, m, m)
+    and v (K, m).  One Cholesky checks Re M > 0 for all; every eigenvalue of M
+    then has positive real part, and summed principal logs pick the real branch."""
     if not _is_pd(M.real):
         raise DivergentError("quadratic form has non-positive-definite real part")
     logdets = np.sum(np.log(np.linalg.eigvals(M)), axis=-1)
     quads = (v[:, None, :] @ np.linalg.solve(M, v[:, :, None]))[:, 0, 0]
     const = 0.5 * M.shape[-1] * math.log(2 * math.pi)
     return [const - 0.5 * complex(d) + 0.5 * complex(q) for d, q in zip(logdets, quads)]
-
-
-def gaussian_log_integral(M: np.ndarray, v: np.ndarray) -> complex:
-    """log of the n-dimensional integral of exp(-z^T M z / 2 + v^T z).
-
-    Requires Re(M) positive definite, which keeps every eigenvalue of the
-    complex symmetric M in the open right half-plane; the square root of
-    the determinant is then taken eigenvalue by eigenvalue with principal
-    branches, the branch continuously connected to the real case.
-    """
-    if M.shape[0] == 0:
-        return 0.0 + 0.0j
-    return _log_integrals(M[None], np.asarray(v)[None])[0]
 
 
 def _term_arrays(state: GaussianMixtureState) -> list[np.ndarray]:

@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .almost_periodic import APVector, Frequency, QC
 from .dpg import (
@@ -35,9 +34,11 @@ from .dpg import (
 )
 from .errors import DimensionMismatchError, DocumentError, PqkError
 from .frames import ProjectionMatrix, ReducedFrame
-from .gaussian import GaussianKernel, GaussianMixtureState, trace
 from .systems import OpProbe, OrderEdge, OrderWitness, Probes
 from . import ratlin
+
+if TYPE_CHECKING:
+    from .gaussian import GaussianMixtureState
 
 
 def rat_to_json(x: Fraction):
@@ -165,7 +166,7 @@ def document_to_system(doc: dict) -> System:
                 aid,
                 _expect(entry, "source", str, where),
                 _expect(entry, "target", str, where),
-                bool(entry.get("loop", False)),
+                "loop" in entry and _expect(entry, "loop", bool, where),
             )
         except ValueError as exc:
             raise DocumentError(f"{where}: {exc}") from exc
@@ -343,7 +344,7 @@ def default_probes(system: System) -> Probes:
 
 
 def _complex_to_json(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
+    return [complex(z).real, complex(z).imag]
 
 
 def _json_to_complex(x, where: str) -> complex:
@@ -375,6 +376,9 @@ def state_to_document(state: GaussianMixtureState, label: str) -> dict:
 
 
 def document_to_state(doc: dict, dim: int) -> tuple[str, GaussianMixtureState]:
+    # The Gaussian layer, and numpy with it, loads with the first state.
+    from .gaussian import GaussianKernel, GaussianMixtureState, trace
+
     label = _expect(doc, "label", str, "state")
     terms = []
     for i, entry in enumerate(_expect(doc, "terms", list, "state")):
@@ -386,14 +390,11 @@ def document_to_state(doc: dict, dim: int) -> tuple[str, GaussianMixtureState]:
         def row(items: list, name: str) -> list[complex]:
             return [_json_to_complex(z, f"{name}[{j}]") for j, z in enumerate(items)]
 
-        def matrix(key: str) -> np.ndarray:
+        def matrix(key: str) -> list[list[complex]]:
             rows = _expect_items(entry, key, list, where)
-            return np.array(
-                [row(items, f"{where}.{key}[{r}]") for r, items in enumerate(rows)],
-                dtype=np.complex128,
-            )
+            return [row(items, f"{where}.{key}[{r}]") for r, items in enumerate(rows)]
 
-        s = np.array(row(_expect(entry, "s", list, where), f"{where}.s"))
+        s = row(_expect(entry, "s", list, where), f"{where}.s")
         logw = _expect(entry, "logw", (int, float), where)
         if not abs(logw) <= sys.float_info.max:
             raise DocumentError(f"{where}.logw: must be finite")

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping, Sequence
+from numbers import Integral, Real
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Rat = Fraction
 Row = tuple[Fraction, ...]
@@ -26,9 +28,10 @@ def as_fraction(x) -> Fraction:
     """Convert int/float/str/Fraction to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
+    # numpy's integer and float scalars register with these; bool_ does not.
+    if isinstance(x, Integral):
         return Fraction(int(x))
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, Real):
         return Fraction(float(x))
     if isinstance(x, str):
         return Fraction(x)
@@ -185,6 +188,9 @@ def from_sparse(rows: Sequence[Mapping[str, Fraction]], keys: Sequence[str]) -> 
 
 
 def to_float(m: Mat) -> np.ndarray:
+    """A read-only float64 array; the only numpy use in the exact layer."""
+    import numpy as np
+
     a = np.array([[float(x) for x in row] for row in m], dtype=np.float64)
     a.flags.writeable = False
     return a

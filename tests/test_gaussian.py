@@ -60,6 +60,33 @@ def midpoint_integral_1d(f, lo, hi, n=4096):
     return f(xs).sum() * (hi - lo) / n
 
 
+# --- package exports --------------------------------------------------------
+
+GAUSSIAN_EXPORTS = (
+    "CoherentFamily", "GaussianKernel", "GaussianMixtureState",
+    "chain_consistency", "check_coherent_family", "hs_distance", "hs_inner",
+    "kernel_matrix", "min_eigenvalue", "mix", "oracle_report", "project_state",
+    "project_with", "pure_state", "purity", "quadrature_partial_trace", "trace",
+)
+
+
+@pytest.mark.parametrize("name", GAUSSIAN_EXPORTS)
+def test_package_serves_gaussian_exports_lazily(name):
+    import pqk
+    from pqk import gaussian
+
+    assert getattr(pqk, name) is getattr(gaussian, name)
+    assert name in dir(pqk)
+
+
+def test_package_rejects_unknown_attributes():
+    import pqk
+
+    with pytest.raises(AttributeError, match="no_such_export"):
+        pqk.no_such_export
+    assert not hasattr(pqk, "decomposition_for")  # a gaussian name not exported
+
+
 # --- pure states and traces ---------------------------------------------------
 
 

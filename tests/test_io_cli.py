@@ -114,6 +114,7 @@ def malformed_documents():
         return doc
 
     first_incidence = system["faces"][0]["incidence"][0]
+    atom = system["atomic_edges"][0]
     combo_row = next(iter(system["order"][0]["combo_witness"]))
     op_row = next(iter(system["order"][0]["op_witness"]))
     e, k = next((e, k) for e, edge in enumerate(system["edges"])
@@ -185,6 +186,12 @@ def malformed_documents():
          r"projection\.entries\[0\]"),
         ("system", edited(system, ("edges", e, "letters", k, "sign"), True),
          rf"edges\[{e}\]\.letters\[{k}\]\.sign"),
+        ("state", edited(state, ("terms", 0, "P", 1), [[1.0, 0.0]]),
+         r"state\.terms\[0\]"),
+        # A string is not a JSON boolean, even on an atom that closes on itself.
+        ("system", edited(system, ("atomic_edges", 0),
+                          {**atom, "target": atom["source"], "loop": "false"}),
+         r"atomic_edges\[0\]\.loop"),
     )
 
 
@@ -464,6 +471,40 @@ def test_cli_bytes_ignore_hash_seed(tmp_path):
         work.mkdir()
         runs.append(_run_cli_chain(work, hash_seed))
     assert runs[0] == runs[1]
+
+
+# Runs each argv in one interpreter and reports, after each command,
+# whether numpy has been imported so far.
+NUMPY_PROBE = """
+import json, sys
+from pqk.cli import main
+seen = [(argv[0], main(argv), "numpy" in sys.modules) for argv in json.load(sys.stdin)]
+print(json.dumps(seen), file=sys.stderr)
+"""
+
+
+def test_exact_commands_never_import_numpy(tmp_path):
+    """dpg-demo, verify, join and ap stay exact; project loads the float layer."""
+    pio.dump_json({"frame": ["k1"], "terms": [{"freq": [1], "re": 2}]},
+                  str(tmp_path / "v.json"))
+    pio.dump_json({"target_frame": ["k1"], "source_frame": ["k1", "k2"],
+                   "entries": [[1, 1]]}, str(tmp_path / "p.json"))
+    _write_state(tmp_path, random_system(3, 2, seed=7), "j(b0+b1)", seed=3)
+    argvs = [
+        ["dpg-demo", "--edges", "3", "--depth", "2", "--seed", "7", "--out", "sys.json"],
+        ["verify", "sys.json"],
+        ["join", "--system", "sys.json", "--labels", "b0t,b1", "--out", "joined.json"],
+        ["ap", "--op", "inner", "--in", "v.json", "v.json"],
+        ["ap", "--op", "promote", "--in", "v.json", "p.json"],
+        ["project", "--system", "sys.json", "--state", "state.json",
+         "--from", "j(b0+b1)", "--to", "b0", "--out", "projected.json"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE], input=json.dumps(argvs), cwd=tmp_path,
+        env=subprocess_env(), capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(proc.stderr.splitlines()[-1])
+    assert seen == [[argv[0], 0, argv[0] == "project"] for argv in argvs]
 
 
 def test_cli_malformed_input_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -27,6 +28,32 @@ def test_as_fraction_is_lossless_on_floats():
     assert float(ratlin.as_fraction(0.1)) == 0.1
     assert ratlin.as_fraction("3/7") == Fraction(3, 7)
     assert ratlin.as_fraction(np.float64(0.25)) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize(
+    "kind", [np.int8, np.int16, np.int32, np.int64,
+             np.uint8, np.uint16, np.uint32, np.uint64],
+)
+def test_as_fraction_is_exact_on_numpy_integers(kind):
+    info = np.iinfo(kind)  # np.uint64's max is 2**64 - 1, past any float
+    for value in (int(info.min), 0, 1, int(info.max)):
+        assert ratlin.as_fraction(kind(value)) == Fraction(value)
+
+
+@pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64])
+def test_as_fraction_is_exact_on_numpy_floats(kind):
+    info = np.finfo(kind)
+    for value in (kind(0.1), kind(-2.5), info.tiny, info.max, info.eps):
+        # Every binary float is a dyadic rational; as_integer_ratio is exact.
+        assert ratlin.as_fraction(value) == Fraction(*value.as_integer_ratio())
+
+
+@pytest.mark.parametrize(
+    "value", [np.bool_(True), 1 + 2j, np.complex128(1.5), Decimal("0.1")]
+)
+def test_as_fraction_rejects_bools_complexes_and_decimals(value):
+    with pytest.raises(TypeError):
+        ratlin.as_fraction(value)
 
 
 def test_matmul_identity_and_shapes():
