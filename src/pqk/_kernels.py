@@ -44,11 +44,13 @@ def quad_table(P, R, s, logw, xps, yps, uks, weight, chunk=256):
     uks = Kb @ u for each midpoint u (nu, Np); the source kernel is
     evaluated at (u + x', u + y') and summed over u with the fixed
     ``weight`` (cell volume times the Lebesgue factor).  Returns (nx, ny)
-    complex.
+    complex.  Each chunk of midpoints is capped at 2**20 // (nx * ny), so
+    an intermediate (chunk, nx, ny) array stays near 16 MiB on any grid.
     """
     nx = xps.shape[0]
     ny = yps.shape[0]
     nu = uks.shape[0]
+    chunk = max(1, min(chunk, 2**20 // max(1, nx * ny)))
     out = np.zeros((nx, ny), dtype=np.complex128)
     Pc = np.conj(P)
     sc = np.conj(s)

@@ -138,7 +138,7 @@ class Graph:
     def atoms(self) -> frozenset[str]:
         return frozenset(a for e in self.edges for a in e.atoms)
 
-    @property
+    @cached_property
     def dofs(self) -> tuple[DofId, ...]:
         return tuple(dof_id(e) for e in self.edges)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -91,17 +91,7 @@ class GaussianKernel:
         return self.P.real - self.R.real
 
     def log_trace(self) -> float:
-        c = self.diagonal_form()
-        if not _is_pd(c):
-            raise DivergentError("kernel diagonal form is not positive definite")
-        u = 2.0 * self.s.real
-        _, logdet = np.linalg.slogdet(c)
-        return (
-            self.logw
-            + 0.5 * self.dim * math.log(math.pi)
-            - 0.5 * logdet
-            + 0.25 * float(u @ np.linalg.solve(c, u))
-        )
+        return _log_traces((self,))[0]
 
     def sample(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Kernel values on a grid; xs (nx, dim), ys (ny, dim)."""
@@ -160,16 +150,10 @@ def pure_state(A, b) -> GaussianMixtureState:
     if np.abs(A - A.T).max() > _STRUCTURE_TOL * scale:
         raise ValueError("A must be symmetric")
     A = (A + A.T) / 2
-    re = A.real
-    if not _is_pd(re):
+    if not _is_pd(A.real):
         raise NotPositiveDefiniteError("Re(A) must be positive definite")
-    u = 2.0 * b.real
-    _, logdet = np.linalg.slogdet(re)
-    log_norm = (
-        0.5 * n * math.log(math.pi) - 0.5 * logdet
-        + 0.25 * float(u @ np.linalg.solve(re, u))
-    )
-    kernel = GaussianKernel(dim=n, P=A, R=np.zeros((n, n)), s=b, logw=-log_norm)
+    kernel = GaussianKernel(dim=n, P=A, R=np.zeros((n, n)), s=b, logw=0.0)
+    kernel = replace(kernel, logw=-kernel.log_trace())
     return GaussianMixtureState(n, ((1.0, kernel),), provenance="pure-projector")
 
 
@@ -189,9 +173,26 @@ def mix(states: Sequence[GaussianMixtureState], weights: Sequence[float]) -> Gau
     return GaussianMixtureState(dim, terms, provenance="mixed")
 
 
+def _log_traces(kernels: Sequence[GaussianKernel]) -> list[float]:
+    """Closed-form log traces of kernels of one dimension: one stacked
+    Cholesky check, slogdet and solve, then each sum taken as a scalar."""
+    c = np.stack([k.diagonal_form() for k in kernels])
+    if not _is_pd(c):
+        raise DivergentError("kernel diagonal form is not positive definite")
+    u = 2.0 * np.stack([k.s for k in kernels]).real
+    _, logdet = np.linalg.slogdet(c)
+    x = np.linalg.solve(c, u[..., None])[..., 0]
+    const = 0.5 * kernels[0].dim * math.log(math.pi)
+    return [
+        k.logw + const - 0.5 * ld + 0.25 * float(a @ b)
+        for k, ld, a, b in zip(kernels, logdet, u, x)
+    ]
+
+
 def trace(state: GaussianMixtureState) -> float:
     """Closed-form trace; raises :class:`DivergentError` on bad terms."""
-    return float(sum(w * math.exp(k.log_trace()) for w, k in state.terms))
+    logs = _log_traces([k for _, k in state.terms])
+    return float(sum(w * math.exp(lt) for (w, _), lt in zip(state.terms, logs)))
 
 
 def _log_integrals(M: np.ndarray, v: np.ndarray) -> list[complex]:
@@ -368,59 +369,60 @@ def purity(state: GaussianMixtureState) -> float:
     return hs_inner(state, state).real
 
 
-def _project_kernel(k: GaussianKernel, kb: np.ndarray, w: np.ndarray, lf: float) -> GaussianKernel:
-    """Integrate the kernel over its kernel-basis directions in closed form.
-
-    With x' = Kb u + W x and y' = Kb u + W y (one shared kernel variable u:
-    the trace is taken on the diagonal of the reduced factor), the exponent
-    is quadratic in u and the u-integral is Gaussian with a real positive
-    definite form, so no branch tracking is needed.
-    """
-    n = w.shape[1]
-    d = kb.shape[1]
-    P0 = w.T @ k.P @ w
-    R0 = w.T @ k.R @ w
-    s0 = w.T @ k.s
-    if d == 0:
-        new = (P0, R0, s0, k.logw + math.log(lf))
-    else:
-        a_u = 2.0 * (kb.T @ (k.P.real - k.R.real) @ kb)
-        if not _is_pd(a_u):
-            raise DivergentError(
-                "kernel-direction quadratic form is not positive definite"
-            )
-        lx = kb.T @ (k.R.T - k.P) @ w
-        ly = np.conj(lx)
-        l0 = 2.0 * (kb.T @ k.s.real)
-        j = np.linalg.inv(a_u)
-        j = (j + j.T) / 2
-        _, logdet = np.linalg.slogdet(a_u)
-        logw = (
-            k.logw
-            + math.log(lf)
-            + 0.5 * d * math.log(2 * math.pi)
-            - 0.5 * logdet
-            + 0.5 * float(l0 @ j @ l0)
-        )
-        new = (P0 - lx.T @ j @ lx, R0 + lx.T @ j @ ly, s0 + lx.T @ (j @ l0), logw)
-    P, R, s, logw = new
-    P = (P + P.T) / 2
-    R = (R + R.conj().T) / 2
-    return GaussianKernel(dim=n, P=P, R=R, s=s, logw=float(logw))
+def _u_forms(P, R, s, kb: np.ndarray, w: np.ndarray):
+    """For one kernel or a stack: the real quadratic form a_u of the kernel
+    variable u (checked positive definite), its coupling lx to the reduced
+    variable and its real linear term l0."""
+    a_u = 2.0 * (kb.T @ (P.real - R.real) @ kb)
+    if not _is_pd(a_u):
+        raise DivergentError("kernel-direction quadratic form is not positive definite")
+    lx = kb.T @ (R.swapaxes(-1, -2) - P) @ w
+    return a_u, lx, 2.0 * (kb.T @ s.real[..., None])[..., 0]
 
 
 def _project_terms(
     state: GaussianMixtureState, kdec: KernelDecomposition
 ) -> tuple[tuple[tuple[float, GaussianKernel], ...], float]:
-    """Project every term; returns (unnormalized terms, pre-normalization trace)."""
+    """Integrate every term over the kernel-basis directions in closed form;
+    returns (unnormalized terms, pre-normalization trace).
+
+    With x' = Kb u + W x and y' = Kb u + W y (one shared kernel variable u:
+    the trace is taken on the diagonal of the reduced factor), the exponent
+    is quadratic in u and the u-integral is Gaussian with a real positive
+    definite form, so no branch tracking is needed.  The matrix steps run
+    once over the stack of terms; each log weight is summed as a scalar.
+    """
     kb, w, lf = kdec.floats
     if w.shape[0] != state.dim:
         raise DimensionMismatchError(
             f"state dimension {state.dim} != projection source {w.shape[0]}"
         )
-    terms = tuple((wt, _project_kernel(k, kb, w, lf)) for wt, k in state.terms)
-    pre_trace = float(sum(wt * math.exp(k.log_trace()) for wt, k in terms))
-    return terms, pre_trace
+    n, d = w.shape[1], kb.shape[1]
+    P, R, s = _term_arrays(state)
+    P0 = w.T @ P @ w
+    R0 = w.T @ R @ w
+    s0 = w.T @ s[..., None]
+    logw = [k.logw + math.log(lf) for _, k in state.terms]
+    if d:
+        a_u, lx, l0 = _u_forms(P, R, s, kb, w)
+        lxT = lx.swapaxes(-1, -2)
+        j = np.linalg.inv(a_u)
+        j = (j + j.swapaxes(-1, -2)) / 2
+        _, logdet = np.linalg.slogdet(a_u)
+        logw = [
+            lw + 0.5 * d * math.log(2 * math.pi) - 0.5 * ld + 0.5 * float(l @ jt @ l)
+            for lw, ld, l, jt in zip(logw, logdet, l0, j)
+        ]
+        P0 = P0 - lxT @ j @ lx
+        R0 = R0 + lxT @ j @ np.conj(lx)
+        s0 = s0 + lxT @ (j @ l0[..., None])
+    P0 = (P0 + P0.swapaxes(-1, -2)) / 2
+    R0 = (R0 + R0.conj().swapaxes(-1, -2)) / 2
+    terms = tuple(
+        (wt, GaussianKernel(dim=n, P=p, R=r, s=v[:, 0], logw=float(lg)))
+        for (wt, _), p, r, v, lg in zip(state.terms, P0, R0, s0, logw)
+    )
+    return terms, trace(GaussianMixtureState(n, terms))
 
 
 def project_with(
@@ -534,16 +536,9 @@ class QuadratureTable:
 def _tail_mass(
     k: GaussianKernel, kb: np.ndarray, w: np.ndarray, extent: float, corners: np.ndarray
 ) -> float:
-    d = kb.shape[1]
-    if d == 0:
+    if kb.shape[1] == 0:
         return 0.0
-    a_u = 2.0 * (kb.T @ (k.P.real - k.R.real) @ kb)
-    if not _is_pd(a_u):
-        raise DivergentError(
-            "kernel-direction quadratic form is not positive definite"
-        )
-    lx = kb.T @ (k.R.T - k.P) @ w
-    l0 = 2.0 * (kb.T @ k.s.real)
+    a_u, lx, l0 = _u_forms(k.P, k.R, k.s, kb, w)
     sigma = np.sqrt(np.diag(np.linalg.inv(a_u)))
     worst = 0.0
     for cx in corners:

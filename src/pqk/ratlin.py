@@ -2,11 +2,13 @@
 
 Matrices are immutable tuples of tuples of ``fractions.Fraction``.  Floats
 are dyadic rationals, so conversion through :func:`as_fraction` is lossless
-and every computation here (rank, null space, determinant, inverse) is
-exact.  All of them run on one fraction-free Gauss-Jordan elimination
-over integer rows: each row is scaled by the lcm of its denominators and
-each row update is divided by its gcd.  ``Fraction`` objects are made only
-on return, when a pivot row is divided by its pivot.
+and every computation here (products, sums of products, rank, null space,
+determinant, inverse) is exact.  All of them run over integers: each row
+(or column) is scaled by the lcm of its denominators, so a product entry is
+one integer dot product over the two scales, and rank, null space,
+determinant and inverse share one fraction-free Gauss-Jordan elimination
+whose row updates are divided by their gcd.  ``Fraction`` objects are made
+only on return, one per entry.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from numbers import Integral, Real
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -62,19 +65,49 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
+def _int_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators: (integer rows, lcms)."""
+    out, scales = [], []
+    for row in rows:
+        scale = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return out, scales
+
+
+def _products(a: Mat, cols: Iterable[Sequence[Fraction]]) -> Mat:
+    """Entry (i, j) is row i of a dotted with cols[j]: one integer dot
+    product over the two lcm scales, then one ``Fraction``."""
+    a_rows, a_scales = _int_rows(a)
+    c_rows, c_scales = _int_rows(cols)
+    return tuple(
+        tuple(Fraction(sum(map(mul, r, c)), x * y) for c, y in zip(c_rows, c_scales))
+        for r, x in zip(a_rows, a_scales)
+    )
+
+
 def matmul(a: Mat, b: Mat) -> Mat:
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch: {ra}x{ca} @ {rb}x{cb}")
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return _products(a, transpose(b))
 
 
 def matvec(a: Mat, v: Sequence[Fraction]) -> Row:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(x for (x,) in _products(a, [v]))
+
+
+def dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """Exact sum of the products x * y, consuming ``pairs`` in order."""
+    num, den = 0, 1
+    for x, y in pairs:
+        n, d = x.numerator * y.numerator, x.denominator * y.denominator
+        if d != den:
+            common = lcm(den, d)
+            num, n, den = num * (common // den), n * (common // d), common
+        num += n
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def hstack(a: Mat, b: Mat) -> Mat:
@@ -94,12 +127,8 @@ def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], int, int]:
     every integer row is a nonzero multiple of the row a ``Fraction``
     elimination would hold.  For square m, det(rows) = det(m) * num / den.
     """
-    rows = []
-    num = den = 1
-    for row in m:
-        scale = lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
-        num *= scale
+    rows, scales = _int_rows(m)
+    num, den = prod(scales), 1
     nr, nc = shape(m)
     pivots: list[int] = []
     r = 0

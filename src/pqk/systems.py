@@ -246,6 +246,18 @@ def _sparse_combination(
     return {p: v for p, v in out.items() if v != 0}
 
 
+def _first_deviation(
+    op: MomentumOperator, row: Mapping, basis: Mapping, dofs: Sequence[DofId]
+) -> DofId | None:
+    """The first of ``dofs`` on which ``op`` acts differently from its
+    combination ``row`` of ``basis`` operators; a missing action raises
+    :class:`MissingActionError` when it is reached."""
+    for dof in dofs:
+        if op.on(dof) != ratlin.dot((c, basis[o].on(dof)) for o, c in row.items()):
+            return dof
+    return None
+
+
 def refines(
     fine: SystemLabel, coarse: SystemLabel, witness: OrderWitness
 ) -> RefinementCheck:
@@ -292,28 +304,18 @@ def refines(
                 False, f"membership for {op.id!r} uses unknown operators {unknown}"
             )
         try:
-            for dof in fine.frame.dofs:
-                lhs_v = op.on(dof)
-                rhs_v = sum(
-                    (c * fine_ops[o].on(dof) for o, c in row.items()), Fraction(0)
-                )
-                if lhs_v != rhs_v:
-                    return RefinementCheck(
-                        False,
-                        f"operator {op.id!r} deviates from its witnessed "
-                        f"combination on {dof!r}",
-                    )
+            bad = _first_deviation(op, row, fine_ops, fine.frame.dofs)
         except MissingActionError as exc:
             return RefinementCheck(False, str(exc))
+        if bad is not None:
+            msg = f"operator {op.id!r} deviates from its witnessed combination on {bad!r}"
+            return RefinementCheck(False, msg)
     try:
         for op in coarse.ops:
             for dof in coarse.frame.dofs:
-                direct = op.on(dof)
-                via_combo = sum(
-                    (c * op.on(d) for d, c in witness.combos[dof].items()),
-                    Fraction(0),
-                )
-                if direct != via_combo:
+                if op.on(dof) != ratlin.dot(
+                    (c, op.on(d)) for d, c in witness.combos[dof].items()
+                ):
                     return RefinementCheck(
                         False,
                         f"operator {op.id!r} is not linear over the witnessed "
@@ -533,18 +535,7 @@ def check_assumptions(
                 ok, detail = False, f"no valid membership for {op.id!r}"
                 break
             try:
-                bad = next(
-                    (
-                        dof
-                        for dof in label.frame.dofs
-                        if op.on(dof)
-                        != sum(
-                            (c * basis[o].on(dof) for o, c in row.items()),
-                            Fraction(0),
-                        )
-                    ),
-                    None,
-                )
+                bad = _first_deviation(op, row, basis, label.frame.dofs)
             except MissingActionError as exc:
                 ok, detail = False, str(exc)
                 break

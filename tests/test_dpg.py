@@ -72,6 +72,14 @@ def test_holonomy_single_atom():
     assert holonomy(e, TestConnection((("a", Fraction(5, 2)),))) == Fraction(5, 2)
 
 
+def test_graph_dofs_are_built_once():
+    g = Graph((word("a"), word("-b", "c")))
+    assert g.dofs is g.dofs
+    assert g.dofs == tuple(dof_id(e) for e in g.edges)
+    assert g.frame().dofs == g.dofs
+    assert g == Graph((word("a"), word("-b", "c")))
+
+
 # --- witness connections --------------------------------------------------------
 
 

@@ -257,6 +257,137 @@ def test_project_dimension_mismatch():
         project_state(st, fine, coarse, witness)
 
 
+# --- the stacked projection against a per-term reference ----------------------
+
+
+def naive_log_trace(k):
+    """One kernel's closed-form log trace, as evaluated term by term."""
+    c = k.P.real - k.R.real
+    np.linalg.cholesky(c)  # LinAlgError where the stacked pass raises DivergentError
+    u = 2.0 * k.s.real
+    _, logdet = np.linalg.slogdet(c)
+    return (
+        k.logw + 0.5 * k.dim * math.log(math.pi) - 0.5 * logdet
+        + 0.25 * float(u @ np.linalg.solve(c, u))
+    )
+
+
+def _project_kernel(k, kb, w, lf):
+    """Integrate one kernel over the kernel-basis directions: the per-term
+    form the stacked pass in ``gaussian._project_terms`` must reproduce."""
+    n = w.shape[1]
+    d = kb.shape[1]
+    P0 = w.T @ k.P @ w
+    R0 = w.T @ k.R @ w
+    s0 = w.T @ k.s
+    if d == 0:
+        new = (P0, R0, s0, k.logw + math.log(lf))
+    else:
+        a_u = 2.0 * (kb.T @ (k.P.real - k.R.real) @ kb)
+        try:
+            np.linalg.cholesky(a_u)
+        except np.linalg.LinAlgError:
+            raise DivergentError(
+                "kernel-direction quadratic form is not positive definite"
+            ) from None
+        lx = kb.T @ (k.R.T - k.P) @ w
+        ly = np.conj(lx)
+        l0 = 2.0 * (kb.T @ k.s.real)
+        j = np.linalg.inv(a_u)
+        j = (j + j.T) / 2
+        _, logdet = np.linalg.slogdet(a_u)
+        logw = (
+            k.logw
+            + math.log(lf)
+            + 0.5 * d * math.log(2 * math.pi)
+            - 0.5 * logdet
+            + 0.5 * float(l0 @ j @ l0)
+        )
+        new = (P0 - lx.T @ j @ lx, R0 + lx.T @ j @ ly, s0 + lx.T @ (j @ l0), logw)
+    P, R, s, logw = new
+    P = (P + P.T) / 2
+    R = (R + R.conj().T) / 2
+    return GaussianKernel(dim=n, P=P, R=R, s=s, logw=float(logw))
+
+
+def naive_project_with(state, kdec):
+    kb, w, lf = kdec.floats
+    if w.shape[0] != state.dim:
+        raise DimensionMismatchError(
+            f"state dimension {state.dim} != projection source {w.shape[0]}"
+        )
+    terms = tuple((wt, _project_kernel(k, kb, w, lf)) for wt, k in state.terms)
+    try:
+        pre_trace = float(sum(wt * math.exp(naive_log_trace(k)) for wt, k in terms))
+    except np.linalg.LinAlgError:
+        raise DivergentError("kernel diagonal form is not positive definite") from None
+    return GaussianMixtureState(
+        dim=kdec.projection.rows,
+        terms=tuple((wt / pre_trace, k) for wt, k in terms),
+        provenance="projected",
+        trace_drift=abs(pre_trace - 1.0),
+    )
+
+
+def state_bits(state):
+    return (
+        state.dim,
+        state.provenance,
+        state.trace_drift.hex(),
+        [
+            (w.hex(), k.P.tobytes(), k.R.tobytes(), k.s.tobytes(), k.logw.hex())
+            for w, k in state.terms
+        ],
+    )
+
+
+def projection_cases(deep_system):
+    """Decompositions with kernel dimension 0, 1, 2 and 3, plus every edge of
+    a generated system."""
+    for rows in ([[1, 2], [0, 1]], [[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]],
+                 [[2, 1, 0, 0]], [[1, 1, 0, 2]]):
+        fine, coarse, witness = generic_reduction(rows)
+        yield decomposition_for(fine, coarse, witness)
+    labels = deep_system.labels
+    for e in deep_system.order:
+        yield decomposition_for(labels[e.upper], labels[e.lower], e.witness)
+
+
+def test_stacked_projection_matches_per_term_reference(deep_system):
+    rng = np.random.default_rng(12)
+    kernel_dims = set()
+    for kdec in projection_cases(deep_system):
+        kernel_dims.add(kdec.kernel_dim)
+        for n_terms in (1, 3, 8):
+            state = random_mixture(kdec.projection.cols, n_terms, rng)
+            assert state_bits(project_with(state, kdec)) == state_bits(
+                naive_project_with(state, kdec)
+            )
+            want = float(sum(w * math.exp(naive_log_trace(k)) for w, k in state.terms))
+            assert trace(state).hex() == want.hex()
+    assert {0, 1, 2, 3} <= kernel_dims
+    k = random_pure(3, rng).terms[0][1]
+    bare = GaussianKernel(3, k.P, k.R, k.s, 0.0)
+    assert k.logw.hex() == (-naive_log_trace(bare)).hex()
+
+
+def test_stacked_projection_keeps_its_errors():
+    rng = np.random.default_rng(13)
+    good = random_mixture(3, 3, rng)
+    divergent = GaussianKernel(3, -100 * np.eye(3), np.zeros((3, 3)), np.zeros(3), 0.0)
+    bad = GaussianMixtureState(3, good.terms[:2] + ((0.5, divergent),))
+    with_kernel = decomposition_for(*generic_reduction([[1, 0, 0], [0, 1, 1]]))
+    square = decomposition_for(*generic_reduction([[1, 1, 0], [0, 1, 0], [0, 0, 2]]))
+    one_dim = random_mixture(1, 3, rng)
+    for state, kdec, error in ((bad, with_kernel, DivergentError),
+                               (bad, square, DivergentError),
+                               (one_dim, with_kernel, DimensionMismatchError)):
+        with pytest.raises(error) as expected:
+            naive_project_with(state, kdec)
+        with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+            project_with(state, kdec)
+
+
 # --- hilbert-schmidt metric ----------------------------------------------------
 
 
@@ -470,7 +601,8 @@ WIDE_SIMD_OFF = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 def test_stacked_hs_pairing_bits_hold_without_wide_simd():
     # numpy's array complex multiply rounds differently with and without its
-    # AVX2/AVX-512 loops; the equality test must hold on either dispatch level.
+    # AVX2/AVX-512 loops; the equality tests of the stacked HS pairing and
+    # the stacked projection must hold on either dispatch level.
     env = subprocess_env(NPY_DISABLE_CPU_FEATURES=WIDE_SIMD_OFF)
     probe = subprocess.run(
         [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"],
@@ -480,11 +612,12 @@ def test_stacked_hs_pairing_bits_hold_without_wide_simd():
         pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES: {probe.stderr[-300:]}")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_stacked_hs_pairing_matches_per_pair_reference"],
+         f"{__file__}::test_stacked_hs_pairing_matches_per_pair_reference",
+         f"{__file__}::test_stacked_projection_matches_per_term_reference"],
         env=env, cwd=Path(__file__).parent, capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
-    assert "4 passed" in run.stdout
+    assert "5 passed" in run.stdout
 
 
 def test_stacked_hs_pairing_keeps_its_errors():

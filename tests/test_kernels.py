@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from pqk import _kernels
@@ -67,4 +69,22 @@ def test_numpy_chunking_is_seamless():
     uks = rng.normal(size=(33, 2))
     a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=8)
     b = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=1000)
+    assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_quad_table_memory_stays_bounded_on_a_large_grid():
+    # 512 evaluation points per side, as a 3-dimensional target's 8**3 grid:
+    # a (chunk, 512, 512) complex intermediate is 4 MiB per midpoint.
+    rng = np.random.default_rng(3)
+    P, R, s, logw = random_kernel_params(rng, 3)
+    xps = rng.normal(size=(512, 3))
+    uks = rng.normal(size=(24, 3))
+    tracemalloc.start()
+    try:
+        a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20
+    b = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 0.5, chunk=1)
     assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()

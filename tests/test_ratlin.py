@@ -215,3 +215,67 @@ def test_integer_kernel_det_and_inverse(m):
         expected = outcome(ratlin.inv, m)
     assert outcome(ratlin.inv, m) == expected
     assert (expected[:1] == ("ValueError",)) == (naive_det(m) == 0)
+
+
+# --- integer products and sums against plain Fraction arithmetic --------------
+
+
+def naive_matmul(a, b):
+    """Entry-by-entry Fraction dot products: the reference for matmul."""
+    ra, ca = ratlin.shape(a)
+    rb, cb = ratlin.shape(b)
+    if ca != rb:
+        raise ValueError(f"shape mismatch: {ra}x{ca} @ {rb}x{cb}")
+    bt = ratlin.transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def naive_matvec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def naive_dot(pairs):
+    return sum((x * y for x, y in pairs), Fraction(0))
+
+
+# Exact entries of every kind the products meet: Fractions (dyadic floats
+# with denominators up to 2**60 among them) and plain ints, some large.
+product_entry = st.one_of(rational_entry, st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def product_operands(draw):
+    """a (r x k), b (k x c) and v (length k), zero rows included; r, k or c
+    may be 0 (a 0 x k matrix is ``()``)."""
+    r, k, c = (draw(st.integers(0, 6)) for _ in range(3))
+    a = [[draw(product_entry) for _ in range(k)] for _ in range(r)]
+    b = [[draw(product_entry) for _ in range(c)] for _ in range(k)]
+    for m in (a, b):
+        if m and m[0] and draw(st.booleans()):
+            m[draw(st.integers(0, len(m) - 1))] = [0] * len(m[0])
+    v = [draw(product_entry) for _ in range(k)]
+    return tuple(map(tuple, a)), tuple(map(tuple, b)), tuple(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_operands())
+def test_integer_products_equal_fraction_products(operands):
+    a, b, v = operands
+    assert outcome(lambda m: ratlin.matmul(m, b), a) == outcome(
+        lambda m: naive_matmul(m, b), a
+    )
+    assert ratlin.matvec(a, v) == naive_matvec(a, v)
+    for row in a:
+        pairs = list(zip(row, v))
+        got = ratlin.dot(iter(pairs))
+        assert type(got) is Fraction and got == naive_dot(pairs)
+    assert ratlin.dot(iter(())) == 0
+
+
+def test_dot_consumes_pairs_lazily_in_order():
+    def pairs():
+        yield Fraction(1, 3), Fraction(3)
+        raise KeyError("second")
+
+    with pytest.raises(KeyError, match="second"):
+        ratlin.dot(pairs())
