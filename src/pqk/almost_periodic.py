@@ -151,11 +151,13 @@ def promote(v: APVector, projection: ProjectionMatrix) -> APVector:
     """
     if v.frame != projection.target_frame:
         raise FrameMismatchError("vector frame differs from projection target")
-    bt = ratlin.transpose(projection.entries)
     fine = projection.source_frame
+    if not v.amplitudes:
+        return APVector(fine, ())
+    # One product for all frequencies: row k of F @ B is B^T applied to f_k.
+    coords = ratlin.matmul(tuple(f.coords for f, _ in v.amplitudes), projection.entries)
     amps = tuple(
-        (Frequency(ratlin.matvec(bt, freq.coords), fine), amp)
-        for freq, amp in v.amplitudes
+        (Frequency(c, fine), amp) for c, (_, amp) in zip(coords, v.amplitudes)
     )
     if len({f for f, _ in amps}) != len(amps):
         raise FrameMismatchError("promotion collided frequencies; projection rank?")

@@ -3,8 +3,9 @@
 Subcommands: verify, project, consistency, join, oracle, dpg-demo, ap.
 Every command prints one JSON report to stdout.  Exit codes: 0 on success
 or a passing check, 1 on a verification/consistency failure, 2 on
-malformed input (the message names the offending field).  Only project,
-consistency and oracle import the Gaussian layer, and numpy with it.
+malformed input or an out-of-range flag (the message names the offending
+field or flag).  Only project, consistency and oracle import the Gaussian
+layer, and numpy with it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -38,7 +40,7 @@ def _load_system(path: str) -> System:
 def _load_state(path: str, system: System, expected_label: str | None):
     doc = io.load_json(path)
     label = doc.get("label")
-    if not isinstance(label, str) or label not in system.labels:
+    if not isinstance(label, str) or label not in system.dlabels:
         raise DocumentError(f"state.label: unknown label {label!r}")
     if expected_label is not None and label != expected_label:
         raise DocumentError(
@@ -48,8 +50,17 @@ def _load_state(path: str, system: System, expected_label: str | None):
 
 
 def _require_label(system: System, name: str, field: str) -> None:
-    if name not in system.labels:
+    if name not in system.dlabels:
         raise DocumentError(f"{field}: unknown label {name!r}")
+
+
+def _require_flag(ok: bool, flag: str, rule: str) -> None:
+    if not ok:
+        raise DocumentError(f"{flag}: {rule}")
+
+
+def _require_tol(tol: float) -> None:
+    _require_flag(math.isfinite(tol) and tol >= 0, "--tol", "must be finite and >= 0")
 
 
 def cmd_verify(args) -> int:
@@ -116,6 +127,7 @@ def cmd_project(args) -> int:
 def cmd_consistency(args) -> int:
     from .gaussian import chain_consistency
 
+    _require_tol(args.tol)
     system = _load_system(args.system)
     chain = args.chain.split(",")
     if len(chain) != 3:
@@ -179,7 +191,6 @@ def cmd_join(args) -> int:
         atoms=system.atoms,
         words=words,
         dlabels=dlabels,
-        labels={},
         order=(
             *system.order,
             *(OrderEdge(join_name, lower, w) for lower, w in closure.items()),
@@ -201,6 +212,13 @@ def cmd_join(args) -> int:
 def cmd_oracle(args) -> int:
     from .gaussian import oracle_report
 
+    _require_flag(args.grid >= 16, "--grid", "must be at least 16")
+    _require_flag(
+        math.isfinite(args.extent) and args.extent > 0,
+        "--extent",
+        "must be finite and > 0",
+    )
+    _require_tol(args.tol)
     system = _load_system(args.system)
     _require_label(system, args.src, "--from")
     _require_label(system, args.dest, "--to")
@@ -231,6 +249,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_dpg_demo(args) -> int:
+    for flag, value in (("--edges", args.edges), ("--depth", args.depth)):
+        _require_flag(value >= 1, flag, "must be at least 1")
     seed = args.seed
     env_seed = os.environ.get("PQK_SEED")
     if env_seed is not None:
@@ -246,7 +266,7 @@ def cmd_dpg_demo(args) -> int:
             "edges": args.edges,
             "depth": args.depth,
             "seed": seed,
-            "labels": sorted(system.labels),
+            "labels": sorted(system.dlabels),
             "out": args.out,
         }
     )

@@ -21,10 +21,8 @@ from .frames import DofId, ReducedFrame
 from .ratlin import Fraction
 from .systems import (
     MomentumOperator,
-    OpProbe,
     OrderEdge,
     OrderWitness,
-    Probes,
     SpanProbe,
     SystemLabel,
     close_witnesses,
@@ -554,18 +552,22 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
 class System:
     """A family of labels with its witnessed order, generated or loaded.
 
-    ``words`` maps edge ids to the words every label is materialized on;
-    ``probes`` holds the generator's audit probes and is ``None`` for a
-    family loaded from a document (:func:`pqk.io.default_probes` derives
-    them on demand).
+    It holds exactly what its document holds.  ``words`` maps edge ids to
+    the words every label is materialized on; ``labels`` is that system
+    view, built on first access and then kept, so witness plans see the
+    same label objects every time.  Audit probes come from
+    :func:`pqk.io.default_probes`.
     """
 
     atoms: Mapping[str, AtomicEdge]
     words: Mapping[str, EdgeWord]
     dlabels: Mapping[str, DpgLabel]
-    labels: Mapping[str, SystemLabel]
     order: tuple[OrderEdge, ...]
-    probes: Probes | None = None
+
+    @cached_property
+    def labels(self) -> dict[str, SystemLabel]:
+        words = self.words.values()
+        return {name: materialize(d, words) for name, d in self.dlabels.items()}
 
     def find_witness(self, upper: str, lower: str) -> OrderWitness:
         """The declared witness for ``upper >= lower``, else a composed one."""
@@ -675,9 +677,10 @@ def random_system(n_edges: int, depth: int, seed: int) -> System:
 
     Emits ``depth`` base labels on random graphs, every pairwise join, and
     for depth >= 3 a chain of iterated joins, together with all witnessed
-    order relations (direct and composed), an orientation-flipped twin of
-    the first base label, and the probe data the assumption audit consumes.
-    Edge ids ``e0, e1, ...`` number the words in order of first appearance.
+    order relations (direct and composed) and an orientation-flipped twin of
+    the first base label.  The audit reads its probes off the result with
+    :func:`pqk.io.default_probes`, as for a loaded family.  Edge ids
+    ``e0, e1, ...`` number the words in order of first appearance.
     """
     if n_edges < 1 or depth < 1:
         raise ValueError("n_edges and depth must be at least 1")
@@ -695,8 +698,6 @@ def random_system(n_edges: int, depth: int, seed: int) -> System:
     for i in range(depth):
         graph = _random_graph(rng, n_edges, atom_ids)
         dlabels[f"b{i}"] = _random_label(rng, f"b{i}", graph, plain_dual=(i == 0))
-
-    base_ids = [f"b{i}" for i in range(depth)]
 
     if depth >= 2:
         b0 = dlabels["b0"]
@@ -738,48 +739,15 @@ def random_system(n_edges: int, depth: int, seed: int) -> System:
         first_seen.update(dict.fromkeys(d.graph.edges))
     words = {f"e{i}": w for i, w in enumerate(first_seen)}
 
-    labels = {
-        name: materialize(d, words.values()) for name, d in sorted(dlabels.items())
-    }
     order = tuple(
         OrderEdge(upper, lower, w)
         for upper in sorted(dlabels)
         for lower, w in sorted(close_witnesses(direct, upper).items())
     )
 
-    op_instances = []
-    if depth >= 2:
-        target = "j(b0+b1)"
-        w = close_witnesses(direct, target, "b0")["b0"]
-        probe_op = labels["b0"].ops[0]
-        op_instances.append(
-            OpProbe(
-                label=target,
-                ops=(probe_op,),
-                membership={probe_op.id: dict(w.op_membership[probe_op.id])},
-            )
-        )
-
-    probes = Probes(
-        span_instances=tuple(span_probe(dlabels[name]) for name in base_ids),
-        op_instances=tuple(op_instances),
-        surjectivity={
-            name: surjectivity_rows(d.graph) for name, d in sorted(dlabels.items())
-        },
-        equal_space_pairs=(("b0", "b0t"),) if depth >= 2 else (),
-        directed_pairs=tuple(
-            (base_ids[i], base_ids[j])
-            for i in range(depth)
-            for j in range(i + 1, depth)
-        ),
-        dof_values=word_values(words.values()),
-    )
-
     return System(
         atoms=atoms,
         words=words,
         dlabels=dict(sorted(dlabels.items())),
-        labels=labels,
         order=order,
-        probes=probes,
     )

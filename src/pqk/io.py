@@ -26,7 +26,6 @@ from .dpg import (
     Graph,
     System,
     dof_id,
-    materialize,
     span_probe,
     surjectivity_rows,
     validate_word,
@@ -233,9 +232,7 @@ def document_to_system(doc: dict) -> System:
         except (ValueError, PqkError) as exc:
             raise DocumentError(f"{where}: {exc}") from exc
 
-    universe = list(words.values())
-    labels = {lid: materialize(d, universe) for lid, d in dlabels.items()}
-    values = word_values(universe)
+    values = word_values(words.values())
 
     order: list[OrderEdge] = []
     for i, entry in enumerate(_expect(doc, "order", list, "document")):
@@ -275,13 +272,13 @@ def document_to_system(doc: dict) -> System:
         atoms=atoms,
         words=words,
         dlabels=dlabels,
-        labels=labels,
         order=tuple(order),
     )
 
 
 def default_probes(system: System) -> Probes:
-    """Audit probes derivable from a document alone.
+    """The audit probes of a family, generated or loaded: the only probe
+    builder, reading them off what a document holds.
 
     Surjectivity witnesses come from explicit target-hitting connections,
     span instances from edge inverses, operator instances from the declared

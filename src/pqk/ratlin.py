@@ -94,10 +94,6 @@ def matmul(a: Mat, b: Mat) -> Mat:
     return _products(a, transpose(b))
 
 
-def matvec(a: Mat, v: Sequence[Fraction]) -> Row:
-    return tuple(x for (x,) in _products(a, [v]))
-
-
 def dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
     """Exact sum of the products x * y, consuming ``pairs`` in order."""
     num, den = 0, 1

@@ -246,6 +246,23 @@ def _sparse_combination(
     return {p: v for p, v in out.items() if v != 0}
 
 
+def _combination_fault(
+    dof: DofId, row: Mapping[DofId, Fraction], frame: Sequence[DofId], values: DofValues
+) -> str | None:
+    """Why ``dof`` is not its combination ``row`` of the ``frame`` d.o.f. as
+    a function on the evaluation data ``values``; ``None`` when it is."""
+    unknown = set(row) - set(frame)
+    if unknown:
+        return f"combination for {dof!r} uses non-frame d.o.f. {sorted(unknown)}"
+    missing = {dof, *row} - set(values)
+    if missing:
+        return f"no evaluation data for d.o.f. {sorted(missing)}"
+    lhs = {p: v for p, v in values[dof].items() if v != 0}
+    if lhs != _sparse_combination(values, row):
+        return f"{dof!r} differs from its witnessed combination"
+    return None
+
+
 def _first_deviation(
     op: MomentumOperator, row: Mapping, basis: Mapping, dofs: Sequence[DofId]
 ) -> DofId | None:
@@ -271,28 +288,14 @@ def refines(
     agrees with acting on its combination.  Check (3) is what makes the
     projection/embedding pair compose to the identity.
     """
-    values = witness.dof_values
     for dof in coarse.frame.dofs:
         if dof not in witness.combos:
             return RefinementCheck(False, f"no combination witnessed for {dof!r}")
-        row = witness.combos[dof]
-        unknown = set(row) - set(fine.frame.dofs)
-        if unknown:
-            return RefinementCheck(
-                False, f"combination for {dof!r} uses non-frame d.o.f. {unknown}"
-            )
-        needed = {dof, *row}
-        missing = needed - set(values)
-        if missing:
-            return RefinementCheck(
-                False, f"no evaluation data for d.o.f. {sorted(missing)}"
-            )
-        lhs = {p: v for p, v in values[dof].items() if v != 0}
-        rhs = _sparse_combination(values, row)
-        if lhs != rhs:
-            return RefinementCheck(
-                False, f"{dof!r} differs from its witnessed combination"
-            )
+        fault = _combination_fault(
+            dof, witness.combos[dof], fine.frame.dofs, witness.dof_values
+        )
+        if fault:
+            return RefinementCheck(False, fault)
     fine_ops = {op.id: op for op in fine.ops}
     for op in coarse.ops:
         if op.id not in witness.op_membership:
@@ -505,20 +508,13 @@ def check_assumptions(
             )
             continue
         frame = family[probe.label].frame
-        ok, detail = True, f"{len(probe.combos)} d.o.f. spanned by {probe.label!r}"
-        for dof, row in probe.combos.items():
-            if set(row) - set(frame.dofs):
-                ok, detail = False, f"{dof!r} combination leaves the frame"
-                break
-            needed = {dof, *row}
-            if needed - set(probe.dof_values):
-                ok, detail = False, f"no evaluation data for {dof!r}"
-                break
-            lhs = {p: v for p, v in probe.dof_values[dof].items() if v != 0}
-            if lhs != _sparse_combination(probe.dof_values, row):
-                ok, detail = False, f"{dof!r} is not the witnessed combination"
-                break
-        instances.append(AssumptionInstance("A1a", probe.label, ok, detail))
+        faults = (
+            _combination_fault(dof, row, frame.dofs, probe.dof_values)
+            for dof, row in probe.combos.items()
+        )
+        fault = next(filter(None, faults), None)
+        detail = fault or f"{len(probe.combos)} d.o.f. spanned by {probe.label!r}"
+        instances.append(AssumptionInstance("A1a", probe.label, not fault, detail))
 
     for probe in probes.op_instances:
         if probe.label not in family:

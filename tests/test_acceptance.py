@@ -39,6 +39,7 @@ from pqk import (
 )
 from pqk import ratlin
 from pqk.dpg import materialize, random_system
+from pqk.io import default_probes
 from pqk.systems import SystemLabel, projection_from_witness
 
 from conftest import generic_reduction, random_mixture, random_pure
@@ -250,16 +251,17 @@ def test_criterion_6_assumption_audit(corpus):
     audited = 0
     all_pass = True
     for seed, rs in corpus[:25]:
-        report = check_assumptions(rs.labels, rs.order, rs.probes)
+        report = check_assumptions(rs.labels, rs.order, default_probes(rs))
         all_pass &= report.passed
         audited += 1
 
     seed, rs = corpus[1]
+    probes = default_probes(rs)
     # defect 1: a singular pairing matrix
     name = sorted(rs.labels)[0]
     label = rs.labels[name]
     singular = {**rs.labels, name: SystemLabel((label.ops[0],) * label.dim, label.frame)}
-    flipped_a4 = not check_assumptions(singular, rs.order, rs.probes).passed
+    flipped_a4 = not check_assumptions(singular, rs.order, probes).passed
     # defect 2: a broken order witness
     edge = next(
         e for e in rs.order if rs.labels[e.upper].dim > rs.labels[e.lower].dim
@@ -277,12 +279,15 @@ def test_criterion_6_assumption_audit(corpus):
     broken_order = tuple(
         OrderEdge(e.upper, e.lower, bad_w) if e is edge else e for e in rs.order
     )
-    flipped_a6 = not check_assumptions(rs.labels, broken_order, rs.probes).passed
+    flipped_a6 = not check_assumptions(rs.labels, broken_order, probes).passed
     # defect 3: a missing join
     keep = {n for n in rs.labels if n.startswith("b")}
     family = {k: v for k, v in rs.labels.items() if k in keep}
     pruned = tuple(e for e in rs.order if e.upper in keep and e.lower in keep)
-    flipped_dir = not check_assumptions(family, pruned, rs.probes).passed
+    flipped_dir = any(
+        inst.assumption == "directed"
+        for inst in check_assumptions(family, pruned, probes).failures()
+    )
 
     elapsed = time.monotonic() - start
     ok = all_pass and flipped_a4 and flipped_a6 and flipped_dir

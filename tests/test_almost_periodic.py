@@ -58,6 +58,11 @@ def test_promote_transposes_frequencies():
     assert amp == QC(Fraction(1))
 
 
+def test_promote_empty_vector_is_empty():
+    promoted = promote(ap_vector(K1, {}), B12)
+    assert promoted.frame == K2 and promoted.amplitudes == ()
+
+
 def test_promote_requires_matching_frame():
     with pytest.raises(FrameMismatchError):
         promote(basis_vector(K2, (1, 0)), B12)

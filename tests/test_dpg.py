@@ -26,7 +26,8 @@ from pqk import (
     witness_connection,
     word,
 )
-from pqk import ratlin
+from pqk import dpg, ratlin
+from pqk import io as pio
 from pqk.dpg import random_system, same_edges, word_values
 
 atoms3 = ("a", "b", "c")
@@ -448,6 +449,40 @@ def test_random_system_deterministic():
     for e1, e2 in zip(r1.order, r2.order):
         assert e1.witness.combos == e2.witness.combos
         assert e1.witness.op_membership == e2.witness.op_membership
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named ``pqk.dpg`` function so that its calls are counted."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(dpg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dpg, name, counted)
+    return calls
+
+
+def test_generating_and_writing_a_system_builds_no_labels_or_probes(monkeypatch):
+    calls = _count_calls(monkeypatch, "materialize", "surjectivity_rows")
+    for edges, depth in ((1, 1), (3, 2), (2, 4)):
+        pio.system_to_document(random_system(edges, depth, seed=3))
+    assert calls == {"materialize": 0, "surjectivity_rows": 0}
+
+
+def test_system_labels_are_built_once_on_first_access(monkeypatch):
+    calls = _count_calls(monkeypatch, "materialize")
+    generated = random_system(3, 3, seed=1)
+    loaded = pio.document_to_system(pio.system_to_document(generated))
+    for system in (generated, loaded):
+        before = calls["materialize"]
+        labels = system.labels
+        assert system.labels is labels
+        assert list(labels) == list(system.dlabels)
+        assert calls["materialize"] - before == len(system.dlabels)
+    assert loaded.labels == generated.labels
 
 
 def test_random_system_chains_exist_at_depth_three(deep_system):

@@ -538,6 +538,40 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         assert re.search(field, report["detail"]), (field, report)
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("dpg-demo", "--edges", "0"),
+        ("dpg-demo", "--depth", "0"),
+        ("oracle", "--grid", "8"),
+        ("oracle", "--extent", "nan"),
+        ("oracle", "--extent", "inf"),
+        ("oracle", "--extent", "0"),
+        ("oracle", "--extent", "-1"),
+        ("oracle", "--tol", "nan"),
+        ("oracle", "--tol", "-0.5"),
+        ("consistency", "--tol", "nan"),
+        ("consistency", "--tol", "inf"),
+        ("consistency", "--tol", "-1"),
+    ],
+)
+def test_cli_out_of_range_flag_exits_2(system_doc, tmp_path, capsys, command, flag, value):
+    rs, sys_path = system_doc
+    _, state_path = _write_state(tmp_path, rs, "j(b0+b1)", seed=1, terms=1)
+    out = str(tmp_path / "out.json")
+    argv = {
+        "dpg-demo": ("dpg-demo", "--out", out),
+        "oracle": ("oracle", "--system", sys_path, "--state", state_path,
+                   "--from", "j(b0+b1)", "--to", "b0", "--grid", "16"),
+        "consistency": ("consistency", "--system", sys_path, "--state", state_path,
+                        "--chain", "j(b0+b1),b0,b0t"),
+    }[command]
+    code, report = run_cli(capsys, *argv, flag, value)
+    assert code == 2
+    assert report["error"] == "DocumentError"
+    assert report["detail"].startswith(f"{flag}: ")
+
+
 def test_cli_ap_inner_and_limit_equal(tmp_path, capsys):
     from pqk import ReducedFrame, ap_vector, QC, build_projection
 

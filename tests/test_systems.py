@@ -25,7 +25,8 @@ from pqk import (
     select_independent_dofs,
 )
 from pqk import ratlin
-from pqk.systems import projection_from_witness
+from pqk.io import default_probes
+from pqk.systems import Probes, SpanProbe, projection_from_witness
 
 from conftest import generic_reduction, subprocess_env
 
@@ -204,10 +205,31 @@ def test_select_independent_not_resolvable():
 
 def test_check_assumptions_passes_on_generated(demo_system):
     rs = demo_system
-    report = check_assumptions(rs.labels, rs.order, rs.probes)
+    report = check_assumptions(rs.labels, rs.order, default_probes(rs))
     assert report.passed, report.failures()
     kinds = {inst.assumption for inst in report.instances}
     assert {"A1a", "A2", "A3", "A4", "A6", "directed"} <= kinds
+
+
+@pytest.mark.parametrize(
+    "row, values, detail",
+    [
+        ({"k3": 1, "k2": 1}, {},
+         "combination for 'd' uses non-frame d.o.f. ['k2', 'k3']"),
+        ({"k1": 1}, {}, "no evaluation data for d.o.f. ['d', 'k1']"),
+        ({"k1": 1}, {"d": {"p": 1}, "k1": {"p": 2}},
+         "'d' differs from its witnessed combination"),
+    ],
+)
+def test_span_audit_and_refines_share_the_combination_check(row, values, detail):
+    fine = SystemLabel((op("u", k1=1),), ReducedFrame(("k1",)))
+    coarse = SystemLabel((op("w", d=1),), ReducedFrame(("d",)))
+    check = refines(fine, coarse, OrderWitness({"d": row}, {"w": {"u": 1}}, values))
+    assert not check and check.diagnostic == detail
+    probe = SpanProbe("F", {"d": row}, values)
+    report = check_assumptions({"F": fine}, (), Probes(span_instances=(probe,)))
+    (a1a,) = (inst for inst in report.instances if inst.assumption == "A1a")
+    assert not a1a.passed and a1a.detail == detail
 
 
 def test_check_assumptions_derives_surjectivity(demo_system):
@@ -216,7 +238,7 @@ def test_check_assumptions_derives_surjectivity(demo_system):
     rs = demo_system
     lowers = {e.lower for e in rs.order}
     name = sorted(lowers)[0]
-    probes = rs.probes
+    probes = default_probes(rs)
     pruned = type(probes)(
         span_instances=probes.span_instances,
         op_instances=probes.op_instances,
@@ -238,7 +260,7 @@ def test_check_assumptions_flags_singular_pairing(demo_system):
     label = rs.labels[name]
     broken = SystemLabel((label.ops[0],) * label.dim, label.frame)
     family = {**rs.labels, name: broken}
-    report = check_assumptions(family, rs.order, rs.probes)
+    report = check_assumptions(family, rs.order, default_probes(rs))
     assert not report.passed
     assert any(
         inst.assumption == "A4" and inst.subject == name
@@ -253,7 +275,7 @@ def test_check_assumptions_flags_missing_join(deep_system):
     order = tuple(
         e for e in rs.order if e.upper in keep and e.lower in keep
     )
-    report = check_assumptions(family, order, rs.probes)
+    report = check_assumptions(family, order, default_probes(rs))
     assert any(
         inst.assumption == "directed" and not inst.passed
         for inst in report.instances
@@ -297,13 +319,15 @@ def test_close_witnesses_stops_at_target_and_skips_top():
 A2_REPRO = """
 import dataclasses
 from pqk.dpg import random_system
+from pqk.io import default_probes
 from pqk.systems import check_assumptions
 
 rs = random_system(3, 2, 7)
+probes = default_probes(rs)
 probes = dataclasses.replace(
-    rs.probes,
+    probes,
     surjectivity={
-        k: v for k, v in rs.probes.surjectivity.items() if k not in ("b0", "b0t")
+        k: v for k, v in probes.surjectivity.items() if k not in ("b0", "b0t")
     },
 )
 order = tuple(e for e in rs.order if (e.upper, e.lower) != ("j(b0+b1)", "b0t"))
