@@ -39,7 +39,6 @@ from .frames import (
 from .systems import (
     AssumptionReport,
     MomentumOperator,
-    OpProbe,
     OrderEdge,
     OrderWitness,
     Probes,

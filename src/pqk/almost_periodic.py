@@ -106,14 +106,6 @@ class APVector:
     def amplitude_map(self) -> dict[Frequency, QC]:
         return dict(self.amplitudes)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, APVector):
-            return NotImplemented
-        return self.frame == other.frame and self.amplitudes == other.amplitudes
-
-    def __hash__(self):
-        return hash((self.frame, self.amplitudes))
-
 
 def ap_vector(frame: ReducedFrame, terms: Mapping | Iterable) -> APVector:
     """Build a vector from {coords tuple: amplitude} style data."""

@@ -39,7 +39,7 @@ def _load_system(path: str) -> System:
 
 def _load_state(path: str, system: System, expected_label: str | None):
     doc = io.load_json(path)
-    label = doc.get("label")
+    label = doc.get("label") if isinstance(doc, dict) else None
     if not isinstance(label, str) or label not in system.dlabels:
         raise DocumentError(f"state.label: unknown label {label!r}")
     if expected_label is not None and label != expected_label:

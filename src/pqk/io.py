@@ -33,7 +33,7 @@ from .dpg import (
 )
 from .errors import DimensionMismatchError, DocumentError, PqkError
 from .frames import ProjectionMatrix, ReducedFrame
-from .systems import OpProbe, OrderEdge, OrderWitness, Probes
+from .systems import OrderEdge, OrderWitness, Probes
 from . import ratlin
 
 if TYPE_CHECKING:
@@ -281,24 +281,10 @@ def default_probes(system: System) -> Probes:
     builder, reading them off what a document holds.
 
     Surjectivity witnesses come from explicit target-hitting connections,
-    span instances from edge inverses, operator instances from the declared
-    order witnesses; directedness is probed on every label pair.
+    span instances from edge inverses; directedness is probed on every
+    non-maximal label pair.  Operator instances (A1b) need no probes: the
+    audit reads them off the declared order witnesses.
     """
-    op_instances = []
-    for edge in system.order:
-        lower_ops = system.labels[edge.lower].ops
-        if all(op.id in edge.witness.op_membership for op in lower_ops):
-            op_instances.append(
-                OpProbe(
-                    label=edge.upper,
-                    ops=lower_ops,
-                    membership={
-                        op.id: dict(edge.witness.op_membership[op.id])
-                        for op in lower_ops
-                    },
-                )
-            )
-
     names = sorted(system.labels)
     ops_key = {
         name: frozenset(
@@ -322,7 +308,6 @@ def default_probes(system: System) -> Probes:
         span_instances=tuple(
             span_probe(d) for _, d in sorted(system.dlabels.items())
         ),
-        op_instances=tuple(op_instances),
         surjectivity={
             name: surjectivity_rows(d.graph)
             for name, d in sorted(system.dlabels.items())

@@ -226,10 +226,13 @@ def operator_point(op: MomentumOperator, frame: ReducedFrame) -> tuple[Fraction,
 
 @dataclass(frozen=True)
 class RefinementCheck:
-    """Boolean verdict plus a human-readable diagnostic."""
+    """Boolean verdict plus a human-readable diagnostic, and the operator
+    membership fault (``None`` when every coarse operator is a member),
+    known even when an earlier check decides the verdict."""
 
     ok: bool
     diagnostic: str = ""
+    membership: str | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -275,6 +278,30 @@ def _first_deviation(
     return None
 
 
+def _membership_fault(
+    fine: SystemLabel, coarse: SystemLabel, membership: Mapping[str, Mapping]
+) -> str | None:
+    """Why some coarse operator is not its witnessed ``membership`` row of
+    fine operators as an action map on the fine frame; ``None`` when each is."""
+    fine_ops = {op.id: op for op in fine.ops}
+    for op in coarse.ops:
+        if op.id not in membership:
+            return f"no membership witnessed for {op.id!r}"
+        row = membership[op.id]
+        unknown = set(row) - set(fine_ops)
+        if unknown:
+            return f"membership for {op.id!r} uses unknown operators {sorted(unknown)}"
+        try:
+            bad = _first_deviation(op, row, fine_ops, fine.frame.dofs)
+        except MissingActionError as exc:
+            return str(exc)
+        if bad is not None:
+            return (
+                f"operator {op.id!r} deviates from its witnessed combination on {bad!r}"
+            )
+    return None
+
+
 def refines(
     fine: SystemLabel, coarse: SystemLabel, witness: OrderWitness
 ) -> RefinementCheck:
@@ -286,33 +313,23 @@ def refines(
     operators as an action map on the fine frame, (3) operator actions are
     linear over the d.o.f. combinations, i.e. acting on a coarse d.o.f.
     agrees with acting on its combination.  Check (3) is what makes the
-    projection/embedding pair compose to the identity.
+    projection/embedding pair compose to the identity.  Check (2) always
+    runs, and its fault is kept on the result as ``membership``; the
+    diagnostic is the first fault in check order.
     """
+    membership = _membership_fault(fine, coarse, witness.op_membership)
     for dof in coarse.frame.dofs:
         if dof not in witness.combos:
-            return RefinementCheck(False, f"no combination witnessed for {dof!r}")
+            return RefinementCheck(
+                False, f"no combination witnessed for {dof!r}", membership
+            )
         fault = _combination_fault(
             dof, witness.combos[dof], fine.frame.dofs, witness.dof_values
         )
         if fault:
-            return RefinementCheck(False, fault)
-    fine_ops = {op.id: op for op in fine.ops}
-    for op in coarse.ops:
-        if op.id not in witness.op_membership:
-            return RefinementCheck(False, f"no membership witnessed for {op.id!r}")
-        row = witness.op_membership[op.id]
-        unknown = set(row) - set(fine_ops)
-        if unknown:
-            return RefinementCheck(
-                False, f"membership for {op.id!r} uses unknown operators {unknown}"
-            )
-        try:
-            bad = _first_deviation(op, row, fine_ops, fine.frame.dofs)
-        except MissingActionError as exc:
-            return RefinementCheck(False, str(exc))
-        if bad is not None:
-            msg = f"operator {op.id!r} deviates from its witnessed combination on {bad!r}"
-            return RefinementCheck(False, msg)
+            return RefinementCheck(False, fault, membership)
+    if membership:
+        return RefinementCheck(False, membership, membership)
     try:
         for op in coarse.ops:
             for dof in coarse.frame.dofs:
@@ -435,20 +452,10 @@ class SpanProbe:
 
 
 @dataclass(frozen=True)
-class OpProbe:
-    """A finite operator set with membership witnesses over one label's basis."""
-
-    label: str
-    ops: tuple[MomentumOperator, ...]
-    membership: Mapping[str, Mapping[str, Fraction]]
-
-
-@dataclass(frozen=True)
 class Probes:
     """Instance data driving the per-assumption checks."""
 
     span_instances: tuple[SpanProbe, ...] = ()
-    op_instances: tuple[OpProbe, ...] = ()
     surjectivity: Mapping[str, tuple[Mapping[DofId, Fraction], ...]] = field(
         default_factory=dict
     )
@@ -501,6 +508,15 @@ def check_assumptions(
     order = tuple(order)
     instances: list[AssumptionInstance] = []
 
+    # Each order edge is verified once, by its witness's plan; A1b, A2, A5,
+    # A6, directedness and later projections along the edge reuse it.
+    plans = [
+        edge.witness.plan(family[edge.upper], family[edge.lower])
+        if edge.upper in family and edge.lower in family
+        else None
+        for edge in order
+    ]
+
     for probe in probes.span_instances:
         if probe.label not in family:
             instances.append(
@@ -516,38 +532,15 @@ def check_assumptions(
         detail = fault or f"{len(probe.combos)} d.o.f. spanned by {probe.label!r}"
         instances.append(AssumptionInstance("A1a", probe.label, not fault, detail))
 
-    for probe in probes.op_instances:
-        if probe.label not in family:
-            instances.append(
-                AssumptionInstance("A1b", probe.label, False, "unknown label")
-            )
-            continue
-        label = family[probe.label]
-        basis = {op.id: op for op in label.ops}
-        ok, detail = True, f"{len(probe.ops)} operators contained in {probe.label!r}"
-        for op in probe.ops:
-            row = probe.membership.get(op.id)
-            if row is None or set(row) - set(basis):
-                ok, detail = False, f"no valid membership for {op.id!r}"
-                break
-            try:
-                bad = _first_deviation(op, row, basis, label.frame.dofs)
-            except MissingActionError as exc:
-                ok, detail = False, str(exc)
-                break
-            if bad is not None:
-                ok, detail = False, f"{op.id!r} membership fails on {bad!r}"
-                break
-        instances.append(AssumptionInstance("A1b", probe.label, ok, detail))
+    # A1b: each edge whose witness has a membership row for every lower
+    # operator is an instance, decided by its plan's membership check.
+    for edge, plan in zip(order, plans):
+        if plan and all(op.id in edge.witness.op_membership for op in plan.coarse.ops):
+            fault = plan.check.membership
+            n = len(plan.coarse.ops)
+            detail = fault or f"{n} operators contained in {edge.upper!r}"
+            instances.append(AssumptionInstance("A1b", edge.upper, not fault, detail))
 
-    # Each order edge is verified once, by its witness's plan; A2, A5, A6,
-    # directedness and later projections along the edge reuse it.
-    plans = [
-        edge.witness.plan(family[edge.upper], family[edge.lower])
-        if edge.upper in family and edge.lower in family
-        else None
-        for edge in order
-    ]
     verified_edges = {
         (e.upper, e.lower) for e, plan in zip(order, plans) if plan and plan.check
     }

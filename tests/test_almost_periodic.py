@@ -50,6 +50,15 @@ def test_inner_product_frame_mismatch():
         inner_product(basis_vector(K1, (1,)), basis_vector(K2, (1, 0)))
 
 
+def test_vector_equality_and_hash_follow_frame_and_terms():
+    frame = ReducedFrame(("a", "b"))
+    terms = [((1, 0), QC(Fraction(2))), ((0, 3), QC(Fraction(0), Fraction(1, 2)))]
+    v, w = ap_vector(frame, terms), ap_vector(frame, terms[::-1])
+    assert v == w and hash(v) == hash(w)
+    assert ap_vector(ReducedFrame(("a", "c")), terms) != v
+    assert (v == v.amplitudes) is False
+
+
 def test_promote_transposes_frequencies():
     v = basis_vector(K1, (Fraction(1),))
     promoted = promote(v, B12)

@@ -120,6 +120,7 @@ def malformed_documents():
     e, k = next((e, k) for e, edge in enumerate(system["edges"])
                 for k, letter in enumerate(edge["letters"]) if letter["sign"] == 1)
     return (
+        ("state", [1], r"state\.label"),
         ("state", edited(state, ("terms", 0, "weight"), "heavy"),
          r"state\.terms\[0\]\.weight"),
         ("state", edited(state, ("terms", 0, "logw"), None),
@@ -473,6 +474,24 @@ def test_cli_bytes_ignore_hash_seed(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_failing_audit_bytes_ignore_hash_seed(tmp_path):
+    doc = pio.system_to_document(random_system(3, 2, seed=7))
+    first = next(iter(doc["order"][0]["op_witness"]))
+    doc["order"][0]["op_witness"][first] = {"x1": 1, "x2": 1, "x3": 1}
+    pio.dump_json(doc, str(tmp_path / "sys.json"))
+    outputs = set()
+    for hash_seed in range(4):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqk.cli", "verify", "sys.json"],
+            cwd=tmp_path, env=subprocess_env(PYTHONHASHSEED=str(hash_seed)),
+            capture_output=True,
+        )
+        assert proc.returncode == 1
+        outputs.add(proc.stdout)
+    (out,) = outputs
+    assert b"['x1', 'x2', 'x3']" in out
+
+
 # Runs each argv in one interpreter and reports, after each command,
 # whether numpy has been imported so far.
 NUMPY_PROBE = """
@@ -536,6 +555,24 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         assert code == 2, (kind, field, report)
         assert report["error"] == "DocumentError"
         assert re.search(field, report["detail"]), (field, report)
+
+
+@pytest.mark.parametrize("command", ["project", "consistency", "oracle"])
+def test_cli_non_object_state_exits_2(system_doc, tmp_path, capsys, command):
+    _, sys_path = system_doc
+    state_path = tmp_path / "state.json"
+    state_path.write_text("[1]")
+    relation = {
+        "project": ("--from", "b0", "--to", "b0t", "--out", str(tmp_path / "x.json")),
+        "consistency": ("--chain", "j(b0+b1),b0,b0t"),
+        "oracle": ("--from", "b0", "--to", "b0t"),
+    }[command]
+    code, report = run_cli(
+        capsys, command, "--system", sys_path, "--state", str(state_path), *relation
+    )
+    assert code == 2
+    assert report["error"] == "DocumentError"
+    assert report["detail"].startswith("state.label: ")
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,8 @@ from pqk import (
     refines,
     select_independent_dofs,
 )
-from pqk import ratlin
+from pqk import ratlin, systems
+from pqk.dpg import random_system
 from pqk.io import default_probes
 from pqk.systems import Probes, SpanProbe, projection_from_witness
 
@@ -232,6 +233,147 @@ def test_span_audit_and_refines_share_the_combination_check(row, values, detail)
     assert not a1a.passed and a1a.detail == detail
 
 
+def reference_a1b(family, order):
+    """The former A1b audit: one operator probe per order edge whose witness
+    has a membership row for every lower operator, checked on its own
+    against the upper label's basis and frame."""
+    out = []
+    for edge in order:
+        ops = family[edge.lower].ops
+        membership = edge.witness.op_membership
+        if not all(o.id in membership for o in ops):
+            continue
+        label = family[edge.upper]
+        basis = {o.id: o for o in label.ops}
+        ok, detail = True, f"{len(ops)} operators contained in {edge.upper!r}"
+        for o in ops:
+            row = membership[o.id]
+            if set(row) - set(basis):
+                ok, detail = False, f"no valid membership for {o.id!r}"
+                break
+            try:
+                bad = next(
+                    (d for d in label.frame.dofs
+                     if o.on(d) != sum(c * basis[b].on(d) for b, c in row.items())),
+                    None,
+                )
+            except MissingActionError as exc:
+                ok, detail = False, str(exc)
+                break
+            if bad is not None:
+                ok, detail = False, f"{o.id!r} membership fails on {bad!r}"
+                break
+        out.append((edge.upper, ok, detail))
+    return out
+
+
+def audit(family, order, probes=None):
+    """(subject, passed, detail) of every A1b and A6 instance."""
+    report = check_assumptions(family, order, probes or Probes())
+    return {
+        kind: [(i.subject, i.passed, i.detail)
+               for i in report.instances if i.assumption == kind]
+        for kind in ("A1b", "A6")
+    }
+
+
+@pytest.mark.parametrize("name", ["demo_system", "deep_system"])
+def test_a1b_matches_the_former_operator_probe_audit(request, name):
+    rs = request.getfixturevalue(name)
+    a1b = audit(rs.labels, rs.order, default_probes(rs))["A1b"]
+    assert len(a1b) == len(rs.order)
+    assert a1b == reference_a1b(rs.labels, rs.order)
+
+
+def _with_witness(rs, index, **changes):
+    """The order of ``rs`` with edge ``index``'s witness rows replaced."""
+    edge = rs.order[index]
+    w = edge.witness
+    rows = {"combos": w.combos, "op_membership": w.op_membership, **changes}
+    witness = OrderWitness(rows["combos"], rows["op_membership"], w.dof_values)
+    return (*rs.order[:index], OrderEdge(edge.upper, edge.lower, witness),
+            *rs.order[index + 1:])
+
+
+def _broken_combos(w):
+    dof, row = next((d, r) for d, r in w.combos.items() if r)
+    src = next(iter(row))
+    return {**w.combos, dof: {**row, src: row[src] + 1}}
+
+
+def _broken_membership(w):
+    oid, row = next(iter(w.op_membership.items()))
+    src = next(iter(row))
+    return {**w.op_membership, oid: {**row, src: row[src] + 1}}
+
+
+def test_a1b_passes_when_only_combinations_are_broken(demo_system):
+    rs = demo_system
+    i = next(i for i, e in enumerate(rs.order) if any(e.witness.combos.values()))
+    order = _with_witness(rs, i, combos=_broken_combos(rs.order[i].witness))
+    found = audit(rs.labels, order)
+    assert found["A1b"][i] == reference_a1b(rs.labels, order)[i]
+    assert found["A1b"][i][1] and not found["A6"][i][1]
+
+
+def test_a1b_and_a6_share_the_membership_fault(demo_system):
+    rs = demo_system
+    order = _with_witness(rs, 0, op_membership=_broken_membership(rs.order[0].witness))
+    found = audit(rs.labels, order)
+    subject, passed, detail = found["A1b"][0]
+    assert not passed and not found["A6"][0][1]
+    assert found["A6"][0][2] == detail
+    assert detail.startswith("operator ") and " deviates from its witnessed " in detail
+    assert [a[:2] for a in found["A1b"]] == [
+        r[:2] for r in reference_a1b(rs.labels, order)
+    ]
+
+
+def test_a1b_reads_membership_when_combinations_also_fail(demo_system):
+    rs = demo_system
+    i = next(i for i, e in enumerate(rs.order) if any(e.witness.combos.values()))
+    w = rs.order[i].witness
+    order = _with_witness(
+        rs, i, combos=_broken_combos(w), op_membership=_broken_membership(w)
+    )
+    found = audit(rs.labels, order)
+    assert not found["A1b"][i][1]
+    assert "deviates from its witnessed combination" in found["A1b"][i][2]
+    assert "differs from its witnessed combination" in found["A6"][i][2]
+
+
+def test_a1b_reports_a_missing_action():
+    fine = SystemLabel((op("u", k1=1),), ReducedFrame(("k1",)))
+    coarse = SystemLabel((op("w", d=1),), ReducedFrame(("d",)))
+    witness = OrderWitness({"d": {"k1": 1}}, {"w": {"u": 1}},
+                           {"d": {"p": 1}, "k1": {"p": 1}})
+    family = {"F": fine, "C": coarse}
+    order = (OrderEdge("F", "C", witness),)
+    found = audit(family, order)
+    text = "operator 'w' has no action on 'k1'"
+    assert found == {"A1b": [("F", False, text)], "A6": [("F >= C", False, text)]}
+    assert reference_a1b(family, order) == [("F", False, text)]
+
+
+def test_each_edge_membership_is_checked_once(monkeypatch):
+    rs = random_system(3, 2, 7)
+    calls = {"_first_deviation": 0, "refines": 0}
+    for name in calls:
+        original = getattr(systems, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(systems, name, counted)
+    report = check_assumptions(rs.labels, rs.order, default_probes(rs))
+    assert report.passed
+    assert calls == {
+        "_first_deviation": sum(len(rs.labels[e.lower].ops) for e in rs.order),
+        "refines": len(rs.order),
+    }
+
+
 def test_check_assumptions_derives_surjectivity(demo_system):
     # A label without its own full-rank evaluation witness inherits one
     # through a witnessed combination over a surjective finer frame.
@@ -241,7 +383,6 @@ def test_check_assumptions_derives_surjectivity(demo_system):
     probes = default_probes(rs)
     pruned = type(probes)(
         span_instances=probes.span_instances,
-        op_instances=probes.op_instances,
         surjectivity={k: v for k, v in probes.surjectivity.items() if k != name},
         equal_space_pairs=probes.equal_space_pairs,
         directed_pairs=probes.directed_pairs,
