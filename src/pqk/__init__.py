@@ -46,10 +46,8 @@ from .systems import (
     SystemLabel,
     check_assumptions,
     close_witnesses,
-    combine_operators,
     compose_witnesses,
     embedding_matrix,
-    identity_witness,
     operator_point,
     pairing_matrix,
     projection_from_witness,

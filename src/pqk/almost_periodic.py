@@ -137,9 +137,9 @@ def promote(v: APVector, projection: ProjectionMatrix) -> APVector:
     """Carry a vector to a finer frame along a projection's pullback.
 
     Each frequency maps to its composition with the projection, i.e. to the
-    transpose image of its coordinates; full row rank makes this injective,
-    so amplitudes transfer unchanged and inner products are preserved
-    exactly.
+    transpose image of its coordinates; the projection's full row rank
+    makes this injective, so amplitudes transfer unchanged and inner
+    products are preserved exactly.
     """
     if v.frame != projection.target_frame:
         raise FrameMismatchError("vector frame differs from projection target")
@@ -151,8 +151,6 @@ def promote(v: APVector, projection: ProjectionMatrix) -> APVector:
     amps = tuple(
         (Frequency(c, fine), amp) for c, (_, amp) in zip(coords, v.amplitudes)
     )
-    if len({f for f, _ in amps}) != len(amps):
-        raise FrameMismatchError("promotion collided frequencies; projection rank?")
     return APVector(fine, amps)
 
 

@@ -29,7 +29,7 @@ from .systems import (
 )
 
 Sign = int
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,6 @@ class Graph:
 
     def frame(self) -> ReducedFrame:
         return ReducedFrame(self.dofs)
-
-
-def same_edges(a: Graph, b: Graph) -> bool:
-    return {canonical(e) for e in a.edges} == {canonical(e) for e in b.edges}
 
 
 @dataclass(frozen=True)
@@ -315,14 +311,10 @@ def combos_from_decomposition(
     """Linear-combination coefficients implied by an edge factorization."""
     if not dec.accepted:
         raise PqkError("cannot derive combinations from a refusal")
-    combos: dict[DofId, dict[DofId, Fraction]] = {}
-    for e, parts in dec.factors.items():
-        row: dict[DofId, Fraction] = {}
-        for f, s in parts:
-            key = dof_id(f)
-            row[key] = row.get(key, Fraction(0)) + s
-        combos[dof_id(e)] = {k: v for k, v in row.items() if v != 0}
-    return combos
+    return {
+        dof_id(e): ratlin.combine((s, {dof_id(f): _ONE}) for f, s in parts)
+        for e, parts in dec.factors.items()
+    }
 
 
 def graph_join(a: Graph, b: Graph) -> Graph:
@@ -426,16 +418,6 @@ def materialize(label: DpgLabel, words: Iterable[EdgeWord]) -> SystemLabel:
     )
 
 
-def _combine_faces(
-    coeffs: Sequence[Fraction], faces: Sequence[Face], new_id: str
-) -> Face:
-    incidence: dict[str, Fraction] = {}
-    for c, f in zip(coeffs, faces):
-        for a, v in f.incidence:
-            incidence[a] = incidence.get(a, Fraction(0)) + c * v
-    return Face(id=new_id, incidence=tuple(incidence.items()))
-
-
 @dataclass(frozen=True)
 class JoinResult:
     label: DpgLabel
@@ -455,9 +437,7 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
     """
     all_faces = (*a.faces, *b.faces)
     support = sorted({atom for f in all_faces for atom, _ in f.incidence})
-    vectors = tuple(
-        tuple(f.incidence_map.get(a, Fraction(0)) for a in support) for f in all_faces
-    )
+    vectors = ratlin.from_sparse((f.incidence_map for f in all_faces), support)
     # Atoms as rows, faces as columns: the pivot columns are the greedy face
     # basis, which spans every face of both labels.
     _, basis_idx = ratlin.rref(ratlin.transpose(vectors))
@@ -573,9 +553,6 @@ class System:
         """The declared witness for ``upper >= lower``, else a composed one."""
         return close_witnesses(self.order, upper, lower)[lower]
 
-    def has_relation(self, upper: str, lower: str) -> bool:
-        return any(e.upper == upper and e.lower == lower for e in self.order)
-
     def chains(self) -> tuple[tuple[str, str, str], ...]:
         """All witnessed triples top >= mid >= bottom."""
         pairs = {(e.upper, e.lower) for e in self.order}
@@ -649,8 +626,9 @@ def _random_label(
     n = len(graph.edges)
     if rng.random() < 0.5:
         u = _unimodular(rng, n)
+        maps = [f.incidence_map for f in duals]
         faces = tuple(
-            _combine_faces(u[j], duals, f"{name}.f{j}") for j in range(n)
+            Face(f"{name}.f{j}", ratlin.combine(zip(u[j], maps))) for j in range(n)
         )
         return DpgLabel(id=name, graph=graph, faces=faces)
     graph_atoms = sorted(graph.atoms)

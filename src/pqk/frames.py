@@ -57,7 +57,8 @@ class ProjectionMatrix:
 
     Row i holds the coefficients of the i-th target d.o.f. as a linear
     combination of the source d.o.f., so the matrix maps source coordinates
-    onto target coordinates.  Full row rank is an invariant.
+    onto target coordinates.  Full row rank is an invariant, checked on
+    construction: :class:`RankDeficientError` otherwise.
     """
 
     entries: Mat
@@ -71,6 +72,11 @@ class ProjectionMatrix:
             raise DimensionMismatchError(
                 f"projection is {r}x{c}, frames are "
                 f"{self.target_frame.dim} and {self.source_frame.dim}"
+            )
+        rank = ratlin.rank(self.entries)
+        if rank < r:
+            raise RankDeficientError(
+                f"target d.o.f. are dependent over the source frame (rank {rank} < {r})"
             )
 
     @property
@@ -130,14 +136,7 @@ def build_projection(
                 f"expected {source.dim}"
             )
         rows.append(row)
-    entries = tuple(rows)
-    rank = ratlin.rank(entries)
-    if rank < target.dim:
-        raise RankDeficientError(
-            f"target d.o.f. are dependent over the source frame "
-            f"(rank {rank} < {target.dim})"
-        )
-    return ProjectionMatrix(entries, source_frame=source, target_frame=target)
+    return ProjectionMatrix(tuple(rows), source_frame=source, target_frame=target)
 
 
 def identity_projection(frame: ReducedFrame) -> ProjectionMatrix:
@@ -152,11 +151,10 @@ def compose_projections(
         raise FrameMismatchError(
             "outer projection's source frame differs from inner's target frame"
         )
-    entries = ratlin.matmul(outer.entries, inner.entries)
-    if ratlin.rank(entries) < outer.rows:
-        raise RankDeficientError("composite projection lost full row rank")
     return ProjectionMatrix(
-        entries, source_frame=inner.source_frame, target_frame=outer.target_frame
+        ratlin.matmul(outer.entries, inner.entries),
+        source_frame=inner.source_frame,
+        target_frame=outer.target_frame,
     )
 
 

@@ -692,6 +692,9 @@ class CoherentFamily:
         missing = set(self.labels) - set(self.states)
         if missing:
             raise DimensionMismatchError(f"labels without states: {sorted(missing)}")
+        unknown = {n for e in self.order for n in (e.upper, e.lower)} - set(self.labels)
+        if unknown:
+            raise DimensionMismatchError(f"unknown labels in order: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ determinant, inverse) is exact.  All of them run over integers: each row
 one integer dot product over the two scales, and rank, null space,
 determinant and inverse share one fraction-free Gauss-Jordan elimination
 whose row updates are divided by their gcd.  ``Fraction`` objects are made
-only on return, one per entry.
+only on return, one per entry.  Sparse rows (mappings from keys to
+``Fraction``) are summed by :func:`combine` and made dense by
+:func:`from_sparse`.
 """
 
 from __future__ import annotations
@@ -207,7 +209,23 @@ def inv(m: Mat) -> Mat:
     return tuple(row[nr:] for row in red)
 
 
-def from_sparse(rows: Sequence[Mapping[str, Fraction]], keys: Sequence[str]) -> Mat:
+def combine(
+    terms: Iterable[tuple[Fraction, Mapping[str, Fraction]]],
+) -> dict[str, Fraction]:
+    """The sparse sum of ``c * row`` over the ``(c, row)`` pairs: zero
+    entries are dropped and keys keep the order they were first seen in."""
+    out: dict[str, Fraction] = {}
+    for c, row in terms:
+        for k, v in row.items():
+            if k in out:
+                out[k] += c * v
+            else:
+                out[k] = c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def from_sparse(rows: Iterable[Mapping[str, Fraction]], keys: Sequence[str]) -> Mat:
+    """Dense rows over ``keys`` of sparse rows; absent keys read as 0."""
     zero = Fraction(0)
     return tuple(tuple(row.get(k, zero) for k in keys) for row in rows)
 

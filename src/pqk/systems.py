@@ -66,23 +66,6 @@ class MomentumOperator:
                 f"operator {self.id!r} has no action on {dof!r}"
             ) from None
 
-    def on_or_zero(self, dof: DofId) -> Fraction:
-        return self.action_map.get(dof, Fraction(0))
-
-
-def combine_operators(
-    coeffs: Sequence, ops: Sequence[MomentumOperator], new_id: str
-) -> MomentumOperator:
-    """Formal real combination of operators, acting by the combined map."""
-    if len(coeffs) != len(ops):
-        raise ValueError("one coefficient per operator required")
-    action: dict[DofId, Fraction] = {}
-    for c, op in zip(coeffs, ops):
-        c = ratlin.as_fraction(c)
-        for dof, v in op.action:
-            action[dof] = action.get(dof, Fraction(0)) + c * v
-    return MomentumOperator(new_id, tuple(action.items()))
-
 
 @dataclass(frozen=True)
 class SystemLabel:
@@ -136,24 +119,12 @@ class OrderWitness:
         return plan
 
 
-def identity_witness(label: SystemLabel, dof_values: DofValues | None = None) -> OrderWitness:
-    return OrderWitness(
-        combos={d: {d: Fraction(1)} for d in label.frame.dofs},
-        op_membership={op.id: {op.id: Fraction(1)} for op in label.ops},
-        dof_values=dof_values or {},
-    )
-
-
 def _compose_rows(outer: Mapping, inner: Mapping) -> dict[str, dict[str, Fraction]]:
     """Each inner row, over mid entries, re-expressed over outer's entries."""
-    out: dict[str, dict[str, Fraction]] = {}
-    for key, mid_row in inner.items():
-        row: dict[str, Fraction] = {}
-        for mid, c in mid_row.items():
-            for top, b in outer.get(mid, {}).items():
-                row[top] = row.get(top, Fraction(0)) + c * b
-        out[key] = {k: v for k, v in row.items() if v != 0}
-    return out
+    return {
+        key: ratlin.combine((c, outer.get(mid, {})) for mid, c in mid_row.items())
+        for key, mid_row in inner.items()
+    }
 
 
 def compose_witnesses(outer: OrderWitness, inner: OrderWitness) -> OrderWitness:
@@ -238,17 +209,6 @@ class RefinementCheck:
         return self.ok
 
 
-def _sparse_combination(
-    rows: Mapping[DofId, Mapping[str, Fraction]],
-    coeffs: Mapping[DofId, Fraction],
-) -> dict[str, Fraction]:
-    out: dict[str, Fraction] = {}
-    for dof, c in coeffs.items():
-        for probe, v in rows[dof].items():
-            out[probe] = out.get(probe, Fraction(0)) + c * v
-    return {p: v for p, v in out.items() if v != 0}
-
-
 def _combination_fault(
     dof: DofId, row: Mapping[DofId, Fraction], frame: Sequence[DofId], values: DofValues
 ) -> str | None:
@@ -261,7 +221,7 @@ def _combination_fault(
     if missing:
         return f"no evaluation data for d.o.f. {sorted(missing)}"
     lhs = {p: v for p, v in values[dof].items() if v != 0}
-    if lhs != _sparse_combination(values, row):
+    if lhs != ratlin.combine((c, values[d]) for d, c in row.items()):
         return f"{dof!r} differs from its witnessed combination"
     return None
 
@@ -362,11 +322,9 @@ class EdgePlan:
     def projection(self) -> ProjectionMatrix:
         if not self.check:
             raise WitnessInvalidError(self.check.diagnostic)
-        combos = {
-            dof: [self.combos[dof].get(s, Fraction(0)) for s in self.fine.frame.dofs]
-            for dof in self.coarse.frame.dofs
-        }
-        return build_projection(self.coarse.frame, self.fine.frame, combos)
+        coarse, fine = self.coarse.frame, self.fine.frame
+        rows = ratlin.from_sparse((self.combos[d] for d in coarse.dofs), fine.dofs)
+        return build_projection(coarse, fine, dict(zip(coarse.dofs, rows)))
 
     @cached_property
     def decomposition(self) -> KernelDecomposition:
@@ -412,7 +370,7 @@ def select_independent_dofs(
     exactly as many d.o.f. as operators.  Raises
     :class:`NotResolvableError` when the pool cannot separate them.
     """
-    action = tuple(tuple(op.on_or_zero(dof) for dof in pool) for op in ops)
+    action = ratlin.from_sparse((op.action_map for op in ops), pool)
     _, pivots = ratlin.rref(action)
     if len(pivots) < len(ops):
         raise NotResolvableError(
@@ -484,15 +442,6 @@ class AssumptionReport:
         return tuple(inst for inst in self.instances if not inst.passed)
 
 
-def _frame_value_matrix(
-    frame: ReducedFrame, values: DofValues, probes: Sequence[str]
-) -> Mat:
-    return tuple(
-        tuple(values.get(dof, {}).get(p, Fraction(0)) for p in probes)
-        for dof in frame.dofs
-    )
-
-
 def check_assumptions(
     family: Mapping[str, SystemLabel],
     order: Iterable[OrderEdge],
@@ -553,11 +502,7 @@ def check_assumptions(
     for name, mat in probes.surjectivity.items():
         if name in family:
             label = family[name]
-            rows = tuple(
-                tuple(row.get(dof, Fraction(0)) for dof in label.frame.dofs)
-                for row in mat
-            )
-            if ratlin.rank(rows) == label.dim:
+            if ratlin.rank(ratlin.from_sparse(mat, label.frame.dofs)) == label.dim:
                 surjective.add(name)
     derivable: dict[str, list[tuple[str, EdgePlan]]] = {}
     for edge, plan in zip(order, plans):
@@ -620,12 +565,14 @@ def check_assumptions(
                 AssumptionInstance("A5", subject, False, "operator bases differ")
             )
             continue
+        values = probes.dof_values
         probe_ids = sorted(
-            {p for d in (*la.frame.dofs, *lb.frame.dofs)
-             for p in probes.dof_values.get(d, {})}
+            {p for d in (*la.frame.dofs, *lb.frame.dofs) for p in values.get(d, {})}
         )
-        ma = _frame_value_matrix(la.frame, probes.dof_values, probe_ids)
-        mb = _frame_value_matrix(lb.frame, probes.dof_values, probe_ids)
+        ma, mb = (
+            ratlin.from_sparse((values.get(d, {}) for d in f.dofs), probe_ids)
+            for f in (la.frame, lb.frame)
+        )
         stacked = ma + mb
         same_space = (
             ratlin.rank(ma) == ratlin.rank(mb) == ratlin.rank(stacked) == la.dim

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,9 @@ from pqk import (
     witness_connection,
     word,
 )
-from pqk import dpg, ratlin
+from pqk import dpg, ratlin, systems
 from pqk import io as pio
-from pqk.dpg import random_system, same_edges, word_values
+from pqk.dpg import canonical, random_system, word_values
 
 atoms3 = ("a", "b", "c")
 
@@ -217,6 +218,10 @@ def test_graph_refines_iff_linear_combination():
 
 
 # --- graph join -----------------------------------------------------------------
+
+
+def same_edges(a, b):
+    return {canonical(e) for e in a.edges} == {canonical(e) for e in b.edges}
 
 
 def test_graph_join_shared_prefix():
@@ -487,3 +492,65 @@ def test_system_labels_are_built_once_on_first_access(monkeypatch):
 
 def test_random_system_chains_exist_at_depth_three(deep_system):
     assert deep_system.chains()
+
+
+# --- the sparse-row kernel against the loops it replaced ------------------------
+
+
+def naive_compose_rows(outer, inner):
+    out = {}
+    for key, mid_row in inner.items():
+        row = {}
+        for mid, c in mid_row.items():
+            for top, b in outer.get(mid, {}).items():
+                row[top] = row.get(top, Fraction(0)) + c * b
+        out[key] = {k: v for k, v in row.items() if v != 0}
+    return out
+
+
+def naive_sparse_combination(rows, coeffs):
+    out = {}
+    for dof, c in coeffs.items():
+        for probe, v in rows[dof].items():
+            out[probe] = out.get(probe, Fraction(0)) + c * v
+    return {p: v for p, v in out.items() if v != 0}
+
+
+def naive_combine_faces(coeffs, faces, new_id):
+    incidence = {}
+    for c, f in zip(coeffs, faces):
+        for a, v in f.incidence:
+            incidence[a] = incidence.get(a, Fraction(0)) + c * v
+    return Face(id=new_id, incidence=tuple(incidence.items()))
+
+
+def ordered(rows):
+    """Nested rows as lists of items, so that key order is compared too."""
+    return [(k, list(row.items())) for k, row in rows.items()]
+
+
+@pytest.mark.parametrize("edges,depth", [(e, d) for e in range(1, 5) for d in (3, 4)])
+def test_sparse_kernel_matches_the_former_loops(edges, depth):
+    rs = random_system(edges, depth, seed=10 * edges + depth)
+    for outer, inner in itertools.product(rs.order, repeat=2):
+        if outer.lower != inner.upper:
+            continue
+        for name in ("combos", "op_membership"):
+            a, b = getattr(outer.witness, name), getattr(inner.witness, name)
+            assert ordered(systems._compose_rows(a, b)) == ordered(
+                naive_compose_rows(a, b)
+            )
+    for edge in rs.order:
+        values = edge.witness.dof_values
+        for row in edge.witness.combos.values():
+            got = ratlin.combine((c, values[d]) for d, c in row.items())
+            assert list(got.items()) == list(
+                naive_sparse_combination(values, row).items()
+            )
+    for n, label in enumerate(rs.dlabels.values()):
+        faces, k = label.faces, len(label.faces)
+        u = dpg._unimodular(random.Random(n), k)
+        maps = [f.incidence_map for f in faces]
+        for j in range(k):
+            got = Face(f"t{j}", ratlin.combine(zip(u[j], maps)))
+            assert got == naive_combine_faces(u[j], faces, f"t{j}")

@@ -42,6 +42,23 @@ def test_build_projection_rank_deficient():
         build_projection(K2, K2p, {"k1": [1, 0], "k2": [1, 0]})
 
 
+def test_projection_matrix_has_full_row_rank():
+    with pytest.raises(RankDeficientError, match=r"rank 1 < 2"):
+        ProjectionMatrix([[1, 1], [1, 1]], source_frame=K2p, target_frame=K2)
+    with pytest.raises(RankDeficientError, match=r"rank 0 < 1"):
+        ProjectionMatrix([[0, 0]], source_frame=K2p, target_frame=K1)
+
+
+def test_compose_projections_checks_the_product_rank():
+    # Full-rank factors always compose to full rank, so a factor whose
+    # entries were replaced after construction stands in for a bad input.
+    outer = build_projection(K1, K2, {"k1": [1, 1]})
+    inner = build_projection(K2, K3, {"k1": [1, 0, 0], "k2": [0, 1, 0]})
+    object.__setattr__(inner, "entries", ratlin.mat([[1, 0, 0], [-1, 0, 0]]))
+    with pytest.raises(RankDeficientError, match=r"rank 0 < 1"):
+        compose_projections(outer, inner)
+
+
 def test_build_projection_dimension_errors():
     with pytest.raises(DimensionMismatchError):
         build_projection(K1, K2p, {"k1": [1]})

@@ -48,7 +48,6 @@ from pqk.systems import (
     OrderEdge,
     OrderWitness,
     embedding_matrix,
-    identity_witness,
     projection_from_witness,
 )
 
@@ -642,8 +641,10 @@ def test_stacked_hs_pairing_keeps_its_errors():
 
 def test_chain_consistency_trivial_chain():
     fine, _, _ = generic_reduction([[1, 0], [0, 1]])
-    ident = identity_witness(
-        fine, {f"x{j}": {f"p{j}": Fraction(1)} for j in range(2)}
+    ident = OrderWitness(
+        combos={d: {d: Fraction(1)} for d in fine.frame.dofs},
+        op_membership={o.id: {o.id: Fraction(1)} for o in fine.ops},
+        dof_values={f"x{j}": {f"p{j}": Fraction(1)} for j in range(2)},
     )
     rng = np.random.default_rng(10)
     st = random_mixture(2, 2, rng)
@@ -852,6 +853,14 @@ def test_coherent_family_single_label_vacuous():
     st = random_mixture(1, 1, np.random.default_rng(18))
     family = CoherentFamily({"only": coarse}, {"only": st}, ())
     assert check_coherent_family(family).passed
+
+
+def test_coherent_family_rejects_edges_to_unknown_labels(demo_system):
+    edge = demo_system.order[0]
+    label = demo_system.labels[edge.upper]
+    st = random_mixture(label.dim, 1, np.random.default_rng(19))
+    with pytest.raises(DimensionMismatchError, match=re.escape(str([edge.lower]))):
+        CoherentFamily({edge.upper: label}, {edge.upper: st}, (edge,))
 
 
 # --- verified edge plans --------------------------------------------------------

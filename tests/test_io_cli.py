@@ -158,6 +158,7 @@ def malformed_documents():
         ("ap", edited(ap, ("frame", 0), ["hol:a"]), r"ap\.frame\[0\]"),
         ("projection", edited(projection, ("entries", 0), 1),
          r"projection\.entries\[0\]"),
+        ("projection", edited(projection, ("entries",), [[0, 0]]), r"projection"),
         ("state", edited(state, ("terms", 0, "P", 0), 1.0),
          r"state\.terms\[0\]\.P\[0\]"),
         ("state", edited(state, ("terms", 0, "R", 0), 1.0),
@@ -387,11 +388,12 @@ def test_cli_project_composes_missing_direct_witness(tmp_path, capsys):
             "--out", sys_path)
     doc = pio.load_json(sys_path)
     loaded = pio.document_to_system(doc)
+    pairs = {(e.upper, e.lower) for e in loaded.order}
     chain = next(
         (e1.upper, e1.lower, e2.lower)
         for e1 in loaded.order
         for e2 in loaded.order
-        if e1.lower == e2.upper and loaded.has_relation(e1.upper, e2.lower)
+        if e1.lower == e2.upper and (e1.upper, e2.lower) in pairs
     )
     top, mid, bot = chain
     doc["order"] = [
@@ -650,3 +652,24 @@ def test_cli_ap_inner_and_limit_equal(tmp_path, capsys):
         paths["v"], paths["w"], paths["p"], paths["p"],
     )
     assert code == 1 and not report["passed"]
+
+
+def test_cli_limit_equal_rejects_rank_deficient_projections(tmp_path, capsys):
+    docs = {
+        "v": {"frame": ["k1", "k2"], "terms": [{"freq": [1, 0], "re": 1}]},
+        "w": {"frame": ["k1", "k2"], "terms": [{"freq": [0, 1], "re": 1}]},
+        "p": {"target_frame": ["k1", "k2"], "source_frame": ["s1", "s2"],
+              "entries": [[1, 1], [1, 1]]},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        pio.dump_json(doc, paths[name])
+    code, report = run_cli(
+        capsys, "ap", "--op", "limit-equal", "--in",
+        paths["v"], paths["w"], paths["p"], paths["p"],
+    )
+    assert code == 2
+    assert report["error"] == "DocumentError"
+    assert report["detail"].startswith("projection: ")
+    assert "rank 1 < 2" in report["detail"]

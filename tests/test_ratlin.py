@@ -105,6 +105,54 @@ def test_from_sparse():
     assert ratlin.from_sparse(rows, ["a", "b"]) == ratlin.mat([[1, 0], [-1, 2]])
 
 
+# --- the sparse-row kernel against plain Fraction dicts -------------------------
+
+sparse_key = st.sampled_from("abcde")
+# Negative, dyadic and general rationals, zero included.
+sparse_coeff = st.one_of(
+    st.integers(-8, 8).map(lambda n: Fraction(n, 4)), small_rat
+)
+sparse_row = st.dictionaries(sparse_key, sparse_coeff, max_size=4)
+
+
+def naive_combine(terms):
+    total = {}
+    for c, row in terms:
+        for k, v in row.items():
+            total[k] = total.get(k, Fraction(0)) + c * v
+    return {k: v for k, v in total.items() if v != 0}
+
+
+def test_combine_cases():
+    a = {"x": Fraction(1), "y": Fraction(1, 2)}
+    b = {"y": Fraction(1), "z": Fraction(-3)}
+    # y cancels to zero, so its key is dropped; x and z keep first-seen order.
+    got = ratlin.combine([(Fraction(1), a), (Fraction(-1, 2), b)])
+    assert list(got.items()) == [("x", 1), ("z", Fraction(3, 2))]
+    assert ratlin.combine([]) == {}
+    assert ratlin.combine([(Fraction(2), a), (Fraction(0), b)]) == {"x": 2, "y": 1}
+    disjoint = ratlin.combine([(Fraction(-3, 8), {"p": Fraction(1)}), (1, {"q": -1})])
+    assert list(disjoint.items()) == [("p", Fraction(-3, 8)), ("q", -1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(sparse_coeff, sparse_row), max_size=5))
+def test_combine_matches_plain_dict_sums(terms):
+    got = ratlin.combine(terms)
+    assert list(got.items()) == list(naive_combine(terms).items())
+    assert all(isinstance(v, Fraction) and v != 0 for v in got.values())
+    assert ratlin.combine([*terms, *((-c, row) for c, row in terms)]) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sparse_row, max_size=4), st.lists(sparse_key, unique=True))
+def test_from_sparse_matches_plain_dict_reads(rows, keys):
+    expected = tuple(
+        tuple(row[k] if k in row else Fraction(0) for k in keys) for row in rows
+    )
+    assert ratlin.from_sparse(rows, keys) == expected
+
+
 # --- the integer elimination kernel against plain Fraction elimination -------
 
 

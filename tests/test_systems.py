@@ -16,7 +16,6 @@ from pqk import (
     SystemLabel,
     check_assumptions,
     close_witnesses,
-    combine_operators,
     compose_witnesses,
     embedding_matrix,
     operator_point,
@@ -63,7 +62,9 @@ def test_operator_point_is_action_vector():
     assert operator_point(zero, frame) == (0, 0, 0)
     o1 = op("o1", a=1, b=2, c=0)
     o2 = op("o2", a=0, b=1, c=3)
-    combo = combine_operators([2, -1], [o1, o2], "w")
+    combo = MomentumOperator(
+        "w", ratlin.combine([(2, o1.action_map), (-1, o2.action_map)])
+    )
     expected = tuple(
         2 * x - y for x, y in zip(operator_point(o1, frame), operator_point(o2, frame))
     )
