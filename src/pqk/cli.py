@@ -274,6 +274,8 @@ def cmd_dpg_demo(args) -> int:
 
 
 def cmd_ap(args) -> int:
+    if args.out is not None and args.op != "promote":
+        raise DocumentError(f"--out: {args.op} writes no vector")
     docs = [io.load_json(path) for path in args.inputs]
     if args.op == "inner":
         if len(docs) != 2:

@@ -11,8 +11,10 @@ follows by linearity.  Every construction below is exact and deterministic.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
 from typing import Iterable, Mapping, Sequence
 
 from . import ratlin
@@ -144,6 +146,16 @@ class Graph:
         return ReducedFrame(self.dofs)
 
 
+def _atom_values(items, owner: str, kind: str) -> tuple[tuple[str, Fraction], ...]:
+    """Sorted nonzero (atom, value) pairs from a mapping or a sequence of pairs."""
+    if isinstance(items, Mapping):
+        items = items.items()
+    pairs = tuple(sorted((str(a), ratlin.as_fraction(v)) for a, v in items if v != 0))
+    if len({a for a, _ in pairs}) != len(pairs):
+        raise ValueError(f"{owner} has duplicate {kind} entries")
+    return pairs
+
+
 @dataclass(frozen=True)
 class Face:
     """Signed atom incidences of one flux surface.
@@ -157,16 +169,7 @@ class Face:
     incidence: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        items = (
-            self.incidence.items()
-            if isinstance(self.incidence, Mapping)
-            else self.incidence
-        )
-        pairs = tuple(
-            sorted((str(a), ratlin.as_fraction(v)) for a, v in items if v != 0)
-        )
-        if len({a for a, _ in pairs}) != len(pairs):
-            raise ValueError(f"face {self.id!r} has duplicate incidence entries")
+        pairs = _atom_values(self.incidence, f"face {self.id!r}", "incidence")
         object.__setattr__(self, "incidence", pairs)
 
     @cached_property
@@ -183,12 +186,7 @@ class TestConnection:
     values: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        items = (
-            self.values.items() if isinstance(self.values, Mapping) else self.values
-        )
-        pairs = tuple(
-            sorted((str(a), ratlin.as_fraction(v)) for a, v in items if v != 0)
-        )
+        pairs = _atom_values(self.values, "test connection", "value")
         object.__setattr__(self, "values", pairs)
 
     @cached_property
@@ -320,59 +318,31 @@ def combos_from_decomposition(
 def graph_join(a: Graph, b: Graph) -> Graph:
     """Common refinement: the coarsest graph refining both inputs.
 
-    Words are cut wherever two consecutive atoms fail to appear together,
-    adjacent and consistently oriented, in every word containing either;
-    the surviving maximal runs are the result's edges, canonically oriented
-    and deduplicated.  The union of atomic supports is preserved.
+    Words are cut between consecutive letters p, q unless as many words hold
+    the link p, q (read either way: p, q or q⁻¹, p⁻¹) as hold p's atom and as
+    hold q's atom; a word holding the link holds both atoms, so that is when
+    every word containing either atom holds it.  The surviving maximal runs
+    are the result's edges, canonically oriented and deduplicated.  The union
+    of atomic supports is preserved.
     """
-    words: list[EdgeWord] = []
-    seen: set[EdgeWord] = set()
-    for e in (*a.edges, *b.edges):
-        c = canonical(e)
-        if c not in seen:
-            seen.add(c)
-            words.append(c)
-    membership: dict[str, set[int]] = {}
-    for t, w in enumerate(words):
-        for atom in w.atoms:
-            membership.setdefault(atom, set()).add(t)
-
-    def consistent(p: tuple[str, Sign], q: tuple[str, Sign]) -> bool:
-        for t in membership[p[0]] | membership[q[0]]:
-            letters = words[t].letters
-            pos = {atom: i for i, (atom, _) in enumerate(letters)}
-            if p[0] not in pos or q[0] not in pos:
-                return False
-            ip, iq = pos[p[0]], pos[q[0]]
-            if ip + 1 == iq:
-                if letters[ip] != p or letters[iq] != q:
-                    return False
-            elif iq + 1 == ip:
-                if letters[iq] != (q[0], -q[1]) or letters[ip] != (p[0], -p[1]):
-                    return False
-            else:
-                return False
-        return True
-
-    segments: list[EdgeWord] = []
-    seg_seen: set[EdgeWord] = set()
+    words = dict.fromkeys(canonical(e) for e in (*a.edges, *b.edges))
+    holders = Counter(atom for w in words for atom in w.atoms)
+    links = Counter(_link(p, q) for w in words for p, q in pairwise(w.letters))
+    runs: dict[EdgeWord, None] = {}
     for w in words:
-        run: list[tuple[str, Sign]] = [w.letters[0]]
-        for k in range(1, len(w.letters)):
-            if consistent(w.letters[k - 1], w.letters[k]):
-                run.append(w.letters[k])
-            else:
-                seg = canonical(EdgeWord(tuple(run)))
-                if seg not in seg_seen:
-                    seg_seen.add(seg)
-                    segments.append(seg)
-                run = [w.letters[k]]
-        seg = canonical(EdgeWord(tuple(run)))
-        if seg not in seg_seen:
-            seg_seen.add(seg)
-            segments.append(seg)
-    segments.sort(key=_word_key)
-    return Graph(tuple(segments))
+        run = [w.letters[0]]
+        for p, q in pairwise(w.letters):
+            if not links[_link(p, q)] == holders[p[0]] == holders[q[0]]:
+                runs[canonical(EdgeWord(tuple(run)))] = None
+                run = []
+            run.append(q)
+        runs[canonical(EdgeWord(tuple(run)))] = None
+    return Graph(tuple(sorted(runs, key=_word_key)))
+
+
+def _link(p: tuple[str, Sign], q: tuple[str, Sign]) -> tuple:
+    """One key for the link p, q and its reversed-inverted reading q⁻¹, p⁻¹."""
+    return min((p, q), ((q[0], -q[1]), (p[0], -p[1])))
 
 
 def dual_flux_basis(graph: Graph, prefix: str = "dual") -> tuple[Face, ...]:
@@ -402,6 +372,8 @@ class DpgLabel:
     faces: tuple[Face, ...]
 
     def __post_init__(self):
+        if not self.graph.edges:
+            raise DimensionMismatchError(f"label {self.id!r}: graph has no edges")
         if len(self.faces) != len(self.graph.edges):
             raise DimensionMismatchError(
                 f"label {self.id!r}: {len(self.faces)} faces for "

@@ -529,8 +529,6 @@ class QuadratureTable:
 
     points: np.ndarray
     values: np.ndarray
-    grid_points: int
-    extent: float
 
 
 def _tail_mass(
@@ -602,9 +600,7 @@ def quadrature_partial_trace(
         values += wt * _kernels.quad_table(
             k.P, k.R, k.s, k.logw, xps, xps, uks, weight
         )
-    return QuadratureTable(
-        points=points, values=values, grid_points=grid_points, extent=extent
-    )
+    return QuadratureTable(points=points, values=values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -649,11 +645,13 @@ def kernel_matrix(
     state: GaussianMixtureState,
     points_per_axis: int | None = None,
     extent: float = 8.0,
-) -> tuple[np.ndarray, float]:
-    """Midpoint discretization of the kernel as a matrix, with cell volume.
+) -> np.ndarray:
+    """Midpoint discretization of the kernel as a Hermitian matrix.
 
-    ``points_per_axis`` defaults to the largest count keeping the total
-    grid near 64 points, matching the documented positivity probe.
+    Each entry carries the cell volume ``h**n``, with ``h`` the spacing of
+    the midpoint axis.  ``points_per_axis`` defaults to the largest count
+    keeping the total grid near 64 points, matching the documented
+    positivity probe.
     """
     n = state.dim
     if points_per_axis is None:
@@ -662,7 +660,7 @@ def kernel_matrix(
     pts = _cartesian(axis, n)
     h = float(axis[1] - axis[0]) if len(axis) > 1 else 2.0 * extent
     m = state.sample(pts, pts) * h**n
-    return (m + m.conj().T) / 2, h
+    return (m + m.conj().T) / 2
 
 
 def min_eigenvalue(
@@ -670,7 +668,7 @@ def min_eigenvalue(
     points_per_axis: int | None = None,
     extent: float = 8.0,
 ) -> float:
-    m, _ = kernel_matrix(state, points_per_axis, extent)
+    m = kernel_matrix(state, points_per_axis, extent)
     return float(np.linalg.eigvalsh(m).min())
 
 

@@ -74,6 +74,15 @@ def test_holonomy_single_atom():
     assert holonomy(e, TestConnection((("a", Fraction(5, 2)),))) == Fraction(5, 2)
 
 
+def test_duplicate_atoms_are_refused_by_connections_as_by_faces():
+    with pytest.raises(ValueError, match="duplicate"):
+        TestConnection((("a", 1), ("a", 2)))
+    with pytest.raises(ValueError, match="duplicate"):
+        Face("f", (("a", 1), ("a", 2)))
+    conn = TestConnection({"b": 3, "a": Fraction(1, 2), "c": 0})
+    assert conn.values == (("a", Fraction(1, 2)), ("b", Fraction(3)))
+
+
 def test_graph_dofs_are_built_once():
     g = Graph((word("a"), word("-b", "c")))
     assert g.dofs is g.dofs
@@ -302,6 +311,107 @@ def test_graph_join_randomized_stress(seed):
         assert graph_refines(joined, g1)
         assert graph_refines(joined, g2)
         assert joined.atoms == g1.atoms | g2.atoms
+
+
+def reference_graph_join(a, b):
+    """The closure-based join that the count table replaced, kept as an oracle."""
+    words = []
+    seen = set()
+    for e in (*a.edges, *b.edges):
+        c = canonical(e)
+        if c not in seen:
+            seen.add(c)
+            words.append(c)
+    membership = {}
+    for t, w in enumerate(words):
+        for atom in w.atoms:
+            membership.setdefault(atom, set()).add(t)
+
+    def consistent(p, q):
+        for t in membership[p[0]] | membership[q[0]]:
+            letters = words[t].letters
+            pos = {atom: i for i, (atom, _) in enumerate(letters)}
+            if p[0] not in pos or q[0] not in pos:
+                return False
+            ip, iq = pos[p[0]], pos[q[0]]
+            if ip + 1 == iq:
+                if letters[ip] != p or letters[iq] != q:
+                    return False
+            elif iq + 1 == ip:
+                if letters[iq] != (q[0], -q[1]) or letters[ip] != (p[0], -p[1]):
+                    return False
+            else:
+                return False
+        return True
+
+    segments = []
+    seg_seen = set()
+    for w in words:
+        run = [w.letters[0]]
+        for k in range(1, len(w.letters)):
+            if consistent(w.letters[k - 1], w.letters[k]):
+                run.append(w.letters[k])
+            else:
+                seg = canonical(EdgeWord(tuple(run)))
+                if seg not in seg_seen:
+                    seg_seen.add(seg)
+                    segments.append(seg)
+                run = [w.letters[k]]
+        seg = canonical(EdgeWord(tuple(run)))
+        if seg not in seg_seen:
+            seg_seen.add(seg)
+            segments.append(seg)
+    segments.sort(key=dpg._word_key)
+    return Graph(tuple(segments))
+
+
+@pytest.mark.parametrize("n_atoms", (4, 6, 9))
+def test_graph_join_matches_the_reference_on_random_pairs(n_atoms):
+    rng = random.Random(n_atoms)
+    for _ in range(1000):
+        g1, g2 = _random_graph_pair(rng, n_atoms)
+        assert graph_join(g1, g2) == reference_graph_join(g1, g2)
+        assert graph_join(g2, g1) == reference_graph_join(g2, g1)
+
+
+@pytest.mark.parametrize("edges,depth", [(e, d) for e in range(1, 5) for d in (3, 4)])
+def test_graph_join_matches_the_reference_in_random_systems(
+    monkeypatch, edges, depth
+):
+    calls = []
+    original = dpg.graph_join
+
+    def recorded(a, b):
+        joined = original(a, b)
+        calls.append((a, b, joined))
+        return joined
+
+    monkeypatch.setattr(dpg, "graph_join", recorded)
+    random_system(edges, depth, seed=edges + depth)
+    assert calls
+    for a, b, joined in calls:
+        assert joined == reference_graph_join(a, b)
+
+
+def _merges(g):
+    """Each graph made from g by joining two of its edges into one word."""
+    for e, f in itertools.permutations(g.edges, 2):
+        rest = tuple(x for x in g.edges if x not in (e, f))
+        for tail in (f, f.inverse()):
+            yield Graph((*rest, EdgeWord(e.letters + tail.letters)))
+
+
+@pytest.mark.parametrize("n_atoms", (4, 6, 9))
+def test_graph_join_is_coarsest(n_atoms):
+    """Merging any two edges of the join breaks refinement of an input."""
+    rng = random.Random(100 + n_atoms)
+    merges = 0
+    for _ in range(300):
+        g1, g2 = _random_graph_pair(rng, n_atoms)
+        for merged in _merges(graph_join(g1, g2)):
+            merges += 1
+            assert not (graph_refines(merged, g1) and graph_refines(merged, g2))
+    assert merges
 
 
 def test_decompose_refusal_matches_no_combination():

@@ -204,7 +204,7 @@ def test_project_correlated_state_mixes():
     projected = project_state(st, fine, coarse, witness)
     p_closed = purity(projected)
     assert p_closed < 1.0 - 1e-6
-    m, _ = kernel_matrix(projected, points_per_axis=64, extent=8.0)
+    m = kernel_matrix(projected, points_per_axis=64, extent=8.0)
     p_grid = float(np.sum(np.abs(m) ** 2))
     assert abs(p_closed - p_grid) <= 1e-6
     assert projected.trace_drift <= 1e-12

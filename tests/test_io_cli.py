@@ -96,6 +96,9 @@ LOADERS = {
 }
 
 
+EMPTY_LABEL = {"id": "empty", "graph": [], "flux_basis": []}
+
+
 def malformed_documents():
     """(loader kind, document, regex of the field its error must name)."""
     system = pio.system_to_document(random_system(2, 2, seed=7))
@@ -194,6 +197,10 @@ def malformed_documents():
         ("system", edited(system, ("atomic_edges", 0),
                           {**atom, "target": atom["source"], "loop": "false"}),
          r"atomic_edges\[0\]\.loop"),
+        # A label needs at least one edge, and so one d.o.f.
+        ("system", edited(system, ("labels",),
+                          [*system["labels"], EMPTY_LABEL]),
+         rf"labels\[{len(system['labels'])}\]"),
     )
 
 
@@ -342,6 +349,26 @@ def test_cli_join_then_verify(tmp_path, capsys):
     assert code == 0
     code, report = run_cli(capsys, "verify", out_path)
     assert code == 0 and report["passed"]
+
+
+@pytest.mark.parametrize("command", ["verify", "join"])
+def test_cli_label_without_edges_exits_2(tmp_path, capsys, command):
+    sys_path = str(tmp_path / "sys.json")
+    run_cli(capsys, "dpg-demo", "--edges", "2", "--depth", "2", "--seed", "3",
+            "--out", sys_path)
+    doc = pio.load_json(sys_path)
+    doc["labels"].append(EMPTY_LABEL)
+    pio.dump_json(doc, sys_path)
+    argv = {
+        "verify": ("verify", sys_path),
+        "join": ("join", "--system", sys_path, "--labels", "b0,empty",
+                 "--out", str(tmp_path / "joined.json")),
+    }[command]
+    code, report = run_cli(capsys, *argv)
+    assert code == 2
+    assert report["error"] == "DocumentError"
+    assert report["detail"].startswith(f"labels[{len(doc['labels']) - 1}]: ")
+    assert not (tmp_path / "joined.json").exists()
 
 
 def test_cli_env_seed_overrides(tmp_path, capsys, monkeypatch):
@@ -652,6 +679,26 @@ def test_cli_ap_inner_and_limit_equal(tmp_path, capsys):
         paths["v"], paths["w"], paths["p"], paths["p"],
     )
     assert code == 1 and not report["passed"]
+
+
+@pytest.mark.parametrize("op, inputs", [
+    ("inner", ("v", "v")),
+    ("limit-equal", ("v", "v", "p", "p")),
+])
+def test_cli_ap_out_is_refused_where_no_vector_is_written(tmp_path, capsys, op, inputs):
+    paths = {"v": str(tmp_path / "v.json"), "p": str(tmp_path / "p.json")}
+    pio.dump_json({"frame": ["k1"], "terms": [{"freq": [1], "re": 2}]}, paths["v"])
+    pio.dump_json({"target_frame": ["k1"], "source_frame": ["k1", "k2"],
+                   "entries": [[1, 1]]}, paths["p"])
+    out = tmp_path / "out.json"
+    code, report = run_cli(
+        capsys, "ap", "--op", op, "--in", *(paths[k] for k in inputs),
+        "--out", str(out),
+    )
+    assert code == 2
+    assert report["error"] == "DocumentError"
+    assert report["detail"].startswith("--out: ")
+    assert not out.exists()
 
 
 def test_cli_limit_equal_rejects_rank_deficient_projections(tmp_path, capsys):
