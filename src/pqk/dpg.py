@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import ratlin
@@ -147,13 +148,13 @@ class Graph:
 
 
 def _atom_values(items, owner: str, kind: str) -> tuple[tuple[str, Fraction], ...]:
-    """Sorted nonzero (atom, value) pairs from a mapping or a sequence of pairs."""
+    """Sorted nonzero (atom, value) pairs from a mapping or pairs; no atom twice."""
     if isinstance(items, Mapping):
         items = items.items()
-    pairs = tuple(sorted((str(a), ratlin.as_fraction(v)) for a, v in items if v != 0))
+    pairs = sorted((str(a), ratlin.as_fraction(v)) for a, v in items)
     if len({a for a, _ in pairs}) != len(pairs):
         raise ValueError(f"{owner} has duplicate {kind} entries")
-    return pairs
+    return tuple((a, v) for a, v in pairs if v != 0)
 
 
 @dataclass(frozen=True)
@@ -416,57 +417,36 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
     basis_faces = tuple(all_faces[i] for i in basis_idx)
     m = len(basis_faces)
 
-    def action(graph: Graph) -> ratlin.Mat:
-        return tuple(
-            tuple(incidence_number(f, e) for e in graph.edges) for f in basis_faces
-        )
+    # One common scale makes the incidences, and so the actions on edges
+    # (signed sums of them), integers.  The lead faces pair with the first m
+    # edges of cols as I: they are inv(A) B, with A = act[:, cols[:m]] and B
+    # the incidences.  Each basis face over the lead faces is a row of A.
+    scale = lcm(*(v.denominator for f in basis_faces for _, v in f.incidence))
+    ints = [{x: v.numerator * (scale // v.denominator) for x, v in f.incidence}
+            for f in basis_faces]
+
+    def solve(graph: Graph) -> tuple[list[int], ratlin.Mat] | None:
+        rows = [[sum(s * v[x] for x, s in e.letters if x in v) for e in graph.edges]
+                + [v.get(x, 0) for x in support] for v in ints]
+        return ratlin.full_pivot_solve(rows, len(graph.edges))
 
     joined = graph_join(a.graph, b.graph)
-    act = action(joined)
-    if ratlin.rank(act) < m:
-        # The basis vectors are independent, so this has m pivot atoms.
+    solved = solve(joined)
+    if solved is None:
+        # rank(act) < m; the m independent basis vectors have m pivot atoms.
         _, separating = ratlin.rref(tuple(vectors[i] for i in basis_idx))
         extra = Graph(tuple(EdgeWord(((support[c], 1),)) for c in separating))
         joined = graph_join(joined, extra)
-        act = action(joined)
-
-    n = len(joined.edges)
-    rows = [list(r) for r in act]
-    cols = list(range(n))
-    for r in range(m):
-        _, pivot_row, pivot_pos = min(
-            ((-abs(rows[i][cols[p]]), cols[p], i), i, p)
-            for p in range(r, n)
-            for i in range(r, m)
-            if rows[i][cols[p]] != 0
-        )
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        cols[r], cols[pivot_pos] = cols[pivot_pos], cols[r]
-        # Only the rows and columns not yet pivoted are searched again, so
-        # only they are reduced.
-        top, c = rows[r], cols[r]
-        for row in rows[r + 1 :]:
-            if row[c] != 0:
-                fct = row[c] / top[c]
-                for k in cols[r + 1 :]:
-                    row[k] -= fct * top[k]
-    # The lead faces pair with the first m new edges as I.  With A the lead
-    # columns act[:, cols[:m]] and B the basis faces' incidence vectors, the
-    # lead faces are inv(A) B, read off rref([A | B]) = [I | inv(A) B].  The
-    # inverse transform, each basis face over the lead faces, is A itself:
-    # the basis faces' incidences with the lead edges.
-    lead_cols = tuple(tuple(row[c] for c in cols[:m]) for row in act)
-    lead_vectors, _ = ratlin.rref(
-        ratlin.hstack(lead_cols, tuple(vectors[i] for i in basis_idx))
-    )
+        solved = solve(joined)
+    cols, lead_vectors = solved
 
     new_edges = tuple(joined.edges[c] for c in cols)
     new_graph = Graph(new_edges)
     lead_faces = tuple(
-        Face(id=f"{name}.f{j}", incidence=tuple(zip(support, row[m:])))
+        Face(id=f"{name}.f{j}", incidence=tuple(zip(support, row)))
         for j, row in enumerate(lead_vectors)
     )
-    tail_faces = dual_flux_basis(new_graph, prefix=f"{name}.f")[m:] if n > m else ()
+    tail_faces = dual_flux_basis(new_graph, prefix=f"{name}.f")[m:]
     label = DpgLabel(id=name, graph=new_graph, faces=lead_faces + tail_faces)
 
     def witness_for(part: DpgLabel) -> OrderWitness:

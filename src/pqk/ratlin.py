@@ -7,9 +7,11 @@ determinant, inverse) is exact.  All of them run over integers: each row
 (or column) is scaled by the lcm of its denominators, so a product entry is
 one integer dot product over the two scales, and rank, null space,
 determinant and inverse share one fraction-free Gauss-Jordan elimination
-whose row updates are divided by their gcd.  ``Fraction`` objects are made
-only on return, one per entry.  Sparse rows (mappings from keys to
-``Fraction``) are summed by :func:`combine` and made dense by
+whose row updates are divided by their gcd.  A second elimination,
+:func:`full_pivot_solve`, is Bareiss's full-pivot pass that the DPG join
+reads its edge order, rank test and lead faces off.  ``Fraction`` objects
+are made only on return, one per entry.  Sparse rows (mappings from keys
+to ``Fraction``) are summed by :func:`combine` and made dense by
 :func:`from_sparse`.
 """
 
@@ -153,6 +155,43 @@ def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], int, int]:
         if r == nr:
             break
     return rows, pivots, num, den
+
+
+def full_pivot_solve(rows: list[list[int]], n: int) -> tuple[list[int], Mat] | None:
+    """Full-pivot Bareiss elimination of integer rows [A | B], A's n columns
+    first: (cols, inv(A[:, cols[:m]]) B) for m rows, or None if rank(A) < m.
+
+    Each step divides the updated entries by the previous pivot, so each
+    entry still searched is the ``Fraction`` elimination's value there times
+    one shared nonzero integer: the pivot, least by (-|v|, column, row), is
+    the one that elimination picks, ties included.
+    """
+    m, rows, cols, prev = len(rows), [list(row) for row in rows], list(range(n)), 1
+    for r in range(m):
+        live = [(-abs(rows[i][c]), c, i, p) for p, c in enumerate(cols[r:], r)
+                for i in range(r, m) if rows[i][c]]
+        if not live:
+            return None
+        _, c, i, p = min(live)
+        rows[r], rows[i], cols[r], cols[p] = rows[i], rows[r], cols[p], cols[r]
+        top, pv = rows[r], rows[r][c]
+        rest = cols[r + 1 :] + list(range(n, len(top)))
+        for row in rows[r + 1 :]:
+            f = row[c]
+            for k in rest:
+                row[k] = (pv * row[k] - f * top[k]) // prev
+        prev = pv
+    # Upward and gcd-reduced; row r of the triangle is its pivot at r, then B.
+    tri = [[0] * r + [x[c] for c in cols[r:m]] + x[n:] for r, x in enumerate(rows)]
+    for r in reversed(range(m)):
+        for i in range(r):
+            if f := tri[i][r]:
+                row = [tri[r][r] * x - f * y for x, y in zip(tri[i], tri[r])]
+                g = gcd(*row)
+                tri[i] = [x // g for x in row]
+    return cols, tuple(
+        tuple(Fraction(x, row[r]) for x in row[m:]) for r, row in enumerate(tri)
+    )
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:

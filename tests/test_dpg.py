@@ -79,6 +79,11 @@ def test_duplicate_atoms_are_refused_by_connections_as_by_faces():
         TestConnection((("a", 1), ("a", 2)))
     with pytest.raises(ValueError, match="duplicate"):
         Face("f", (("a", 1), ("a", 2)))
+    # A repeat is found before zero values are dropped.
+    with pytest.raises(ValueError, match="duplicate"):
+        Face("f", (("a", 1), ("a", 0)))
+    with pytest.raises(ValueError, match="duplicate"):
+        TestConnection((("a", 0), ("b", 1), ("a", 0)))
     conn = TestConnection({"b": 3, "a": Fraction(1, 2), "c": 0})
     assert conn.values == (("a", Fraction(1, 2)), ("b", Fraction(3)))
 
@@ -531,6 +536,131 @@ def test_join_witness_combines_lead_face_incidences(edges, depth):
                 assert _combined_incidence(membership, upper) == f.incidence_map
             checked.add(edge.upper)
         assert joins <= checked
+
+
+def reference_system_join(a, b, name):
+    """The Fraction full-pivot join that one Bareiss pass replaced, kept as an
+    oracle: (result, whether the separating-atom branch ran)."""
+    all_faces = (*a.faces, *b.faces)
+    support = sorted({atom for f in all_faces for atom, _ in f.incidence})
+    vectors = ratlin.from_sparse((f.incidence_map for f in all_faces), support)
+    _, basis_idx = ratlin.rref(ratlin.transpose(vectors))
+    basis_faces = tuple(all_faces[i] for i in basis_idx)
+    m = len(basis_faces)
+
+    def action(graph):
+        return tuple(
+            tuple(incidence_number(f, e) for e in graph.edges) for f in basis_faces
+        )
+
+    joined = graph_join(a.graph, b.graph)
+    act = action(joined)
+    separated = ratlin.rank(act) < m
+    if separated:
+        _, separating = ratlin.rref(tuple(vectors[i] for i in basis_idx))
+        extra = Graph(tuple(EdgeWord(((support[c], 1),)) for c in separating))
+        joined = graph_join(joined, extra)
+        act = action(joined)
+
+    n = len(joined.edges)
+    rows = [list(r) for r in act]
+    cols = list(range(n))
+    for r in range(m):
+        _, pivot_row, pivot_pos = min(
+            ((-abs(rows[i][cols[p]]), cols[p], i), i, p)
+            for p in range(r, n)
+            for i in range(r, m)
+            if rows[i][cols[p]] != 0
+        )
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        cols[r], cols[pivot_pos] = cols[pivot_pos], cols[r]
+        top, c = rows[r], cols[r]
+        for row in rows[r + 1 :]:
+            if row[c] != 0:
+                fct = row[c] / top[c]
+                for k in cols[r + 1 :]:
+                    row[k] -= fct * top[k]
+    lead_cols = tuple(tuple(row[c] for c in cols[:m]) for row in act)
+    lead_vectors, _ = ratlin.rref(
+        ratlin.hstack(lead_cols, tuple(vectors[i] for i in basis_idx))
+    )
+
+    new_edges = tuple(joined.edges[c] for c in cols)
+    new_graph = Graph(new_edges)
+    lead_faces = tuple(
+        Face(id=f"{name}.f{j}", incidence=tuple(zip(support, row[m:])))
+        for j, row in enumerate(lead_vectors)
+    )
+    tail_faces = dual_flux_basis(new_graph, prefix=f"{name}.f")[m:] if n > m else ()
+    label = DpgLabel(id=name, graph=new_graph, faces=lead_faces + tail_faces)
+
+    def witness_for(part):
+        dec = decompose_edges(new_graph, part.graph)
+        assert dec.accepted, dec.reason
+        membership = {}
+        for f in part.faces:
+            over_lead = (incidence_number(f, e) for e in new_edges[:m])
+            membership[f.id] = {
+                lead.id: v for lead, v in zip(lead_faces, over_lead) if v != 0
+            }
+        return systems.OrderWitness(
+            combos=dpg.combos_from_decomposition(dec),
+            op_membership=membership,
+            dof_values=word_values((*part.graph.edges, *new_graph.edges)),
+        )
+
+    result = dpg.JoinResult(label, witness_for(a), witness_for(b), m)
+    return result, separated
+
+
+def join_parts(res):
+    """A join result with every key order and edge order kept."""
+    witnesses = tuple(
+        (ordered(w.combos), ordered(w.op_membership), ordered(w.dof_values))
+        for w in (res.witness_a, res.witness_b)
+    )
+    faces = tuple((f.id, f.incidence) for f in res.label.faces)
+    return res.label.id, res.label.graph.edges, faces, witnesses, res.span_dim
+
+
+def test_system_join_matches_the_reference_in_random_systems(monkeypatch):
+    calls = []
+    original = dpg.system_join
+
+    def recorded(a, b, name):
+        res = original(a, b, name)
+        calls.append((a, b, name, res))
+        return res
+
+    monkeypatch.setattr(dpg, "system_join", recorded)
+    for edges, depth, seed in itertools.product(range(1, 7), range(3, 6), range(5)):
+        random_system(edges, depth, seed)
+    separated = 0
+    for a, b, name, res in calls:
+        expected, branch = reference_system_join(a, b, name)
+        assert join_parts(res) == join_parts(expected)
+        separated += branch
+    assert separated
+    # Faces in thirds and elevenths, and denominators past 2**14, are joined.
+    denominators = {
+        v.denominator for a, b, _, res in calls
+        for f in (*a.faces, *b.faces, *res.label.faces) for _, v in f.incidence
+    }
+    assert any(d % 3 == 0 for d in denominators)
+    assert any(d % 11 == 0 for d in denominators)
+    assert max(denominators) > 2**14
+
+
+def test_system_join_of_faces_with_no_incidence_matches_the_reference():
+    g1, g2 = Graph((word("a", "b"), word("c"))), Graph((word("b"), word("-c", "-d")))
+    empty = DpgLabel("E", g1, (Face("E.f0", ()), Face("E.f1", ())))
+    for other in (DpgLabel("F", g2, (Face("F.f0", ()), Face("F.f1", ()))),
+                  _label("D", g2)):
+        for a, b in ((empty, other), (other, empty)):
+            res = system_join(a, b, "J")
+            expected, _ = reference_system_join(a, b, "J")
+            assert join_parts(res) == join_parts(expected)
+    assert system_join(empty, empty, "J").span_dim == 0
 
 
 # --- random systems -------------------------------------------------------------

@@ -131,6 +131,11 @@ def malformed_documents():
         ("system", edited(system, ("faces", 0, "incidence"),
                           [first_incidence, first_incidence]),
          r"faces\[0\]\.incidence"),
+        # A repeated atom is refused even when one of its values is 0.
+        ("system", edited(system, ("faces", 0, "incidence"),
+                          [first_incidence, {"atom": first_incidence["atom"],
+                                             "value": 0}]),
+         r"faces\[0\]\.incidence"),
         ("system", edited(system, ("order", 0, "combo_witness", combo_row), []),
          rf"order\[0\]\.combo_witness\.{re.escape(combo_row)}"),
         ("system", edited(system, ("order", 0, "op_witness", op_row), []),

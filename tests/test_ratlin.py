@@ -265,6 +265,96 @@ def test_integer_kernel_det_and_inverse(m):
     assert (expected[:1] == ("ValueError",)) == (naive_det(m) == 0)
 
 
+# --- the join's full-pivot Bareiss pass against Fraction elimination ---------
+
+
+def naive_join_elimination(act, b, n):
+    """The join's former Fraction full-pivot loop, rank test and rref of
+    [A | B]: the reference ``full_pivot_solve`` must equal."""
+    m = len(act)
+    if len(naive_rref(act)[1]) < m:
+        return None
+    rows = [list(r) for r in act]
+    cols = list(range(n))
+    for r in range(m):
+        _, pivot_row, pivot_pos = min(
+            ((-abs(rows[i][cols[p]]), cols[p], i), i, p)
+            for p in range(r, n)
+            for i in range(r, m)
+            if rows[i][cols[p]] != 0
+        )
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        cols[r], cols[pivot_pos] = cols[pivot_pos], cols[r]
+        top, c = rows[r], cols[r]
+        for row in rows[r + 1 :]:
+            if row[c] != 0:
+                fct = row[c] / top[c]
+                for k in cols[r + 1 :]:
+                    row[k] -= fct * top[k]
+    lead_cols = tuple(tuple(row[c] for c in cols[:m]) for row in act)
+    red, _ = naive_rref(ratlin.hstack(lead_cols, b))
+    return cols, tuple(row[m:] for row in red)
+
+
+def integer_rows(act, b):
+    """[act | b] times one common lcm of all denominators."""
+    scale = math.lcm(*(x.denominator for row in (*act, *b) for x in row))
+    return [[int(x * scale) for x in ra + rb] for ra, rb in zip(act, b)]
+
+
+join_entry = st.one_of(
+    # Zeros and small integers of equal magnitude: sparse rows and ties.
+    st.just(Fraction(0)),
+    st.sampled_from((0, 1, -1, 2, -2)).map(Fraction),
+    st.sampled_from((3, 5, 2**60)).flatmap(
+        lambda d: st.integers(-2 * d, 2 * d).map(lambda k: Fraction(k, d))
+    ),
+    st.builds(lambda s, k: Fraction(s * (2**70 + k)),
+              st.sampled_from((1, -1)), st.integers(-3, 3)),
+)
+
+
+@st.composite
+def join_eliminations(draw):
+    """(act, b, n): up to 5 rows, from one column fewer to three more act
+    columns, and 0-3 b columns; act is sometimes made rank-deficient by a
+    row repeating a multiple of another."""
+    m = draw(st.integers(0, 5))
+    n, k = draw(st.integers(max(m - 1, 0), m + 3)), draw(st.integers(0, 3))
+    act = [[draw(join_entry) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.integers(0, 3)) == 0:
+        src, dst = draw(st.permutations(range(m)))[:2]
+        factor = draw(st.sampled_from((Fraction(-3, 5), Fraction(1), Fraction(2**61))))
+        act[dst] = [factor * x for x in act[src]]
+    b = [[draw(join_entry) for _ in range(k)] for _ in range(m)]
+    return tuple(map(tuple, act)), tuple(map(tuple, b)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(join_eliminations())
+def test_full_pivot_solve_equals_the_fraction_join_elimination(case):
+    act, b, n = case
+    assert ratlin.full_pivot_solve(integer_rows(act, b), n) == (
+        naive_join_elimination(act, b, n)
+    )
+
+
+@pytest.mark.parametrize(
+    "act,b,n,cols",
+    [
+        ((), (), 3, [0, 1, 2]),  # m = 0: no pivot, every column in order
+        (((0, 1), (1, 0)), ((1,), (2,)), 2, [0, 1]),  # a tie goes to the column
+        (((1, 2), (2, 4)), ((1,), (0,)), 2, None),  # rank 1 < 2
+        (((0, -3, 3), (1, 0, 0)), ((1, 0), (0, 1)), 3, [1, 0, 2]),
+    ],
+)
+def test_full_pivot_solve_cases(act, b, n, cols):
+    act, b = ratlin.mat(act), ratlin.mat(b)
+    got = ratlin.full_pivot_solve(integer_rows(act, b), n)
+    assert got == naive_join_elimination(act, b, n)
+    assert (got and got[0]) == cols
+
+
 # --- integer products and sums against plain Fraction arithmetic --------------
 
 
