@@ -72,6 +72,10 @@ class GaussianKernel:
         s = np.array(self.s, dtype=np.complex128).reshape(-1)
         if s.shape != (n,):
             raise DimensionMismatchError(f"s must have length {n}, got {s.shape}")
+        logw = float(self.logw)
+        for name, a in (("P", P), ("R", R), ("s", s), ("logw", logw)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
         scale = max(np.abs(P).max(), np.abs(R).max(), 1.0)
         if np.abs(P - P.T).max() > _STRUCTURE_TOL * scale:
             raise ValueError("P must be symmetric")
@@ -84,7 +88,7 @@ class GaussianKernel:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "logw", float(self.logw))
+        object.__setattr__(self, "logw", logw)
 
     def diagonal_form(self) -> np.ndarray:
         """Real symmetric matrix C with rho(x, x) = exp(-x^T C x + ...)."""
@@ -121,8 +125,8 @@ class GaussianMixtureState:
         if not terms:
             raise DimensionMismatchError("a state needs at least one term")
         for w, k in terms:
-            if w <= 0:
-                raise ValueError(f"term weight {w} is not positive")
+            if not 0 < w < math.inf:
+                raise ValueError(f"term weight {w} is not positive and finite")
             if k.dim != self.dim:
                 raise DimensionMismatchError(
                     f"term dimension {k.dim} != state dimension {self.dim}"
@@ -195,18 +199,6 @@ def trace(state: GaussianMixtureState) -> float:
     return float(sum(w * math.exp(lt) for (w, _), lt in zip(state.terms, logs)))
 
 
-def _log_integrals(M: np.ndarray, v: np.ndarray) -> list[complex]:
-    """Logs of the integrals of exp(-z^T M z / 2 + v^T z) for stacked M (K, m, m)
-    and v (K, m).  One Cholesky checks Re M > 0 for all; every eigenvalue of M
-    then has positive real part, and summed principal logs pick the real branch."""
-    if not _is_pd(M.real):
-        raise DivergentError("quadratic form has non-positive-definite real part")
-    logdets = np.sum(np.log(np.linalg.eigvals(M)), axis=-1)
-    quads = (v[:, None, :] @ np.linalg.solve(M, v[:, :, None]))[:, 0, 0]
-    const = 0.5 * M.shape[-1] * math.log(2 * math.pi)
-    return [const - 0.5 * complex(d) + 0.5 * complex(q) for d, q in zip(logdets, quads)]
-
-
 def _term_arrays(state: GaussianMixtureState) -> list[np.ndarray]:
     """P, R and s of every term, stacked along a leading term axis."""
     return [np.stack([getattr(k, a) for _, k in state.terms]) for a in "PRs"]
@@ -214,12 +206,13 @@ def _term_arrays(state: GaussianMixtureState) -> list[np.ndarray]:
 
 def _pair_forms(
     s1: GaussianMixtureState, s2: GaussianMixtureState
-) -> tuple[np.ndarray, np.ndarray, list[tuple[float, complex]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Hilbert-Schmidt pairing forms of conj(k1) with k2 for every term pair.
 
-    Pairs run t-major over (terms of s1) x (terms of s2).  Returns the
-    stacked forms M and v and, per pair, the weight product w1 w2 and the
-    log of the pairing integral including both kernels' logw.
+    Pairs run t-major over (terms of s1) x (terms of s2); returns the
+    stacked forms M (K, m, m) and v (K, m) of the integrands
+    exp(-z^T M z / 2 + v^T z).  One Cholesky checks Re M > 0 for all, the
+    condition for every pairing integral to converge.
     """
     if s1.dim != s2.dim:
         raise DimensionMismatchError(
@@ -231,15 +224,33 @@ def _pair_forms(
     M = np.block([[P1.conj() + P2, cross], [cross.swapaxes(-1, -2), P1 + P2.conj()]])
     v = np.concatenate([v1.conj() + v2, v1 + v2.conj()], axis=-1)
     M, v = M.reshape(-1, *M.shape[-2:]), v.reshape(-1, v.shape[-1])
+    if not _is_pd(M.real):
+        raise DivergentError("quadratic form has non-positive-definite real part")
+    return M, v
+
+
+def _log_integrals(
+    s1: GaussianMixtureState, s2: GaussianMixtureState, M: np.ndarray, v: np.ndarray
+) -> list[tuple[float, complex]]:
+    """Per term pair of :func:`_pair_forms`' forms M, v: the weight product
+    w1 w2 and the log of the pairing integral including both kernels' logw.
+    Every eigenvalue of a checked M has positive real part, so summed
+    principal logs pick the real branch."""
+    logdets = np.sum(np.log(np.linalg.eigvals(M)), axis=-1)
+    quads = (v[:, None, :] @ np.linalg.solve(M, v[:, :, None]))[:, 0, 0]
+    const = 0.5 * M.shape[-1] * math.log(2 * math.pi)
     pairs = [
         (w1 * w2, k1.logw + k2.logw) for w1, k1 in s1.terms for w2, k2 in s2.terms
     ]
-    return M, v, [(w, lw + g) for (w, lw), g in zip(pairs, _log_integrals(M, v))]
+    return [
+        (w, lw + (const - 0.5 * complex(d) + 0.5 * complex(q)))
+        for (w, lw), d, q in zip(pairs, logdets, quads)
+    ]
 
 
 def hs_inner(s1: GaussianMixtureState, s2: GaussianMixtureState) -> complex:
     """HS inner product <s1, s2>, conjugate-linear in the first slot."""
-    _, _, pairs = _pair_forms(s1, s2)
+    pairs = _log_integrals(s1, s2, *_pair_forms(s1, s2))
     return complex(sum(w * complex(np.exp(lg)) for w, lg in pairs))
 
 
@@ -307,7 +318,8 @@ def _perturbative_distance(
         (k1.logw - k2.logw) + math.log(w1 / w2)
         for (w1, k1), (w2, k2) in zip(s1.terms, s2.terms)
     ]
-    M, v, pairs = _pair_forms(s2, s2)
+    M, v = _pair_forms(s2, s2)
+    pairs = _log_integrals(s2, s2, M, v)
     t, m = len(c), M.shape[-1]
     sigma = np.linalg.inv(M)
     sigma = ((sigma + sigma.swapaxes(-1, -2)) / 2).reshape(t, t, m, m)
@@ -348,18 +360,21 @@ def hs_distance(s1: GaussianMixtureState, s2: GaussianMixtureState) -> float:
     terms match pairwise to better than one part in 10^6 (e.g. the same
     projection computed along two paths) switch to a first-order expansion
     in the parameter differences, which stays accurate far below the
-    cancellation floor of the generic form.
+    cancellation floor of the generic form.  States whose terms match with
+    deviation exactly 0 (the same state, or a term-for-term copy) are at
+    distance 0.0, the value the expansion gives them; only their pairing
+    forms are built, so a divergent state still raises.
     """
     if s1.dim != s2.dim:
         raise DimensionMismatchError(
             f"states live in dimensions {s1.dim} and {s2.dim}"
         )
     if len(s1.terms) == len(s2.terms):
-        dev = max(
-            (_term_deviation(t1, t2) for t1, t2 in zip(s1.terms, s2.terms)),
-            default=0.0,
-        )
-        if dev <= _PERTURBATIVE_THRESHOLD:
+        devs = [_term_deviation(t1, t2) for t1, t2 in zip(s1.terms, s2.terms)]
+        if not any(devs):
+            _pair_forms(s2, s2)
+            return 0.0
+        if max(devs) <= _PERTURBATIVE_THRESHOLD:
             return _perturbative_distance(s1, s2)
     return _gram_distance(s1, s2)
 
@@ -428,15 +443,27 @@ def _project_terms(
 def project_with(
     state: GaussianMixtureState, kdec: KernelDecomposition
 ) -> GaussianMixtureState:
-    """Partial-trace projection along an explicit kernel decomposition."""
+    """Partial-trace projection along an explicit kernel decomposition.
+
+    The result is kept on the decomposition for the state object last
+    projected along it, so asking again returns the same object; states and
+    decompositions are immutable, and one slot keeps at most one state and
+    its projection alive per decomposition.  A projection that raises keeps
+    nothing.
+    """
+    kept = kdec.__dict__.get("_projected")
+    if kept is not None and kept[0] is state:
+        return kept[1]
     terms, pre_trace = _project_terms(state, kdec)
     normalized = tuple((wt / pre_trace, k) for wt, k in terms)
-    return GaussianMixtureState(
+    projected = GaussianMixtureState(
         dim=kdec.projection.rows,
         terms=normalized,
         provenance="projected",
         trace_drift=abs(pre_trace - 1.0),
     )
+    object.__setattr__(kdec, "_projected", (state, projected))
+    return projected
 
 
 def decomposition_for(

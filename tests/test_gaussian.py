@@ -1,9 +1,11 @@
 import collections
 import dataclasses
+import gc
 import math
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from pqk import (
     trace,
 )
 from pqk import OrderViolationError, RankDeficientError, WitnessInvalidError
-from pqk import ratlin, systems
+from pqk import gaussian, ratlin, systems
 from pqk import io as pio
 from pqk.dpg import random_system
 from pqk.gaussian import (
@@ -147,6 +149,32 @@ def test_kernel_structure_is_exactly_hermitian():
     ys = rng.normal(size=(6, 3))
     diff = np.abs(k.sample(xs, ys) - np.conj(k.sample(ys, xs).T)).max()
     assert diff <= 1e-14 * np.abs(k.sample(xs, ys)).max()
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf, complex(0, math.nan))
+
+
+@pytest.mark.parametrize("part", ["P", "R", "s"])
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_kernel_rejects_non_finite_parameters(part, value):
+    parts = {"P": np.eye(2, dtype=complex), "R": np.zeros((2, 2), dtype=complex),
+             "s": np.zeros(2, dtype=complex)}
+    parts[part][(-1,) * parts[part].ndim] = value
+    with pytest.raises(ValueError, match=f"^{part} must be finite$"):
+        GaussianKernel(2, logw=0.0, **parts)
+
+
+@pytest.mark.parametrize("value", NON_FINITE[:3])
+def test_kernel_rejects_non_finite_log_weight(value):
+    with pytest.raises(ValueError, match="^logw must be finite$"):
+        GaussianKernel(1, [[1.0]], [[0.0]], [0.0], value)
+
+
+@pytest.mark.parametrize("weight", [0.0, -0.5, math.nan, math.inf])
+def test_state_rejects_weights_not_positive_and_finite(weight):
+    _, k = random_pure(1, np.random.default_rng(2)).terms[0]
+    with pytest.raises(ValueError, match="is not positive and finite"):
+        GaussianMixtureState(1, ((0.5, k), (weight, k)))
 
 
 # --- projection ---------------------------------------------------------------
@@ -619,6 +647,31 @@ def test_stacked_hs_pairing_bits_hold_without_wide_simd():
     assert "5 passed" in run.stdout
 
 
+def calls_to(monkeypatch, name):
+    """Record each call to ``gaussian.<name>`` from here on as its list of
+    arguments, with the result appended when the call returns."""
+    calls = []
+    real = getattr(gaussian, name)
+
+    def counting(*args):
+        call = [*args]
+        calls.append(call)
+        call.append(real(*args))
+        return call[-1]
+
+    monkeypatch.setattr(gaussian, name, counting)
+    return calls
+
+
+def rebuilt(state):
+    """A term-for-term copy of ``state`` made of new objects."""
+    terms = tuple(
+        (w, GaussianKernel(k.dim, k.P.copy(), k.R.copy(), k.s.copy(), k.logw))
+        for w, k in state.terms
+    )
+    return GaussianMixtureState(state.dim, terms)
+
+
 def test_stacked_hs_pairing_keeps_its_errors():
     rng = np.random.default_rng(9)
     good = random_mixture(2, 3, rng)
@@ -626,7 +679,8 @@ def test_stacked_hs_pairing_keeps_its_errors():
     bad = GaussianMixtureState(2, good.terms[:2] + ((0.5, divergent),))
     one_dim = random_mixture(1, 3, rng)
     for routine, reference in HS_ROUTINES:
-        for s1, s2, error in ((bad, bad, DivergentError), (good, bad, DivergentError),
+        for s1, s2, error in ((bad, bad, DivergentError), (bad, rebuilt(bad), DivergentError),
+                              (good, bad, DivergentError),
                               (good, one_dim, DimensionMismatchError)):
             if routine is _perturbative_distance and error is DimensionMismatchError:
                 continue
@@ -634,6 +688,99 @@ def test_stacked_hs_pairing_keeps_its_errors():
                 reference(s1, s2)
             with pytest.raises(error, match=re.escape(str(expected.value))):
                 routine(s1, s2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_identical_states_compare_without_the_expansion(dim, monkeypatch):
+    rng = np.random.default_rng(40 + dim)
+    expansions = calls_to(monkeypatch, "_perturbative_distance")
+    for n_terms in (1, 3, 8):
+        st = random_mixture(dim, n_terms, rng)
+        copy = rebuilt(st)
+        assert copy is not st and state_bits(copy)[3] == state_bits(st)[3]
+        for other in (st, copy):
+            want = naive_hs_distance(st, other)
+            assert want == 0.0 and hs_distance(st, other).hex() == want.hex()
+        assert not expansions
+        w, k = st.terms[-1]
+        nudged = GaussianMixtureState(dim, st.terms[:-1] + ((math.nextafter(w, 2.0), k),))
+        got, want = hs_distance(st, nudged), naive_hs_distance(st, nudged)
+        assert len(expansions) == 1 and got.hex() == want.hex()
+        expansions.clear()
+
+
+def test_a_decomposition_keeps_its_last_projection():
+    kdec = decomposition_for(*generic_reduction([[1, 1, 0], [0, 0, 1]]))
+    rng = np.random.default_rng(26)
+    first, second = random_mixture(3, 2, rng), random_mixture(3, 3, rng)
+    projected = project_with(first, kdec)
+    assert project_with(first, kdec) is projected
+    other = project_with(second, kdec)
+    assert other is not projected
+    assert state_bits(other) == state_bits(naive_project_with(second, kdec))
+    assert project_with(second, kdec) is other
+    # One slot: the first state is no longer held by the decomposition.
+    released = weakref.ref(first)
+    del first
+    gc.collect()
+    assert released() is None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kept_projections_match_fresh_ones(seed, monkeypatch):
+    system = random_system(4, 4, seed)
+    labels = system.labels
+    rng = np.random.default_rng(seed)
+    made = calls_to(monkeypatch, "_project_terms")
+    asked = calls_to(monkeypatch, "project_with")
+    top = max(labels, key=lambda n: sum(e.upper == n for e in system.order))
+    st = random_mixture(labels[top].dim, 3, rng)
+    states = {top: st}
+    for edge in system.order:
+        if edge.upper == top:
+            states[edge.lower] = project_state(
+                st, labels[top], labels[edge.lower], edge.witness
+            )
+    edges = tuple(e for e in system.order if {e.upper, e.lower} <= set(states))
+    family = CoherentFamily({n: labels[n] for n in states}, states, edges)
+    assert check_coherent_family(family).passed
+    chains = system.chains()
+    assert chains
+    for a, b, c in chains:
+        source = st if a == top else random_mixture(labels[a].dim, 2, rng)
+        assert chain_consistency(
+            source, labels[a], labels[b], labels[c],
+            system.find_witness(a, b), system.find_witness(b, c),
+            system.find_witness(a, c),
+        ).passed
+    # A projection runs exactly when the state differs from the one last
+    # projected along the same decomposition.
+    last, fresh = {}, 0
+    for state, kdec, _ in asked:
+        fresh += last.get(id(kdec)) is not state
+        last[id(kdec)] = state
+    assert len(made) == fresh < len(asked)
+    monkeypatch.undo()
+    for state, kdec, projected in asked:
+        unkept = dataclasses.replace(kdec)
+        assert state_bits(projected) == state_bits(project_with(state, unkept))
+
+
+def test_a_failed_projection_keeps_nothing(monkeypatch):
+    rng = np.random.default_rng(13)
+    good = random_mixture(3, 3, rng)
+    divergent = GaussianKernel(3, -100 * np.eye(3), np.zeros((3, 3)), np.zeros(3), 0.0)
+    bad = GaussianMixtureState(3, good.terms[:2] + ((0.5, divergent),))
+    kdec = decomposition_for(*generic_reduction([[1, 0, 0], [0, 1, 1]]))
+    made = calls_to(monkeypatch, "_project_terms")
+    for _ in range(2):
+        with pytest.raises(DivergentError):
+            project_with(bad, kdec)
+    assert len(made) == 2 and "_projected" not in vars(kdec)
+    kept = project_with(good, kdec)
+    with pytest.raises(DivergentError):
+        project_with(bad, kdec)
+    assert project_with(good, kdec) is kept and len(made) == 4
 
 
 # --- chain consistency ----------------------------------------------------------
