@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatchError,
     DivergentError,
     DocumentError,
+    EmptyWindowError,
     ExtentTooSmallError,
     FrameMismatchError,
     MissingActionError,

@@ -1,9 +1,10 @@
 """Hot numeric kernels: grid sampling of Gaussian density kernels.
 
-Both kernels are vectorized numpy; the ``oracle`` workload of the repository
-benchmark times them at the sizes the quadrature oracle and positivity probe
-hit (``python3 perfbench/run.py --workload oracle --seed 1 --seconds 16
---trace 1`` reports ``kernels.quad_table`` and ``kernels.kernel_table``).
+One vectorized numpy routine, :func:`quad_table`, builds every exponent;
+the ``oracle`` workload of the repository benchmark times it at the sizes
+the quadrature oracle and positivity probe hit (``python3 perfbench/run.py
+--workload oracle --seed 1 --seconds 16 --trace 1`` reports
+``kernels.quad_table`` and ``kernels.kernel_table``).
 
 Exponent convention, shared with :mod:`pqk.gaussian`:
 
@@ -19,22 +20,10 @@ import numpy as np
 def kernel_table(P, R, s, logw, xs, ys):
     """Sample exp(E(x, y)) on the grid xs x ys.
 
-    xs: (nx, N) real, ys: (ny, N) real; returns (nx, ny) complex.
+    xs: (nx, N) real, ys: (ny, N) real; returns (nx, ny) complex.  This is
+    :func:`quad_table` at one zero midpoint with weight 1.
     """
-    qx = np.einsum("im,mn,in->i", xs, P, xs)
-    qy = np.einsum("jm,mn,jn->j", ys, np.conj(P), ys)
-    cross = np.einsum("im,mn,jn->ij", xs, R, ys)
-    lin_x = xs @ s
-    lin_y = ys @ np.conj(s)
-    expo = (
-        -0.5 * qx[:, None]
-        - 0.5 * qy[None, :]
-        + cross
-        + lin_x[:, None]
-        + lin_y[None, :]
-        + logw
-    )
-    return np.exp(expo)
+    return quad_table(P, R, s, logw, xs, ys, np.zeros((1, xs.shape[1])), 1.0)
 
 
 def quad_table(P, R, s, logw, xps, yps, uks, weight, chunk=256):
@@ -45,32 +34,39 @@ def quad_table(P, R, s, logw, xps, yps, uks, weight, chunk=256):
     evaluated at (u + x', u + y') and summed over u with the fixed
     ``weight`` (cell volume times the Lebesgue factor).  Returns (nx, ny)
     complex.  Each chunk of midpoints is capped at 2**20 // (nx * ny), so
-    an intermediate (chunk, nx, ny) array stays near 16 MiB on any grid.
+    the exponent buffer and the cross term, each (chunk, nx, ny), stay near
+    16 MiB on any grid; the x' R products add (chunk, nx, Np, Np).
+
+    The bits match the plain three-operand einsum form that
+    ``tests/test_kernels.py`` keeps as its reference: numpy's unoptimized
+    einsum accumulates (x'_m R_mn) y'_n with m outer and n inner, which is
+    also the memory order of the C-contiguous x' R products that the
+    two-operand contraction reads.  When ``yps is xps`` the y-side
+    quadratic and linear terms are the conjugated x-side ones, which on a
+    real grid equal the terms computed with conj(P) and conj(s).  The
+    exponent is summed left to right in one buffer, and the chunks, each
+    chunk's sum over midpoints and the running total are as in the
+    reference.
     """
     nx = xps.shape[0]
     ny = yps.shape[0]
-    nu = uks.shape[0]
     chunk = max(1, min(chunk, 2**20 // max(1, nx * ny)))
     out = np.zeros((nx, ny), dtype=np.complex128)
-    Pc = np.conj(P)
-    sc = np.conj(s)
-    for start in range(0, nu, chunk):
-        u = uks[start : start + chunk]
-        xp = u[:, None, :] + xps[None, :, :]  # (cu, nx, Np)
-        yp = u[:, None, :] + yps[None, :, :]  # (cu, ny, Np)
+    for start in range(0, uks.shape[0], chunk):
+        u = uks[start : start + chunk, None, :]
+        xp = u + xps  # (cu, nx, Np)
         qx = np.einsum("uim,mn,uin->ui", xp, P, xp)
-        qy = np.einsum("ujm,mn,ujn->uj", yp, Pc, yp)
-        cross = np.einsum("uim,mn,ujn->uij", xp, R, yp)
         lin_x = xp @ s
-        lin_y = yp @ sc
-        expo = (
-            -0.5 * qx[:, :, None]
-            - 0.5 * qy[:, None, :]
-            + cross
-            + lin_x[:, :, None]
-            + lin_y[:, None, :]
-            + logw
-        )
-        out += np.exp(expo).sum(axis=0)
+        if yps is xps:
+            yp, qy, lin_y = xp, qx.conj(), lin_x.conj()
+        else:
+            yp = u + yps  # (cu, ny, Np)
+            qy = np.einsum("ujm,mn,ujn->uj", yp, P.conj(), yp)
+            lin_y = yp @ s.conj()
+        expo = -0.5 * qx[:, :, None] - 0.5 * qy[:, None, :]
+        expo += np.einsum("uimn,ujn->uij", xp[..., :, None] * R, yp)
+        expo += lin_x[:, :, None]
+        expo += lin_y[:, None, :]
+        expo += logw
+        out += np.exp(expo, out=expo).sum(axis=0)
     return out * weight
-

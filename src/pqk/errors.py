@@ -53,6 +53,11 @@ class ExtentTooSmallError(PqkError):
     """The quadrature window misses a non-negligible tail mass."""
 
 
+class EmptyWindowError(PqkError):
+    """A state's closed form is 0 on the whole oracle evaluation window, so
+    no relative error can be formed."""
+
+
 class DocumentError(PqkError):
     """A system or state document is malformed; the message names the
     offending field."""

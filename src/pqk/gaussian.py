@@ -29,6 +29,7 @@ from . import _kernels
 from .errors import (
     DimensionMismatchError,
     DivergentError,
+    EmptyWindowError,
     ExtentTooSmallError,
     NotPositiveDefiniteError,
     OrderViolationError,
@@ -38,6 +39,7 @@ from .systems import OrderEdge, OrderWitness, SystemLabel, compose_witnesses
 from .systems import refines  # noqa: F401  kept for perfbench's tracer test
 
 _STRUCTURE_TOL = 1e-12
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 def _as_complex_matrix(m, n: int, name: str) -> np.ndarray:
@@ -76,13 +78,20 @@ class GaussianKernel:
         for name, a in (("P", P), ("R", R), ("s", s), ("logw", logw)):
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite")
-        scale = max(np.abs(P).max(), np.abs(R).max(), 1.0)
-        if np.abs(P - P.T).max() > _STRUCTURE_TOL * scale:
-            raise ValueError("P must be symmetric")
-        if np.abs(R - R.conj().T).max() > _STRUCTURE_TOL * scale:
-            raise ValueError("R must be Hermitian")
-        P = (P + P.T) / 2
-        R = (R + R.conj().T) / 2
+        # Finite entries above half the largest float can overflow in these
+        # sums; what overflows is refused below, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = max(np.abs(P).max(), np.abs(R).max(), 1.0)
+            if np.abs(P - P.T).max() > _STRUCTURE_TOL * scale:
+                raise ValueError("P must be symmetric")
+            if np.abs(R - R.conj().T).max() > _STRUCTURE_TOL * scale:
+                raise ValueError("R must be Hermitian")
+            P = (P + P.T) / 2
+            R = (R + R.conj().T) / 2
+        if scale > _HALF_MAX:
+            for name, a in (("P", P), ("R", R)):
+                if not np.isfinite(a).all():
+                    raise ValueError(f"{name} overflows when symmetrised")
         for a in (P, R, s):
             a.flags.writeable = False
         object.__setattr__(self, "P", P)
@@ -651,7 +660,8 @@ def oracle_report(
 
     The error is max |quad - closed| over the grid, relative to the largest
     closed-form magnitude, with the closed form kept unnormalized so both
-    sides compute the same integral.
+    sides compute the same integral.  A closed form that is 0 at every
+    evaluation point (a state far off the window) raises EmptyWindowError.
     """
     table = quadrature_partial_trace(
         state, fine, coarse, witness, grid_points, extent, eval_points, eval_extent
@@ -661,7 +671,10 @@ def oracle_report(
     closed = np.zeros_like(table.values)
     for wt, k in terms:
         closed += wt * k.sample(table.points, table.points)
-    err = float(np.abs(table.values - closed).max() / np.abs(closed).max())
+    scale = np.abs(closed).max()
+    if scale == 0.0:
+        raise EmptyWindowError("the state has no mass on the evaluation window")
+    err = float(np.abs(table.values - closed).max() / scale)
     return OracleReport(max_rel_error=err, quadrature=table, closed_form=closed)
 
 

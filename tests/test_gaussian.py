@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from pqk import (
     DimensionMismatchError,
     DivergentError,
+    EmptyWindowError,
     ExtentTooSmallError,
     GaussianKernel,
     GaussianMixtureState,
@@ -168,6 +170,27 @@ def test_kernel_rejects_non_finite_parameters(part, value):
 def test_kernel_rejects_non_finite_log_weight(value):
     with pytest.raises(ValueError, match="^logw must be finite$"):
         GaussianKernel(1, [[1.0]], [[0.0]], [0.0], value)
+
+
+@pytest.mark.parametrize(
+    "part, P, R",
+    [
+        ("P", [[1.7e308]], [[0.0]]),
+        ("P", [[1.0, 1e308], [1e308, 1.0]], np.zeros((2, 2))),
+        ("R", [[1.0]], [[-1.7e308]]),
+    ],
+)
+def test_kernel_refuses_parts_that_overflow_when_symmetrised(part, P, R):
+    n = len(P)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{part} overflows when symmetrised$"):
+            GaussianKernel(n, P, R, np.zeros(n), 0.0)
+
+
+def test_kernel_keeps_large_finite_parts_bit_for_bit():
+    k = GaussianKernel(1, [[8.9e307 + 1j]], [[-8.9e307]], [0.0], 0.0)
+    assert k.P[0, 0] == 8.9e307 + 1j and k.R[0, 0] == -8.9e307
 
 
 @pytest.mark.parametrize("weight", [0.0, -0.5, math.nan, math.inf])
@@ -889,6 +912,19 @@ def test_oracle_matches_on_mixture():
     fine, coarse, witness = generic_reduction([[1, 1]])
     report = oracle_report(st, fine, coarse, witness, grid_points=64, extent=8.0)
     assert report.max_rel_error <= 1e-4
+
+
+def test_oracle_names_a_state_with_no_mass_on_the_evaluation_window():
+    # Centred at 40, the state's closed form underflows to 0 at every point
+    # of the +-3 evaluation grid; the oracle must name that, not divide 0/0.
+    st = pure_state(np.eye(2), 40 * np.ones(2))
+    fine, coarse, witness = generic_reduction([[1, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            EmptyWindowError, match="^the state has no mass on the evaluation window$"
+        ):
+            oracle_report(st, fine, coarse, witness, grid_points=16, extent=120.0)
 
 
 def test_oracle_zero_dimensional_kernel():

@@ -173,6 +173,9 @@ def malformed_documents():
          r"state\.terms\[0\]\.R\[0\]"),
         ("state", edited(state, ("terms", 0, "P", 0, 0), [10**400, 0]),
          r"state\.terms\[0\]\.P\[0\]\[0\]"),
+        # Finite, but twice it is not: P overflows when symmetrised.
+        ("state", edited(state, ("terms", 0, "P", 0, 0), [1.7e308, 0]),
+         r"state\.terms\[0\]: P overflows"),
         ("state", edited(state, ("terms", 0, "s", 0), [float("nan"), 0]),
          r"state\.terms\[0\]\.s\[0\]"),
         ("state", edited(state, ("terms", 0, "R", 0, 1), [float("inf"), 0]),
@@ -340,6 +343,27 @@ def test_cli_oracle(tmp_path, capsys):
     )
     assert code == 0
     assert report["max_rel_error"] <= 1e-4
+
+
+def test_cli_oracle_names_a_state_off_the_evaluation_window(tmp_path):
+    # The state sits at 40 in every coordinate; its closed form underflows to
+    # 0 on the whole +-3 evaluation grid, so no relative error exists.
+    system = pio.system_to_document(random_system(1, 2, seed=0))
+    pio.dump_json(system, str(tmp_path / "sys.json"))
+    far = pure_state(np.eye(3), 40 * np.ones(3))
+    pio.dump_json(pio.state_to_document(far, "j(b0+b1)"), str(tmp_path / "far.json"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqk.cli", "oracle", "--system", "sys.json",
+         "--state", "far.json", "--from", "j(b0+b1)", "--to", "b1", "--grid",
+         "16", "--extent", "120"],
+        cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "error": "EmptyWindowError",
+        "detail": "the state has no mass on the evaluation window",
+    }
 
 
 def test_cli_join_then_verify(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import tracemalloc
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqk import _kernels
 
@@ -88,3 +90,99 @@ def test_quad_table_memory_stays_bounded_on_a_large_grid():
     assert peak <= 128 * 2**20
     b = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 0.5, chunk=1)
     assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+# The kernels as they were written before the exponent routine was shared:
+# three-operand einsums, y-side terms computed from their own grid, and the
+# exponent summed left to right into fresh arrays.  The current kernels must
+# reproduce them bit for bit.
+
+
+def reference_kernel_table(P, R, s, logw, xs, ys):
+    qx = np.einsum("im,mn,in->i", xs, P, xs)
+    qy = np.einsum("jm,mn,jn->j", ys, np.conj(P), ys)
+    cross = np.einsum("im,mn,jn->ij", xs, R, ys)
+    lin_x = xs @ s
+    lin_y = ys @ np.conj(s)
+    expo = (
+        -0.5 * qx[:, None]
+        - 0.5 * qy[None, :]
+        + cross
+        + lin_x[:, None]
+        + lin_y[None, :]
+        + logw
+    )
+    return np.exp(expo)
+
+
+def reference_quad_table(P, R, s, logw, xps, yps, uks, weight, chunk=256):
+    nx = xps.shape[0]
+    ny = yps.shape[0]
+    nu = uks.shape[0]
+    chunk = max(1, min(chunk, 2**20 // max(1, nx * ny)))
+    out = np.zeros((nx, ny), dtype=np.complex128)
+    Pc = np.conj(P)
+    sc = np.conj(s)
+    for start in range(0, nu, chunk):
+        u = uks[start : start + chunk]
+        xp = u[:, None, :] + xps[None, :, :]
+        yp = u[:, None, :] + yps[None, :, :]
+        qx = np.einsum("uim,mn,uin->ui", xp, P, xp)
+        qy = np.einsum("ujm,mn,ujn->uj", yp, Pc, yp)
+        cross = np.einsum("uim,mn,ujn->uij", xp, R, yp)
+        lin_x = xp @ s
+        lin_y = yp @ sc
+        expo = (
+            -0.5 * qx[:, :, None]
+            - 0.5 * qy[:, None, :]
+            + cross
+            + lin_x[:, :, None]
+            + lin_y[:, None, :]
+            + logw
+        )
+        out += np.exp(expo).sum(axis=0)
+    return out * weight
+
+
+def grid(rng, n, dim, zeros):
+    """n points in dim coordinates, a share ``zeros`` of them exactly 0."""
+    g = 2.0 * rng.normal(size=(n, dim))
+    g[rng.random(size=(n, dim)) < zeros] = 0.0
+    return g
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(float), b.view(float))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    nx=st.integers(1, 9),
+    ny=st.integers(1, 9),
+    nu=st.integers(0, 40),
+    chunk=st.sampled_from([1, 256]),
+    shared=st.booleans(),
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# nx * ny > 4096 caps each chunk below 256 midpoints, and 300 midpoints is no
+# multiple of the cap (202 for 72 x 72, 204 for 64 x 80).
+@example(dim=2, nx=72, ny=72, nu=300, chunk=256, shared=True, zeros=0.0, seed=1)
+@example(dim=3, nx=64, ny=80, nu=300, chunk=256, shared=False, zeros=0.3, seed=2)
+def test_kernels_reproduce_the_former_kernels_bit_for_bit(
+    dim, nx, ny, nu, chunk, shared, zeros, seed
+):
+    rng = np.random.default_rng(seed)
+    P, R, s, logw = random_kernel_params(rng, dim)
+    xps = grid(rng, nx, dim, zeros)
+    yps = xps if shared else grid(rng, ny, dim, zeros)
+    # nu = 0 stands for a zero-dimensional kernel: one zero midpoint, as
+    # quadrature_partial_trace samples it.
+    uks = grid(rng, nu, dim, zeros) if nu else np.zeros((1, dim))
+    a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 0.25, chunk=chunk)
+    b = reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25, chunk=chunk)
+    assert same_bits(a, b)
+    a = _kernels.kernel_table(P, R, s, logw, xps, yps)
+    b = reference_kernel_table(P, R, s, logw, xps, yps)
+    assert same_bits(a, b)
