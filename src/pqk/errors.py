@@ -54,8 +54,8 @@ class ExtentTooSmallError(PqkError):
 
 
 class EmptyWindowError(PqkError):
-    """A state's closed form is 0 on the whole oracle evaluation window, so
-    no relative error can be formed."""
+    """A state's closed form is 0, or subnormal, on the whole oracle
+    evaluation window, so no relative error can be formed."""
 
 
 class DocumentError(PqkError):

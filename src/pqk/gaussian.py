@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -661,7 +662,9 @@ def oracle_report(
     The error is max |quad - closed| over the grid, relative to the largest
     closed-form magnitude, with the closed form kept unnormalized so both
     sides compute the same integral.  A closed form that is 0 at every
-    evaluation point (a state far off the window) raises EmptyWindowError.
+    evaluation point (a state far off the window) raises EmptyWindowError,
+    and so does one that is subnormal at every point, whose few significant
+    bits leave the relative error meaningless.
     """
     table = quadrature_partial_trace(
         state, fine, coarse, witness, grid_points, extent, eval_points, eval_extent
@@ -674,6 +677,12 @@ def oracle_report(
     scale = np.abs(closed).max()
     if scale == 0.0:
         raise EmptyWindowError("the state has no mass on the evaluation window")
+    if scale < sys.float_info.min:
+        raise EmptyWindowError(
+            f"the closed form is subnormal on the whole evaluation window "
+            f"(largest magnitude {scale:.1e}), so its relative error has no "
+            f"precision"
+        )
     err = float(np.abs(table.values - closed).max() / scale)
     return OracleReport(max_rel_error=err, quadrature=table, closed_form=closed)
 

@@ -927,6 +927,39 @@ def test_oracle_names_a_state_with_no_mass_on_the_evaluation_window():
             oracle_report(st, fine, coarse, witness, grid_points=16, extent=120.0)
 
 
+@pytest.mark.parametrize(
+    "displacement, match",
+    [
+        (28.0, None),
+        (
+            30.0,
+            r"^the closed form is subnormal on the whole evaluation window "
+            r"\(largest magnitude 1\.4e-317\), so its relative error has no "
+            r"precision$",
+        ),
+        (30.5, "^the state has no mass on the evaluation window$"),
+    ],
+)
+def test_oracle_names_a_subnormal_closed_form(displacement, match):
+    # Off the +-3 window the closed form's largest value falls from 2.1e-272
+    # (d = 28, full precision) to the subnormal 1.4e-317 (d = 30), where the
+    # relative error read 3.5e-7 from a handful of significant bits, and to
+    # an exact 0 (d = 30.5).
+    st = pure_state(np.eye(2), displacement * np.ones(2))
+    fine, coarse, witness = generic_reduction([[1, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if match is None:
+            report = oracle_report(
+                st, fine, coarse, witness, grid_points=256, extent=60.0
+            )
+            assert np.abs(report.closed_form).max() >= sys.float_info.min
+            assert report.max_rel_error <= 1e-12
+        else:
+            with pytest.raises(EmptyWindowError, match=match):
+                oracle_report(st, fine, coarse, witness, grid_points=256, extent=60.0)
+
+
 def test_oracle_zero_dimensional_kernel():
     # a square invertible projection traces nothing out; the quadrature
     # degenerates to the weighted substitution and must match exactly.

@@ -366,6 +366,29 @@ def test_cli_oracle_names_a_state_off_the_evaluation_window(tmp_path):
     }
 
 
+def test_cli_oracle_names_a_subnormal_closed_form(tmp_path):
+    # At 16.5 in every coordinate the closed form's largest value on the +-3
+    # evaluation grid is the subnormal 3.1e-314: too few bits for a
+    # relative error, so the oracle names that in place of a verdict.
+    system = pio.system_to_document(random_system(1, 2, seed=0))
+    pio.dump_json(system, str(tmp_path / "sys.json"))
+    far = pure_state(np.eye(3), 16.5 * np.ones(3))
+    pio.dump_json(pio.state_to_document(far, "j(b0+b1)"), str(tmp_path / "far.json"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqk.cli", "oracle", "--system", "sys.json",
+         "--state", "far.json", "--from", "j(b0+b1)", "--to", "b1", "--grid",
+         "16", "--extent", "120"],
+        cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "error": "EmptyWindowError",
+        "detail": "the closed form is subnormal on the whole evaluation window "
+        "(largest magnitude 3.1e-314), so its relative error has no precision",
+    }
+
+
 def test_cli_join_then_verify(tmp_path, capsys):
     sys_path = str(tmp_path / "sys.json")
     run_cli(capsys, "dpg-demo", "--edges", "2", "--depth", "2", "--seed", "9",

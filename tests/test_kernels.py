@@ -1,6 +1,12 @@
+import contextlib
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -74,22 +80,28 @@ def test_numpy_chunking_is_seamless():
     assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
-def test_quad_table_memory_stays_bounded_on_a_large_grid():
+def test_quad_table_memory_stays_bounded_on_a_large_grid(monkeypatch):
     # 512 evaluation points per side, as a 3-dimensional target's 8**3 grid:
-    # a (chunk, 512, 512) complex intermediate is 4 MiB per midpoint.
+    # a (chunk, 512, 512) complex intermediate is 4 MiB per midpoint.  One
+    # chunk fills the per-call budget, so 7 CPUs still run one worker.
     rng = np.random.default_rng(3)
     P, R, s, logw = random_kernel_params(rng, 3)
     xps = rng.normal(size=(512, 3))
     uks = rng.normal(size=(24, 3))
-    tracemalloc.start()
-    try:
-        a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 128 * 2**20
     b = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 0.5, chunk=1)
-    assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    for cpus in (None, 7):
+        if cpus:
+            report_cpus(monkeypatch, cpus)
+        with counted_threads() as started:
+            tracemalloc.start()
+            try:
+                a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 0.5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 128 * 2**20
+        assert started == []
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 # The kernels as they were written before the exponent routine was shared:
@@ -186,3 +198,123 @@ def test_kernels_reproduce_the_former_kernels_bit_for_bit(
     a = _kernels.kernel_table(P, R, s, logw, xps, yps)
     b = reference_kernel_table(P, R, s, logw, xps, yps)
     assert same_bits(a, b)
+
+
+# Threaded chunk sums.  quad_table computes its chunk sums on as many
+# threads as the process has CPUs (within the per-call memory budget) and
+# adds them in chunk order, so the reported CPU count must change no bit.
+
+
+def report_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@contextlib.contextmanager
+def counted_threads():
+    """Record every thread started inside the block."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", counting_start)
+        yield started
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cpus=st.sampled_from([1, 2, 3, 7]),
+    chunks=st.integers(1, 40),
+    chunk=st.sampled_from([1, 256]),
+    last=st.integers(1, 256),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cpus=7, chunks=40, chunk=256, last=256, shared=False, seed=0)
+@example(cpus=3, chunks=1, chunk=256, last=100, shared=True, seed=1)
+def test_threaded_chunk_sums_keep_every_bit(cpus, chunks, chunk, last, shared, seed):
+    rng = np.random.default_rng(seed)
+    P, R, s, logw = random_kernel_params(rng, 2)
+    xps = grid(rng, 5, 2, 0.0)
+    yps = xps if shared else grid(rng, 4, 2, 0.0)
+    nu = (chunks - 1) * chunk + min(last, chunk)
+    uks = grid(rng, nu, 2, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        report_cpus(mp, cpus)
+        with counted_threads() as started:
+            a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 0.25, chunk=chunk)
+    b = reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25, chunk=chunk)
+    assert same_bits(a, b)
+    workers = min(cpus, chunks)
+    assert len(started) == (0 if workers == 1 else workers)
+    assert not any(t.is_alive() for t in started)
+
+
+def test_a_slow_first_chunk_is_still_added_first(monkeypatch):
+    # The first chunk's sum arrives after the others; the total must still
+    # add it first.
+    chunk_sums = _kernels._chunk_sums
+
+    def first_late(*args):
+        for start, part in zip(args[-1], chunk_sums(*args)):
+            if start == 0:
+                time.sleep(0.05)
+            yield part
+
+    monkeypatch.setattr(_kernels, "_chunk_sums", first_late)
+    report_cpus(monkeypatch, 3)
+    rng = np.random.default_rng(4)
+    P, R, s, logw = random_kernel_params(rng, 2)
+    xps = grid(rng, 6, 2, 0.0)
+    uks = grid(rng, 12, 2, 0.0)
+    a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=1)
+    b = reference_quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=1)
+    assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_workers_keep_the_callers_errstate(monkeypatch, cpus):
+    # numpy's errstate is a context variable; a worker that ran outside the
+    # caller's context would overflow silently, or warn, not raise.
+    report_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(5)
+    P, R, s, _ = random_kernel_params(rng, 2)
+    xps = np.zeros((3, 2))
+    uks = np.zeros((6, 2))
+    with counted_threads() as started:
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                _kernels.quad_table(P, R, s, 800.0, xps, xps, uks, 1.0, chunk=1)
+    assert len(started) == (0 if cpus == 1 else cpus)
+    assert not any(t.is_alive() for t in started)
+
+
+def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
+    # Seven workers on however many cores, switching threads every
+    # microsecond: every chunk sum must still arrive, once and in order.
+    report_cpus(monkeypatch, 7)
+    rng = np.random.default_rng(6)
+    P, R, s, logw = random_kernel_params(rng, 2)
+    xps = grid(rng, 4, 2, 0.0)
+    uks = grid(rng, 200, 2, 0.0)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(
+            target=lambda: results.extend(
+                _kernels.quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=1)
+                for _ in range(5)
+            )
+        )
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    b = reference_quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=1)
+    assert len(results) == 5
+    assert all(same_bits(a, b) for a in results)
