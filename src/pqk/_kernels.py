@@ -6,17 +6,29 @@ the quadrature oracle and positivity probe hit (``python3 perfbench/run.py
 --workload oracle --seed 1 --seconds 16 --trace 1`` reports
 ``kernels.quad_table`` and ``kernels.kernel_table``).
 
-``quad_table`` sums its midpoints in chunks and computes the chunk sums on
-``min(cpus, chunks, max(1, 2**20 // (chunk * nx * ny)))`` threads, where
-``cpus`` counts the CPUs the process may run on.  The last term keeps the chunks in
-flight within the one-chunk budget of 2**20 table elements per call, so a
-grid whose chunk already fills it (a 512 x 512 table) runs on one
-worker, in the calling thread, as does a single chunk.  More workers are
-threads started for the call and joined before it returns; each runs in a
-copy of the caller's context, so a caller's ``np.errstate`` holds in it,
-and its exception is raised by ``quad_table``.  The bits cannot move: each
-chunk's arithmetic is the same code on the same midpoints whichever thread
-runs it, and the calling thread adds the chunk sums in chunk order.
+``quad_table`` sums its midpoints in chunks. A call with fewer chunks than
+``cpus``, the CPUs the process may run on, also splits its table into
+``min(nx, ceil(cpus / chunks))`` blocks of evaluation rows (one block
+otherwise; a one-column table keeps two rows a block), and each (row block,
+chunk) pair is one task. The tasks run on
+``min(cpus, tasks, max(1, 2**20 // (chunk * block_rows * ny)))`` threads,
+``chunk`` being the largest chunk's midpoint count and ``block_rows`` the
+largest block's row count: the last term keeps the tasks in flight within
+the one-chunk budget of 2**20 table elements, so a 512 x 512 table, whose
+one chunk fills it, runs one worker unless it is split into row blocks. A
+call of fewer than ``_FLOOR`` = 2**16 exponent elements (midpoints x nx x
+ny) runs on the calling thread, which keeps the closed-form samples, the
+positivity probe and the 2->1 tables there. On a shared 2-vCPU machine, 2
+threads ran tables of 8 to 64 rows at 0.6-0.8x the speed of one in 7 of 8
+timings at 2**15 elements, and won 6 of 8 at 2**16 (0.90-1.39x) and 7 of 8
+at 2**17. One worker is the plain loop in the calling thread. More workers
+are threads started for the call and joined before it returns; each runs in
+a copy of the caller's context, so a caller's ``np.errstate`` holds in it,
+and its exception is raised by ``quad_table``. The bits cannot move: each
+block uses the whole table's chunk size and slices its x-side terms from
+the whole grid's (see :func:`_chunk_sums`), each task is the same code on
+the same midpoints whichever thread runs it, and the calling thread adds
+each block's chunk sums into its rows in chunk order.
 
 Exponent convention, shared with :mod:`pqk.gaussian`:
 
@@ -29,6 +41,10 @@ from __future__ import annotations
 import os
 
 import numpy as np
+
+# A call of fewer exponent elements (midpoints x nx x ny) than this runs on
+# the calling thread; see the module docstring for the measurement.
+_FLOOR = 2**16
 
 
 def kernel_table(P, R, s, logw, xs, ys):
@@ -51,23 +67,42 @@ def quad_table(P, R, s, logw, xps, yps, uks, weight, chunk=256):
     the exponent buffer and the cross term, each (chunk, nx, ny), stay near
     16 MiB on any grid; the x' R products add (chunk, nx, Np, Np).
 
-    The chunk sums are computed on up to one thread per CPU, within that
-    budget (see the module docstring), and the calling thread adds them in
-    chunk order, so the result does not depend on the number of CPUs.
+    A call of at least ``_FLOOR`` exponent elements with fewer chunks than
+    CPUs also splits the table into blocks of evaluation rows, and each
+    (row block, chunk) pair is one task; the tasks run on up to one thread
+    per CPU, within that budget (see the module docstring).  Every block
+    sums the whole table's chunks, and the calling thread adds each
+    block's chunk sums into its rows in chunk order, so the result does
+    not depend on the number of CPUs.
     """
     nx = xps.shape[0]
     ny = yps.shape[0]
-    cells = max(1, nx * ny)
-    chunk = max(1, min(chunk, 2**20 // cells))
-    starts = range(0, uks.shape[0], chunk)
-    workers = min(_cpus(), len(starts), max(1, 2**20 // (chunk * cells)))
+    nu = uks.shape[0]
+    chunk = max(1, min(chunk, 2**20 // max(1, nx * ny)))
+    starts = range(0, nu, chunk)
+    tasks = [(start, slice(None)) for start in starts]
+    workers = 1
+    if nu * nx * ny >= _FLOOR:
+        cpus = _cpus()
+        # A block of one row and one column would sum its midpoints as a 1-D
+        # array, which numpy sums pairwise: other bits.  So two rows at least.
+        most = nx if ny > 1 else max(1, nx // 2)
+        blocks = 1 if len(starts) >= cpus else min(most, -(-cpus // len(starts)))
+        budget = max(1, 2**20 // (min(chunk, nu) * -(-nx // blocks) * ny))
+        workers = min(cpus, len(starts) * blocks, budget)
+        if workers > 1:
+            tasks = [
+                (start, slice(nx * b // blocks, nx * (b + 1) // blocks))
+                for start in starts
+                for b in range(blocks)
+            ]
     args = (P, R, s, logw, xps, yps, uks, chunk)
     out = np.zeros((nx, ny), dtype=np.complex128)
     if workers == 1:
-        for part in _chunk_sums(*args, starts):
+        for part in _chunk_sums(*args, tasks):
             out += part
     else:
-        _add_in_threads(out, workers, args, starts)
+        _add_in_threads(out, workers, args, tasks)
     return out * weight
 
 
@@ -77,9 +112,9 @@ def _cpus():
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _chunk_sums(P, R, s, logw, xps, yps, uks, chunk, starts):
-    """Yield, for each chunk start, the (nx, ny) sum over that chunk's
-    midpoints of the source-kernel samples.
+def _chunk_sums(P, R, s, logw, xps, yps, uks, chunk, tasks):
+    """Yield, for each (chunk start, row slice) task, the (rows, ny) sum
+    over that chunk's midpoints of the source-kernel samples.
 
     The bits match the plain three-operand einsum form that
     ``tests/test_kernels.py`` keeps as its reference: numpy's unoptimized
@@ -90,8 +125,15 @@ def _chunk_sums(P, R, s, logw, xps, yps, uks, chunk, starts):
     real grid equal the terms computed with conj(P) and conj(s).  The
     exponent is summed left to right in one buffer, and each chunk's sum
     over midpoints is as in the reference.
+
+    A row block keeps those bits because its x-side quadratic and linear
+    terms are slices of the terms computed over the whole grid (a one-row
+    ``xp @ s`` takes another BLAS path and can differ in the last bit);
+    the cross term and the sum over midpoints of a row slice equal the
+    whole table's rows, unless the slice is one row of a one-column table
+    (see :func:`quad_table`).
     """
-    for start in starts:
+    for start, rows in tasks:
         u = uks[start : start + chunk, None, :]
         xp = u + xps  # (cu, nx, Np)
         qx = np.einsum("uim,mn,uin->ui", xp, P, xp)
@@ -102,6 +144,7 @@ def _chunk_sums(P, R, s, logw, xps, yps, uks, chunk, starts):
             yp = u + yps  # (cu, ny, Np)
             qy = np.einsum("ujm,mn,ujn->uj", yp, P.conj(), yp)
             lin_y = yp @ s.conj()
+        xp, qx, lin_x = xp[:, rows], qx[:, rows], lin_x[:, rows]
         expo = -0.5 * qx[:, :, None] - 0.5 * qy[:, None, :]
         expo += np.einsum("uimn,ujn->uij", xp[..., :, None] * R, yp)
         expo += lin_x[:, :, None]
@@ -110,14 +153,16 @@ def _chunk_sums(P, R, s, logw, xps, yps, uks, chunk, starts):
         yield np.exp(expo, out=expo).sum(axis=0)
 
 
-def _add_in_threads(out, workers, args, starts):
-    """Add the chunk sums to ``out`` in chunk order, computed on
-    ``workers`` threads started and joined within this call.
+def _add_in_threads(out, workers, args, tasks):
+    """Add each task's chunk sum to its rows of ``out``, in task order,
+    computed on ``workers`` threads started and joined within this call.
 
-    Worker w computes chunks w, w + workers, ... and hands each sum over a
-    queue of one slot, so no worker runs more than one chunk ahead of the
-    additions.  Each worker runs in a copy of the caller's context, which
-    carries numpy's ``errstate``; its exception is re-raised here.
+    Worker w computes tasks w, w + workers, ... and hands each sum over a
+    queue of one slot, so no worker runs more than one task ahead of the
+    additions.  Tasks are listed chunk by chunk, so each row block gets its
+    chunk sums in chunk order.  Each worker runs in a copy of the caller's
+    context, which carries numpy's ``errstate``; its exception is
+    re-raised here.
     """
     import contextvars
     import queue
@@ -139,14 +184,14 @@ def _add_in_threads(out, workers, args, starts):
     try:
         for w, slot in enumerate(slots):
             ctx = contextvars.copy_context()
-            t = threading.Thread(target=ctx.run, args=(work, slot, starts[w::workers]))
+            t = threading.Thread(target=ctx.run, args=(work, slot, tasks[w::workers]))
             t.start()
             threads.append(t)
-        for k in range(len(starts)):
+        for k, (_, rows) in enumerate(tasks):
             part = slots[k % workers].get()
             if isinstance(part, BaseException):
                 raise part
-            out += part
+            out[rows] += part
     finally:
         # A worker blocked on its full slot gets room, puts once more and
         # then sees the stop.

@@ -210,7 +210,7 @@ def cmd_join(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .gaussian import oracle_report
+    from .gaussian import MAX_MIDPOINTS, decomposition_for, oracle_report
 
     _require_flag(args.grid >= 16, "--grid", "must be at least 16")
     _require_flag(
@@ -223,14 +223,16 @@ def cmd_oracle(args) -> int:
     _require_label(system, args.src, "--from")
     _require_label(system, args.dest, "--to")
     label, state = _load_state(args.state, system, args.src)
+    fine, coarse = system.labels[args.src], system.labels[args.dest]
     witness = system.find_witness(args.src, args.dest)
+    d = decomposition_for(fine, coarse, witness).kernel_dim
+    _require_flag(
+        args.grid**d <= MAX_MIDPOINTS,
+        "--grid",
+        f"{args.grid}**{d} midpoints exceed {MAX_MIDPOINTS} on a {d}-dimensional kernel",
+    )
     report = oracle_report(
-        state,
-        system.labels[args.src],
-        system.labels[args.dest],
-        witness,
-        grid_points=args.grid,
-        extent=args.extent,
+        state, fine, coarse, witness, grid_points=args.grid, extent=args.extent
     )
     passed = report.max_rel_error <= args.tol
     _print(

@@ -172,15 +172,22 @@ def pure_state(A, b) -> GaussianMixtureState:
 
 
 def mix(states: Sequence[GaussianMixtureState], weights: Sequence[float]) -> GaussianMixtureState:
-    """Convex mixture of trace-1 states."""
+    """Convex mixture of trace-1 states; each weight must be positive and
+    finite, and so must their sum, which they are normalised by."""
     if len(states) != len(weights) or not states:
         raise DimensionMismatchError("one weight per state required")
     dim = states[0].dim
     if any(s.dim != dim for s in states):
         raise DimensionMismatchError("mixture components differ in dimension")
-    total = float(sum(weights))
+    weights = [float(wt) for wt in weights]
+    for i, wt in enumerate(weights):
+        if not 0 < wt < math.inf:
+            raise ValueError(f"mixture weight {i} ({wt}) is not positive and finite")
+    total = sum(weights)
+    if total == math.inf:
+        raise ValueError("mixture weights sum to inf; scale them down")
     terms = tuple(
-        (float(wt) / total * w, k)
+        (wt / total * w, k)
         for s, wt in zip(states, weights)
         for w, k in s.terms
     )
@@ -547,6 +554,12 @@ def chain_consistency(
 
 # --- quadrature oracle -------------------------------------------------------
 
+# The most midpoints, grid_points ** kernel_dim, that the oracle sums.  Its
+# midpoint arrays take 32 MiB per source coordinate: 228 MiB at most were
+# traced for a 5 -> 3 edge at the bound (grid 2048), where a grid of 100000
+# on that 2-dimensional kernel asks numpy for 74.5 GiB.
+MAX_MIDPOINTS = 2**22
+
 
 def _midpoint_axis(grid_points: int, extent: float) -> np.ndarray:
     h = 2.0 * extent / grid_points
@@ -605,14 +618,20 @@ def quadrature_partial_trace(
     on a uniform midpoint grid (``grid_points`` midpoints per kernel
     dimension over [-extent, extent], weighted by the Lebesgue factor) and
     samples the result on an ``eval_points``-per-axis (b', b) grid.  No
-    closed-form projection machinery is reused.
+    closed-form projection machinery is reused.  ``grid_points ** d``
+    midpoints, d the kernel dimension, may not exceed ``MAX_MIDPOINTS``.
     """
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
     kdec = decomposition_for(fine, coarse, witness)
+    d = kdec.kernel_dim
+    if int(grid_points) ** d > MAX_MIDPOINTS:
+        raise ValueError(
+            f"grid_points ** {d} = {int(grid_points) ** d} midpoints exceeds "
+            f"{MAX_MIDPOINTS}"
+        )
     kb, w, lf = kdec.floats
     n = kdec.projection.rows
-    d = kdec.kernel_dim
     corner_axis = np.array([-eval_extent, eval_extent])
     corners = _cartesian(corner_axis, n)
     for _, k in state.terms:

@@ -200,6 +200,33 @@ def test_state_rejects_weights_not_positive_and_finite(weight):
         GaussianMixtureState(1, ((0.5, k), (weight, k)))
 
 
+@pytest.mark.parametrize(
+    "weights, bad",
+    [
+        ([-1.0, -3.0], "0 (-1.0)"),  # all negative: normalising hid the sign
+        ([1.0, -1.0], "1 (-1.0)"),  # zero sum: a ZeroDivisionError before
+        ([0.5, 0.0], "1 (0.0)"),
+        ([math.nan, 1.0], "0 (nan)"),
+        ([1.0, math.inf], "1 (inf)"),
+        ([-math.inf, 1.0], "0 (-inf)"),
+    ],
+)
+def test_mix_refuses_weights_not_positive_and_finite(weights, bad):
+    rng = np.random.default_rng(4)
+    states = [random_pure(1, rng), random_pure(1, rng)]
+    with pytest.raises(ValueError, match=re.escape(f"mixture weight {bad} is not positive")):
+        mix(states, weights)
+
+
+def test_mix_refuses_weights_whose_sum_overflows():
+    # Each weight is finite, but normalising by an infinite sum would give
+    # every term weight 0.
+    rng = np.random.default_rng(4)
+    states = [random_pure(1, rng), random_pure(1, rng)]
+    with pytest.raises(ValueError, match="^mixture weights sum to inf; scale them down$"):
+        mix(states, [1e308, 1e308])
+
+
 # --- projection ---------------------------------------------------------------
 
 
@@ -904,6 +931,32 @@ def test_quadrature_rejects_tiny_grid():
     fine, coarse, witness = generic_reduction([[1, 0]])
     with pytest.raises(ValueError):
         quadrature_partial_trace(st, fine, coarse, witness, grid_points=8)
+
+
+@pytest.mark.parametrize(
+    "b_rows, grid, detail",
+    [
+        ([[1, 0]], 2**22 + 1, "grid_points ** 1 = 4194305 midpoints exceeds 4194304"),
+        ([[1, 0, 0]], 2049, "grid_points ** 2 = 4198401 midpoints exceeds 4194304"),
+        ([[1, 0, 0]], 100000, "grid_points ** 2 = 10000000000 midpoints exceeds 4194304"),
+    ],
+)
+def test_quadrature_refuses_more_midpoints_than_the_bound(b_rows, grid, detail):
+    st = pure_state(np.eye(len(b_rows[0])), np.zeros(len(b_rows[0])))
+    fine, coarse, witness = generic_reduction(b_rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+        quadrature_partial_trace(st, fine, coarse, witness, grid_points=grid)
+
+
+def test_quadrature_midpoint_bound_is_inclusive(monkeypatch):
+    # With the bound lowered to 16**2, a 16-point grid on a 2-dimensional
+    # kernel runs and a 17-point one is refused.
+    monkeypatch.setattr(gaussian, "MAX_MIDPOINTS", 256)
+    st = pure_state(np.eye(3), np.zeros(3))
+    fine, coarse, witness = generic_reduction([[1, 0, 0]])
+    quadrature_partial_trace(st, fine, coarse, witness, grid_points=16)
+    with pytest.raises(ValueError, match="^grid_points \\*\\* 2 = 289 midpoints exceeds 256$"):
+        quadrature_partial_trace(st, fine, coarse, witness, grid_points=17)
 
 
 def test_oracle_matches_on_mixture():

@@ -345,6 +345,49 @@ def test_cli_oracle(tmp_path, capsys):
     assert report["max_rel_error"] <= 1e-4
 
 
+@pytest.mark.parametrize("bound, grid", [(None, "2049"), (None, "100000"), (256, "17")])
+def test_cli_oracle_refuses_a_grid_over_the_midpoint_bound(tmp_path, capsys, monkeypatch, bound, grid):
+    # j(b0+b1) -> b0 of this system has a 2-dimensional kernel, so --grid
+    # 100000 asks for 10**10 midpoints (numpy would need 74.5 GiB): exit 2
+    # naming the flag.
+    from pqk import gaussian
+
+    if bound:
+        monkeypatch.setattr(gaussian, "MAX_MIDPOINTS", bound)
+    sys_path = str(tmp_path / "sys.json")
+    run_cli(capsys, "dpg-demo", "--edges", "3", "--depth", "2", "--seed", "7",
+            "--out", sys_path)
+    loaded = pio.document_to_system(pio.load_json(sys_path))
+    _, state_path = _write_state(tmp_path, loaded, "j(b0+b1)", seed=5, terms=1)
+    argv = ("oracle", "--system", sys_path, "--state", state_path,
+            "--from", "j(b0+b1)", "--to", "b0", "--extent", "6.0")
+    code, report = run_cli(capsys, *argv, "--grid", grid)
+    assert code == 2
+    assert report == {
+        "error": "DocumentError",
+        "detail": f"--grid: {grid}**2 midpoints exceed {bound or 2**22} on a "
+        "2-dimensional kernel",
+    }
+
+
+def test_cli_oracle_runs_a_grid_at_the_midpoint_bound(tmp_path, capsys, monkeypatch):
+    # The bound is inclusive: lowered to 16**2, --grid 16 on the
+    # 2-dimensional kernel of j(b0+b1) -> b0 (a 3 -> 1 edge) still runs.
+    from pqk import gaussian
+
+    monkeypatch.setattr(gaussian, "MAX_MIDPOINTS", 256)
+    sys_path = str(tmp_path / "sys.json")
+    run_cli(capsys, "dpg-demo", "--edges", "1", "--depth", "2", "--seed", "0",
+            "--out", sys_path)
+    loaded = pio.document_to_system(pio.load_json(sys_path))
+    _, state_path = _write_state(tmp_path, loaded, "j(b0+b1)", seed=5, terms=1)
+    code, report = run_cli(
+        capsys, "oracle", "--system", sys_path, "--state", state_path,
+        "--from", "j(b0+b1)", "--to", "b0", "--grid", "16", "--tol", "1",
+    )
+    assert code == 0 and report["grid"] == 16
+
+
 def test_cli_oracle_names_a_state_off_the_evaluation_window(tmp_path):
     # The state sits at 40 in every coordinate; its closed form underflows to
     # 0 on the whole +-3 evaluation grid, so no relative error exists.

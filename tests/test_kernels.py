@@ -83,15 +83,16 @@ def test_numpy_chunking_is_seamless():
 def test_quad_table_memory_stays_bounded_on_a_large_grid(monkeypatch):
     # 512 evaluation points per side, as a 3-dimensional target's 8**3 grid:
     # a (chunk, 512, 512) complex intermediate is 4 MiB per midpoint.  One
-    # chunk fills the per-call budget, so 7 CPUs still run one worker.
+    # chunk of 4 midpoints fills the per-call budget, so 2 CPUs run one
+    # worker on the 6 chunks; 7 CPUs split the table into 2 row blocks,
+    # whose tasks hold half the budget each, and run 2 workers.
     rng = np.random.default_rng(3)
     P, R, s, logw = random_kernel_params(rng, 3)
     xps = rng.normal(size=(512, 3))
     uks = rng.normal(size=(24, 3))
     b = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 0.5, chunk=1)
-    for cpus in (None, 7):
-        if cpus:
-            report_cpus(monkeypatch, cpus)
+    for cpus, threads in ((2, 0), (7, 2)):
+        report_cpus(monkeypatch, cpus)
         with counted_threads() as started:
             tracemalloc.start()
             try:
@@ -100,7 +101,8 @@ def test_quad_table_memory_stays_bounded_on_a_large_grid(monkeypatch):
             finally:
                 tracemalloc.stop()
         assert peak <= 128 * 2**20
-        assert started == []
+        assert len(started) == threads
+        assert not any(t.is_alive() for t in started)
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
@@ -205,6 +207,20 @@ def test_kernels_reproduce_the_former_kernels_bit_for_bit(
 # adds them in chunk order, so the reported CPU count must change no bit.
 
 
+def expected_workers(cpus, nx, ny, nu, chunk=256):
+    """The worker count of quad_table, restated: below the floor of exponent
+    elements one worker; else row blocks when there are fewer chunks than
+    CPUs, and one worker per CPU, per task and per share of the budget."""
+    if nu * nx * ny < _kernels._FLOOR:
+        return 1
+    chunk = min(chunk, 2**20 // (nx * ny))
+    chunks = -(-nu // chunk)
+    most = nx if ny > 1 else max(1, nx // 2)
+    blocks = 1 if chunks >= cpus else min(most, -(-cpus // chunks))
+    budget = max(1, 2**20 // (min(chunk, nu) * -(-nx // blocks) * ny))
+    return min(cpus, chunks * blocks, budget)
+
+
 def report_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
@@ -248,47 +264,170 @@ def test_threaded_chunk_sums_keep_every_bit(cpus, chunks, chunk, last, shared, s
             a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 0.25, chunk=chunk)
     b = reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25, chunk=chunk)
     assert same_bits(a, b)
-    workers = min(cpus, chunks)
+    workers = expected_workers(cpus, 5, yps.shape[0], nu, chunk)
     assert len(started) == (0 if workers == 1 else workers)
     assert not any(t.is_alive() for t in started)
 
 
-def test_a_slow_first_chunk_is_still_added_first(monkeypatch):
-    # The first chunk's sum arrives after the others; the total must still
-    # add it first.
-    chunk_sums = _kernels._chunk_sums
+# Row blocks.  A call with fewer chunks than CPUs splits its table into
+# blocks of evaluation rows; every block must use the whole table's chunk
+# size and slice its x-side terms from the whole grid's, or a bit moves.
 
-    def first_late(*args):
-        for start, part in zip(args[-1], chunk_sums(*args)):
-            if start == 0:
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cpus=st.sampled_from([1, 2, 3, 7]),
+    dim=st.integers(1, 3),
+    nx=st.integers(1, 70),
+    ny=st.integers(1, 70),
+    nu=st.integers(1, 400),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# The 3->2 oracle tables: 64 x 64, one chunk of 64 midpoints.
+@example(cpus=2, dim=3, nx=64, ny=64, nu=64, shared=True, seed=0)
+@example(cpus=7, dim=3, nx=64, ny=64, nu=256, shared=False, seed=1)
+# Two chunks of 213 midpoints (70 x 70 caps the chunk); a block of 35 or 18
+# rows on its own would take chunks of 256.
+@example(cpus=3, dim=2, nx=70, ny=70, nu=300, shared=True, seed=2)
+@example(cpus=7, dim=2, nx=70, ny=70, nu=300, shared=False, seed=3)
+# One-row blocks: 3 rows, two chunks, 7 CPUs.
+@example(cpus=7, dim=3, nx=3, ny=70, nu=320, shared=False, seed=4)
+@example(cpus=7, dim=1, nx=2, ny=70, nu=400, shared=False, seed=5)
+def test_row_blocks_keep_every_bit(cpus, dim, nx, ny, nu, shared, seed):
+    rng = np.random.default_rng(seed)
+    P, R, s, logw = random_kernel_params(rng, dim)
+    xps = grid(rng, nx, dim, 0.0)
+    yps = xps if shared else grid(rng, ny, dim, 0.0)
+    uks = grid(rng, nu, dim, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        report_cpus(mp, cpus)
+        with counted_threads() as started:
+            a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 0.25)
+    b = reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25)
+    assert same_bits(a, b)
+    workers = expected_workers(cpus, nx, yps.shape[0], nu)
+    assert len(started) == (0 if workers == 1 else workers)
+    assert not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize(
+    "cpus, nx, ny, nu, threads",
+    [
+        (2, 64, 64, 64, 2),  # a 3->2 table: one chunk, 2 row blocks
+        (3, 64, 64, 64, 3),
+        (7, 64, 64, 64, 7),  # 7 blocks of 9 or 10 rows
+        (7, 256, 256, 32, 4),  # 2 chunks of 16, 4 blocks; the budget holds 4
+        (7, 3, 70, 320, 6),  # two chunks of 3 one-row blocks
+        (7, 1, 70, 1000, 4),  # one row cannot split: one task per chunk
+        (3, 8, 8, 4096, 3),  # a 3->1 table: 16 chunks, no row blocks
+        (7, 8, 8, 1024, 7),  # 4 chunks of 2 row blocks
+        (7, 8, 8, 256, 0),  # a 2->1 table: 2**14 elements, under the floor
+        (7, 64, 64, 1, 0),  # a closed-form sample or the positivity probe
+        (7, 64, 64, 16, 7),  # exactly the floor: 2**16 elements
+        (7, 64, 64, 15, 0),  # just under it
+    ],
+)
+def test_thread_counts_follow_the_row_block_rule(cpus, nx, ny, nu, threads):
+    rng = np.random.default_rng(7)
+    P, R, s, logw = random_kernel_params(rng, 2)
+    xps = grid(rng, nx, 2, 0.0)
+    yps = grid(rng, ny, 2, 0.0)
+    uks = grid(rng, nu, 2, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        report_cpus(mp, cpus)
+        with counted_threads() as started:
+            a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 0.25)
+    assert len(started) == threads
+    assert not any(t.is_alive() for t in started)
+    b = reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25)
+    assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("nx, threads", [(7, 3), (2, 0), (3, 0)])
+def test_a_one_column_table_keeps_two_rows_a_block(monkeypatch, nx, threads):
+    # numpy sums a block of one row and one column as a 1-D array, pairwise,
+    # which moves the last bits; so such a table is split into blocks of two
+    # rows at least.  Only the floor keeps this from real calls below a few
+    # hundred CPUs, so the test lowers it.
+    monkeypatch.setattr(_kernels, "_FLOOR", 0)
+    report_cpus(monkeypatch, 7)
+    rng = np.random.default_rng(9)
+    P, R, s, logw = random_kernel_params(rng, 2)
+    xps = grid(rng, nx, 2, 0.0)
+    yps = grid(rng, 1, 2, 0.0)
+    uks = grid(rng, 200, 2, 0.0)
+    with counted_threads() as started:
+        a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 1.0)
+    b = reference_quad_table(P, R, s, logw, xps, yps, uks, 1.0)
+    assert same_bits(a, b)
+    assert len(started) == threads
+
+
+def first_late(chunk_sums):
+    """_chunk_sums, with the sum of its first task (chunk 0, first rows)
+    held back 50 ms."""
+
+    def late(*args):
+        for (start, rows), part in zip(args[-1], chunk_sums(*args)):
+            if start == 0 and rows.start in (None, 0):
                 time.sleep(0.05)
             yield part
 
-    monkeypatch.setattr(_kernels, "_chunk_sums", first_late)
+    return late
+
+
+def test_a_slow_first_chunk_is_still_added_first(monkeypatch):
+    # The first chunk's sum arrives after the others; the total must still
+    # add it first.  4 chunks of 16 midpoints on 3 CPUs: 3 workers.
+    monkeypatch.setattr(_kernels, "_chunk_sums", first_late(_kernels._chunk_sums))
     report_cpus(monkeypatch, 3)
     rng = np.random.default_rng(4)
     P, R, s, logw = random_kernel_params(rng, 2)
-    xps = grid(rng, 6, 2, 0.0)
-    uks = grid(rng, 12, 2, 0.0)
-    a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=1)
-    b = reference_quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=1)
+    xps = grid(rng, 64, 2, 0.0)
+    uks = grid(rng, 64, 2, 0.0)
+    with counted_threads() as started:
+        a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=16)
+    b = reference_quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=16)
     assert same_bits(a, b)
+    assert len(started) == 3
+
+
+def test_a_slow_first_block_still_lands_in_its_rows(monkeypatch):
+    # One chunk of 64 midpoints on 3 CPUs: 3 row blocks on 3 workers.  The
+    # first block's sum arrives after the others and must still land in
+    # the first rows.
+    monkeypatch.setattr(_kernels, "_chunk_sums", first_late(_kernels._chunk_sums))
+    report_cpus(monkeypatch, 3)
+    rng = np.random.default_rng(8)
+    P, R, s, logw = random_kernel_params(rng, 2)
+    xps = grid(rng, 64, 2, 0.0)
+    yps = grid(rng, 64, 2, 0.0)
+    uks = grid(rng, 64, 2, 0.0)
+    with counted_threads() as started:
+        a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 1.0)
+    b = reference_quad_table(P, R, s, logw, xps, yps, uks, 1.0)
+    assert same_bits(a, b)
+    assert len(started) == 3
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_workers_keep_the_callers_errstate(monkeypatch, cpus):
     # numpy's errstate is a context variable; a worker that ran outside the
-    # caller's context would overflow silently, or warn, not raise.
+    # caller's context would overflow silently, or warn, not raise.  Chunks
+    # of 1 make 16 chunk tasks; one chunk of 16 makes row-block tasks.
     report_cpus(monkeypatch, cpus)
     rng = np.random.default_rng(5)
     P, R, s, _ = random_kernel_params(rng, 2)
-    xps = np.zeros((3, 2))
-    uks = np.zeros((6, 2))
-    with counted_threads() as started:
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError):
-                _kernels.quad_table(P, R, s, 800.0, xps, xps, uks, 1.0, chunk=1)
-    assert len(started) == (0 if cpus == 1 else cpus)
+    xps = np.zeros((64, 2))
+    uks = np.zeros((16, 2))
+    for chunk in (1, 256):
+        with counted_threads() as started:
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError):
+                    _kernels.quad_table(P, R, s, 800.0, xps, xps, uks, 1.0, chunk=chunk)
+        assert len(started) == (0 if cpus == 1 else cpus)
+        assert not any(t.is_alive() for t in started)
     assert not any(t.is_alive() for t in started)
 
 
@@ -298,8 +437,8 @@ def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
     report_cpus(monkeypatch, 7)
     rng = np.random.default_rng(6)
     P, R, s, logw = random_kernel_params(rng, 2)
-    xps = grid(rng, 4, 2, 0.0)
-    uks = grid(rng, 200, 2, 0.0)
+    xps = grid(rng, 16, 2, 0.0)
+    uks = grid(rng, 256, 2, 0.0)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
