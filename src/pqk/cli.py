@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 
 from . import io
@@ -37,16 +36,16 @@ def _load_system(path: str) -> System:
     return io.document_to_system(io.load_json(path))
 
 
-def _load_state(path: str, system: System, expected_label: str | None):
+def _load_state(path: str, system: System, expected_label: str):
     doc = io.load_json(path)
     label = doc.get("label") if isinstance(doc, dict) else None
     if not isinstance(label, str) or label not in system.dlabels:
         raise DocumentError(f"state.label: unknown label {label!r}")
-    if expected_label is not None and label != expected_label:
+    if label != expected_label:
         raise DocumentError(
             f"state.label: state lives on {label!r}, expected {expected_label!r}"
         )
-    return io.document_to_state(doc, system.labels[label].dim)
+    return io.document_to_state(doc, system.labels[label].dim)[1]
 
 
 def _require_label(system: System, name: str, field: str) -> None:
@@ -104,7 +103,7 @@ def cmd_project(args) -> int:
     system = _load_system(args.system)
     _require_label(system, args.src, "--from")
     _require_label(system, args.dest, "--to")
-    label, state = _load_state(args.state, system, args.src)
+    state = _load_state(args.state, system, args.src)
     witness = system.find_witness(args.src, args.dest)
     projected = project_state(
         state, system.labels[args.src], system.labels[args.dest], witness
@@ -135,7 +134,7 @@ def cmd_consistency(args) -> int:
     top, mid, bot = chain
     for name in chain:
         _require_label(system, name, "--chain")
-    label, state = _load_state(args.state, system, top)
+    state = _load_state(args.state, system, top)
     report = chain_consistency(
         state,
         system.labels[top],
@@ -222,7 +221,7 @@ def cmd_oracle(args) -> int:
     system = _load_system(args.system)
     _require_label(system, args.src, "--from")
     _require_label(system, args.dest, "--to")
-    label, state = _load_state(args.state, system, args.src)
+    state = _load_state(args.state, system, args.src)
     fine, coarse = system.labels[args.src], system.labels[args.dest]
     witness = system.find_witness(args.src, args.dest)
     d = decomposition_for(fine, coarse, witness).kernel_dim
@@ -253,21 +252,14 @@ def cmd_oracle(args) -> int:
 def cmd_dpg_demo(args) -> int:
     for flag, value in (("--edges", args.edges), ("--depth", args.depth)):
         _require_flag(value >= 1, flag, "must be at least 1")
-    seed = args.seed
-    env_seed = os.environ.get("PQK_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise DocumentError(f"PQK_SEED: not an integer ({env_seed!r})") from exc
-    system = random_system(args.edges, args.depth, seed)
+    system = random_system(args.edges, args.depth, args.seed)
     io.dump_json(io.system_to_document(system), args.out)
     _print(
         {
             "command": "dpg-demo",
             "edges": args.edges,
             "depth": args.depth,
-            "seed": seed,
+            "seed": args.seed,
             "labels": sorted(system.dlabels),
             "out": args.out,
         }

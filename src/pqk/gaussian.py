@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -118,16 +118,12 @@ class GaussianKernel:
 class GaussianMixtureState:
     """A finite positive mixture of Gaussian kernels, normalized to trace 1.
 
-    ``provenance`` records how positivity was obtained: 'pure-projector'
-    for normalized projectors, 'projected' for images under
-    :func:`project_state` (which preserves positivity), 'mixed' for convex
-    combinations and loaded data.  ``trace_drift`` reports how far the
-    pre-normalization trace of a projection was from 1.
+    ``trace_drift`` reports how far the pre-normalization trace of a
+    projection was from 1.
     """
 
     dim: int
     terms: tuple[tuple[float, GaussianKernel], ...]
-    provenance: str = "mixed"
     trace_drift: float = 0.0
 
     def __post_init__(self):
@@ -168,7 +164,7 @@ def pure_state(A, b) -> GaussianMixtureState:
         raise NotPositiveDefiniteError("Re(A) must be positive definite")
     kernel = GaussianKernel(dim=n, P=A, R=np.zeros((n, n)), s=b, logw=0.0)
     kernel = replace(kernel, logw=-kernel.log_trace())
-    return GaussianMixtureState(n, ((1.0, kernel),), provenance="pure-projector")
+    return GaussianMixtureState(n, ((1.0, kernel),))
 
 
 def mix(states: Sequence[GaussianMixtureState], weights: Sequence[float]) -> GaussianMixtureState:
@@ -191,7 +187,7 @@ def mix(states: Sequence[GaussianMixtureState], weights: Sequence[float]) -> Gau
         for s, wt in zip(states, weights)
         for w, k in s.terms
     )
-    return GaussianMixtureState(dim, terms, provenance="mixed")
+    return GaussianMixtureState(dim, terms)
 
 
 def _log_traces(kernels: Sequence[GaussianKernel]) -> list[float]:
@@ -476,7 +472,6 @@ def project_with(
     projected = GaussianMixtureState(
         dim=kdec.projection.rows,
         terms=normalized,
-        provenance="projected",
         trace_drift=abs(pre_trace - 1.0),
     )
     object.__setattr__(kdec, "_projected", (state, projected))
@@ -518,8 +513,6 @@ def project_state(
 class ConsistencyReport:
     distance: float
     tol: float
-    direct: GaussianMixtureState = field(repr=False, compare=False)
-    two_step: GaussianMixtureState = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -547,9 +540,7 @@ def chain_consistency(
     two_step = project_state(
         project_state(state, top, mid, w_top_mid), mid, bottom, w_mid_bottom
     )
-    return ConsistencyReport(
-        distance=hs_distance(direct, two_step), tol=tol, direct=direct, two_step=two_step
-    )
+    return ConsistencyReport(distance=hs_distance(direct, two_step), tol=tol)
 
 
 # --- quadrature oracle -------------------------------------------------------
@@ -559,6 +550,10 @@ def chain_consistency(
 # traced for a 5 -> 3 edge at the bound (grid 2048), where a grid of 100000
 # on that 2-dimensional kernel asks numpy for 74.5 GiB.
 MAX_MIDPOINTS = 2**22
+
+# The oracle's (b', b) evaluation grid: _WINDOW_POINTS per axis on [-_WINDOW, _WINDOW]
+_WINDOW_POINTS = 8
+_WINDOW = 3.0
 
 
 def _midpoint_axis(grid_points: int, extent: float) -> np.ndarray:
@@ -609,20 +604,20 @@ def quadrature_partial_trace(
     witness: OrderWitness,
     grid_points: int = 64,
     extent: float = 8.0,
-    eval_points: int = 8,
-    eval_extent: float = 3.0,
 ) -> QuadratureTable:
     """Midpoint-rule partial trace, the independent check on the closed form.
 
     Integrates the source kernel directly over the kernel-basis directions
     on a uniform midpoint grid (``grid_points`` midpoints per kernel
     dimension over [-extent, extent], weighted by the Lebesgue factor) and
-    samples the result on an ``eval_points``-per-axis (b', b) grid.  No
+    samples the result on the fixed (b', b) evaluation window.  No
     closed-form projection machinery is reused.  ``grid_points ** d``
     midpoints, d the kernel dimension, may not exceed ``MAX_MIDPOINTS``.
     """
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
+    if not 0 < extent < math.inf:
+        raise ValueError("extent must be finite and > 0")
     kdec = decomposition_for(fine, coarse, witness)
     d = kdec.kernel_dim
     if int(grid_points) ** d > MAX_MIDPOINTS:
@@ -632,7 +627,7 @@ def quadrature_partial_trace(
         )
     kb, w, lf = kdec.floats
     n = kdec.projection.rows
-    corner_axis = np.array([-eval_extent, eval_extent])
+    corner_axis = np.array([-_WINDOW, _WINDOW])
     corners = _cartesian(corner_axis, n)
     for _, k in state.terms:
         tail = _tail_mass(k, kb, w, extent, corners)
@@ -640,7 +635,7 @@ def quadrature_partial_trace(
             raise ExtentTooSmallError(
                 f"estimated tail mass {tail:.3e} exceeds 1e-6; enlarge extent"
             )
-    axis = np.linspace(-eval_extent, eval_extent, eval_points)
+    axis = np.linspace(-_WINDOW, _WINDOW, _WINDOW_POINTS)
     points = _cartesian(axis, n)
     xps = points @ w.T
     if d > 0:
@@ -673,8 +668,6 @@ def oracle_report(
     witness: OrderWitness,
     grid_points: int = 64,
     extent: float = 8.0,
-    eval_points: int = 8,
-    eval_extent: float = 3.0,
 ) -> OracleReport:
     """Quadrature vs closed form, compared on the same evaluation grid.
 
@@ -685,9 +678,7 @@ def oracle_report(
     and so does one that is subnormal at every point, whose few significant
     bits leave the relative error meaningless.
     """
-    table = quadrature_partial_trace(
-        state, fine, coarse, witness, grid_points, extent, eval_points, eval_extent
-    )
+    table = quadrature_partial_trace(state, fine, coarse, witness, grid_points, extent)
     kdec = decomposition_for(fine, coarse, witness)
     terms, _ = _project_terms(state, kdec)
     closed = np.zeros_like(table.values)
@@ -709,34 +700,24 @@ def oracle_report(
 # --- grid positivity probe ---------------------------------------------------
 
 
-def kernel_matrix(
-    state: GaussianMixtureState,
-    points_per_axis: int | None = None,
-    extent: float = 8.0,
-) -> np.ndarray:
+def kernel_matrix(state: GaussianMixtureState) -> np.ndarray:
     """Midpoint discretization of the kernel as a Hermitian matrix.
 
+    The positivity probe's grid takes ``max(2, round(64 ** (1 / n)))``
+    midpoints per axis of [-8, 8], 64 points in all for n = 1, 2 and 3.
     Each entry carries the cell volume ``h**n``, with ``h`` the spacing of
-    the midpoint axis.  ``points_per_axis`` defaults to the largest count
-    keeping the total grid near 64 points, matching the documented
-    positivity probe.
+    the midpoint axis.
     """
     n = state.dim
-    if points_per_axis is None:
-        points_per_axis = max(2, round(64 ** (1.0 / n)))
-    axis = _midpoint_axis(points_per_axis, extent)
+    axis = _midpoint_axis(max(2, round(64 ** (1.0 / n))), 8.0)
     pts = _cartesian(axis, n)
-    h = float(axis[1] - axis[0]) if len(axis) > 1 else 2.0 * extent
+    h = float(axis[1] - axis[0])
     m = state.sample(pts, pts) * h**n
     return (m + m.conj().T) / 2
 
 
-def min_eigenvalue(
-    state: GaussianMixtureState,
-    points_per_axis: int | None = None,
-    extent: float = 8.0,
-) -> float:
-    m = kernel_matrix(state, points_per_axis, extent)
+def min_eigenvalue(state: GaussianMixtureState) -> float:
+    m = kernel_matrix(state)
     return float(np.linalg.eigvalsh(m).min())
 
 

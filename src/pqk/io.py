@@ -387,7 +387,7 @@ def document_to_state(doc: dict, dim: int) -> tuple[str, GaussianMixtureState]:
             raise DocumentError(f"{where}: {exc}") from exc
         terms.append((float(weight), kernel))
     try:
-        state = GaussianMixtureState(dim, tuple(terms), provenance="mixed")
+        state = GaussianMixtureState(dim, tuple(terms))
         total = trace(state)
     except (ValueError, PqkError) as exc:
         raise DocumentError(f"state.terms: {exc}") from exc

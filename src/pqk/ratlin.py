@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-Rat = Fraction
 Row = tuple[Fraction, ...]
 Mat = tuple[Row, ...]
 

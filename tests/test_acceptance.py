@@ -187,7 +187,7 @@ def test_criterion_4_trace_and_positivity(corpus):
         mixture = random_mixture(fine.dim, 2, rng)
         projected = project_state(mixture, fine, coarse, edge.witness)
         drifts.append(projected.trace_drift)
-        eigs.append(min_eigenvalue(projected, extent=8.0))
+        eigs.append(min_eigenvalue(projected))
         pure = random_pure(fine.dim, rng)
         reduced = project_state(pure, fine, coarse, edge.witness)
         pur_ok &= purity(reduced) <= purity(pure) + 1e-9

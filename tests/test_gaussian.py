@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import gc
+import itertools
 import math
 import re
 import subprocess
@@ -252,7 +253,6 @@ def test_project_product_state_returns_kept_factor():
                 ),
             ),
         ),
-        provenance="pure-projector",
     )
     fine, coarse, witness = generic_reduction([[0, 1]])
     projected = project_state(product, fine, coarse, witness)
@@ -282,7 +282,7 @@ def test_project_correlated_state_mixes():
     projected = project_state(st, fine, coarse, witness)
     p_closed = purity(projected)
     assert p_closed < 1.0 - 1e-6
-    m = kernel_matrix(projected, points_per_axis=64, extent=8.0)
+    m = kernel_matrix(projected)
     p_grid = float(np.sum(np.abs(m) ** 2))
     assert abs(p_closed - p_grid) <= 1e-6
     assert projected.trace_drift <= 1e-12
@@ -401,7 +401,6 @@ def naive_project_with(state, kdec):
     return GaussianMixtureState(
         dim=kdec.projection.rows,
         terms=tuple((wt / pre_trace, k) for wt, k in terms),
-        provenance="projected",
         trace_drift=abs(pre_trace - 1.0),
     )
 
@@ -409,7 +408,6 @@ def naive_project_with(state, kdec):
 def state_bits(state):
     return (
         state.dim,
-        state.provenance,
         state.trace_drift.hex(),
         [
             (w.hex(), k.P.tobytes(), k.R.tobytes(), k.s.tobytes(), k.logw.hex())
@@ -747,7 +745,7 @@ def test_identical_states_compare_without_the_expansion(dim, monkeypatch):
     for n_terms in (1, 3, 8):
         st = random_mixture(dim, n_terms, rng)
         copy = rebuilt(st)
-        assert copy is not st and state_bits(copy)[3] == state_bits(st)[3]
+        assert copy is not st and state_bits(copy)[2] == state_bits(st)[2]
         for other in (st, copy):
             want = naive_hs_distance(st, other)
             assert want == 0.0 and hs_distance(st, other).hex() == want.hex()
@@ -933,6 +931,29 @@ def test_quadrature_rejects_tiny_grid():
         quadrature_partial_trace(st, fine, coarse, witness, grid_points=8)
 
 
+@pytest.mark.parametrize("extent", [math.nan, math.inf, -math.inf, 0.0, -8.0])
+def test_quadrature_rejects_a_bad_extent(extent):
+    st = pure_state(np.eye(2), np.zeros(2))
+    fine, coarse, witness = generic_reduction([[1, 0]])
+    for check in (quadrature_partial_trace, oracle_report):
+        with pytest.raises(ValueError, match="^extent must be finite and > 0$"):
+            check(st, fine, coarse, witness, extent=extent)
+
+
+@pytest.mark.parametrize("b_rows", [[[1, 0]], [[1, 0, 0], [0, 1, 0]]])
+def test_quadrature_evaluates_eight_points_per_axis_on_the_window(b_rows):
+    # The (b', b) evaluation grid is fixed: 8 points per coarse axis on
+    # [-3, 3], so 8 points for a coarse dimension of 1 and 64 for 2.
+    n, dim = len(b_rows), len(b_rows[0])
+    st = pure_state(np.eye(dim), np.zeros(dim))
+    fine, coarse, witness = generic_reduction(b_rows)
+    table = quadrature_partial_trace(st, fine, coarse, witness, grid_points=16)
+    axis = np.linspace(-3.0, 3.0, 8)
+    want = np.array(list(itertools.product(axis, repeat=n)))
+    assert np.array_equal(table.points, want)
+    assert table.values.shape == (8**n, 8**n)
+
+
 @pytest.mark.parametrize(
     "b_rows, grid, detail",
     [
@@ -1068,7 +1089,19 @@ def test_grid_positivity_of_projected_states():
     fine, coarse, witness = generic_reduction([[1, 0, 1], [0, 1, 0]])
     st = random_mixture(3, 2, rng)
     projected = project_state(st, fine, coarse, witness)
-    assert min_eigenvalue(projected, extent=8.0) >= -1e-8
+    assert min_eigenvalue(projected) >= -1e-8
+
+
+@pytest.mark.parametrize("dim, per_axis", [(1, 64), (2, 8), (3, 4)])
+def test_probe_grid_has_64_midpoints_on_plus_minus_8(dim, per_axis):
+    st = random_mixture(dim, 2, np.random.default_rng(dim))
+    h = 16.0 / per_axis
+    axis = -8.0 + h * (np.arange(per_axis) + 0.5)
+    pts = np.array(list(itertools.product(axis, repeat=dim)))
+    m = kernel_matrix(st)
+    assert m.shape == (64, 64)
+    want = st.sample(pts, pts) * h**dim
+    assert np.allclose(m, (want + want.conj().T) / 2, rtol=1e-12, atol=0.0)
 
 
 # --- coherent families ----------------------------------------------------------

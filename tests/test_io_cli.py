@@ -466,13 +466,18 @@ def test_cli_label_without_edges_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "joined.json").exists()
 
 
-def test_cli_env_seed_overrides(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PQK_SEED", "123")
-    sys_path = str(tmp_path / "sys.json")
-    code, report = run_cli(
-        capsys, "dpg-demo", "--seed", "7", "--out", sys_path
-    )
-    assert code == 0 and report["seed"] == 123
+def test_cli_seed_comes_only_from_the_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PQK_SEED", raising=False)
+    written = []
+    for name in ("plain", "with_env"):
+        sys_path = tmp_path / f"{name}.json"
+        code, report = run_cli(
+            capsys, "dpg-demo", "--seed", "7", "--out", str(sys_path)
+        )
+        assert code == 0 and report["seed"] == 7
+        written.append(sys_path.read_bytes())
+        monkeypatch.setenv("PQK_SEED", "123")
+    assert written[0] == written[1]
 
 
 def test_cli_reports_are_deterministic(tmp_path, capsys):
