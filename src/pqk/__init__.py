@@ -25,7 +25,6 @@ from .errors import (
     OrderViolationError,
     PqkError,
     RankDeficientError,
-    WitnessInvalidError,
 )
 from .frames import (
     DofId,

@@ -45,7 +45,7 @@ def _load_state(path: str, system: System, expected_label: str):
         raise DocumentError(
             f"state.label: state lives on {label!r}, expected {expected_label!r}"
         )
-    return io.document_to_state(doc, system.labels[label].dim)[1]
+    return io.document_to_state(doc, system.labels[label].dim)
 
 
 def _require_label(system: System, name: str, field: str) -> None:
@@ -209,7 +209,7 @@ def cmd_join(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .gaussian import MAX_MIDPOINTS, decomposition_for, oracle_report
+    from .gaussian import check_kernel_points, decomposition_for, oracle_report
 
     _require_flag(args.grid >= 16, "--grid", "must be at least 16")
     _require_flag(
@@ -224,12 +224,11 @@ def cmd_oracle(args) -> int:
     state = _load_state(args.state, system, args.src)
     fine, coarse = system.labels[args.src], system.labels[args.dest]
     witness = system.find_witness(args.src, args.dest)
-    d = decomposition_for(fine, coarse, witness).kernel_dim
-    _require_flag(
-        args.grid**d <= MAX_MIDPOINTS,
-        "--grid",
-        f"{args.grid}**{d} midpoints exceed {MAX_MIDPOINTS} on a {d}-dimensional kernel",
-    )
+    kdec = decomposition_for(fine, coarse, witness)
+    try:
+        check_kernel_points(args.grid, kdec)
+    except ValueError as exc:
+        raise DocumentError(f"--grid: {exc}") from exc
     report = oracle_report(
         state, fine, coarse, witness, grid_points=args.grid, extent=args.extent
     )

@@ -19,7 +19,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import ratlin
-from .errors import DimensionMismatchError, PqkError
+from .errors import DimensionMismatchError, OrderViolationError, PqkError
 from .frames import DofId, ReducedFrame
 from .ratlin import Fraction
 from .systems import (
@@ -255,7 +255,6 @@ class GraphDecomposition:
     factors: Mapping[EdgeWord, tuple[tuple[EdgeWord, Sign], ...]] = field(
         default_factory=dict
     )
-    failed_edge: EdgeWord | None = None
     reason: str = ""
 
     def __bool__(self) -> bool:
@@ -281,9 +280,7 @@ def decompose_edges(fine: Graph, coarse: Graph) -> GraphDecomposition:
             a, s = letters[k]
             f = owner.get(a)
             if f is None:
-                return GraphDecomposition(
-                    False, failed_edge=e, reason=f"atom {a!r} not covered"
-                )
+                return GraphDecomposition(False, reason=f"atom {a!r} not covered")
             m = len(f.letters)
             if letters[k : k + m] == f.letters:
                 parts.append((f, 1))
@@ -291,9 +288,7 @@ def decompose_edges(fine: Graph, coarse: Graph) -> GraphDecomposition:
                 parts.append((f, -1))
             else:
                 return GraphDecomposition(
-                    False,
-                    failed_edge=e,
-                    reason=f"word does not factor through {dof_id(f)!r} at {a!r}",
+                    False, reason=f"word does not factor through {dof_id(f)!r} at {a!r}"
                 )
             k += m
         factors[e] = tuple(parts)
@@ -503,7 +498,10 @@ class System:
 
     def find_witness(self, upper: str, lower: str) -> OrderWitness:
         """The declared witness for ``upper >= lower``, else a composed one."""
-        return close_witnesses(self.order, upper, lower)[lower]
+        closure = close_witnesses(self.order, upper)
+        if lower not in closure:
+            raise OrderViolationError(f"no witnessed relation {upper} >= {lower}")
+        return closure[lower]
 
     def chains(self) -> tuple[tuple[str, str, str], ...]:
         """All witnessed triples top >= mid >= bottom."""

@@ -29,10 +29,6 @@ class MissingActionError(PqkError):
     """A momentum operator has no declared action on a required d.o.f."""
 
 
-class WitnessInvalidError(PqkError):
-    """An order witness failed verification."""
-
-
 class NotResolvableError(PqkError):
     """The d.o.f. pool cannot separate the given operators."""
 
@@ -46,7 +42,8 @@ class DivergentError(PqkError):
 
 
 class OrderViolationError(PqkError):
-    """A state projection was requested along a non-witnessed relation."""
+    """A projection was requested along a relation that has no witness, or
+    whose witness fails verification."""
 
 
 class ExtentTooSmallError(PqkError):

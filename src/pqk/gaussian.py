@@ -33,7 +33,6 @@ from .errors import (
     EmptyWindowError,
     ExtentTooSmallError,
     NotPositiveDefiniteError,
-    OrderViolationError,
 )
 from .frames import KernelDecomposition
 from .systems import OrderEdge, OrderWitness, SystemLabel, compose_witnesses
@@ -100,13 +99,6 @@ class GaussianKernel:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "logw", logw)
 
-    def diagonal_form(self) -> np.ndarray:
-        """Real symmetric matrix C with rho(x, x) = exp(-x^T C x + ...)."""
-        return self.P.real - self.R.real
-
-    def log_trace(self) -> float:
-        return _log_traces((self,))[0]
-
     def sample(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Kernel values on a grid; xs (nx, dim), ys (ny, dim)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
@@ -163,7 +155,7 @@ def pure_state(A, b) -> GaussianMixtureState:
     if not _is_pd(A.real):
         raise NotPositiveDefiniteError("Re(A) must be positive definite")
     kernel = GaussianKernel(dim=n, P=A, R=np.zeros((n, n)), s=b, logw=0.0)
-    kernel = replace(kernel, logw=-kernel.log_trace())
+    kernel = replace(kernel, logw=-_log_traces((kernel,))[0])
     return GaussianMixtureState(n, ((1.0, kernel),))
 
 
@@ -191,9 +183,10 @@ def mix(states: Sequence[GaussianMixtureState], weights: Sequence[float]) -> Gau
 
 
 def _log_traces(kernels: Sequence[GaussianKernel]) -> list[float]:
-    """Closed-form log traces of kernels of one dimension: one stacked
-    Cholesky check, slogdet and solve, then each sum taken as a scalar."""
-    c = np.stack([k.diagonal_form() for k in kernels])
+    """Closed-form log traces of kernels of one dimension, from each C with
+    rho(x, x) = exp(-x^T C x + ...): one stacked Cholesky check, slogdet and
+    solve, then each sum taken as a scalar."""
+    c = np.stack([k.P.real - k.R.real for k in kernels])
     if not _is_pd(c):
         raise DivergentError("kernel diagonal form is not positive definite")
     u = 2.0 * np.stack([k.s for k in kernels]).real
@@ -410,9 +403,9 @@ def _u_forms(P, R, s, kb: np.ndarray, w: np.ndarray):
 
 def _project_terms(
     state: GaussianMixtureState, kdec: KernelDecomposition
-) -> tuple[tuple[tuple[float, GaussianKernel], ...], float]:
+) -> GaussianMixtureState:
     """Integrate every term over the kernel-basis directions in closed form;
-    returns (unnormalized terms, pre-normalization trace).
+    returns the unnormalized projected state.
 
     With x' = Kb u + W x and y' = Kb u + W y (one shared kernel variable u:
     the trace is taken on the diagonal of the reduced factor), the exponent
@@ -450,7 +443,7 @@ def _project_terms(
         (wt, GaussianKernel(dim=n, P=p, R=r, s=v[:, 0], logw=float(lg)))
         for (wt, _), p, r, v, lg in zip(state.terms, P0, R0, s0, logw)
     )
-    return terms, trace(GaussianMixtureState(n, terms))
+    return GaussianMixtureState(n, terms)
 
 
 def project_with(
@@ -467,11 +460,11 @@ def project_with(
     kept = kdec.__dict__.get("_projected")
     if kept is not None and kept[0] is state:
         return kept[1]
-    terms, pre_trace = _project_terms(state, kdec)
-    normalized = tuple((wt / pre_trace, k) for wt, k in terms)
+    unnormalized = _project_terms(state, kdec)
+    pre_trace = trace(unnormalized)
     projected = GaussianMixtureState(
         dim=kdec.projection.rows,
-        terms=normalized,
+        terms=tuple((wt / pre_trace, k) for wt, k in unnormalized.terms),
         trace_drift=abs(pre_trace - 1.0),
     )
     object.__setattr__(kdec, "_projected", (state, projected))
@@ -481,12 +474,9 @@ def project_with(
 def decomposition_for(
     fine: SystemLabel, coarse: SystemLabel, witness: OrderWitness
 ) -> KernelDecomposition:
-    """Kernel decomposition of the witnessed projection fine -> coarse,
-    verified and built once per witness and label pair."""
-    plan = witness.plan(fine, coarse)
-    if not plan.check:
-        raise OrderViolationError(f"relation not witnessed: {plan.check.diagnostic}")
-    return plan.decomposition
+    """Kernel decomposition of the witnessed projection fine -> coarse, built
+    once per witness and label pair (:class:`OrderViolationError` if unverified)."""
+    return witness.plan(fine, coarse).decomposition
 
 
 def project_state(
@@ -545,11 +535,10 @@ def chain_consistency(
 
 # --- quadrature oracle -------------------------------------------------------
 
-# The most midpoints, grid_points ** kernel_dim, that the oracle sums.  Its
-# midpoint arrays take 32 MiB per source coordinate: 228 MiB at most were
-# traced for a 5 -> 3 edge at the bound (grid 2048), where a grid of 100000
-# on that 2-dimensional kernel asks numpy for 74.5 GiB.
-MAX_MIDPOINTS = 2**22
+# The most kernel points, midpoints times (b', b) evaluation pairs, that one
+# oracle call sums: 2**22 midpoints (32 MiB per source coordinate) on a 1-D
+# target's 64 pairs.  At the bound, a 5 -> 3 edge (grid 32) ran 38 s on 2 CPUs.
+MAX_KERNEL_POINTS = 2**28
 
 # The oracle's (b', b) evaluation grid: _WINDOW_POINTS per axis on [-_WINDOW, _WINDOW]
 _WINDOW_POINTS = 8
@@ -579,8 +568,6 @@ class QuadratureTable:
 def _tail_mass(
     k: GaussianKernel, kb: np.ndarray, w: np.ndarray, extent: float, corners: np.ndarray
 ) -> float:
-    if kb.shape[1] == 0:
-        return 0.0
     a_u, lx, l0 = _u_forms(k.P, k.R, k.s, kb, w)
     sigma = np.sqrt(np.diag(np.linalg.inv(a_u)))
     worst = 0.0
@@ -597,6 +584,18 @@ def _tail_mass(
     return worst
 
 
+def check_kernel_points(grid_points: int, kdec: KernelDecomposition) -> None:
+    """Refuse an oracle grid of more than ``MAX_KERNEL_POINTS`` kernel points:
+    ``grid_points ** d`` midpoints, d the kernel dimension, times the
+    ``(8 ** n) ** 2`` evaluation pairs of an n-dimensional target."""
+    d, pairs = kdec.kernel_dim, _WINDOW_POINTS ** (2 * kdec.projection.rows)
+    if int(grid_points) ** d * pairs > MAX_KERNEL_POINTS:
+        raise ValueError(
+            f"{grid_points}**{d} midpoints x {pairs} evaluation pairs exceed "
+            f"{MAX_KERNEL_POINTS} kernel points"
+        )
+
+
 def quadrature_partial_trace(
     state: GaussianMixtureState,
     fine: SystemLabel,
@@ -611,20 +610,16 @@ def quadrature_partial_trace(
     on a uniform midpoint grid (``grid_points`` midpoints per kernel
     dimension over [-extent, extent], weighted by the Lebesgue factor) and
     samples the result on the fixed (b', b) evaluation window.  No
-    closed-form projection machinery is reused.  ``grid_points ** d``
-    midpoints, d the kernel dimension, may not exceed ``MAX_MIDPOINTS``.
+    closed-form projection machinery is reused.  The grid is bounded by
+    :func:`check_kernel_points`.
     """
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
     if not 0 < extent < math.inf:
         raise ValueError("extent must be finite and > 0")
     kdec = decomposition_for(fine, coarse, witness)
+    check_kernel_points(grid_points, kdec)
     d = kdec.kernel_dim
-    if int(grid_points) ** d > MAX_MIDPOINTS:
-        raise ValueError(
-            f"grid_points ** {d} = {int(grid_points) ** d} midpoints exceeds "
-            f"{MAX_MIDPOINTS}"
-        )
     kb, w, lf = kdec.floats
     n = kdec.projection.rows
     corner_axis = np.array([-_WINDOW, _WINDOW])
@@ -638,14 +633,9 @@ def quadrature_partial_trace(
     axis = np.linspace(-_WINDOW, _WINDOW, _WINDOW_POINTS)
     points = _cartesian(axis, n)
     xps = points @ w.T
-    if d > 0:
-        h = 2.0 * extent / grid_points
-        us = _cartesian(_midpoint_axis(grid_points, extent), d)
-        uks = us @ kb.T
-        weight = lf * h**d
-    else:
-        uks = np.zeros((1, w.shape[0]))
-        weight = lf
+    # At d = 0 the one midpoint is the empty point and h**0 is 1.
+    uks = _cartesian(_midpoint_axis(grid_points, extent), d) @ kb.T
+    weight = lf * (2.0 * extent / grid_points) ** d
     values = np.zeros((len(points), len(points)), dtype=np.complex128)
     for wt, k in state.terms:
         values += wt * _kernels.quad_table(
@@ -680,10 +670,7 @@ def oracle_report(
     """
     table = quadrature_partial_trace(state, fine, coarse, witness, grid_points, extent)
     kdec = decomposition_for(fine, coarse, witness)
-    terms, _ = _project_terms(state, kdec)
-    closed = np.zeros_like(table.values)
-    for wt, k in terms:
-        closed += wt * k.sample(table.points, table.points)
+    closed = _project_terms(state, kdec).sample(table.points, table.points)
     scale = np.abs(closed).max()
     if scale == 0.0:
         raise EmptyWindowError("the state has no mass on the evaluation window")
@@ -703,13 +690,16 @@ def oracle_report(
 def kernel_matrix(state: GaussianMixtureState) -> np.ndarray:
     """Midpoint discretization of the kernel as a Hermitian matrix.
 
-    The positivity probe's grid takes ``max(2, round(64 ** (1 / n)))``
-    midpoints per axis of [-8, 8], 64 points in all for n = 1, 2 and 3.
-    Each entry carries the cell volume ``h**n``, with ``h`` the spacing of
-    the midpoint axis.
+    The positivity probe's grid takes ``round(64 ** (1 / n))`` midpoints
+    per axis of [-8, 8], 64 points in all for n = 1, 2 and 3 and 81 for
+    n = 4.  From n = 5 that rule leaves 2 midpoints, +-4, per axis and 2**n
+    points, so it is refused.  Each entry carries the cell volume ``h**n``,
+    with ``h`` the spacing of the midpoint axis.
     """
     n = state.dim
-    axis = _midpoint_axis(max(2, round(64 ** (1.0 / n))), 8.0)
+    if n > 4:
+        raise ValueError(f"the positivity probe takes dimensions 1 to 4, got {n}")
+    axis = _midpoint_axis(round(64 ** (1.0 / n)), 8.0)
     pts = _cartesian(axis, n)
     h = float(axis[1] - axis[0])
     m = state.sample(pts, pts) * h**n

@@ -357,11 +357,11 @@ def state_to_document(state: GaussianMixtureState, label: str) -> dict:
     }
 
 
-def document_to_state(doc: dict, dim: int) -> tuple[str, GaussianMixtureState]:
+def document_to_state(doc: dict, dim: int) -> GaussianMixtureState:
     # The Gaussian layer, and numpy with it, loads with the first state.
     from .gaussian import GaussianKernel, GaussianMixtureState, trace
 
-    label = _expect(doc, "label", str, "state")
+    _expect(doc, "label", str, "state")
     terms = []
     for i, entry in enumerate(_expect(doc, "terms", list, "state")):
         where = f"state.terms[{i}]"
@@ -393,7 +393,7 @@ def document_to_state(doc: dict, dim: int) -> tuple[str, GaussianMixtureState]:
         raise DocumentError(f"state.terms: {exc}") from exc
     if abs(total - 1.0) > 1e-10:
         raise DocumentError(f"state.terms: trace is {total!r}, expected 1")
-    return label, state
+    return state
 
 
 # --- almost-periodic vectors --------------------------------------------------

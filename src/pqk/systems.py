@@ -24,7 +24,6 @@ from .errors import (
     NotResolvableError,
     OrderViolationError,
     PqkError,
-    WitnessInvalidError,
 )
 from .frames import DofId, KernelDecomposition, ProjectionMatrix, ReducedFrame
 from .frames import build_projection, kernel_decomposition
@@ -138,17 +137,14 @@ def compose_witnesses(outer: OrderWitness, inner: OrderWitness) -> OrderWitness:
     )
 
 
-def close_witnesses(
-    order: Iterable[OrderEdge], top: str, target: str | None = None
-) -> dict[str, OrderWitness]:
+def close_witnesses(order: Iterable[OrderEdge], top: str) -> dict[str, OrderWitness]:
     """Witnesses for ``top >= x`` for every label ``x`` the order reaches.
 
     Breadth first over ``order`` in its given order: a direct edge's witness
     is returned as stored, and every other reached label is composed once,
     along the first shortest path found.  Frame coordinates are unique, so
     verified witnesses compose path-independently and that choice does not
-    change the result.  With a ``target`` the search stops once it is
-    reached, and raises :class:`OrderViolationError` when it is not.
+    change the result.
     """
     successors: dict[str, list[OrderEdge]] = {}
     for edge in order:
@@ -164,11 +160,7 @@ def close_witnesses(
                 if current == top
                 else compose_witnesses(reached[current], edge.witness)
             )
-            if edge.lower == target:
-                return reached
             queue.append(edge.lower)
-    if target is not None:
-        raise OrderViolationError(f"no witnessed relation {top} >= {target}")
     return reached
 
 
@@ -321,7 +313,7 @@ class EdgePlan:
     @cached_property
     def projection(self) -> ProjectionMatrix:
         if not self.check:
-            raise WitnessInvalidError(self.check.diagnostic)
+            raise OrderViolationError(f"relation not witnessed: {self.check.diagnostic}")
         coarse, fine = self.coarse.frame, self.fine.frame
         rows = ratlin.from_sparse((self.combos[d] for d in coarse.dofs), fine.dofs)
         return build_projection(coarse, fine, dict(zip(coarse.dofs, rows)))
@@ -339,7 +331,7 @@ def projection_from_witness(
     fine: SystemLabel, coarse: SystemLabel, witness: OrderWitness
 ) -> ProjectionMatrix:
     """The coarse<-fine projection of the witness's combinations, built once
-    per witness and label pair; :class:`WitnessInvalidError` if unverified."""
+    per witness and label pair; :class:`OrderViolationError` if unverified."""
     return witness.plan(fine, coarse).projection
 
 

@@ -200,7 +200,7 @@ def test_decompose_disjoint_supports_refused():
     coarse = Graph((word("b"),))
     dec = decompose_edges(fine, coarse)
     assert not dec.accepted
-    assert dec.failed_edge == coarse.edges[0]
+    assert dec.reason == "atom 'b' not covered"
 
 
 def test_decompose_witness_matches_refines(deep_system):

@@ -38,7 +38,7 @@ from pqk import (
     quadrature_partial_trace,
     trace,
 )
-from pqk import OrderViolationError, RankDeficientError, WitnessInvalidError
+from pqk import OrderViolationError, RankDeficientError
 from pqk import gaussian, ratlin, systems
 from pqk import io as pio
 from pqk.dpg import random_system
@@ -957,27 +957,51 @@ def test_quadrature_evaluates_eight_points_per_axis_on_the_window(b_rows):
 @pytest.mark.parametrize(
     "b_rows, grid, detail",
     [
-        ([[1, 0]], 2**22 + 1, "grid_points ** 1 = 4194305 midpoints exceeds 4194304"),
-        ([[1, 0, 0]], 2049, "grid_points ** 2 = 4198401 midpoints exceeds 4194304"),
-        ([[1, 0, 0]], 100000, "grid_points ** 2 = 10000000000 midpoints exceeds 4194304"),
+        ([[1, 0]], 2**22 + 1, "4194305**1 midpoints x 64 evaluation pairs"),
+        ([[1, 0, 0]], 2049, "2049**2 midpoints x 64 evaluation pairs"),
+        ([[1, 0, 0]], 100000, "100000**2 midpoints x 64 evaluation pairs"),
+        # A 2-dimensional target has 64**2 evaluation pairs, so 2**16 + 1
+        # midpoints are too many, where a 1-dimensional one takes 2**22.
+        ([[1, 0, 0], [0, 1, 0]], 2**16 + 1, "65537**1 midpoints x 4096 evaluation pairs"),
     ],
+    ids=["2->1", "3->1", "3->1-large", "3->2"],
 )
-def test_quadrature_refuses_more_midpoints_than_the_bound(b_rows, grid, detail):
+def test_quadrature_refuses_more_kernel_points_than_the_bound(b_rows, grid, detail):
     st = pure_state(np.eye(len(b_rows[0])), np.zeros(len(b_rows[0])))
     fine, coarse, witness = generic_reduction(b_rows)
-    with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+    full = f"^{re.escape(detail)} exceed 268435456 kernel points$"
+    with pytest.raises(ValueError, match=full):
         quadrature_partial_trace(st, fine, coarse, witness, grid_points=grid)
 
 
 def test_quadrature_midpoint_bound_is_inclusive(monkeypatch):
-    # With the bound lowered to 16**2, a 16-point grid on a 2-dimensional
-    # kernel runs and a 17-point one is refused.
-    monkeypatch.setattr(gaussian, "MAX_MIDPOINTS", 256)
+    # With the bound lowered to 16**2 midpoints x 64 evaluation pairs, a
+    # 16-point grid on a 2-dimensional kernel runs and a 17-point one is
+    # refused.
+    monkeypatch.setattr(gaussian, "MAX_KERNEL_POINTS", 256 * 64)
     st = pure_state(np.eye(3), np.zeros(3))
     fine, coarse, witness = generic_reduction([[1, 0, 0]])
     quadrature_partial_trace(st, fine, coarse, witness, grid_points=16)
-    with pytest.raises(ValueError, match="^grid_points \\*\\* 2 = 289 midpoints exceeds 256$"):
+    detail = "^17\\*\\*2 midpoints x 64 evaluation pairs exceed 16384 kernel points$"
+    with pytest.raises(ValueError, match=detail):
         quadrature_partial_trace(st, fine, coarse, witness, grid_points=17)
+
+
+@pytest.mark.parametrize("generated", [True, False])
+def test_quadrature_at_kernel_dimension_0_matches_the_closed_form(generated):
+    # A square projection traces nothing out: the one midpoint is the empty
+    # point, weighted by the Lebesgue factor alone, so the quadrature is the
+    # closed form sampled on the same grid.
+    if generated:
+        rs = random_system(2, 2, 7)
+        fine, coarse = rs.labels["b0t"], rs.labels["b0"]
+        witness = rs.find_witness("b0t", "b0")
+    else:
+        fine, coarse, witness = generic_reduction([[1, 0], [0, 1]])
+    assert decomposition_for(fine, coarse, witness).kernel_dim == 0
+    st = random_mixture(fine.dim, 2, np.random.default_rng(31))
+    report = oracle_report(st, fine, coarse, witness, grid_points=16)
+    assert report.max_rel_error <= 1e-14
 
 
 def test_oracle_matches_on_mixture():
@@ -1104,6 +1128,20 @@ def test_probe_grid_has_64_midpoints_on_plus_minus_8(dim, per_axis):
     assert np.allclose(m, (want + want.conj().T) / 2, rtol=1e-12, atol=0.0)
 
 
+def test_probe_takes_dimensions_up_to_4(monkeypatch):
+    # Dimension 4 takes 3 midpoints per axis; from dimension 5 the rule
+    # would leave 2 per axis and 2**n points, a 2**20-point matrix at 20.
+    # Those are refused before any grid is built.
+    assert kernel_matrix(pure_state(np.eye(4), np.zeros(4))).shape == (81, 81)
+    monkeypatch.setattr(gaussian, "_cartesian", None)
+    for n in (5, 20):
+        st = pure_state(np.eye(n), np.zeros(n))
+        detail = f"^the positivity probe takes dimensions 1 to 4, got {n}$"
+        for probe in (kernel_matrix, min_eigenvalue):
+            with pytest.raises(ValueError, match=detail):
+                probe(st)
+
+
 # --- coherent families ----------------------------------------------------------
 
 
@@ -1221,17 +1259,19 @@ def test_each_order_edge_is_refined_once(monkeypatch):
 
 
 def test_failing_witness_raises_on_every_call():
+    # Every entry point names an unverified edge with one error and one text.
     fine, coarse, witness = generic_reduction([[1, 1, 0]])
     bad = OrderWitness(
         {"y0": {"x0": Fraction(1)}}, witness.op_membership, witness.dof_values
     )
     st = random_mixture(3, 1, np.random.default_rng(24))
+    detail = f"^relation not witnessed: {re.escape(bad.plan(fine, coarse).check.diagnostic)}$"
     for _ in range(2):
-        with pytest.raises(OrderViolationError, match="not witnessed"):
+        with pytest.raises(OrderViolationError, match=detail):
             project_state(st, fine, coarse, bad)
-        with pytest.raises(WitnessInvalidError):
+        with pytest.raises(OrderViolationError, match=detail):
             embedding_matrix(fine, coarse, bad)
-        with pytest.raises(WitnessInvalidError):
+        with pytest.raises(OrderViolationError, match=detail):
             projection_from_witness(fine, coarse, bad)
     assert not bad.plan(fine, coarse).check
     # Verifies, but the projection is rank deficient: the build raises anew.

@@ -45,8 +45,7 @@ def test_system_document_round_trip(system_doc, tmp_path):
 def test_state_document_round_trip(tmp_path):
     st = random_mixture(2, 3, np.random.default_rng(1))
     doc = pio.state_to_document(st, "L")
-    label, back = pio.document_to_state(doc, 2)
-    assert label == "L"
+    back = pio.document_to_state(doc, 2)
     assert hs_distance(st, back) <= 1e-12
     assert pio.state_to_document(back, "L") == doc
 
@@ -345,15 +344,19 @@ def test_cli_oracle(tmp_path, capsys):
     assert report["max_rel_error"] <= 1e-4
 
 
-@pytest.mark.parametrize("bound, grid", [(None, "2049"), (None, "100000"), (256, "17")])
+@pytest.mark.parametrize(
+    "bound, grid", [(None, "2048"), (None, "2049"), (None, "100000"), (256, "17")]
+)
 def test_cli_oracle_refuses_a_grid_over_the_midpoint_bound(tmp_path, capsys, monkeypatch, bound, grid):
-    # j(b0+b1) -> b0 of this system has a 2-dimensional kernel, so --grid
-    # 100000 asks for 10**10 midpoints (numpy would need 74.5 GiB): exit 2
-    # naming the flag.
+    # j(b0+b1) -> b0 of this system is a 5 -> 3 edge: a 2-dimensional kernel
+    # and 8**6 evaluation pairs, so --grid 2048 asks for 2**40 kernel points
+    # (hours of work) and --grid 100000 for 10**10 midpoints (numpy would
+    # need 74.5 GiB): exit 2 naming the flag.  ``bound`` counts midpoints.
     from pqk import gaussian
 
+    limit = bound * 8**6 if bound else 2**28
     if bound:
-        monkeypatch.setattr(gaussian, "MAX_MIDPOINTS", bound)
+        monkeypatch.setattr(gaussian, "MAX_KERNEL_POINTS", limit)
     sys_path = str(tmp_path / "sys.json")
     run_cli(capsys, "dpg-demo", "--edges", "3", "--depth", "2", "--seed", "7",
             "--out", sys_path)
@@ -365,17 +368,18 @@ def test_cli_oracle_refuses_a_grid_over_the_midpoint_bound(tmp_path, capsys, mon
     assert code == 2
     assert report == {
         "error": "DocumentError",
-        "detail": f"--grid: {grid}**2 midpoints exceed {bound or 2**22} on a "
-        "2-dimensional kernel",
+        "detail": f"--grid: {grid}**2 midpoints x 262144 evaluation pairs exceed "
+        f"{limit} kernel points",
     }
 
 
 def test_cli_oracle_runs_a_grid_at_the_midpoint_bound(tmp_path, capsys, monkeypatch):
-    # The bound is inclusive: lowered to 16**2, --grid 16 on the
-    # 2-dimensional kernel of j(b0+b1) -> b0 (a 3 -> 1 edge) still runs.
+    # The bound is inclusive: lowered to 16**2 midpoints x 64 evaluation
+    # pairs, --grid 16 on the 2-dimensional kernel of j(b0+b1) -> b0 (a
+    # 3 -> 1 edge) still runs.
     from pqk import gaussian
 
-    monkeypatch.setattr(gaussian, "MAX_MIDPOINTS", 256)
+    monkeypatch.setattr(gaussian, "MAX_KERNEL_POINTS", 256 * 64)
     sys_path = str(tmp_path / "sys.json")
     run_cli(capsys, "dpg-demo", "--edges", "1", "--depth", "2", "--seed", "0",
             "--out", sys_path)

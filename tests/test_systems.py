@@ -24,7 +24,7 @@ from pqk import (
     select_independent_dofs,
 )
 from pqk import ratlin, systems
-from pqk.dpg import random_system
+from pqk.dpg import System, random_system
 from pqk.io import default_probes
 from pqk.systems import Probes, SpanProbe, projection_from_witness
 
@@ -444,18 +444,25 @@ def test_close_witnesses_direct_composed_and_target(deep_system):
     assert refines(rs.labels["c2"], rs.labels["b0"], composed)
 
 
-def test_close_witnesses_stops_at_target_and_skips_top():
-    w = OrderWitness({}, {})
+def test_find_witness_reads_the_closure_and_skips_top():
+    def w(coarse, fine, c):
+        return OrderWitness({coarse: {fine: c}}, {})
+
     order = (
-        OrderEdge("x", "y", w),
-        OrderEdge("y", "x", w),
-        OrderEdge("y", "z", w),
-        OrderEdge("z", "u", w),
+        OrderEdge("x", "y", w("dy", "dx", 2)),
+        OrderEdge("y", "x", w("dx", "dy", 1)),
+        OrderEdge("y", "z", w("dz", "dy", 3)),
+        OrderEdge("z", "u", w("du", "dz", 5)),
     )
     assert list(close_witnesses(order, "x")) == ["y", "z", "u"]
-    assert list(close_witnesses(order, "x", "z")) == ["y", "z"]
-    with pytest.raises(OrderViolationError):
-        close_witnesses(order, "z", "x")
+    system = System(atoms={}, words={}, dlabels={}, order=order)
+    assert system.find_witness("x", "y") is order[0].witness
+    assert system.find_witness("x", "u").combos == {"du": {"dx": Fraction(30)}}
+    for upper, lower in (("z", "x"), ("x", "x")):
+        with pytest.raises(
+            OrderViolationError, match=f"^no witnessed relation {upper} >= {lower}$"
+        ):
+            system.find_witness(upper, lower)
 
 
 A2_REPRO = """
