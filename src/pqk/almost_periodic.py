@@ -83,16 +83,10 @@ class APVector:
     amplitudes: tuple[tuple[Frequency, QC], ...]
 
     def __post_init__(self):
-        items = (
-            self.amplitudes.items()
-            if isinstance(self.amplitudes, Mapping)
-            else self.amplitudes
-        )
         merged: dict[Frequency, QC] = {}
-        for freq, amp in items:
+        for freq, amp in self.amplitudes:
             if freq.frame != self.frame:
                 raise FrameMismatchError("frequency frame differs from vector frame")
-            amp = QC.of(amp)
             merged[freq] = merged.get(freq, QC()) + amp
         pruned = tuple(
             sorted(

@@ -304,11 +304,24 @@ def combos_from_decomposition(
 ) -> dict[DofId, dict[DofId, Fraction]]:
     """Linear-combination coefficients implied by an edge factorization."""
     if not dec.accepted:
-        raise PqkError("cannot derive combinations from a refusal")
+        raise PqkError(f"cannot derive combinations from a refusal: {dec.reason}")
     return {
         dof_id(e): ratlin.combine((s, {dof_id(f): _ONE}) for f, s in parts)
         for e, parts in dec.factors.items()
     }
+
+
+def _graph_witness(
+    fine: Graph, coarse: Graph, membership: Mapping[str, Mapping[str, Fraction]]
+) -> OrderWitness:
+    """The witness of a graph refinement: each coarse edge over the fine
+    edges it factors through, evaluated on both graphs' words.  A pair that
+    does not refine raises :class:`PqkError` with the decomposition's reason."""
+    return OrderWitness(
+        combos=combos_from_decomposition(decompose_edges(fine, coarse)),
+        op_membership=membership,
+        dof_values=word_values((*coarse.edges, *fine.edges)),
+    )
 
 
 def graph_join(a: Graph, b: Graph) -> Graph:
@@ -445,11 +458,6 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
     label = DpgLabel(id=name, graph=new_graph, faces=lead_faces + tail_faces)
 
     def witness_for(part: DpgLabel) -> OrderWitness:
-        dec = decompose_edges(new_graph, part.graph)
-        if not dec.accepted:
-            raise PqkError(
-                f"join lost refinement of {part.id!r}: {dec.reason}"
-            )
         # Every part face lies in the basis faces' span, so (see the lead
         # faces) its lead-face coordinates are its incidences with lead edges.
         membership = {}
@@ -458,11 +466,7 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
             membership[f.id] = {
                 lead.id: v for lead, v in zip(lead_faces, over_lead) if v != 0
             }
-        return OrderWitness(
-            combos=combos_from_decomposition(dec),
-            op_membership=membership,
-            dof_values=word_values((*part.graph.edges, *new_graph.edges)),
-        )
+        return _graph_witness(new_graph, part.graph, membership)
 
     return JoinResult(
         label=label,
@@ -631,20 +635,13 @@ def random_system(n_edges: int, depth: int, seed: int) -> System:
         b0 = dlabels["b0"]
         flipped = Graph((b0.graph.edges[0].inverse(), *b0.graph.edges[1:]))
         dlabels["b0t"] = DpgLabel(id="b0t", graph=flipped, faces=b0.faces)
-        values = word_values((*b0.graph.edges, *flipped.edges))
+        same_faces = {f.id: {f.id: _ONE} for f in b0.faces}
         for upper, lower, fine, coarse in (
             ("b0t", "b0", flipped, b0.graph),
             ("b0", "b0t", b0.graph, flipped),
         ):
-            flip = OrderWitness(
-                combos={
-                    dof_id(e): {dof_id(f): Fraction(-1 if k == 0 else 1)}
-                    for k, (e, f) in enumerate(zip(coarse.edges, fine.edges))
-                },
-                op_membership={f.id: {f.id: Fraction(1)} for f in b0.faces},
-                dof_values=values,
-            )
-            direct.append(OrderEdge(upper, lower, flip))
+            witness = _graph_witness(fine, coarse, same_faces)
+            direct.append(OrderEdge(upper, lower, witness))
 
     def add_join(a: str, b: str, name: str) -> None:
         res = system_join(dlabels[a], dlabels[b], name)

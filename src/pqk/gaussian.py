@@ -35,7 +35,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .frames import KernelDecomposition
-from .systems import OrderEdge, OrderWitness, SystemLabel, compose_witnesses
+from .systems import OrderEdge, OrderWitness, SystemLabel
 from .systems import refines  # noqa: F401  kept for perfbench's tracer test
 
 _STRUCTURE_TOL = 1e-12
@@ -412,6 +412,8 @@ def _project_terms(
     is quadratic in u and the u-integral is Gaussian with a real positive
     definite form, so no branch tracking is needed.  The matrix steps run
     once over the stack of terms; each log weight is summed as a scalar.
+    A kernel of dimension 0 takes the same steps on empty forms, whose
+    corrections are exact zeros.
     """
     kb, w, lf = kdec.floats
     if w.shape[0] != state.dim:
@@ -420,23 +422,19 @@ def _project_terms(
         )
     n, d = w.shape[1], kb.shape[1]
     P, R, s = _term_arrays(state)
-    P0 = w.T @ P @ w
-    R0 = w.T @ R @ w
-    s0 = w.T @ s[..., None]
-    logw = [k.logw + math.log(lf) for _, k in state.terms]
-    if d:
-        a_u, lx, l0 = _u_forms(P, R, s, kb, w)
-        lxT = lx.swapaxes(-1, -2)
-        j = np.linalg.inv(a_u)
-        j = (j + j.swapaxes(-1, -2)) / 2
-        _, logdet = np.linalg.slogdet(a_u)
-        logw = [
-            lw + 0.5 * d * math.log(2 * math.pi) - 0.5 * ld + 0.5 * float(l @ jt @ l)
-            for lw, ld, l, jt in zip(logw, logdet, l0, j)
-        ]
-        P0 = P0 - lxT @ j @ lx
-        R0 = R0 + lxT @ j @ np.conj(lx)
-        s0 = s0 + lxT @ (j @ l0[..., None])
+    a_u, lx, l0 = _u_forms(P, R, s, kb, w)
+    lxT = lx.swapaxes(-1, -2)
+    j = np.linalg.inv(a_u)
+    j = (j + j.swapaxes(-1, -2)) / 2
+    _, logdet = np.linalg.slogdet(a_u)
+    logw = [
+        k.logw + math.log(lf) + 0.5 * d * math.log(2 * math.pi) - 0.5 * ld
+        + 0.5 * float(l @ jt @ l)
+        for (_, k), ld, l, jt in zip(state.terms, logdet, l0, j)
+    ]
+    P0 = w.T @ P @ w - lxT @ j @ lx
+    R0 = w.T @ R @ w + lxT @ j @ np.conj(lx)
+    s0 = w.T @ s[..., None] + lxT @ (j @ l0[..., None])
     P0 = (P0 + P0.swapaxes(-1, -2)) / 2
     R0 = (R0 + R0.conj().swapaxes(-1, -2)) / 2
     terms = tuple(
@@ -492,10 +490,6 @@ def project_state(
     noise (reported as ``trace_drift`` after renormalization); positivity is
     preserved, and for pure inputs purity never increases.
     """
-    if state.dim != fine.dim:
-        raise DimensionMismatchError(
-            f"state dimension {state.dim} != fine system dimension {fine.dim}"
-        )
     return project_with(state, decomposition_for(fine, coarse, witness))
 
 
@@ -516,7 +510,7 @@ def chain_consistency(
     bottom: SystemLabel,
     w_top_mid: OrderWitness,
     w_mid_bottom: OrderWitness,
-    w_top_bottom: OrderWitness | None = None,
+    w_top_bottom: OrderWitness,
     tol: float = 1e-9,
 ) -> ConsistencyReport:
     """Compare projecting top->bottom directly against top->mid->bottom.
@@ -524,8 +518,6 @@ def chain_consistency(
     The two compositions agree identically for exact kernels; the reported
     HS distance measures floating-point residue only.
     """
-    if w_top_bottom is None:
-        w_top_bottom = compose_witnesses(w_top_mid, w_mid_bottom)
     direct = project_state(state, top, bottom, w_top_bottom)
     two_step = project_state(
         project_state(state, top, mid, w_top_mid), mid, bottom, w_mid_bottom

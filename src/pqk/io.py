@@ -89,6 +89,21 @@ def _expect_items(doc, key: str, kind: type, where: str) -> list:
     return items
 
 
+def _declared(registry, key: str, where: str, kind: str):
+    """The entry ``registry`` declares for ``key``, else a :class:`DocumentError`
+    at ``where``: only declared ids are named."""
+    if key not in registry:
+        raise DocumentError(f"{where}: unknown {kind} {key!r}")
+    return registry[key]
+
+
+def _fresh(registry, key: str, where: str, kind: str) -> str:
+    """``key``, unless ``registry`` already declares it: an id is declared once."""
+    if key in registry:
+        raise DocumentError(f"{where}: duplicate {kind} {key!r}")
+    return key
+
+
 def _expect_frame(doc, key: str, where: str) -> ReducedFrame:
     try:
         return ReducedFrame(tuple(_expect_items(doc, key, str, where)))
@@ -157,9 +172,7 @@ def document_to_system(doc: dict) -> System:
     atoms: dict[str, AtomicEdge] = {}
     for i, entry in enumerate(_expect(doc, "atomic_edges", list, "document")):
         where = f"atomic_edges[{i}]"
-        aid = _expect(entry, "id", str, where)
-        if aid in atoms:
-            raise DocumentError(f"{where}.id: duplicate atom {aid!r}")
+        aid = _fresh(atoms, _expect(entry, "id", str, where), f"{where}.id", "atom")
         try:
             atoms[aid] = AtomicEdge(
                 aid,
@@ -173,9 +186,7 @@ def document_to_system(doc: dict) -> System:
     words: dict[str, EdgeWord] = {}
     for i, entry in enumerate(_expect(doc, "edges", list, "document")):
         where = f"edges[{i}]"
-        eid = _expect(entry, "id", str, where)
-        if eid in words:
-            raise DocumentError(f"{where}.id: duplicate edge {eid!r}")
+        eid = _fresh(words, _expect(entry, "id", str, where), f"{where}.id", "edge")
         letters = []
         for j, letter in enumerate(_expect(entry, "letters", list, where)):
             lw = f"{where}.letters[{j}]"
@@ -194,15 +205,12 @@ def document_to_system(doc: dict) -> System:
     faces: dict[str, Face] = {}
     for i, entry in enumerate(_expect(doc, "faces", list, "document")):
         where = f"faces[{i}]"
-        fid = _expect(entry, "id", str, where)
-        if fid in faces:
-            raise DocumentError(f"{where}.id: duplicate face {fid!r}")
+        fid = _fresh(faces, _expect(entry, "id", str, where), f"{where}.id", "face")
         incidence = []
         for j, item in enumerate(_expect(entry, "incidence", list, where)):
             iw = f"{where}.incidence[{j}]"
             atom = _expect(item, "atom", str, iw)
-            if atom not in atoms:
-                raise DocumentError(f"{iw}.atom: unknown atom {atom!r}")
+            _declared(atoms, atom, f"{iw}.atom", "atom")
             incidence.append((atom, json_to_rat(item.get("value"), f"{iw}.value")))
         try:
             faces[fid] = Face(fid, tuple(incidence))
@@ -212,23 +220,17 @@ def document_to_system(doc: dict) -> System:
     dlabels: dict[str, DpgLabel] = {}
     for i, entry in enumerate(_expect(doc, "labels", list, "document")):
         where = f"labels[{i}]"
-        lid = _expect(entry, "id", str, where)
-        if lid in dlabels:
-            raise DocumentError(f"{where}.id: duplicate label {lid!r}")
+        lid = _fresh(dlabels, _expect(entry, "id", str, where), f"{where}.id", "label")
         edge_ids = _expect_items(entry, "graph", str, where)
         face_ids = _expect_items(entry, "flux_basis", str, where)
-        for eid in edge_ids:
-            if eid not in words:
-                raise DocumentError(f"{where}.graph: unknown edge id {eid!r}")
-        for fid in face_ids:
-            if fid not in faces:
-                raise DocumentError(f"{where}.flux_basis: unknown face id {fid!r}")
+        edges = tuple(
+            _declared(words, e, f"{where}.graph", "edge id") for e in edge_ids
+        )
+        basis = tuple(
+            _declared(faces, f, f"{where}.flux_basis", "face id") for f in face_ids
+        )
         try:
-            dlabels[lid] = DpgLabel(
-                id=lid,
-                graph=Graph(tuple(words[eid] for eid in edge_ids)),
-                faces=tuple(faces[fid] for fid in face_ids),
-            )
+            dlabels[lid] = DpgLabel(id=lid, graph=Graph(edges), faces=basis)
         except (ValueError, PqkError) as exc:
             raise DocumentError(f"{where}: {exc}") from exc
 
@@ -240,24 +242,16 @@ def document_to_system(doc: dict) -> System:
         upper = _expect(entry, "upper", str, where)
         lower = _expect(entry, "lower", str, where)
         for side, lid in (("upper", upper), ("lower", lower)):
-            if lid not in dlabels:
-                raise DocumentError(f"{where}.{side}: unknown label {lid!r}")
+            _declared(dlabels, lid, f"{where}.{side}", "label")
         combos = {}
         for eid, row in _expect_rows(entry, "combo_witness", where).items():
-            if eid not in words:
-                raise DocumentError(
-                    f"{where}.combo_witness: unknown edge id {eid!r}"
-                )
-            parsed = {}
-            for src, c in row.items():
-                if src not in words:
-                    raise DocumentError(
-                        f"{where}.combo_witness.{eid}: unknown edge id {src!r}"
-                    )
-                parsed[dof_id(words[src])] = json_to_rat(
-                    c, f"{where}.combo_witness.{eid}"
-                )
-            combos[dof_id(words[eid])] = parsed
+            dof = dof_id(_declared(words, eid, f"{where}.combo_witness", "edge id"))
+            rw = f"{where}.combo_witness.{eid}"
+            # A comprehension looks each source up before it parses its value.
+            combos[dof] = {
+                dof_id(_declared(words, src, rw, "edge id")): json_to_rat(c, rw)
+                for src, c in row.items()
+            }
         membership = {}
         for op, row in _expect_rows(entry, "op_witness", where).items():
             membership[op] = {

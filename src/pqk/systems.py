@@ -171,9 +171,7 @@ def pairing_matrix(label: SystemLabel) -> Mat:
     :class:`DegeneratePairingError` when singular, which disqualifies the
     pair as a reduced system.
     """
-    g = tuple(
-        tuple(op.on(dof) for dof in label.frame.dofs) for op in label.ops
-    )
+    g = tuple(operator_point(op, label.frame) for op in label.ops)
     if ratlin.det(g) == 0:
         raise DegeneratePairingError(
             f"pairing matrix of ({', '.join(op.id for op in label.ops)}) "

@@ -11,6 +11,7 @@ from pqk import (
     EdgeWord,
     Face,
     Graph,
+    PqkError,
     TestConnection,
     decompose_edges,
     dof_id,
@@ -694,6 +695,32 @@ def test_random_system_deterministic():
     for e1, e2 in zip(r1.order, r2.order):
         assert e1.witness.combos == e2.witness.combos
         assert e1.witness.op_membership == e2.witness.op_membership
+
+
+@pytest.mark.parametrize("edges, depth, seed", [(3, 2, 7), (2, 3, 11), (4, 4, 0)])
+def test_flip_witnesses_are_read_off_the_decomposition(edges, depth, seed):
+    """b0t >= b0 and b0 >= b0t: -1 on the flipped first edge, +1 on every
+    other edge, and each of b0's faces as itself."""
+    rs = random_system(edges, depth, seed)
+    b0, b0t = rs.dlabels["b0"], rs.dlabels["b0t"]
+    witnesses = {(e.upper, e.lower): e.witness for e in rs.order}
+    for upper, lower, fine, coarse in (
+        ("b0t", "b0", b0t.graph, b0.graph),
+        ("b0", "b0t", b0.graph, b0t.graph),
+    ):
+        witness = witnesses[upper, lower]
+        assert witness.combos == {
+            dof_id(e): {dof_id(f): Fraction(-1 if k == 0 else 1)}
+            for k, (e, f) in enumerate(zip(coarse.edges, fine.edges))
+        }
+        assert witness.op_membership == {f.id: {f.id: 1} for f in b0.faces}
+        assert set(witness.dof_values) == set(fine.dofs) | set(coarse.dofs)
+
+
+def test_graph_witness_refuses_a_pair_that_does_not_refine():
+    fine, coarse = Graph((word("a"),)), Graph((word("a", "b"),))
+    with pytest.raises(PqkError, match="atom 'b' not covered"):
+        dpg._graph_witness(fine, coarse, {})
 
 
 def _count_calls(monkeypatch, *names):

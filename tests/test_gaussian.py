@@ -327,11 +327,15 @@ def test_projection_kernel_basis_invariance():
 
 
 def test_project_dimension_mismatch():
+    """Both entry points refuse a state of the wrong dimension with one text."""
     rng = np.random.default_rng(2)
     st = random_mixture(2, 1, rng)
-    fine, coarse, witness = generic_reduction([[1, 0, 0]])
-    with pytest.raises(DimensionMismatchError):
+    fine, coarse, witness = generic_reduction([[1, 1, 0]])
+    message = r"^state dimension 2 != projection source 3$"
+    with pytest.raises(DimensionMismatchError, match=message):
         project_state(st, fine, coarse, witness)
+    with pytest.raises(DimensionMismatchError, match=message):
+        project_with(st, decomposition_for(fine, coarse, witness))
 
 
 # --- the stacked projection against a per-term reference ----------------------

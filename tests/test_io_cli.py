@@ -1,4 +1,6 @@
+import collections
 import json
+import random
 import re
 import subprocess
 import sys
@@ -7,7 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pqk import DocumentError, hs_distance, pure_state
+from pqk import (
+    DocumentError,
+    chain_consistency,
+    check_assumptions,
+    hs_distance,
+    pure_state,
+)
 from pqk import io as pio
 from pqk.cli import main
 from pqk.dpg import random_system
@@ -117,11 +125,40 @@ def malformed_documents():
 
     first_incidence = system["faces"][0]["incidence"][0]
     atom = system["atomic_edges"][0]
-    combo_row = next(iter(system["order"][0]["combo_witness"]))
+    combos = system["order"][0]["combo_witness"]
+    combo_row = next(iter(combos))
     op_row = next(iter(system["order"][0]["op_witness"]))
     e, k = next((e, k) for e, edge in enumerate(system["edges"])
                 for k, letter in enumerate(edge["letters"]) if letter["sign"] == 1)
+
+    def exactly(message):
+        return f"^{re.escape(message)}$"
+
     return (
+        # Each id is declared once, and only declared ids are named.
+        ("system", edited(system, ("atomic_edges", 1, "id"), "a00"),
+         exactly("atomic_edges[1].id: duplicate atom 'a00'")),
+        ("system", edited(system, ("edges", 1, "id"), "e0"),
+         exactly("edges[1].id: duplicate edge 'e0'")),
+        ("system", edited(system, ("faces", 1, "id"), "b0.f0"),
+         exactly("faces[1].id: duplicate face 'b0.f0'")),
+        ("system", edited(system, ("labels", 1, "id"), "b0"),
+         exactly("labels[1].id: duplicate label 'b0'")),
+        ("system", edited(system, ("faces", 0, "incidence", 0, "atom"), "a99"),
+         exactly("faces[0].incidence[0].atom: unknown atom 'a99'")),
+        ("system", edited(system, ("labels", 0, "graph", 0), "e99"),
+         exactly("labels[0].graph: unknown edge id 'e99'")),
+        ("system", edited(system, ("labels", 0, "flux_basis", 0), "f99"),
+         exactly("labels[0].flux_basis: unknown face id 'f99'")),
+        ("system", edited(system, ("order", 0, "upper"), "x"),
+         exactly("order[0].upper: unknown label 'x'")),
+        ("system", edited(system, ("order", 0, "lower"), "x"),
+         exactly("order[0].lower: unknown label 'x'")),
+        ("system", edited(system, ("order", 0, "combo_witness", "e99"), {}),
+         exactly("order[0].combo_witness: unknown edge id 'e99'")),
+        ("system", edited(system, ("order", 0, "combo_witness", combo_row),
+                          {**combos[combo_row], "e99": 1}),
+         exactly(f"order[0].combo_witness.{combo_row}: unknown edge id 'e99'")),
         ("state", [1], r"state\.label"),
         ("state", edited(state, ("terms", 0, "weight"), "heavy"),
          r"state\.terms\[0\]\.weight"),
@@ -183,8 +220,7 @@ def malformed_documents():
         ("system", edited(system, ("faces", 0, "incidence", 0, "value"), True),
          r"faces\[0\]\.incidence\[0\]\.value"),
         ("system", edited(system, ("order", 0, "combo_witness", combo_row),
-                          {src: True for src in
-                           system["order"][0]["combo_witness"][combo_row]}),
+                          {src: True for src in combos[combo_row]}),
          rf"order\[0\]\.combo_witness\.{re.escape(combo_row)}"),
         ("state", edited(state, ("terms", 0, "weight"), True),
          r"state\.terms\[0\]\.weight"),
@@ -263,6 +299,36 @@ def test_ap_document_round_trip():
     )
     doc = pio.ap_to_document(v)
     assert pio.document_to_ap(doc) == v
+
+
+def test_input_order_changes_no_verdict_and_no_distance():
+    """Shuffling a document's five top-level lists leaves the audit's
+    instances the same multiset and every chain distance bit-equal."""
+    doc = pio.system_to_document(random_system(3, 3, seed=7))
+
+    def outcome(system):
+        report = check_assumptions(
+            dict(system.labels), system.order, pio.default_probes(system)
+        )
+        labels = system.labels
+        distances = {}
+        for k, (top, mid, bot) in enumerate(system.chains()):
+            st = random_mixture(labels[top].dim, 2, np.random.default_rng(k))
+            distances[top, mid, bot] = chain_consistency(
+                st, labels[top], labels[mid], labels[bot],
+                system.find_witness(top, mid), system.find_witness(mid, bot),
+                system.find_witness(top, bot),
+            ).distance.hex()
+        return collections.Counter(report.instances), distances
+
+    expected = outcome(pio.document_to_system(doc))
+    assert expected[1]
+    for seed in range(6):
+        shuffled = json.loads(json.dumps(doc))
+        rng = random.Random(seed)
+        for key in ("atomic_edges", "edges", "faces", "labels", "order"):
+            rng.shuffle(shuffled[key])
+        assert outcome(pio.document_to_system(shuffled)) == expected, seed
 
 
 # --- command line ---------------------------------------------------------------
