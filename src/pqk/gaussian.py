@@ -206,8 +206,15 @@ def trace(state: GaussianMixtureState) -> float:
 
 
 def _term_arrays(state: GaussianMixtureState) -> list[np.ndarray]:
-    """P, R and s of every term, stacked along a leading term axis."""
-    return [np.stack([getattr(k, a) for _, k in state.terms]) for a in "PRs"]
+    """P, R and s of every term, stacked along a leading term axis; built
+    once and kept, read-only, on the immutable state."""
+    kept = state.__dict__.get("_stacks")
+    if kept is None:
+        kept = [np.array([getattr(k, a) for _, k in state.terms]) for a in "PRs"]
+        for a in kept:
+            a.flags.writeable = False
+        object.__setattr__(state, "_stacks", kept)
+    return kept
 
 
 def _pair_forms(
@@ -265,20 +272,43 @@ def _gram_distance(s1: GaussianMixtureState, s2: GaussianMixtureState) -> float:
     return math.sqrt(max(d2, 0.0))
 
 
-def _term_deviation(
-    t1: tuple[float, GaussianKernel], t2: tuple[float, GaussianKernel]
-) -> float:
-    """Scaled parameter distance between two weighted kernels."""
-    w1, k1 = t1
-    w2, k2 = t2
+def _term_deviations(s1: GaussianMixtureState, s2: GaussianMixtureState) -> list[float]:
+    """Scaled parameter distance between the weighted kernels of two states
+    with equally many terms, term by term; P, R and s in one pass over the
+    stacks, the log weight and weight as scalars."""
     parts = [
-        np.abs(k1.P - k2.P).max() / (1.0 + np.abs(k2.P).max()),
-        np.abs(k1.R - k2.R).max() / (1.0 + np.abs(k2.R).max()),
-        np.abs(k1.s - k2.s).max() / (1.0 + np.abs(k2.s).max()),
-        abs(k1.logw - k2.logw) / (1.0 + abs(k2.logw)),
-        abs(w1 - w2) / w2,
+        (np.abs(a1 - a2).reshape(len(a1), -1).max(axis=1)
+         / (1.0 + np.abs(a2).reshape(len(a2), -1).max(axis=1))).tolist()
+        for a1, a2 in zip(_term_arrays(s1), _term_arrays(s2))
     ]
-    return max(parts)
+    return [
+        max(p, r, v, abs(k1.logw - k2.logw) / (1.0 + abs(k2.logw)), abs(w1 - w2) / w2)
+        for p, r, v, (w1, k1), (w2, k2) in zip(*parts, s1.terms, s2.terms)
+    ]
+
+
+def _term_deviation(t1: tuple[float, GaussianKernel], t2: tuple[float, GaussianKernel]) -> float:
+    """Scaled parameter distance between two weighted kernels."""
+    return _term_deviations(*(GaussianMixtureState(t[1].dim, (t,)) for t in (t1, t2)))[0]
+
+
+def _self_pairing(state: GaussianMixtureState, expand: bool = False) -> tuple:
+    """The state paired with itself, kept on it: the checked forms M, v of
+    :func:`_pair_forms`, or, once an expansion has asked (``expand``), its
+    base in their place: per term pair w exp(log integral), and the
+    pairing's covariance Sigma and mean mu.  A check that raises keeps
+    nothing."""
+    kept = state.__dict__.get("_self_pairing") or _pair_forms(state, state)
+    if expand and len(kept) == 2:
+        M, v = kept
+        t, m = len(state.terms), M.shape[-1]
+        sigma = np.linalg.inv(M)
+        sigma = ((sigma + sigma.swapaxes(-1, -2)) / 2).reshape(t, t, m, m)
+        mu = (sigma @ v.reshape(t, t, m, 1))[..., 0]
+        bases = [complex(w * np.exp(lg)) for w, lg in _log_integrals(state, state, M, v)]
+        kept = (bases, sigma, mu)
+    object.__setattr__(state, "_self_pairing", kept)
+    return kept
 
 
 def _moment_product(
@@ -292,7 +322,9 @@ def _moment_product(
 
     The complex scalars are combined here, one pair at a time, because
     numpy's array complex multiply may round differently from its scalar
-    one on SIMD hardware; the scalar form gives the same bits everywhere.
+    one on SIMD hardware.  They arrive as Python complex numbers, whose
+    multiply and add take the same formula, in the same order, as numpy's
+    scalar ones, so the result has the same bits everywhere.
     """
     out = 0.25 * (tA * tB + 2 * tASBS + tA * mBm + tB * mAm + 4 * mASBm + mAm * mBm)
     out += 0.5 * (tA * dm + 2 * mASd + mAm * dm)
@@ -313,8 +345,10 @@ def _perturbative_distance(
     form loses the distance under cancellation of O(1) integrals; here each
     term difference is expanded as reference-kernel times a small quadratic
     form, so every contribution is computed directly at the size of the
-    deviation itself.  The pairing forms, their inverses and every trace and
-    contraction of the expansion run once over the stack of term pairs.
+    deviation itself.  Every trace and contraction of the expansion runs
+    once over the stack of term pairs; what depends on s2 alone (its
+    pairing with itself, the per-pair integrals, Sigma and mu) is kept on
+    s2 by :func:`_self_pairing`.
     """
     (P1, R1, v1), (P2, R2, v2) = _term_arrays(s1), _term_arrays(s2)
     dP, dR, ds = P1 - P2, R1 - R2, v1 - v2
@@ -324,12 +358,7 @@ def _perturbative_distance(
         (k1.logw - k2.logw) + math.log(w1 / w2)
         for (w1, k1), (w2, k2) in zip(s1.terms, s2.terms)
     ]
-    M, v = _pair_forms(s2, s2)
-    pairs = _log_integrals(s2, s2, M, v)
-    t, m = len(c), M.shape[-1]
-    sigma = np.linalg.inv(M)
-    sigma = ((sigma + sigma.swapaxes(-1, -2)) / 2).reshape(t, t, m, m)
-    mu = (sigma @ v.reshape(t, t, m, 1))[..., 0]
+    bases, sigma, mu = _self_pairing(s2, expand=True)
     # pair (t, u) contracts conj(A_t), conj(b_t) with A_u, b_u
     At, Au, bt, bu = A.conj()[:, None], A[None], b.conj()[:, None], b[None]
     row, col = mu[..., None, :], mu[..., :, None]
@@ -348,11 +377,11 @@ def _perturbative_distance(
         muB @ sigma @ bt[..., :, None],
         bt[..., None, :] @ sigma @ bu[..., :, None],
     ]
-    total = 0.0 + 0.0j
-    for (w, lg), (ct, cu), mts in zip(
-        pairs, itertools.product(c, repeat=2), zip(*(x.reshape(-1) for x in moments))
+    total = 0.0 + 0.0j  # each c is real, so conj(c_t) is c_t
+    for base, (ct, cu), mts in zip(
+        bases, itertools.product(c, repeat=2), zip(*(x.reshape(-1).tolist() for x in moments))
     ):
-        total += w * np.exp(lg) * _moment_product(*mts, np.conj(ct), cu)
+        total += base * _moment_product(*mts, ct, cu)
     return math.sqrt(max(total.real, 0.0))
 
 
@@ -368,17 +397,18 @@ def hs_distance(s1: GaussianMixtureState, s2: GaussianMixtureState) -> float:
     in the parameter differences, which stays accurate far below the
     cancellation floor of the generic form.  States whose terms match with
     deviation exactly 0 (the same state, or a term-for-term copy) are at
-    distance 0.0, the value the expansion gives them; only their pairing
-    forms are built, so a divergent state still raises.
+    distance 0.0, the value the expansion gives them; only the pairing
+    forms of s2 with itself are built (once per state object, then kept),
+    so a divergent state still raises.
     """
     if s1.dim != s2.dim:
         raise DimensionMismatchError(
             f"states live in dimensions {s1.dim} and {s2.dim}"
         )
     if len(s1.terms) == len(s2.terms):
-        devs = [_term_deviation(t1, t2) for t1, t2 in zip(s1.terms, s2.terms)]
+        devs = _term_deviations(s1, s2)
         if not any(devs):
-            _pair_forms(s2, s2)
+            _self_pairing(s2)
             return 0.0
         if max(devs) <= _PERTURBATIVE_THRESHOLD:
             return _perturbative_distance(s1, s2)
@@ -493,6 +523,11 @@ def project_state(
     return project_with(state, decomposition_for(fine, coarse, witness))
 
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class ConsistencyReport:
     distance: float
@@ -518,6 +553,7 @@ def chain_consistency(
     The two compositions agree identically for exact kernels; the reported
     HS distance measures floating-point residue only.
     """
+    _require_tol(tol)
     direct = project_state(state, top, bottom, w_top_bottom)
     two_step = project_state(
         project_state(state, top, mid, w_top_mid), mid, bottom, w_mid_bottom
@@ -746,6 +782,7 @@ class FamilyReport:
 
 def check_coherent_family(family: CoherentFamily, tol: float = 1e-8) -> FamilyReport:
     """Verify that each witnessed projection maps the fine state to the coarse one."""
+    _require_tol(tol)
     results = []
     for edge in family.order:
         projected = project_state(

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from pqk import (
     DimensionMismatchError,
@@ -46,6 +47,7 @@ from pqk.gaussian import (
     _PERTURBATIVE_THRESHOLD,
     _gram_distance,
     _perturbative_distance,
+    _term_arrays,
     _term_deviation,
     decomposition_for,
 )
@@ -778,13 +780,13 @@ def test_a_decomposition_keeps_its_last_projection():
     assert released() is None
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_kept_projections_match_fresh_ones(seed, monkeypatch):
+def check_family_and_chains(seed):
+    """On ``random_system(4, 4, seed)``: project a 3-term state from the
+    label with the most edges below it, check that family's coherence, then
+    every chain (from the top with that state, elsewhere with a fresh one)."""
     system = random_system(4, 4, seed)
     labels = system.labels
     rng = np.random.default_rng(seed)
-    made = calls_to(monkeypatch, "_project_terms")
-    asked = calls_to(monkeypatch, "project_with")
     top = max(labels, key=lambda n: sum(e.upper == n for e in system.order))
     st = random_mixture(labels[top].dim, 3, rng)
     states = {top: st}
@@ -805,6 +807,13 @@ def test_kept_projections_match_fresh_ones(seed, monkeypatch):
             system.find_witness(a, b), system.find_witness(b, c),
             system.find_witness(a, c),
         ).passed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kept_projections_match_fresh_ones(seed, monkeypatch):
+    made = calls_to(monkeypatch, "_project_terms")
+    asked = calls_to(monkeypatch, "project_with")
+    check_family_and_chains(seed)
     # A projection runs exactly when the state differs from the one last
     # projected along the same decomposition.
     last, fresh = {}, 0
@@ -833,6 +842,71 @@ def test_a_failed_projection_keeps_nothing(monkeypatch):
     with pytest.raises(DivergentError):
         project_with(bad, kdec)
     assert project_with(good, kdec) is kept and len(made) == 4
+
+
+PARTNERS = ("same", "copy", "1e-14", "1e-10", "1e-7", "other")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=strategies.integers(1, 4),
+    n_terms=strategies.integers(1, 8),
+    seed=strategies.integers(0, 2**32 - 1),
+    order=strategies.lists(strategies.sampled_from(PARTNERS), min_size=1, max_size=6),
+)
+def test_a_kept_self_pairing_gives_the_fresh_bits(dim, n_terms, seed, order):
+    # One state is s2 against several s1, in a random order of branches: the
+    # zero path, expansions and the Gram form.  What it keeps must give the
+    # bits of a fresh copy and of the per-pair reference on every call.
+    rng = np.random.default_rng(seed)
+    s2 = random_mixture(dim, n_terms, rng)
+    partners = {
+        "same": lambda: s2,
+        "copy": lambda: rebuilt(s2),
+        "other": lambda: random_mixture(dim, n_terms, rng),
+    }
+    for kind in order:
+        s1 = partners[kind]() if kind in partners else perturbed(s2, float(kind), rng)
+        got, fresh = hs_distance(s1, s2), hs_distance(s1, rebuilt(s2))
+        assert got.hex() == fresh.hex() == naive_hs_distance(s1, s2).hex(), kind
+
+
+def test_a_divergent_state_keeps_no_self_pairing():
+    rng = np.random.default_rng(21)
+    good = random_mixture(2, 3, rng)
+    divergent = GaussianKernel(2, -100 * np.eye(2), np.zeros((2, 2)), np.zeros(2), 0.0)
+    bad = GaussianMixtureState(2, good.terms[:2] + ((0.5, divergent),))
+    near = perturbed(bad, 1e-10, rng)
+    for s1 in (bad, near, rebuilt(bad), near, bad):
+        with pytest.raises(DivergentError, match="^quadratic form has non-positive"):
+            hs_distance(s1, bad)
+        assert "_self_pairing" not in vars(bad)
+
+
+def test_a_kept_self_pairing_is_released_with_its_state():
+    rng = np.random.default_rng(22)
+    st = random_mixture(3, 3, rng)
+    assert hs_distance(rebuilt(st), st) == 0.0
+    assert hs_distance(perturbed(st, 1e-10, rng), st) > 0.0
+    _, sigma, mu = vars(st)["_self_pairing"]
+    kept = [weakref.ref(x) for x in (st, sigma, mu, *_term_arrays(st))]
+    del st, sigma, mu
+    gc.collect()
+    assert [r() for r in kept] == [None] * len(kept)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_state_pairs_with_itself_at_most_once(seed, monkeypatch):
+    forms = calls_to(monkeypatch, "_pair_forms")
+    distances = calls_to(monkeypatch, "hs_distance")
+    check_family_and_chains(seed)
+    # Every call is held in the lists, so no id is reused.
+    selves = [id(s1) for s1, s2, _ in forms if s1 is s2]
+    assert len(selves) == len(set(selves))
+    assert len({id(s2) for _, s2, _ in distances}) == len(selves) < len(distances)
+    monkeypatch.undo()
+    for s1, s2, distance in distances:
+        assert distance.hex() == hs_distance(s1, rebuilt(s2)).hex()
 
 
 # --- chain consistency ----------------------------------------------------------
@@ -1205,6 +1279,40 @@ def test_coherent_family_rejects_edges_to_unknown_labels(demo_system):
     st = random_mixture(label.dim, 1, np.random.default_rng(19))
     with pytest.raises(DimensionMismatchError, match=re.escape(str([edge.lower]))):
         CoherentFamily({edge.upper: label}, {edge.upper: st}, (edge,))
+
+
+def _chain_args(rs, chain, rng):
+    top, mid, bot = chain
+    return (
+        random_mixture(rs.labels[top].dim, 2, rng), *(rs.labels[n] for n in chain),
+        rs.find_witness(top, mid), rs.find_witness(mid, bot), rs.find_witness(top, bot),
+    )
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_family_checks_refuse_a_tolerance_they_cannot_compare_against(
+    tol, deep_system, monkeypatch
+):
+    rng = np.random.default_rng(23)
+    chain = deep_system.chains()[0]
+    family = _family_from_chain(deep_system, chain, rng)
+    args = _chain_args(deep_system, chain, rng)
+    asked = calls_to(monkeypatch, "project_with")
+    with pytest.raises(ValueError, match=r"^tol must be finite and >= 0$"):
+        check_coherent_family(family, tol=tol)
+    with pytest.raises(ValueError, match=r"^tol must be finite and >= 0$"):
+        chain_consistency(*args, tol=tol)
+    assert not asked
+
+
+def test_family_checks_accept_a_zero_tolerance(deep_system):
+    rng = np.random.default_rng(24)
+    chain = deep_system.chains()[0]
+    report = check_coherent_family(_family_from_chain(deep_system, chain, rng), tol=0.0)
+    assert report.tol == 0.0
+    assert [e.passed for e in report.edges] == [e.distance == 0.0 for e in report.edges]
+    chain_report = chain_consistency(*_chain_args(deep_system, chain, rng), tol=0.0)
+    assert chain_report.tol == 0.0 and chain_report.passed == (chain_report.distance == 0.0)
 
 
 # --- verified edge plans --------------------------------------------------------
