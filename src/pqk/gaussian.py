@@ -272,10 +272,27 @@ def _gram_distance(s1: GaussianMixtureState, s2: GaussianMixtureState) -> float:
     return math.sqrt(max(d2, 0.0))
 
 
+def _term_deviation(
+    t1: tuple[float, GaussianKernel], t2: tuple[float, GaussianKernel]
+) -> float:
+    """Scaled parameter distance between two weighted kernels."""
+    w1, k1 = t1
+    w2, k2 = t2
+    parts = [
+        np.abs(k1.P - k2.P).max() / (1.0 + np.abs(k2.P).max()),
+        np.abs(k1.R - k2.R).max() / (1.0 + np.abs(k2.R).max()),
+        np.abs(k1.s - k2.s).max() / (1.0 + np.abs(k2.s).max()),
+        abs(k1.logw - k2.logw) / (1.0 + abs(k2.logw)),
+        abs(w1 - w2) / w2,
+    ]
+    return max(parts)
+
+
 def _term_deviations(s1: GaussianMixtureState, s2: GaussianMixtureState) -> list[float]:
-    """Scaled parameter distance between the weighted kernels of two states
-    with equally many terms, term by term; P, R and s in one pass over the
-    stacks, the log weight and weight as scalars."""
+    """:func:`_term_deviation` of each term pair of two states with equally
+    many terms; P, R and s in one pass over the stacks, the log weight and
+    weight as scalars.  These are the per-pair form's elementwise ``abs``,
+    ``max`` and one division, so each value equals the per-pair one."""
     parts = [
         (np.abs(a1 - a2).reshape(len(a1), -1).max(axis=1)
          / (1.0 + np.abs(a2).reshape(len(a2), -1).max(axis=1))).tolist()
@@ -285,11 +302,6 @@ def _term_deviations(s1: GaussianMixtureState, s2: GaussianMixtureState) -> list
         max(p, r, v, abs(k1.logw - k2.logw) / (1.0 + abs(k2.logw)), abs(w1 - w2) / w2)
         for p, r, v, (w1, k1), (w2, k2) in zip(*parts, s1.terms, s2.terms)
     ]
-
-
-def _term_deviation(t1: tuple[float, GaussianKernel], t2: tuple[float, GaussianKernel]) -> float:
-    """Scaled parameter distance between two weighted kernels."""
-    return _term_deviations(*(GaussianMixtureState(t[1].dim, (t,)) for t in (t1, t2)))[0]
 
 
 def _self_pairing(state: GaussianMixtureState, expand: bool = False) -> tuple:
@@ -322,9 +334,12 @@ def _moment_product(
 
     The complex scalars are combined here, one pair at a time, because
     numpy's array complex multiply may round differently from its scalar
-    one on SIMD hardware.  They arrive as Python complex numbers, whose
-    multiply and add take the same formula, in the same order, as numpy's
-    scalar ones, so the result has the same bits everywhere.
+    one on SIMD hardware.  They arrive as Python complex numbers; up to
+    Python 3.13 their multiply and add take the same formula, in the same
+    order, as numpy's scalar ones, so the result has the same bits on any
+    SIMD level (CI checks this on 3.11).  From Python 3.14 a real times a
+    complex no longer promotes the real to complex first, which may change
+    the sign of a zero or a non-finite value; no test covers that there.
     """
     out = 0.25 * (tA * tB + 2 * tASBS + tA * mBm + tB * mAm + 4 * mASBm + mAm * mBm)
     out += 0.5 * (tA * dm + 2 * mASd + mAm * dm)

@@ -49,6 +49,7 @@ from pqk.gaussian import (
     _perturbative_distance,
     _term_arrays,
     _term_deviation,
+    _term_deviations,
     decomposition_for,
 )
 from pqk.systems import (
@@ -869,6 +870,10 @@ def test_a_kept_self_pairing_gives_the_fresh_bits(dim, n_terms, seed, order):
         s1 = partners[kind]() if kind in partners else perturbed(s2, float(kind), rng)
         got, fresh = hs_distance(s1, s2), hs_distance(s1, rebuilt(s2))
         assert got.hex() == fresh.hex() == naive_hs_distance(s1, s2).hex(), kind
+        # The stacked deviations pick the branch the per-pair ones pick.
+        assert [d.hex() for d in _term_deviations(s1, s2)] == [
+            float(_term_deviation(t1, t2)).hex() for t1, t2 in zip(s1.terms, s2.terms)
+        ], kind
 
 
 def test_a_divergent_state_keeps_no_self_pairing():
