@@ -60,7 +60,11 @@ class QC:
 
 @dataclass(frozen=True)
 class Frequency:
-    """A point of the dual space in a frame's exact coordinates."""
+    """A point of the dual space in a frame's exact coordinates.
+
+    Equality compares coords and frame.  The hash, taken once, reads each
+    coordinate's lowest-terms (numerator, denominator) pair: no Fraction
+    hash (a modular inverse each), and the same under every hash seed."""
 
     coords: tuple[Fraction, ...]
     frame: ReducedFrame
@@ -73,6 +77,12 @@ class Frequency:
                 f"{self.frame.dim}-dimensional frame"
             )
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(
+            self, "_hash", hash(tuple((c.numerator, c.denominator) for c in coords))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,8 @@ class APVector:
         for freq, amp in self.amplitudes:
             if freq.frame != self.frame:
                 raise FrameMismatchError("frequency frame differs from vector frame")
-            merged[freq] = merged.get(freq, QC()) + amp
+            first = merged.get(freq)
+            merged[freq] = amp if first is None else first + amp
         pruned = tuple(
             sorted(
                 ((f, a) for f, a in merged.items() if not a.is_zero()),

@@ -57,6 +57,40 @@ def _is_pd(m: np.ndarray) -> bool:
         return False
 
 
+_KERNEL_FAULTS = ("P must be finite", "R must be finite", "s must be finite",
+                  "logw must be finite", "P must be symmetric", "R must be Hermitian",
+                  "P overflows when symmetrised", "R overflows when symmetrised")
+
+
+def _checked_terms(P, R, s, logw) -> list[np.ndarray]:
+    """Check and symmetrise a stack of kernel parts: P and R (T, n, n), s
+    (T, n), logw T floats.  Returns P, R and s symmetrised and read-only (s
+    is not copied).  A faulty stack raises the ValueError of its first
+    faulty term, whose checks run in the order of ``_KERNEL_FAULTS``."""
+    def bad(a):
+        return ~np.isfinite(a).reshape(len(a), -1).all(axis=1)
+
+    def worst(a):
+        return np.abs(a).reshape(len(a), -1).max(axis=1)
+
+    # Finite entries above half the largest float can overflow in these
+    # sums; what overflows is refused below, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        faults = [bad(a) for a in (P, R, s, logw)]
+        PT, RH = P.swapaxes(-1, -2), R.conj().swapaxes(-1, -2)
+        scale = np.maximum(np.maximum(worst(P), worst(R)), 1.0)
+        faults += [worst(a - b) > _STRUCTURE_TOL * scale for a, b in ((P, PT), (R, RH))]
+        P, R = (P + PT) / 2, (R + RH) / 2
+        big = scale > _HALF_MAX
+        faults += [big & bad(a) if big.any() else big for a in (P, R)]
+    faults = np.array(faults)  # (check, term)
+    if faults.any():
+        raise ValueError(_KERNEL_FAULTS[faults[:, faults.any(axis=0).argmax()].argmax()])
+    for a in (P, R, s):
+        a.flags.writeable = False
+    return [P, R, s]
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianKernel:
     """One Gaussian exponential kernel in the convention above."""
@@ -75,25 +109,7 @@ class GaussianKernel:
         if s.shape != (n,):
             raise DimensionMismatchError(f"s must have length {n}, got {s.shape}")
         logw = float(self.logw)
-        for name, a in (("P", P), ("R", R), ("s", s), ("logw", logw)):
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} must be finite")
-        # Finite entries above half the largest float can overflow in these
-        # sums; what overflows is refused below, so numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = max(np.abs(P).max(), np.abs(R).max(), 1.0)
-            if np.abs(P - P.T).max() > _STRUCTURE_TOL * scale:
-                raise ValueError("P must be symmetric")
-            if np.abs(R - R.conj().T).max() > _STRUCTURE_TOL * scale:
-                raise ValueError("R must be Hermitian")
-            P = (P + P.T) / 2
-            R = (R + R.conj().T) / 2
-        if scale > _HALF_MAX:
-            for name, a in (("P", P), ("R", R)):
-                if not np.isfinite(a).all():
-                    raise ValueError(f"{name} overflows when symmetrised")
-        for a in (P, R, s):
-            a.flags.writeable = False
+        P, R, s = (a[0] for a in _checked_terms(P[None], R[None], s[None], [logw]))
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "s", s)
@@ -482,11 +498,15 @@ def _project_terms(
     s0 = w.T @ s[..., None] + lxT @ (j @ l0[..., None])
     P0 = (P0 + P0.swapaxes(-1, -2)) / 2
     R0 = (R0 + R0.conj().swapaxes(-1, -2)) / 2
-    terms = tuple(
-        (wt, GaussianKernel(dim=n, P=p, R=r, s=v[:, 0], logw=float(lg)))
-        for (wt, _), p, r, v, lg in zip(state.terms, P0, R0, s0, logw)
-    )
-    return GaussianMixtureState(n, terms)
+    # One check of the stack stands for the one each kernel's constructor
+    # makes; symmetrising exactly symmetric stacks again leaves their bits.
+    P0, R0, s0 = _checked_terms(P0, R0, s0[..., 0], logw)
+    terms = []
+    for (wt, _), p, r, v, lg in zip(state.terms, P0, R0, s0, logw):
+        kernel = object.__new__(GaussianKernel)
+        vars(kernel).update(dim=n, P=p, R=r, s=v, logw=float(lg))
+        terms.append((wt, kernel))
+    return GaussianMixtureState(n, tuple(terms))
 
 
 def project_with(

@@ -281,10 +281,7 @@ def default_probes(system: System) -> Probes:
     """
     names = sorted(system.labels)
     ops_key = {
-        name: frozenset(
-            (op.id, op.action) for op in system.labels[name].ops
-        )
-        for name in names
+        name: frozenset(op.key for op in system.labels[name].ops) for name in names
     }
     equal_pairs = tuple(
         (a, b)

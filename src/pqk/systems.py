@@ -57,6 +57,12 @@ class MomentumOperator:
     def action_map(self) -> dict[DofId, Fraction]:
         return dict(self.action)
 
+    @cached_property
+    def key(self) -> tuple:
+        """``(id, ((dof, numerator, denominator), ...))``, equal exactly when
+        id and action are (Fractions are in lowest terms); no Fraction hash."""
+        return self.id, tuple((d, v.numerator, v.denominator) for d, v in self.action)
+
     def on(self, dof: DofId) -> Fraction:
         try:
             return self.action_map[dof]
@@ -548,9 +554,7 @@ def check_assumptions(
             )
             continue
         la, lb = family[a], family[b]
-        ops_a = {(op.id, op.action) for op in la.ops}
-        ops_b = {(op.id, op.action) for op in lb.ops}
-        if ops_a != ops_b:
+        if {op.key for op in la.ops} != {op.key for op in lb.ops}:
             instances.append(
                 AssumptionInstance("A5", subject, False, "operator bases differ")
             )

@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqk import (
@@ -17,6 +18,9 @@ from pqk import (
     limit_equal,
     promote,
 )
+from pqk.almost_periodic import APVector, Frequency
+from pqk.errors import RankDeficientError
+from pqk.frames import ProjectionMatrix
 
 K1 = ReducedFrame(("k1",))
 K2 = ReducedFrame(("k1", "k2"))
@@ -171,3 +175,110 @@ def test_inner_product_positive_definite(terms):
         assert norm.re > 0
     w = ap_vector(K1, {(c,): QC(re, -im) for c, re, im in terms})
     assert inner_product(v, w) == inner_product(w, v).conjugate()
+
+
+# --- exact keys: frequencies hash by their integer pairs ------------------------
+
+
+def written_forms(value):
+    """Ways a caller or a document may write one rational coordinate."""
+    forms = [value, str(value), f"{2 * value.numerator}/{2 * value.denominator}"]
+    if value.denominator == 1:
+        forms.append(int(value))
+    if value.denominator & (value.denominator - 1) == 0:  # dyadic: exact as a float
+        forms.append(float(value))
+    return forms
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(RATIONALS, RATIONALS))
+def test_frequencies_of_equal_value_are_equal_and_hash_equal(coords):
+    freqs = [Frequency(c, K2) for c in itertools.product(*map(written_forms, coords))]
+    assert all(f == freqs[0] and hash(f) == hash(freqs[0]) for f in freqs)
+    assert all(f.coords == coords for f in freqs)
+    moved = Frequency((coords[0] + Fraction(1, 3), coords[1]), K2)
+    assert moved != freqs[0]
+    other_frame = Frequency(coords, ReducedFrame(("k1", "k3")))
+    assert other_frame != freqs[0]
+
+
+def naive_merge(terms):
+    """The reference merge: amplitudes (re, im) summed exactly per coordinate
+    tuple, zeros dropped, sorted by coordinates."""
+    sums = {}
+    for coords, (re, im) in terms:
+        key = tuple(Fraction(c) for c in coords)
+        r0, i0 = sums.get(key, (0, 0))
+        sums[key] = (r0 + re, i0 + im)
+    return sorted((k, v) for k, v in sums.items() if v != (0, 0))
+
+
+def as_pairs(v):
+    return [(f.coords, (a.re, a.im)) for f, a in v.amplitudes]
+
+
+def naive_inner(v, w):
+    """Sum of conj(a) b over the coordinates v and w share."""
+    wmap = dict(w)
+    re = im = Fraction(0)
+    for coords, (ar, ai) in v:
+        if coords in wmap:
+            br, bi = wmap[coords]
+            re, im = re + ar * br + ai * bi, im + ar * bi - ai * br
+    return re, im
+
+
+AMPLITUDES = st.tuples(
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+)
+
+
+@st.composite
+def repeated_terms(draw, frame):
+    """Terms over a few frequencies, each written any way, some repeated and
+    some followed by the amplitude that cancels them."""
+    pool = draw(st.lists(st.tuples(*[RATIONALS] * frame.dim), min_size=1, max_size=3))
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        coords = draw(st.sampled_from(pool))
+        written = tuple(draw(st.sampled_from(written_forms(c))) for c in coords)
+        re, im = draw(AMPLITUDES)
+        terms.append((written, (re, im)))
+        if draw(st.booleans()):
+            terms.append((coords, (-re, -im)))
+    return terms
+
+
+def vector(frame, terms):
+    return APVector(frame, tuple((Frequency(c, frame), QC(re, im)) for c, (re, im) in terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.data(),
+    st.lists(st.lists(st.fractions(-3, 3, max_denominator=7), min_size=3, max_size=3),
+             min_size=2, max_size=2),
+)
+def test_merge_promote_and_inner_match_an_exact_reference(data, rows):
+    v_terms = data.draw(repeated_terms(K2))
+    w_terms = data.draw(repeated_terms(K2))
+    v, w = vector(K2, v_terms), vector(K2, w_terms)
+    ref_v, ref_w = naive_merge(v_terms), naive_merge(w_terms)
+    assert as_pairs(v) == ref_v and as_pairs(w) == ref_w
+    assert (inner_product(v, w).re, inner_product(v, w).im) == naive_inner(ref_v, ref_w)
+    try:
+        projection = ProjectionMatrix(rows, K3, K2)
+    except RankDeficientError:
+        assume(False)
+    for vec, ref in ((v, ref_v), (w, ref_w)):
+        lifted = [
+            (tuple(sum(c * row[j] for c, row in zip(coords, rows)) for j in range(3)), amp)
+            for coords, amp in ref
+        ]
+        assert as_pairs(promote(vec, projection)) == naive_merge(lifted)
+    up = inner_product(promote(v, projection), promote(w, projection))
+    assert (up.re, up.im) == naive_inner(ref_v, ref_w)

@@ -45,6 +45,7 @@ from pqk import io as pio
 from pqk.dpg import random_system
 from pqk.gaussian import (
     _PERTURBATIVE_THRESHOLD,
+    _checked_terms,
     _gram_distance,
     _perturbative_distance,
     _term_arrays,
@@ -468,6 +469,81 @@ def test_stacked_projection_keeps_its_errors():
             naive_project_with(state, kdec)
         with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
             project_with(state, kdec)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_projected_kernels_carry_the_constructors_bits(seed):
+    # Projected kernels come from one checked stack, not from the
+    # constructor; the constructor, given their arrays, gives the same bits.
+    system = random_system(4, 4, seed)
+    labels = system.labels
+    rng = np.random.default_rng(seed)
+    for edge in system.order:
+        kdec = decomposition_for(labels[edge.upper], labels[edge.lower], edge.witness)
+        for n_terms in (1, 3, 8):
+            state = random_mixture(kdec.projection.cols, n_terms, rng)
+            for _, k in project_with(state, kdec).terms:
+                again = GaussianKernel(k.dim, k.P, k.R, k.s, k.logw)
+                assert [a.tobytes() for a in (k.P, k.R, k.s)] == [
+                    a.tobytes() for a in (again.P, again.R, again.s)
+                ]
+                assert k.logw.hex() == again.logw.hex()
+                assert not any(a.flags.writeable for a in (k.P, k.R, k.s))
+
+
+def _set(part, entries):
+    """Write ``entries`` ({index: value}) into kernel part 0 (P), 1 (R) or 2 (s)."""
+    def apply(parts):
+        for index, value in entries.items():
+            parts[part][index] = value
+    return apply
+
+
+def _non_finite_log_weight(parts):
+    parts[3] = math.nan
+
+
+NAN_P = _set(0, {(0, 0): math.nan})
+
+
+@pytest.mark.parametrize(
+    "first, later, message",
+    [
+        (_set(1, {(0, 0): math.inf}), NAN_P, "R must be finite"),
+        (_non_finite_log_weight, _set(2, {0: math.nan}), "logw must be finite"),
+        (_set(0, {(0, 1): 5.0}), NAN_P, "P must be symmetric"),
+        (_set(1, {(0, 1): 5.0}), _set(2, {0: math.inf}), "R must be Hermitian"),
+        (_set(0, {(0, 1): 1e308, (1, 0): 1e308}), _set(0, {(0, 1): 5.0}),
+         "P overflows when symmetrised"),
+        (_set(1, {(0, 0): -1.7e308}), NAN_P, "R overflows when symmetrised"),
+    ],
+)
+def test_a_stack_check_raises_what_its_first_faulty_term_raises(first, later, message):
+    # Terms 1 and 3 are faulty, and term 3's fault comes earlier in the
+    # order of checks than term 1's: the constructor, term by term, meets
+    # term 1 first, and so must the check of the whole stack.
+    rng = np.random.default_rng(15)
+    terms = []
+    for i in range(4):
+        k = random_pure(2, rng).terms[0][1]
+        parts = [k.P.copy(), k.R.copy(), k.s.copy(), k.logw]
+        {1: first, 3: later}.get(i, lambda parts: None)(parts)
+        terms.append(parts)
+    with pytest.raises(ValueError) as expected:
+        for parts in terms:
+            GaussianKernel(2, *parts)
+    assert str(expected.value) == message
+    P, R, s = (np.array([parts[i] for parts in terms]) for i in range(3))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _checked_terms(P, R, s, [parts[3] for parts in terms])
+
+
+def test_one_projection_checks_its_stack_once(monkeypatch):
+    state = random_mixture(3, 8, np.random.default_rng(16))
+    kdec = decomposition_for(*generic_reduction([[1, 0, 0], [0, 1, 1]]))
+    checks = calls_to(monkeypatch, "_checked_terms")
+    projected = project_with(state, kdec)
+    assert len(checks) == 1 and len(checks[0][0]) == len(projected.terms) == 8
 
 
 # --- hilbert-schmidt metric ----------------------------------------------------

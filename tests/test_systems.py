@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqk import (
     DegeneratePairingError,
@@ -500,3 +502,70 @@ def test_derived_surjectivity_ignores_hash_seed(hash_seed):
         check=True,
     ).stdout
     assert out.split("\n") == ["b0 True", "b0t True", ""]
+
+
+# --- exact keys: operators compare by their integer pairs ----------------------
+
+# Few ids, d.o.f. and values, each value written as an int, float, str or
+# Fraction, so that equal operators are drawn often.
+WRITTEN = [0, 0.0, "0", Fraction(0), 1, 1.0, "2/2", Fraction(-1, 2), -0.5, "-1/2",
+           "1/3", Fraction(2, 6), Fraction(1, 4)]
+OPERATORS = st.builds(
+    MomentumOperator,
+    st.sampled_from(["p", "q"]),
+    st.dictionaries(st.sampled_from(["x", "y"]), st.sampled_from(WRITTEN), max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(OPERATORS, OPERATORS)
+def test_operator_keys_are_equal_exactly_when_id_and_action_are(a, b):
+    same = (a.id, a.action) == (b.id, b.action)
+    assert (a.key == b.key) == same
+    assert not same or hash(a.key) == hash(b.key)
+    assert a.key is a.key  # kept on the operator
+
+
+def former_equal_space_pairs(system):
+    """The equal-space pairs as probes were derived from (id, action) sets."""
+    names = sorted(system.labels)
+    ops = {n: frozenset((op.id, op.action) for op in system.labels[n].ops) for n in names}
+    return tuple(
+        (a, b) for i, a in enumerate(names) for b in names[i + 1 :] if ops[a] == ops[b]
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 2**16))
+def test_default_probes_pair_the_labels_the_former_keys_paired(edges, depth, seed):
+    system = random_system(edges, depth, seed)
+    pairs = default_probes(system).equal_space_pairs
+    assert pairs == former_equal_space_pairs(system) and pairs
+
+
+def test_a5_compares_operator_bases_by_value(demo_system):
+    labels = dict(demo_system.labels)
+    probes = Probes(
+        equal_space_pairs=(("b0", "b0t"),), dof_values=default_probes(demo_system).dof_values
+    )
+
+    def a5_with_b0t_ops(rewrite):
+        b0t = labels["b0t"]
+        family = {"b0": labels["b0"], "b0t": SystemLabel(
+            tuple(rewrite(i, o) for i, o in enumerate(b0t.ops)), b0t.frame
+        )}
+        order = tuple(e for e in demo_system.order if {e.upper, e.lower} == set(family))
+        (inst,) = [i for i in check_assumptions(family, order, probes).instances
+                   if i.assumption == "A5"]
+        return inst.passed, inst.detail
+
+    same = a5_with_b0t_ops(lambda i, o: o)
+    assert same == (True, "ordered")
+    # The same values written as floats or strings leave the verdict as it is.
+    assert a5_with_b0t_ops(lambda i, o: MomentumOperator(
+        o.id, tuple((d, float(v) if v.denominator == 1 else str(v)) for d, v in o.action)
+    )) == same
+    # One operator's action scaled by 1/3: the bases differ.
+    assert a5_with_b0t_ops(lambda i, o: o if i else MomentumOperator(
+        o.id, tuple((d, v / 3) for d, v in o.action)
+    )) == (False, "operator bases differ")
