@@ -54,9 +54,6 @@ class QC:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
 
 @dataclass(frozen=True)
 class Frequency:

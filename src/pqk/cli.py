@@ -53,6 +53,17 @@ def _require_label(system: System, name: str, field: str) -> None:
         raise DocumentError(f"{field}: unknown label {name!r}")
 
 
+def _load_edge(args):
+    """The state on ``--from`` and the witnessed edge to ``--to``: (state,
+    fine label, coarse label, witness)."""
+    system = _load_system(args.system)
+    _require_label(system, args.src, "--from")
+    _require_label(system, args.dest, "--to")
+    state = _load_state(args.state, system, args.src)
+    fine, coarse = system.labels[args.src], system.labels[args.dest]
+    return state, fine, coarse, system.find_witness(args.src, args.dest)
+
+
 def _require_flag(ok: bool, flag: str, rule: str) -> None:
     if not ok:
         raise DocumentError(f"{flag}: {rule}")
@@ -100,14 +111,7 @@ def cmd_verify(args) -> int:
 def cmd_project(args) -> int:
     from .gaussian import project_state, trace
 
-    system = _load_system(args.system)
-    _require_label(system, args.src, "--from")
-    _require_label(system, args.dest, "--to")
-    state = _load_state(args.state, system, args.src)
-    witness = system.find_witness(args.src, args.dest)
-    projected = project_state(
-        state, system.labels[args.src], system.labels[args.dest], witness
-    )
+    projected = project_state(*_load_edge(args))
     io.dump_json(io.state_to_document(projected, args.dest), args.out)
     _print(
         {
@@ -218,12 +222,7 @@ def cmd_oracle(args) -> int:
         "must be finite and > 0",
     )
     _require_tol(args.tol)
-    system = _load_system(args.system)
-    _require_label(system, args.src, "--from")
-    _require_label(system, args.dest, "--to")
-    state = _load_state(args.state, system, args.src)
-    fine, coarse = system.labels[args.src], system.labels[args.dest]
-    witness = system.find_witness(args.src, args.dest)
+    state, fine, coarse, witness = _load_edge(args)
     kdec = decomposition_for(fine, coarse, witness)
     try:
         check_kernel_points(args.grid, kdec)

@@ -257,9 +257,6 @@ class GraphDecomposition:
     )
     reason: str = ""
 
-    def __bool__(self) -> bool:
-        return self.accepted
-
 
 def decompose_edges(fine: Graph, coarse: Graph) -> GraphDecomposition:
     """Factor every coarse edge as a concatenation of fine edges and inverses.

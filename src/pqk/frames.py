@@ -47,9 +47,6 @@ class ReducedFrame:
     def dim(self) -> int:
         return len(self.dofs)
 
-    def index(self, dof: DofId) -> int:
-        return self.dofs.index(dof)
-
 
 @dataclass(frozen=True)
 class ProjectionMatrix:

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -148,6 +150,14 @@ class GaussianMixtureState:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "trace_drift", float(self.trace_drift))
 
+    @cached_property
+    def _stacks(self) -> list[np.ndarray]:
+        """P, R and s of every term, stacked along a leading term axis, read-only."""
+        stacks = [np.array([getattr(k, a) for _, k in self.terms]) for a in "PRs"]
+        for a in stacks:
+            a.flags.writeable = False
+        return stacks
+
     def sample(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         out = None
         for w, k in self.terms:
@@ -171,8 +181,8 @@ def pure_state(A, b) -> GaussianMixtureState:
     if not _is_pd(A.real):
         raise NotPositiveDefiniteError("Re(A) must be positive definite")
     kernel = GaussianKernel(dim=n, P=A, R=np.zeros((n, n)), s=b, logw=0.0)
-    kernel = replace(kernel, logw=-_log_traces((kernel,))[0])
-    return GaussianMixtureState(n, ((1.0, kernel),))
+    logw = -_log_traces(GaussianMixtureState(n, ((1.0, kernel),)))[0]
+    return GaussianMixtureState(n, ((1.0, replace(kernel, logw=logw)),))
 
 
 def mix(states: Sequence[GaussianMixtureState], weights: Sequence[float]) -> GaussianMixtureState:
@@ -198,39 +208,27 @@ def mix(states: Sequence[GaussianMixtureState], weights: Sequence[float]) -> Gau
     return GaussianMixtureState(dim, terms)
 
 
-def _log_traces(kernels: Sequence[GaussianKernel]) -> list[float]:
-    """Closed-form log traces of kernels of one dimension, from each C with
+def _log_traces(state: GaussianMixtureState) -> list[float]:
+    """Closed-form log traces of a state's kernels, from each C with
     rho(x, x) = exp(-x^T C x + ...): one stacked Cholesky check, slogdet and
     solve, then each sum taken as a scalar."""
-    c = np.stack([k.P.real - k.R.real for k in kernels])
+    P, R, s = state._stacks
+    c, u = P.real - R.real, 2.0 * s.real
     if not _is_pd(c):
         raise DivergentError("kernel diagonal form is not positive definite")
-    u = 2.0 * np.stack([k.s for k in kernels]).real
     _, logdet = np.linalg.slogdet(c)
     x = np.linalg.solve(c, u[..., None])[..., 0]
-    const = 0.5 * kernels[0].dim * math.log(math.pi)
+    const = 0.5 * state.dim * math.log(math.pi)
     return [
         k.logw + const - 0.5 * ld + 0.25 * float(a @ b)
-        for k, ld, a, b in zip(kernels, logdet, u, x)
+        for (_, k), ld, a, b in zip(state.terms, logdet, u, x)
     ]
 
 
 def trace(state: GaussianMixtureState) -> float:
     """Closed-form trace; raises :class:`DivergentError` on bad terms."""
-    logs = _log_traces([k for _, k in state.terms])
+    logs = _log_traces(state)
     return float(sum(w * math.exp(lt) for (w, _), lt in zip(state.terms, logs)))
-
-
-def _term_arrays(state: GaussianMixtureState) -> list[np.ndarray]:
-    """P, R and s of every term, stacked along a leading term axis; built
-    once and kept, read-only, on the immutable state."""
-    kept = state.__dict__.get("_stacks")
-    if kept is None:
-        kept = [np.array([getattr(k, a) for _, k in state.terms]) for a in "PRs"]
-        for a in kept:
-            a.flags.writeable = False
-        object.__setattr__(state, "_stacks", kept)
-    return kept
 
 
 def _pair_forms(
@@ -247,8 +245,8 @@ def _pair_forms(
         raise DimensionMismatchError(
             f"states live in dimensions {s1.dim} and {s2.dim}"
         )
-    P1, R1, v1 = (x[:, None] for x in _term_arrays(s1))
-    P2, R2, v2 = (x[None] for x in _term_arrays(s2))
+    P1, R1, v1 = (x[:, None] for x in s1._stacks)
+    P2, R2, v2 = (x[None] for x in s2._stacks)
     cross = -(R1.conj() + R2)
     M = np.block([[P1.conj() + P2, cross], [cross.swapaxes(-1, -2), P1 + P2.conj()]])
     v = np.concatenate([v1.conj() + v2, v1 + v2.conj()], axis=-1)
@@ -258,11 +256,11 @@ def _pair_forms(
     return M, v
 
 
-def _log_integrals(
+def _pair_integrals(
     s1: GaussianMixtureState, s2: GaussianMixtureState, M: np.ndarray, v: np.ndarray
-) -> list[tuple[float, complex]]:
+) -> list[complex]:
     """Per term pair of :func:`_pair_forms`' forms M, v: the weight product
-    w1 w2 and the log of the pairing integral including both kernels' logw.
+    w1 w2 times the pairing integral, whose log includes both kernels' logw.
     Every eigenvalue of a checked M has positive real part, so summed
     principal logs pick the real branch."""
     logdets = np.sum(np.log(np.linalg.eigvals(M)), axis=-1)
@@ -272,15 +270,14 @@ def _log_integrals(
         (w1 * w2, k1.logw + k2.logw) for w1, k1 in s1.terms for w2, k2 in s2.terms
     ]
     return [
-        (w, lw + (const - 0.5 * complex(d) + 0.5 * complex(q)))
+        w * complex(np.exp(lw + (const - 0.5 * complex(d) + 0.5 * complex(q))))
         for (w, lw), d, q in zip(pairs, logdets, quads)
     ]
 
 
 def hs_inner(s1: GaussianMixtureState, s2: GaussianMixtureState) -> complex:
     """HS inner product <s1, s2>, conjugate-linear in the first slot."""
-    pairs = _log_integrals(s1, s2, *_pair_forms(s1, s2))
-    return complex(sum(w * complex(np.exp(lg)) for w, lg in pairs))
+    return complex(sum(_pair_integrals(s1, s2, *_pair_forms(s1, s2))))
 
 
 def _gram_distance(s1: GaussianMixtureState, s2: GaussianMixtureState) -> float:
@@ -312,7 +309,7 @@ def _term_deviations(s1: GaussianMixtureState, s2: GaussianMixtureState) -> list
     parts = [
         (np.abs(a1 - a2).reshape(len(a1), -1).max(axis=1)
          / (1.0 + np.abs(a2).reshape(len(a2), -1).max(axis=1))).tolist()
-        for a1, a2 in zip(_term_arrays(s1), _term_arrays(s2))
+        for a1, a2 in zip(s1._stacks, s2._stacks)
     ]
     return [
         max(p, r, v, abs(k1.logw - k2.logw) / (1.0 + abs(k2.logw)), abs(w1 - w2) / w2)
@@ -333,8 +330,7 @@ def _self_pairing(state: GaussianMixtureState, expand: bool = False) -> tuple:
         sigma = np.linalg.inv(M)
         sigma = ((sigma + sigma.swapaxes(-1, -2)) / 2).reshape(t, t, m, m)
         mu = (sigma @ v.reshape(t, t, m, 1))[..., 0]
-        bases = [complex(w * np.exp(lg)) for w, lg in _log_integrals(state, state, M, v)]
-        kept = (bases, sigma, mu)
+        kept = (_pair_integrals(state, state, M, v), sigma, mu)
     object.__setattr__(state, "_self_pairing", kept)
     return kept
 
@@ -381,7 +377,7 @@ def _perturbative_distance(
     pairing with itself, the per-pair integrals, Sigma and mu) is kept on
     s2 by :func:`_self_pairing`.
     """
-    (P1, R1, v1), (P2, R2, v2) = _term_arrays(s1), _term_arrays(s2)
+    (P1, R1, v1), (P2, R2, v2) = s1._stacks, s2._stacks
     dP, dR, ds = P1 - P2, R1 - R2, v1 - v2
     A = np.block([[-dP, dR], [dR.swapaxes(-1, -2), -dP.conj()]])
     b = np.concatenate([ds, ds.conj()], axis=-1)
@@ -482,7 +478,7 @@ def _project_terms(
             f"state dimension {state.dim} != projection source {w.shape[0]}"
         )
     n, d = w.shape[1], kb.shape[1]
-    P, R, s = _term_arrays(state)
+    P, R, s = state._stacks
     a_u, lx, l0 = _u_forms(P, R, s, kb, w)
     lxT = lx.swapaxes(-1, -2)
     j = np.linalg.inv(a_u)
@@ -676,6 +672,8 @@ def quadrature_partial_trace(
     closed-form projection machinery is reused.  The grid is bounded by
     :func:`check_kernel_points`.
     """
+    if not isinstance(grid_points, numbers.Integral):
+        raise ValueError(f"grid_points must be an integer, got {grid_points!r}")
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
     if not 0 < extent < math.inf:
@@ -710,7 +708,6 @@ def quadrature_partial_trace(
 @dataclass(frozen=True, eq=False)
 class OracleReport:
     max_rel_error: float
-    quadrature: QuadratureTable
     closed_form: np.ndarray
 
 
@@ -744,7 +741,7 @@ def oracle_report(
             f"precision"
         )
     err = float(np.abs(table.values - closed).max() / scale)
-    return OracleReport(max_rel_error=err, quadrature=table, closed_form=closed)
+    return OracleReport(max_rel_error=err, closed_form=closed)
 
 
 # --- grid positivity probe ---------------------------------------------------

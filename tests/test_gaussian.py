@@ -48,7 +48,6 @@ from pqk.gaussian import (
     _checked_terms,
     _gram_distance,
     _perturbative_distance,
-    _term_arrays,
     _term_deviation,
     _term_deviations,
     decomposition_for,
@@ -970,7 +969,7 @@ def test_a_kept_self_pairing_is_released_with_its_state():
     assert hs_distance(rebuilt(st), st) == 0.0
     assert hs_distance(perturbed(st, 1e-10, rng), st) > 0.0
     _, sigma, mu = vars(st)["_self_pairing"]
-    kept = [weakref.ref(x) for x in (st, sigma, mu, *_term_arrays(st))]
+    kept = [weakref.ref(x) for x in (st, sigma, mu, *st._stacks)]
     del st, sigma, mu
     gc.collect()
     assert [r() for r in kept] == [None] * len(kept)
@@ -1097,6 +1096,33 @@ def test_quadrature_rejects_a_bad_extent(extent):
     for check in (quadrature_partial_trace, oracle_report):
         with pytest.raises(ValueError, match="^extent must be finite and > 0$"):
             check(st, fine, coarse, witness, extent=extent)
+
+
+@pytest.mark.parametrize(
+    "grid", [16.5, 16.0, np.float64(32), "16"], ids=["16.5", "16.0", "float64", "str"]
+)
+def test_quadrature_refuses_a_grid_that_is_not_an_integer(grid):
+    # 16.5 midpoints would be 17 cells of width 16/16.5, the last one
+    # centred on +extent: not the documented midpoint grid.
+    st = pure_state(np.eye(2), np.zeros(2))
+    fine, coarse, witness = generic_reduction([[1, 0]])
+    detail = f"^grid_points must be an integer, got {re.escape(repr(grid))}$"
+    for check in (quadrature_partial_trace, oracle_report):
+        with pytest.raises(ValueError, match=detail):
+            check(st, fine, coarse, witness, grid_points=grid)
+
+
+def test_quadrature_takes_a_numpy_integer_grid():
+    st = pure_state(np.eye(2), np.array([0.3, -0.2j]))
+    fine, coarse, witness = generic_reduction([[1, 0]])
+    want = quadrature_partial_trace(st, fine, coarse, witness, grid_points=16)
+    got = quadrature_partial_trace(st, fine, coarse, witness, grid_points=np.int64(16))
+    assert want.values.tobytes() == got.values.tobytes()
+    errors = {
+        oracle_report(st, fine, coarse, witness, grid_points=g).max_rel_error.hex()
+        for g in (16, np.int64(16))
+    }
+    assert len(errors) == 1
 
 
 @pytest.mark.parametrize("b_rows", [[[1, 0]], [[1, 0, 0], [0, 1, 0]]])

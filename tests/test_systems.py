@@ -14,6 +14,7 @@ from pqk import (
     OrderEdge,
     OrderViolationError,
     OrderWitness,
+    RankDeficientError,
     ReducedFrame,
     SystemLabel,
     check_assumptions,
@@ -569,3 +570,100 @@ def test_a5_compares_operator_bases_by_value(demo_system):
     assert a5_with_b0t_ops(lambda i, o: o if i else MomentumOperator(
         o.id, tuple((d, v / 3) for d, v in o.action)
     )) == (False, "operator bases differ")
+
+
+# --- audit verdicts on hand-built labels ----------------------------------------
+
+
+def one_dof_edge(coarse_op, combos, membership):
+    """``F >= C`` for F = (u on k1) and C = (``coarse_op`` on d), with d and
+    k1 equal on the one probe p."""
+    fine = SystemLabel((op("u", k1=1),), ReducedFrame(("k1",)))
+    coarse = SystemLabel((coarse_op,), ReducedFrame(("d",)))
+    witness = OrderWitness(combos, membership, {"d": {"p": 1}, "k1": {"p": 1}})
+    return {"F": fine, "C": coarse}, witness
+
+
+@pytest.mark.parametrize(
+    "coarse_op, combos, membership, detail",
+    [
+        (op("w", d=1, k1=1), {}, {"w": {"u": 1}}, "no combination witnessed for 'd'"),
+        # w acts as 1 on d and as 2 on k1, yet d is k1: check (3)'s verdict.
+        (op("w", d=1, k1=2), {"d": {"k1": 1}}, {"w": {"u": 2}},
+         "operator 'w' is not linear over the witnessed combination of 'd'"),
+        # w is a member of F's basis on k1 but has no action on d itself.
+        (op("w", k1=1), {"d": {"k1": 1}}, {"w": {"u": 1}},
+         "operator 'w' has no action on 'd'"),
+        (op("w", d=1, k1=1), {"d": {"k1": 1}}, {}, "no membership witnessed for 'w'"),
+    ],
+    ids=["no-combination", "not-linear", "missing-action", "no-membership"],
+)
+def test_refines_names_each_fault_and_the_audit_reports_it(
+    coarse_op, combos, membership, detail
+):
+    family, witness = one_dof_edge(coarse_op, combos, membership)
+    check = refines(family["F"], family["C"], witness)
+    assert (check.ok, check.diagnostic) == (False, detail)
+    assert check.membership == (detail if not membership else None)
+    report = check_assumptions(family, (OrderEdge("F", "C", witness),), Probes())
+    (a6,) = (i for i in report.instances if i.assumption == "A6")
+    assert (a6.subject, a6.passed, a6.detail) == ("F >= C", False, detail)
+
+
+def a5_instance(family, pairs, dof_values):
+    report = check_assumptions(
+        family, (), Probes(equal_space_pairs=pairs, dof_values=dof_values)
+    )
+    (a5,) = (i for i in report.instances if i.assumption == "A5")
+    return a5.subject, a5.passed, a5.detail
+
+
+def test_a5_names_an_unknown_label():
+    family = {"F": SystemLabel((op("u", a=1),), ReducedFrame(("a",)))}
+    assert a5_instance(family, (("F", "X"),), {}) == ("F ~ X", False, "unknown label")
+
+
+def test_a5_names_frames_that_span_different_spaces():
+    # The same operator paired with a on one label and with b on the other;
+    # a and b are independent on the probes.
+    u = op("u", a=1, b=1)
+    family = {
+        "A": SystemLabel((u,), ReducedFrame(("a",))),
+        "B": SystemLabel((u,), ReducedFrame(("b",))),
+    }
+    assert a5_instance(family, (("A", "B"),), {"a": {"p": 1}, "b": {"q": 1}}) == (
+        "A ~ B", False, "frames do not span the same space"
+    )
+
+
+def test_a6_names_an_edge_to_an_unknown_label():
+    family, witness = one_dof_edge(op("w", d=1, k1=1), {"d": {"k1": 1}}, {"w": {"u": 1}})
+    order = (OrderEdge("X", "C", witness), OrderEdge("F", "C", witness))
+    report = check_assumptions(family, order, Probes())
+    a6 = [(i.subject, i.passed, i.detail) for i in report.instances if i.assumption == "A6"]
+    assert a6 == [("X >= C", False, "unknown label"), ("F >= C", True, "verified")]
+
+
+def test_a2_derives_nothing_along_an_edge_whose_projection_does_not_build():
+    # d1 and d2 are both k1, so the edge verifies, but its projection has
+    # rank 1 < 2 and does not build: C is not derived surjective.
+    fine = SystemLabel((op("u1", k1=1, k2=0), op("u2", k1=0, k2=1)),
+                       ReducedFrame(("k1", "k2")))
+    coarse = SystemLabel((op("w1", k1=1, k2=0, d1=1, d2=1), op("w2", k1=0, k2=1, d1=0, d2=0)),
+                         ReducedFrame(("d1", "d2")))
+    witness = OrderWitness(
+        {"d1": {"k1": 1}, "d2": {"k1": 1}},
+        {"w1": {"u1": 1}, "w2": {"u2": 1}},
+        {"k1": {"p": 1}, "k2": {"q": 1}, "d1": {"p": 1}, "d2": {"p": 1}},
+    )
+    family = {"F": fine, "C": coarse}
+    assert refines(fine, coarse, witness)
+    with pytest.raises(RankDeficientError):
+        projection_from_witness(fine, coarse, witness)
+    probes = Probes(surjectivity={"F": ({"k1": 1}, {"k2": 1})})
+    report = check_assumptions(family, (OrderEdge("F", "C", witness),), probes)
+    a2 = [(i.subject, i.passed, i.detail) for i in report.instances if i.assumption == "A2"]
+    assert a2 == [
+        ("C", False, "no surjectivity witness supplied or derivable"),
+        ("F", True, "full-rank evaluation witness"),
+    ]
