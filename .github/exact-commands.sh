@@ -42,6 +42,17 @@ exact() {
   status=0
   pqk verify sys.json || status=$?
   test "$status" -eq 2
+  # A system file that is not UTF-8, and an --out in a missing directory,
+  # exit 2 with one JSON line naming the path.
+  printf '\xff\xfe garbage' > bad.json
+  status=0
+  pqk verify bad.json > err.json || status=$?
+  test "$status" -eq 2
+  grep -F '"detail": "bad.json: not UTF-8' err.json
+  status=0
+  pqk dpg-demo --out missing/sys.json > err.json || status=$?
+  test "$status" -eq 2
+  grep -F '"detail": "missing/sys.json: ' err.json
 }
 
 # v.json repeats the frequency (1/3, 2/3) three times, once written as

@@ -4,28 +4,24 @@ Subcommands: verify, project, consistency, join, oracle, dpg-demo, ap.
 Every command prints one JSON report to stdout.  Exit codes: 0 on success
 or a passing check, 1 on a verification/consistency failure, 2 on
 malformed input or an out-of-range flag (the message names the offending
-field or flag).  Only project, consistency and oracle import the Gaussian
-layer, and numpy with it.
+field or flag); a file that cannot be read or decoded, or an output path
+that cannot be written, is malformed input and its message names the path.
+Only project, consistency and oracle import the Gaussian layer, and numpy
+with it.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
 
 from . import io
-from .dpg import System, random_system, system_join
+from .dpg import System, random_system
 from .errors import DocumentError, OrderViolationError, PqkError
 from .almost_periodic import inner_product, limit_equal, promote
-from .systems import (
-    ASSUMPTION_TITLES,
-    OrderEdge,
-    check_assumptions,
-    close_witnesses,
-)
+from .systems import ASSUMPTION_TITLES, check_assumptions
 
 
 def _print(report: dict) -> None:
@@ -172,33 +168,7 @@ def cmd_join(args) -> int:
     join_name = f"j({a}+{b})"
     if join_name in system.dlabels:
         raise DocumentError(f"--labels: label {join_name!r} already present")
-    result = system_join(system.dlabels[a], system.dlabels[b], join_name)
-
-    words = dict(system.words)
-    known = set(words.values())
-    fresh = (f"e{i}" for i in itertools.count(len(words)) if f"e{i}" not in words)
-    for e in result.label.graph.edges:
-        if e not in known:
-            words[next(fresh)] = e
-            known.add(e)
-
-    order = (
-        *system.order,
-        OrderEdge(join_name, a, result.witness_a),
-        OrderEdge(join_name, b, result.witness_b),
-    )
-    closure = close_witnesses(order, join_name)
-    dlabels = dict(system.dlabels)
-    dlabels[join_name] = result.label
-    merged = System(
-        atoms=system.atoms,
-        words=words,
-        dlabels=dlabels,
-        order=(
-            *system.order,
-            *(OrderEdge(join_name, lower, w) for lower, w in closure.items()),
-        ),
-    )
+    merged, result = system.with_join(a, b, join_name)
     io.dump_json(io.system_to_document(merged), args.out)
     _print(
         {

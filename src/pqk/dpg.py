@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import pairwise
+from itertools import count, pairwise
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -483,8 +483,8 @@ class System:
     It holds exactly what its document holds.  ``words`` maps edge ids to
     the words every label is materialized on; ``labels`` is that system
     view, built on first access and then kept, so witness plans see the
-    same label objects every time.  Audit probes come from
-    :func:`pqk.io.default_probes`.
+    same label objects every time.  :meth:`with_join` is the one way a
+    family grows.  Audit probes come from :func:`pqk.io.default_probes`.
     """
 
     atoms: Mapping[str, AtomicEdge]
@@ -503,6 +503,26 @@ class System:
         if lower not in closure:
             raise OrderViolationError(f"no witnessed relation {upper} >= {lower}")
         return closure[lower]
+
+    def with_join(self, a: str, b: str, name: str) -> tuple["System", JoinResult]:
+        """This family with the join of ``a`` and ``b`` added as ``name``.
+
+        Existing edge ids are kept; each new word takes the first free
+        ``e<i>`` counting from ``len(words)``.  ``name`` gets witnesses to
+        ``a`` and ``b`` and, composed from them, to every label they reach.
+        """
+        result = system_join(self.dlabels[a], self.dlabels[b], name)
+        words = dict(self.words)
+        known = set(words.values())
+        fresh = (f"e{i}" for i in count(len(words)) if f"e{i}" not in words)
+        for e in result.label.graph.edges:
+            if e not in known:
+                words[next(fresh)] = e
+        closure = close_witnesses((*self.order, OrderEdge(name, a, result.witness_a),
+                                   OrderEdge(name, b, result.witness_b)), name)
+        dlabels = {**self.dlabels, name: result.label}
+        order = (*self.order, *(OrderEdge(name, x, w) for x, w in closure.items()))
+        return replace(self, words=words, dlabels=dlabels, order=order), result
 
     def chains(self) -> tuple[tuple[str, str, str], ...]:
         """All witnessed triples top >= mid >= bottom."""
@@ -604,12 +624,14 @@ def _random_label(
 def random_system(n_edges: int, depth: int, seed: int) -> System:
     """Deterministic family of labels built by repeated joins.
 
-    Emits ``depth`` base labels on random graphs, every pairwise join, and
-    for depth >= 3 a chain of iterated joins, together with all witnessed
-    order relations (direct and composed) and an orientation-flipped twin of
-    the first base label.  The audit reads its probes off the result with
-    :func:`pqk.io.default_probes`, as for a loaded family.  Edge ids
-    ``e0, e1, ...`` number the words in order of first appearance.
+    Starts from ``depth`` base labels on random graphs and, for depth >= 2,
+    an orientation-flipped twin ``b0t`` of the first, witnessed both ways;
+    edge ids ``e0, e1, ...`` number their words in order of first
+    appearance.  Every pairwise join and, for depth >= 3, a chain of
+    iterated joins are then added with :meth:`System.with_join`, so the
+    order holds every witnessed relation (direct and composed).  The audit
+    reads its probes off the result with :func:`pqk.io.default_probes`, as
+    for a loaded family.
     """
     if n_edges < 1 or depth < 1:
         raise ValueError("n_edges and depth must be at least 1")
@@ -622,7 +644,7 @@ def random_system(n_edges: int, depth: int, seed: int) -> System:
     atom_ids = sorted(atoms)
 
     dlabels: dict[str, DpgLabel] = {}
-    direct: list[OrderEdge] = []
+    order: tuple[OrderEdge, ...] = ()
 
     for i in range(depth):
         graph = _random_graph(rng, n_edges, atom_ids)
@@ -633,43 +655,23 @@ def random_system(n_edges: int, depth: int, seed: int) -> System:
         flipped = Graph((b0.graph.edges[0].inverse(), *b0.graph.edges[1:]))
         dlabels["b0t"] = DpgLabel(id="b0t", graph=flipped, faces=b0.faces)
         same_faces = {f.id: {f.id: _ONE} for f in b0.faces}
-        for upper, lower, fine, coarse in (
-            ("b0t", "b0", flipped, b0.graph),
-            ("b0", "b0t", b0.graph, flipped),
-        ):
-            witness = _graph_witness(fine, coarse, same_faces)
-            direct.append(OrderEdge(upper, lower, witness))
+        order = (
+            OrderEdge("b0t", "b0", _graph_witness(flipped, b0.graph, same_faces)),
+            OrderEdge("b0", "b0t", _graph_witness(b0.graph, flipped, same_faces)),
+        )
 
-    def add_join(a: str, b: str, name: str) -> None:
-        res = system_join(dlabels[a], dlabels[b], name)
-        dlabels[name] = res.label
-        direct.append(OrderEdge(name, a, res.witness_a))
-        direct.append(OrderEdge(name, b, res.witness_b))
-
+    first_seen = dict.fromkeys(e for d in dlabels.values() for e in d.graph.edges)
+    words = {f"e{i}": w for i, w in enumerate(first_seen)}
+    system = System(atoms=atoms, words=words, dlabels=dlabels, order=order)
     for i in range(depth):
         for j in range(i + 1, depth):
-            add_join(f"b{i}", f"b{j}", f"j(b{i}+b{j})")
+            system, _ = system.with_join(f"b{i}", f"b{j}", f"j(b{i}+b{j})")
+    for k in range(2, depth):
+        below = "j(b0+b1)" if k == 2 else f"c{k - 1}"
+        system, _ = system.with_join(below, f"b{k}", f"c{k}")
 
-    if depth >= 3:
-        current = "j(b0+b1)"
-        for k in range(2, depth):
-            add_join(current, f"b{k}", f"c{k}")
-            current = f"c{k}"
-
-    first_seen: dict[EdgeWord, None] = {}
-    for d in dlabels.values():
-        first_seen.update(dict.fromkeys(d.graph.edges))
-    words = {f"e{i}": w for i, w in enumerate(first_seen)}
-
-    order = tuple(
-        OrderEdge(upper, lower, w)
-        for upper in sorted(dlabels)
-        for lower, w in sorted(close_witnesses(direct, upper).items())
-    )
-
-    return System(
-        atoms=atoms,
-        words=words,
-        dlabels=dict(sorted(dlabels.items())),
-        order=order,
+    return replace(
+        system,
+        dlabels=dict(sorted(system.dlabels.items())),
+        order=tuple(sorted(system.order, key=lambda e: (e.upper, e.lower))),
     )

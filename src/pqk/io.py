@@ -445,15 +445,22 @@ def document_to_projection(doc: dict) -> ProjectionMatrix:
 
 def load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def dump_json(doc: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise DocumentError(f"{path}: {exc}") from exc

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -759,6 +760,39 @@ def test_system_labels_are_built_once_on_first_access(monkeypatch):
 
 def test_random_system_chains_exist_at_depth_three(deep_system):
     assert deep_system.chains()
+
+
+# sha256 of the document io.dump_json writes for random_system(edges, depth,
+# seed), keyed (depth, edges, seed): the shallow shapes whose bytes the
+# perfbench refs (depths 3-5) do not pin.
+SHALLOW_DIGESTS = {
+    (1, 1, 0): "4d83bcbb25597a05359f2e478b9e1acff1042cc36e2b2fc100ce4ad8aa5d41c4",
+    (1, 1, 1): "327c59784ee4987a1d90afe8dff96cd8bcc8418acd07b8d08fb547d18ae33778",
+    (1, 1, 2): "327c59784ee4987a1d90afe8dff96cd8bcc8418acd07b8d08fb547d18ae33778",
+    (1, 2, 0): "b6b23e05b1baa577ff4a39badf2db2fbfd46f3d836b5b8ff74683b59475150ba",
+    (1, 2, 1): "7e56a38e1ccc3e36c4da9ac3fe0b98e951570db3114ada37f2c9b46448fcf02b",
+    (1, 2, 2): "3aaf246afaa7fe09761781f31969676796e20e44871ae02606a2e80cf725c0b1",
+    (1, 3, 0): "f03f892dfa75391857c338c09f4cd088a195e95c6a54fa06b07d93b60c1f51ef",
+    (1, 3, 1): "c8e190e0b6ca15121fe849401d149896a60b8c339fa5ce51c0a681a4d5398658",
+    (1, 3, 2): "c64dd16b9eb42cab6642d74820c3fee51911e5eec8da6f726630a1172101623b",
+    (2, 1, 0): "723f141b9e0b7af499341822f94db9f73d5ccff3de055ca6e8d7df385b5b5dad",
+    (2, 1, 1): "3679a8f7e33b4d0353f6e4eb4b7b8d377dbe0c20ac385afda6860627c2b8915e",
+    (2, 1, 2): "0fd6d0f409c1e471602dcd0da8dfd53733e1f25fca561f4d10a52646833cb8f2",
+    (2, 2, 0): "7d25939b44331c345471d42bafb4672e4ffd1e995c7aa99041a9911461359e13",
+    (2, 2, 1): "58623e3d7a5e929805f48f36b338c90dbd4c98dc97e809a59a7773bc526d7201",
+    (2, 2, 2): "6d6c5127eb9a188527a9baf1356066ddf458460564417da6f6819ce4b673bf44",
+    (2, 3, 0): "2369b40d978c7e88b7dc6b72d10f2e147dd0d14a883a4b40f6bfb47e13ccfc8b",
+    (2, 3, 1): "d5392ac30aeb89eb7544358c05887ba75ba6f5d3330aa2f970e32095e9001ef2",
+    (2, 3, 2): "7b98ebd0632ee23afa9085d8e70347dc85534173727cc9c7c00252ad1c5ca035",
+}
+
+
+@pytest.mark.parametrize("depth, edges, seed", sorted(SHALLOW_DIGESTS))
+def test_shallow_generated_documents_keep_their_bytes(tmp_path, depth, edges, seed):
+    path = tmp_path / "sys.json"
+    pio.dump_json(pio.system_to_document(random_system(edges, depth, seed)), str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == SHALLOW_DIGESTS[depth, edges, seed]
 
 
 # --- the sparse-row kernel against the loops it replaced ------------------------

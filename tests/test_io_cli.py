@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import random
 import re
@@ -636,6 +637,42 @@ def test_cli_join_adds_every_reachable_relation(tmp_path, capsys):
     assert code == 0 and report["passed"]
 
 
+def test_cli_join_keeps_edge_ids_and_takes_the_first_free_one(tmp_path, capsys):
+    """On a document whose ids are not e0..e7 (e0 is x, e1 is e8), every
+    existing id stays and the join's one new word takes e9, the first free
+    id counting from the document's eight edges.  The bytes are those the
+    join has always written for it."""
+    sys_path = str(tmp_path / "sys.json")
+    run_cli(capsys, "dpg-demo", "--edges", "2", "--depth", "2", "--seed", "1",
+            "--out", sys_path)
+    doc = pio.load_json(sys_path)
+    assert [e["id"] for e in doc["edges"]] == [f"e{i}" for i in range(8)]
+    rename = {"e0": "x", "e1": "e8"}
+    for entry in doc["edges"]:
+        entry["id"] = rename.get(entry["id"], entry["id"])
+    for label in doc["labels"]:
+        label["graph"] = [rename.get(e, e) for e in label["graph"]]
+    for entry in doc["order"]:
+        entry["combo_witness"] = {
+            rename.get(e, e): {rename.get(f, f): c for f, c in row.items()}
+            for e, row in entry["combo_witness"].items()
+        }
+    pio.dump_json(doc, sys_path)
+    out_path = tmp_path / "joined.json"
+    code, report = run_cli(
+        capsys, "join", "--system", sys_path, "--labels", "b0,b0t",
+        "--out", str(out_path),
+    )
+    assert code == 0 and report["edges"] == 2
+    before = {e["id"]: e["letters"] for e in doc["edges"]}
+    after = {e["id"]: e["letters"] for e in pio.load_json(str(out_path))["edges"]}
+    assert {eid: after[eid] for eid in before} == before
+    assert set(after) - set(before) == {"e9"}
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "2f558c2c462764522c263cb3db9def372f5a6da2eb64960e83ea599930bf6805"
+    )
+
+
 CLI_CHAIN = (
     ("dpg-demo", "--edges", "2", "--depth", "3", "--seed", "5", "--out", "sys.json"),
     ("verify", "sys.json", "--report", "audit.json"),
@@ -754,6 +791,52 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         assert code == 2, (kind, field, report)
         assert report["error"] == "DocumentError"
         assert re.search(field, report["detail"]), (field, report)
+
+
+def _one_error_line(capsys, *argv):
+    """Run the CLI on argv; it must exit 2 printing one DocumentError line."""
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1, (code, out)
+    report = json.loads(out)
+    assert report["error"] == "DocumentError"
+    return report["detail"]
+
+
+@pytest.mark.parametrize("content, cause", [
+    (b"\xff\xfe garbage", "not UTF-8"),
+    (b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
+], ids=["non-utf8", "nested-200000-deep"])
+def test_cli_undecodable_file_exits_2(tmp_path, capsys, content, cause):
+    path = tmp_path / "sys.json"
+    path.write_bytes(content)
+    detail = _one_error_line(capsys, "verify", str(path))
+    assert detail.startswith(f"{path}: ") and cause in detail
+
+
+@pytest.mark.parametrize("command", ["verify", "dpg-demo", "join", "project", "ap"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_cli_unwritable_output_exits_2(system_doc, tmp_path, capsys, command, target):
+    rs, sys_path = system_doc
+    _, state_path = _write_state(tmp_path, rs, "j(b0+b1)", seed=1, terms=1)
+    v, p = str(tmp_path / "v.json"), str(tmp_path / "p.json")
+    pio.dump_json({"frame": ["k1"], "terms": [{"freq": [1], "re": 2}]}, v)
+    pio.dump_json({"target_frame": ["k1"], "source_frame": ["k1", "k2"],
+                   "entries": [[1, 1]]}, p)
+    out = {
+        "missing-directory": str(tmp_path / "missing" / "out.json"),
+        "directory": str(tmp_path),
+    }[target]
+    argv = {
+        "verify": ("verify", sys_path, "--report", out),
+        "dpg-demo": ("dpg-demo", "--out", out),
+        "join": ("join", "--system", sys_path, "--labels", "b0t,b1", "--out", out),
+        "project": ("project", "--system", sys_path, "--state", state_path,
+                    "--from", "j(b0+b1)", "--to", "b0", "--out", out),
+        "ap": ("ap", "--op", "promote", "--in", v, p, "--out", out),
+    }[command]
+    detail = _one_error_line(capsys, *argv)
+    assert detail.startswith(f"{out}: ")
 
 
 @pytest.mark.parametrize("command", ["project", "consistency", "oracle"])
