@@ -19,6 +19,22 @@ exact() {
   pqk verify sys.json
   pqk join --system sys.json --labels b0t,b1 --out joined.json
   pqk verify joined.json
+  # A label joined with itself, and a join already present under the
+  # swapped name, are malformed input: exit 2 naming --labels.
+  for labels in b0,b0 b1,b0; do
+    status=0
+    pqk join --system sys.json --labels "$labels" --out no.json > err.json || status=$?
+    test "$status" -eq 2
+    grep -F '"detail": "--labels: ' err.json
+    test ! -e no.json
+  done
+  # A reader that stops after one line gets no traceback: verify exits
+  # with its own verdict and writes nothing to stderr.  The report of
+  # this system (27 KB) spans several pipe pages, so head exits while
+  # verify is still writing it.
+  pqk dpg-demo --edges 6 --depth 5 --seed 0 --out med.json
+  (set -o pipefail; pqk verify med.json 2> pipe-err.txt | head -1)
+  test ! -s pipe-err.txt
   # c2's faces carry 1/3 and 2/3: a join of non-dyadic faces, with
   # the bytes the join has always written.
   pqk dpg-demo --edges 2 --depth 3 --seed 2 --out s3.json

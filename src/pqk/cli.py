@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import io
@@ -24,8 +25,20 @@ from .almost_periodic import inner_product, limit_equal, promote
 from .systems import ASSUMPTION_TITLES, check_assumptions
 
 
+def _emit(text: str) -> None:
+    """Write one report to stdout.  A reader that closed stdout early does
+    not want it; the command still ends with its own verdict, and stdout
+    goes to devnull so that the exit flush stays quiet."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    _emit(json.dumps(report, sort_keys=True, indent=2))
 
 
 def _load_system(path: str) -> System:
@@ -165,9 +178,12 @@ def cmd_join(args) -> int:
     for name in names:
         _require_label(system, name, "--labels")
     a, b = names
+    if a == b:
+        raise DocumentError(f"--labels: cannot join {a!r} with itself")
     join_name = f"j({a}+{b})"
-    if join_name in system.dlabels:
-        raise DocumentError(f"--labels: label {join_name!r} already present")
+    for name in (join_name, f"j({b}+{a})"):
+        if name in system.dlabels:
+            raise DocumentError(f"--labels: label {name!r} already present")
     merged, result = system.with_join(a, b, join_name)
     io.dump_json(io.system_to_document(merged), args.out)
     _print(
@@ -349,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except DocumentError as exc:
-        print(json.dumps({"error": "DocumentError", "detail": str(exc)}))
+        _emit(json.dumps({"error": "DocumentError", "detail": str(exc)}))
         return 2
     except OrderViolationError as exc:
         _print(
@@ -362,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     except PqkError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
+        _emit(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         return 1
 
 

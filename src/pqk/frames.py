@@ -61,6 +61,7 @@ class ProjectionMatrix:
     entries: Mat
     source_frame: ReducedFrame
     target_frame: ReducedFrame
+    echelon: ratlin.Echelon = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", ratlin.mat(self.entries))
@@ -70,7 +71,10 @@ class ProjectionMatrix:
                 f"projection is {r}x{c}, frames are "
                 f"{self.target_frame.dim} and {self.source_frame.dim}"
             )
-        rank = ratlin.rank(self.entries)
+        # Kept: the kernel decomposition reads its basis and factor off it.
+        echelon = ratlin.echelon(self.entries)
+        object.__setattr__(self, "echelon", echelon)
+        rank = len(echelon.pivots)
         if rank < r:
             raise RankDeficientError(
                 f"target d.o.f. are dependent over the source frame (rank {rank} < {r})"
@@ -161,9 +165,13 @@ def kernel_decomposition(
     """Split the source space into ker B plus the embedded target space.
 
     ``embedding`` must be an exact right inverse W of the projection
-    (normally produced by :func:`pqk.systems.embedding_matrix`).  The kernel
-    basis is an exact null-space basis; any other exact basis choice yields
-    the same measure weight, which is what downstream consumers rely on.
+    (normally produced by :func:`pqk.systems.embedding_matrix`).  Kernel
+    basis and Lebesgue factor are read off the elimination the projection
+    made of B.  The basis Kb is :func:`pqk.ratlin.nullspace`'s: Kb is the
+    identity on B's free (non-pivot) rows.  So for E the rows selecting
+    the free coordinates, [E; B] [Kb | W] = [[I, E W], [0, I]], whose
+    determinant is 1, and |det [Kb | W]| = 1 / |det [E; B]| = 1 / |det
+    B[:, pivots]| for every W with B W = I: the factor does not depend on W.
     """
     b = projection.entries
     w = ratlin.mat(embedding)
@@ -172,17 +180,11 @@ def kernel_decomposition(
         raise DimensionMismatchError(
             f"embedding must be {n_src}x{n}, got {ratlin.shape(w)}"
         )
-    if ratlin.matmul(b, w) != ratlin.identity(n):
+    if not ratlin.product_is_identity(b, w):
         raise NotARightInverseError("B @ W is not the identity")
-    kb = ratlin.nullspace(b)
-    factor = abs(ratlin.det(ratlin.hstack(kb, w)))
-    if factor == 0:
-        raise NotARightInverseError(
-            "embedding columns do not complement the kernel"
-        )
     return KernelDecomposition(
-        kernel_basis=kb,
+        kernel_basis=ratlin.kernel_basis(projection.echelon),
         embedding=w,
-        lebesgue_factor=factor,
+        lebesgue_factor=abs(1 / ratlin.pivot_det(projection.echelon)),
         projection=projection,
     )

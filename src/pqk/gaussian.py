@@ -496,13 +496,16 @@ def _project_terms(
     R0 = (R0 + R0.conj().swapaxes(-1, -2)) / 2
     # One check of the stack stands for the one each kernel's constructor
     # makes; symmetrising exactly symmetric stacks again leaves their bits.
-    P0, R0, s0 = _checked_terms(P0, R0, s0[..., 0], logw)
+    stacks = _checked_terms(P0, R0, s0[..., 0], logw)
     terms = []
-    for (wt, _), p, r, v, lg in zip(state.terms, P0, R0, s0, logw):
+    for (wt, _), p, r, v, lg in zip(state.terms, *stacks, logw):
         kernel = object.__new__(GaussianKernel)
         vars(kernel).update(dim=n, P=p, R=r, s=v, logw=float(lg))
         terms.append((wt, kernel))
-    return GaussianMixtureState(n, tuple(terms))
+    projected = GaussianMixtureState(n, tuple(terms))
+    # The checked stacks are the kernels' stacks: np.array of the slices.
+    vars(projected)["_stacks"] = stacks
+    return projected
 
 
 def project_with(
@@ -526,6 +529,7 @@ def project_with(
         terms=tuple((wt / pre_trace, k) for wt, k in unnormalized.terms),
         trace_drift=abs(pre_trace - 1.0),
     )
+    vars(projected)["_stacks"] = unnormalized._stacks
     object.__setattr__(kdec, "_projected", (state, projected))
     return projected
 

@@ -7,7 +7,10 @@ determinant, inverse) is exact.  All of them run over integers: each row
 (or column) is scaled by the lcm of its denominators, so a product entry is
 one integer dot product over the two scales, and rank, null space,
 determinant and inverse share one fraction-free Gauss-Jordan elimination
-whose row updates are divided by their gcd.  A second elimination,
+(:func:`echelon`) whose row updates are divided by their gcd; a caller that
+needs several of them from one matrix keeps its :class:`Echelon`.  Checks
+that only need a verdict (:func:`product_is_identity`, :func:`equals_dot`)
+compare integers and make no ``Fraction``.  A second elimination,
 :func:`full_pivot_solve`, is Bareiss's full-pivot pass that the DPG join
 reads its edge order, rank test and lead faces off.  ``Fraction`` objects
 are made only on return, one per entry.  Sparse rows (mappings from keys
@@ -21,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from numbers import Integral, Real
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,16 +100,51 @@ def matmul(a: Mat, b: Mat) -> Mat:
     return _products(a, transpose(b))
 
 
-def dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
-    """Exact sum of the products x * y, consuming ``pairs`` in order."""
+def product_is_identity(a: Mat, b: Mat) -> bool:
+    """Whether a @ b is the identity, decided on the integer dot products of
+    :func:`matmul` (entry (i, j) is 1 exactly when its dot product equals
+    the product of the two scales, 0 when it is 0); no ``Fraction`` is made."""
+    ra, ca = shape(a)
+    rb, cb = shape(b)
+    if ca != rb:
+        raise ValueError(f"shape mismatch: {ra}x{ca} @ {rb}x{cb}")
+    if ra != cb:
+        return False
+    a_rows, a_scales = _int_rows(a)
+    c_rows, c_scales = _int_rows(transpose(b))
+    return all(
+        sum(map(mul, r, c)) == (x * y if i == j else 0)
+        for i, (r, x) in enumerate(zip(a_rows, a_scales))
+        for j, (c, y) in enumerate(zip(c_rows, c_scales))
+    )
+
+
+def _dot_terms(pairs: Iterable[tuple[Fraction, Fraction]]) -> tuple[int, int]:
+    """(num, den) with num / den the exact sum of the products x * y, den > 0."""
     num, den = 0, 1
     for x, y in pairs:
-        n, d = x.numerator * y.numerator, x.denominator * y.denominator
+        n = x.numerator * y.numerator
+        if not n:
+            continue
+        d = x.denominator * y.denominator
         if d != den:
             common = lcm(den, d)
             num, n, den = num * (common // den), n * (common // d), common
         num += n
+    return num, den
+
+
+def dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """Exact sum of the products x * y, consuming ``pairs`` in order."""
+    num, den = _dot_terms(pairs)
     return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def equals_dot(value: Fraction, pairs: Iterable[tuple[Fraction, Fraction]]) -> bool:
+    """Whether ``value == dot(pairs)``, decided by cross-multiplying the
+    integers of both sides; no ``Fraction`` is made."""
+    num, den = _dot_terms(pairs)
+    return value.numerator * den == num * value.denominator
 
 
 def hstack(a: Mat, b: Mat) -> Mat:
@@ -119,12 +157,28 @@ def is_zero(m: Mat) -> bool:
     return all(x == 0 for row in m for x in row)
 
 
-def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination: (rows, pivots, num, den).
+class Echelon(NamedTuple):
+    """A fraction-free Gauss-Jordan elimination of an nr x nc matrix m.
+
+    Each of the nr integer ``rows`` is a nonzero multiple of the row the
+    ``Fraction`` rref holds (the rows past ``len(pivots)`` are zero), and
+    ``pivots`` are the pivot columns.  For square m, det(rows) = det(m) *
+    num / den.  The rows are the elimination's own lists: read them only.
+    """
+
+    rows: list[list[int]]
+    pivots: list[int]
+    num: int
+    den: int
+    cols: int
+
+
+def echelon(m: Mat) -> Echelon:
+    """Fraction-free Gauss-Jordan elimination of m.
 
     Each pivot is the first nonzero entry at or below the current row, so
     every integer row is a nonzero multiple of the row a ``Fraction``
-    elimination would hold.  For square m, det(rows) = det(m) * num / den.
+    elimination would hold.
     """
     rows, scales = _int_rows(m)
     num, den = prod(scales), 1
@@ -153,7 +207,7 @@ def _eliminate(m: Mat) -> tuple[list[list[int]], list[int], int, int]:
         r += 1
         if r == nr:
             break
-    return rows, pivots, num, den
+    return Echelon(rows, pivots, num, den, nc)
 
 
 def full_pivot_solve(rows: list[list[int]], n: int) -> tuple[list[int], Mat] | None:
@@ -195,7 +249,7 @@ def full_pivot_solve(rows: list[list[int]], n: int) -> tuple[list[int], Mat] | N
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form with the list of pivot columns."""
-    rows, pivots, _, _ = _eliminate(m)
+    rows, pivots, _, _, _ = echelon(m)
     zero = Fraction(0)
     out = [
         tuple(Fraction(x, row[c]) if x else zero for x in row)
@@ -209,32 +263,44 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def nullspace(m: Mat) -> Mat:
-    """Columns spanning ker(m), as an nc x (nc - rank) matrix.
+def kernel_basis(e: Echelon) -> Mat:
+    """Columns spanning the kernel of the eliminated matrix, as an nc x
+    (nc - rank) matrix.
 
-    Free variables are set to 1 one at a time, in column order."""
-    red, pivots = rref(m)
-    nr, nc = shape(m)
+    Free variables are set to 1 one at a time, in column order, so the
+    basis restricted to the free rows is the identity."""
+    rows, pivots, _, _, nc = e
     free = [c for c in range(nc) if c not in pivots]
     cols: list[list[Fraction]] = []
     for f in free:
         col = [Fraction(0)] * nc
         col[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            col[p] = -red[r][f]
+        for row, p in zip(rows, pivots):
+            col[p] = Fraction(-row[f], row[p])
         cols.append(col)
     return tuple(tuple(col[i] for col in cols) for i in range(nc))
+
+
+def nullspace(m: Mat) -> Mat:
+    """Columns spanning ker(m): the :func:`kernel_basis` of its elimination."""
+    return kernel_basis(echelon(m))
+
+
+def pivot_det(e: Echelon) -> Fraction:
+    """det of the eliminated matrix's columns at the pivots, for a matrix of
+    full row rank: its rows end diagonal there, pivot r in row r."""
+    rows, pivots, num, den, _ = e
+    if len(pivots) < len(rows):
+        raise ValueError("matrix does not have full row rank")
+    return Fraction(den * prod(row[p] for row, p in zip(rows, pivots)), num)
 
 
 def det(m: Mat) -> Fraction:
     nr, nc = shape(m)
     if nr != nc:
         raise ValueError("determinant of a non-square matrix")
-    rows, pivots, num, den = _eliminate(m)
-    if len(pivots) < nr:
-        return Fraction(0)
-    # Full rank: the eliminated rows are diagonal, pivot r in column r.
-    return Fraction(den * prod(row[r] for r, row in enumerate(rows)), num)
+    e = echelon(m)
+    return pivot_det(e) if len(e.pivots) == nr else Fraction(0)
 
 
 def inv(m: Mat) -> Mat:

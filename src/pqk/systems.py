@@ -90,6 +90,20 @@ class SystemLabel:
     def dim(self) -> int:
         return self.frame.dim
 
+    @cached_property
+    def pairing(self) -> tuple[Mat, Mat]:
+        """The pairing matrix G of :func:`pairing_matrix` and the inverse of
+        its transpose, built once; :class:`DegeneratePairingError` when G
+        is singular."""
+        g = tuple(operator_point(op, self.frame) for op in self.ops)
+        try:
+            return g, ratlin.inv(ratlin.transpose(g))
+        except ValueError:
+            raise DegeneratePairingError(
+                f"pairing matrix of ({', '.join(op.id for op in self.ops)}) "
+                f"on {self.frame.dofs} is singular"
+            ) from None
+
 
 @dataclass(frozen=True)
 class OrderWitness:
@@ -177,13 +191,7 @@ def pairing_matrix(label: SystemLabel) -> Mat:
     :class:`DegeneratePairingError` when singular, which disqualifies the
     pair as a reduced system.
     """
-    g = tuple(operator_point(op, label.frame) for op in label.ops)
-    if ratlin.det(g) == 0:
-        raise DegeneratePairingError(
-            f"pairing matrix of ({', '.join(op.id for op in label.ops)}) "
-            f"on {label.frame.dofs} is singular"
-        )
-    return g
+    return label.pairing[0]
 
 
 def operator_point(op: MomentumOperator, frame: ReducedFrame) -> tuple[Fraction, ...]:
@@ -229,7 +237,8 @@ def _first_deviation(
     combination ``row`` of ``basis`` operators; a missing action raises
     :class:`MissingActionError` when it is reached."""
     for dof in dofs:
-        if op.on(dof) != ratlin.dot((c, basis[o].on(dof)) for o, c in row.items()):
+        combination = ((c, basis[o].on(dof)) for o, c in row.items())
+        if not ratlin.equals_dot(op.on(dof), combination):
             return dof
     return None
 
@@ -289,9 +298,8 @@ def refines(
     try:
         for op in coarse.ops:
             for dof in coarse.frame.dofs:
-                if op.on(dof) != ratlin.dot(
-                    (c, op.on(d)) for d, c in witness.combos[dof].items()
-                ):
+                combination = ((c, op.on(d)) for d, c in witness.combos[dof].items())
+                if not ratlin.equals_dot(op.on(dof), combination):
                     return RefinementCheck(
                         False,
                         f"operator {op.id!r} is not linear over the witnessed "
@@ -325,9 +333,9 @@ class EdgePlan:
     @cached_property
     def decomposition(self) -> KernelDecomposition:
         b = self.projection
-        g = pairing_matrix(self.coarse)
+        _, g_inv_t = self.coarse.pairing
         g_fine = tuple(operator_point(op, self.fine.frame) for op in self.coarse.ops)
-        w = ratlin.matmul(ratlin.transpose(g_fine), ratlin.inv(ratlin.transpose(g)))
+        w = ratlin.matmul(ratlin.transpose(g_fine), g_inv_t)
         return kernel_decomposition(b, w)
 
 

@@ -81,12 +81,18 @@ CASES = {
     "embedding-shape": (
         lambda: kernel_decomposition(onto_a(), ((1,),)),
         DimensionMismatchError, "embedding must be 2x1, got (1, 1)"),
+    "embedding-not-right-inverse": (
+        lambda: kernel_decomposition(onto_a(), ((2,), (0,))),
+        NotARightInverseError, "B @ W is not the identity"),
     # ratlin
     "ragged-matrix": (
         lambda: ratlin.mat([[1, 2], [3]]), ValueError, "ragged matrix"),
     "hstack-rows": (
         lambda: ratlin.hstack(ratlin.mat([[1]]), ratlin.mat([[1], [2]])),
         ValueError, "row count mismatch in hstack"),
+    "pivot-det-rank": (
+        lambda: ratlin.pivot_det(ratlin.echelon(ratlin.mat([[1, 2], [2, 4]]))),
+        ValueError, "matrix does not have full row rank"),
     "det-non-square": (
         lambda: ratlin.det(ratlin.mat([[1, 2]])),
         ValueError, "determinant of a non-square matrix"),
@@ -142,13 +148,3 @@ def test_constructor_refuses_with_its_type_and_message(build, error, message):
         build()
     assert (type(info.value), str(info.value)) == (error, message)
 
-
-def test_kernel_decomposition_refuses_a_kernel_basis_that_misses_a_direction(
-    monkeypatch,
-):
-    # B W = I makes ker B and the columns of W complementary whenever the
-    # null-space basis is exact, so only a wrong basis reaches this check.
-    monkeypatch.setattr(ratlin, "nullspace", lambda b: ratlin.mat([[1], [0]]))
-    with pytest.raises(NotARightInverseError) as info:
-        kernel_decomposition(onto_a(), ((1,), (0,)))
-    assert str(info.value) == "embedding columns do not complement the kernel"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqk import (
@@ -17,6 +17,7 @@ from pqk import (
     kernel_decomposition,
 )
 from pqk import ratlin
+from pqk.dpg import random_system
 from pqk.frames import ProjectionMatrix
 
 K1 = ReducedFrame(("k1",))
@@ -108,6 +109,22 @@ def test_kernel_decomposition_identity():
     assert dec.lebesgue_factor == 1
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 5), st.integers(0, 2**16))
+def test_kernel_decomposition_reads_the_projections_elimination(edges, depth, seed):
+    # The factor read off B's elimination, 1 / |det B[:, pivots]|, is the
+    # determinant of the kernel basis beside the label's own embedding.
+    system = random_system(edges, depth, seed)
+    for edge in system.order:
+        plan = edge.witness.plan(system.labels[edge.upper], system.labels[edge.lower])
+        dec = plan.decomposition
+        b, w = plan.projection.entries, dec.embedding
+        kb = ratlin.nullspace(b)
+        assert dec.kernel_basis == kb
+        assert dec.lebesgue_factor == abs(ratlin.det(ratlin.hstack(kb, w)))
+        assert ratlin.is_zero(ratlin.matmul(b, dec.kernel_basis))
+
+
 def test_kernel_decomposition_rejects_non_right_inverse():
     p = build_projection(K1, K2, {"k1": [1, 1]})
     with pytest.raises(NotARightInverseError):
@@ -115,6 +132,45 @@ def test_kernel_decomposition_rejects_non_right_inverse():
 
 
 small_rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda r: st.integers(r, 5).flatmap(
+            lambda c: st.tuples(
+                st.lists(
+                    st.lists(small_rat, min_size=c, max_size=c),
+                    min_size=r, max_size=r,
+                ),
+                st.lists(
+                    st.lists(small_rat, min_size=r, max_size=r),
+                    min_size=c - r, max_size=c - r,
+                ),
+            )
+        )
+    )
+)
+def test_lebesgue_factor_does_not_depend_on_the_right_inverse(data):
+    # Generated systems have unimodular projections (every factor is 1);
+    # these have any factor, and W is moved along the kernel by Kb @ M.
+    rows, shift = data
+    b = ratlin.mat(rows)
+    assume(ratlin.rank(b) == len(rows))
+    n, n_src = ratlin.shape(b)
+    p = ProjectionMatrix(
+        b, ReducedFrame(tuple(f"s{j}" for j in range(n_src))),
+        ReducedFrame(tuple(f"t{i}" for i in range(n))),
+    )
+    kb = ratlin.nullspace(b)
+    bt = ratlin.transpose(b)
+    w = ratlin.matmul(bt, ratlin.inv(ratlin.matmul(b, bt)))
+    if shift:
+        moved = ratlin.matmul(kb, ratlin.mat(shift))
+        w = tuple(tuple(x + y for x, y in zip(r, m)) for r, m in zip(w, moved))
+    dec = kernel_decomposition(p, w)
+    assert dec.kernel_basis == kb
+    assert dec.lebesgue_factor == abs(ratlin.det(ratlin.hstack(kb, w))) > 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -490,6 +490,27 @@ def test_projected_kernels_carry_the_constructors_bits(seed):
                 assert not any(a.flags.writeable for a in (k.P, k.R, k.s))
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_projected_state_keeps_its_checked_stacks(seed):
+    # A projection hands the stacks it checked to the state it returns; they
+    # are, byte for byte, what stacking the projected kernels would build.
+    system = random_system(3, 3, seed)
+    labels = system.labels
+    rng = np.random.default_rng(seed)
+    for edge in system.order:
+        kdec = decomposition_for(labels[edge.upper], labels[edge.lower], edge.witness)
+        for n_terms in (1, 3, 8):
+            state = random_mixture(kdec.projection.cols, n_terms, rng)
+            projected = project_with(state, kdec)
+            kept = vars(projected)["_stacks"]
+            kernels = [k for _, k in projected.terms]
+            fresh = [np.array([getattr(k, a) for k in kernels]) for a in "PRs"]
+            assert [(a.dtype, a.shape, a.tobytes()) for a in kept] == [
+                (a.dtype, a.shape, a.tobytes()) for a in fresh
+            ]
+            assert not any(a.flags.writeable for a in kept)
+
+
 def _set(part, entries):
     """Write ``entries`` ({index: value}) into kernel part 0 (P), 1 (R) or 2 (s)."""
     def apply(parts):

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import json
+import os
 import random
 import re
 import subprocess
@@ -515,6 +516,50 @@ def test_cli_join_then_verify(tmp_path, capsys):
     assert code == 0
     code, report = run_cli(capsys, "verify", out_path)
     assert code == 0 and report["passed"]
+
+
+@pytest.mark.parametrize("labels, detail", [
+    ("b0,b0", "--labels: cannot join 'b0' with itself"),
+    ("b1,b0", "--labels: label 'j(b0+b1)' already present"),
+    ("b0,b1", "--labels: label 'j(b0+b1)' already present"),
+])
+def test_cli_join_refuses_a_self_join_and_a_present_join(
+    tmp_path, capsys, labels, detail
+):
+    sys_path = str(tmp_path / "sys.json")
+    run_cli(capsys, "dpg-demo", "--edges", "2", "--depth", "2", "--seed", "1",
+            "--out", sys_path)
+    out_path = tmp_path / "joined.json"
+    assert _one_error_line(
+        capsys, "join", "--system", sys_path, "--labels", labels, "--out", str(out_path)
+    ) == detail
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("defect, code", [(None, 0), ("witness", 1), ("document", 2)])
+def test_cli_exits_with_its_verdict_when_stdout_is_closed(tmp_path, defect, code):
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with EPIPE.
+    sys_path = tmp_path / "sys.json"
+    doc = pio.system_to_document(random_system(3, 3, seed=0))
+    if defect == "witness":
+        entry = next(e for e in doc["order"] if any(e["combo_witness"].values()))
+        row = next(r for r in entry["combo_witness"].values() if r)
+        row[next(iter(row))] = "7/3"
+    elif defect == "document":
+        doc = {"nope": 1}
+    pio.dump_json(doc, str(sys_path))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqk.cli", "verify", str(sys_path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env(),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, b"")
 
 
 @pytest.mark.parametrize("command", ["verify", "join"])

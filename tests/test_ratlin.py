@@ -202,6 +202,21 @@ def naive_det(m):
     return result
 
 
+def naive_nullspace(m):
+    """Null-space columns read off naive_rref: free variables set to 1 one
+    at a time, in column order."""
+    red, pivots = naive_rref(m)
+    nc = ratlin.shape(m)[1]
+    cols = []
+    for f in (c for c in range(nc) if c not in pivots):
+        col = [Fraction(0)] * nc
+        col[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            col[p] = -red[r][f]
+        cols.append(col)
+    return tuple(tuple(col[i] for col in cols) for i in range(nc))
+
+
 def outcome(fn, m):
     try:
         return fn(m)
@@ -244,15 +259,16 @@ def rational_matrices(draw, square=False):
 @settings(max_examples=80, deadline=None)
 @given(rational_matrices())
 def test_integer_kernel_equals_fraction_elimination(m):
-    assert ratlin.rref(m) == naive_rref(m)
-    expected = {}
+    red, pivots = naive_rref(m)
+    assert ratlin.rref(m) == (red, pivots)
+    assert ratlin.rank(m) == len(pivots)
+    assert ratlin.nullspace(m) == naive_nullspace(m)
     with mock.patch.object(ratlin, "rref", naive_rref):
-        expected["rank"] = ratlin.rank(m)
-        expected["nullspace"] = ratlin.nullspace(m)
-        expected["inv"] = outcome(ratlin.inv, m)
-    assert ratlin.rank(m) == expected["rank"]
-    assert ratlin.nullspace(m) == expected["nullspace"]
-    assert outcome(ratlin.inv, m) == expected["inv"]
+        expected_inv = outcome(ratlin.inv, m)
+    assert outcome(ratlin.inv, m) == expected_inv
+    if m and len(pivots) == len(m):
+        block = tuple(tuple(row[p] for p in pivots) for row in m)
+        assert ratlin.pivot_det(ratlin.echelon(m)) == naive_det(block)
 
 
 @settings(max_examples=80, deadline=None)
@@ -398,11 +414,62 @@ def test_integer_products_equal_fraction_products(operands):
     assert outcome(lambda m: ratlin.matmul(m, b), a) == outcome(
         lambda m: naive_matmul(m, b), a
     )
+    assert outcome(lambda m: ratlin.product_is_identity(m, b), a) == outcome(
+        lambda m: naive_matmul(m, b) == ratlin.identity(len(m)), a
+    )
     for row in a:
         pairs = list(zip(row, v))
         got = ratlin.dot(iter(pairs))
         assert type(got) is Fraction and got == naive_dot(pairs)
+        assert ratlin.equals_dot(got, iter(pairs))
+        assert not ratlin.equals_dot(got + Fraction(1, 2), iter(pairs))
     assert ratlin.dot(iter(())) == 0
+
+
+TINY = Fraction(1, 2**60)
+EXACT_INVERSE = (
+    ratlin.mat([[1, "1/2", 0], [0, 1, "1/3"]]),
+    ratlin.mat([[1, "-1/2"], [0, 1], [0, 0]]),
+)
+IDENTITY_VERDICTS = {
+    "right-inverse": EXACT_INVERSE,
+    "off-by-one": (EXACT_INVERSE[0], ratlin.mat([[1, "-1/2"], [0, 1], [1, 0]])),
+    "off-by-2**-60": (EXACT_INVERSE[0], ratlin.mat([[1, "-1/2"], [0, 1], [TINY, 0]])),
+    "dyadic-inverse-pair": (ratlin.mat([[0.5, 0.25], [0, 4.0]]),
+                            ratlin.mat([[2.0, -0.125], [0, 0.25]])),
+    "identity": (ratlin.identity(3), ratlin.identity(3)),
+    "square-not-identity": (ratlin.mat([[1, 1], [0, 1]]), ratlin.identity(2)),
+    "product-not-square": (EXACT_INVERSE[0], ratlin.identity(3)),
+    "empty": ((), ()),
+    "shape-mismatch": (EXACT_INVERSE[0], EXACT_INVERSE[0]),
+}
+
+
+@pytest.mark.parametrize(
+    "a, b", IDENTITY_VERDICTS.values(), ids=IDENTITY_VERDICTS.keys()
+)
+def test_product_is_identity_agrees_with_the_fraction_product(a, b):
+    got = outcome(lambda m: ratlin.product_is_identity(m, b), a)
+    assert got == outcome(lambda m: ratlin.matmul(m, b) == ratlin.identity(len(m)), a)
+
+
+F = Fraction
+DOT_VERDICTS = {
+    "equal": (F(7, 6), [(F(1, 2), F(1)), (F(2, 3), F(1))]),
+    "off-by-half": (F(7, 6) + F(1, 2), [(F(1, 2), F(1)), (F(2, 3), F(1))]),
+    "cancelling-to-zero": (F(0), [(F(1, 3), F(3)), (F(-1), F(1))]),
+    "zero-off-by-2**-60": (TINY, [(F(1, 3), F(3)), (F(-1), F(1))]),
+    "negative": (F(-5, 4), [(F(-1, 2), F(5, 2))]),
+    "sign-differs": (F(5, 4), [(F(-1, 2), F(5, 2))]),
+    "no-pairs": (F(0), []),
+    "no-pairs-nonzero": (F(1, 2), []),
+    "large-denominators": (F(3, 2**61), [(TINY, F(1, 2)), (TINY, F(1))]),
+}
+
+
+@pytest.mark.parametrize("value, pairs", DOT_VERDICTS.values(), ids=DOT_VERDICTS.keys())
+def test_equals_dot_agrees_with_the_fraction_sum(value, pairs):
+    assert ratlin.equals_dot(value, iter(pairs)) == (value == ratlin.dot(iter(pairs)))
 
 
 def test_dot_consumes_pairs_lazily_in_order():

@@ -14,6 +14,7 @@ from pqk import (
     OrderEdge,
     OrderViolationError,
     OrderWitness,
+    PqkError,
     RankDeficientError,
     ReducedFrame,
     SystemLabel,
@@ -21,6 +22,7 @@ from pqk import (
     close_witnesses,
     compose_witnesses,
     embedding_matrix,
+    kernel_decomposition,
     operator_point,
     pairing_matrix,
     refines,
@@ -167,6 +169,58 @@ def test_refines_rejects_wrong_combo(demo_system):
     assert not refines(rs.labels[edge.upper], rs.labels[edge.lower], bad)
 
 
+# --- the integer verdicts of refines and the kernel decomposition -------------
+
+HALF = Fraction(1, 2)
+
+
+def _verdict_case(defect):
+    """A 3 -> 2 reduction, ``defect`` applied, and the outcome of verifying
+    it and building its kernel decomposition."""
+    fine, coarse, witness = generic_reduction([[1, HALF, 0], [0, 1, Fraction(1, 3)]])
+    w = embedding_matrix(fine, coarse, witness)
+    if defect == "membership-off-by-half":
+        rows = {**witness.op_membership, "op0": {"dx0": 1 + HALF}}
+        witness = OrderWitness(witness.combos, rows, witness.dof_values)
+    elif defect == "linearity-off-by-half":
+        action = {**coarse.ops[1].action_map, "y0": coarse.ops[1].on("y0") + HALF}
+        ops = (coarse.ops[0], MomentumOperator("op1", action))
+        coarse = SystemLabel(ops, coarse.frame)
+    elif defect == "embedding-off-by-one":
+        w = (w[0], (w[1][0] + 1, w[1][1]), w[2])
+    check = refines(fine, coarse, witness)
+    plan = systems.EdgePlan(fine, coarse, witness.combos, check)
+    try:
+        kdec = kernel_decomposition(plan.projection, w)
+    except PqkError as exc:
+        return check.ok, check.diagnostic, repr(exc)
+    return check.ok, check.diagnostic, kdec.lebesgue_factor, kdec.kernel_basis
+
+
+@pytest.mark.parametrize("defect, verdict, detail", [
+    (None, True, "verified"),
+    ("membership-off-by-half", False,
+     "operator 'op0' deviates from its witnessed combination on 'x0'"),
+    ("linearity-off-by-half", False,
+     "operator 'op1' is not linear over the witnessed combination of 'y0'"),
+    ("embedding-off-by-one", True, "verified"),
+])
+def test_integer_verdicts_agree_with_their_fraction_forms(
+    monkeypatch, defect, verdict, detail
+):
+    got = _verdict_case(defect)
+    assert got[:2] == (verdict, detail)
+    if defect == "embedding-off-by-one":
+        assert got[2] == "NotARightInverseError('B @ W is not the identity')"
+    # The Fraction forms: one Fraction per compared sum, and B @ W built.
+    monkeypatch.setattr(ratlin, "equals_dot", lambda v, pairs: v == ratlin.dot(pairs))
+    monkeypatch.setattr(
+        ratlin, "product_is_identity",
+        lambda a, b: ratlin.matmul(a, b) == ratlin.identity(len(a)),
+    )
+    assert _verdict_case(defect) == got
+
+
 def test_compose_witnesses_matches_direct(deep_system):
     rs = deep_system
     top, mid, bot = rs.chains()[0]
@@ -223,6 +277,8 @@ def test_check_assumptions_passes_on_generated(demo_system):
          "combination for 'd' uses non-frame d.o.f. ['k2', 'k3']"),
         ({"k1": 1}, {}, "no evaluation data for d.o.f. ['d', 'k1']"),
         ({"k1": 1}, {"d": {"p": 1}, "k1": {"p": 2}},
+         "'d' differs from its witnessed combination"),
+        ({"k1": 1}, {"d": {"p": 1}, "k1": {"p": 1, "q": 1}},
          "'d' differs from its witnessed combination"),
     ],
 )
