@@ -68,6 +68,7 @@ def _load_edge(args):
     system = _load_system(args.system)
     _require_label(system, args.src, "--from")
     _require_label(system, args.dest, "--to")
+    _require_flag(args.dest != args.src, "--to", f"is the --from label {args.src!r}")
     state = _load_state(args.state, system, args.src)
     fine, coarse = system.labels[args.src], system.labels[args.dest]
     return state, fine, coarse, system.find_witness(args.src, args.dest)
@@ -147,6 +148,7 @@ def cmd_consistency(args) -> int:
     top, mid, bot = chain
     for name in chain:
         _require_label(system, name, "--chain")
+    _require_flag(len(set(chain)) == 3, "--chain", "must name three distinct labels")
     state = _load_state(args.state, system, top)
     report = chain_consistency(
         state,

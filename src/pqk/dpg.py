@@ -418,7 +418,7 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
     vectors = ratlin.from_sparse((f.incidence_map for f in all_faces), support)
     # Atoms as rows, faces as columns: the pivot columns are the greedy face
     # basis, which spans every face of both labels.
-    _, basis_idx = ratlin.rref(ratlin.transpose(vectors))
+    basis_idx = ratlin.echelon(ratlin.transpose(vectors)).pivots
     basis_faces = tuple(all_faces[i] for i in basis_idx)
     m = len(basis_faces)
 
@@ -439,7 +439,7 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
     solved = solve(joined)
     if solved is None:
         # rank(act) < m; the m independent basis vectors have m pivot atoms.
-        _, separating = ratlin.rref(tuple(vectors[i] for i in basis_idx))
+        separating = ratlin.echelon(tuple(vectors[i] for i in basis_idx)).pivots
         extra = Graph(tuple(EdgeWord(((support[c], 1),)) for c in separating))
         joined = graph_join(joined, extra)
         solved = solve(joined)
@@ -535,18 +535,6 @@ class System:
         return tuple(out)
 
 
-def surjectivity_rows(graph: Graph) -> tuple[dict[DofId, Fraction], ...]:
-    """A2 probe: edge holonomies of connections hitting each unit target."""
-    n = len(graph.edges)
-    rows = []
-    for t in range(n):
-        conn = witness_connection(graph, [Fraction(int(i == t)) for i in range(n)])
-        rows.append(
-            {dof: holonomy(e, conn) for dof, e in zip(graph.dofs, graph.edges)}
-        )
-    return tuple(rows)
-
-
 def span_probe(label: DpgLabel) -> SpanProbe:
     """A1a probe: the label's frame spans the inverses of its edges."""
     edges = label.graph.edges
@@ -616,7 +604,7 @@ def _random_label(
         candidate = tuple(
             tuple(incidence_number(f, e) for e in graph.edges) for f in faces
         )
-        if ratlin.det(candidate) != 0:
+        if len(ratlin.echelon(candidate).pivots) == n:
             return DpgLabel(id=name, graph=graph, faces=tuple(faces))
     return DpgLabel(id=name, graph=graph, faces=duals)
 

@@ -167,7 +167,7 @@ def kernel_decomposition(
     ``embedding`` must be an exact right inverse W of the projection
     (normally produced by :func:`pqk.systems.embedding_matrix`).  Kernel
     basis and Lebesgue factor are read off the elimination the projection
-    made of B.  The basis Kb is :func:`pqk.ratlin.nullspace`'s: Kb is the
+    made of B.  The basis Kb is :func:`pqk.ratlin.kernel_basis`'s: Kb is the
     identity on B's free (non-pivot) rows.  So for E the rows selecting
     the free coordinates, [E; B] [Kb | W] = [[I, E W], [0, I]], whose
     determinant is 1, and |det [Kb | W]| = 1 / |det [E; B]| = 1 / |det

@@ -27,7 +27,6 @@ from .dpg import (
     System,
     dof_id,
     span_probe,
-    surjectivity_rows,
     validate_word,
     word_values,
 )
@@ -274,10 +273,16 @@ def default_probes(system: System) -> Probes:
     """The audit probes of a family, generated or loaded: the only probe
     builder, reading them off what a document holds.
 
-    Surjectivity witnesses come from explicit target-hitting connections,
-    span instances from edge inverses; directedness is probed on every
-    non-maximal label pair.  Operator instances (A1b) need no probes: the
-    audit reads them off the declared order witnesses.
+    Each label's surjectivity rows (A2) are its unit evaluation rows, one
+    ``{dof: 1}`` per graph edge.  They are the holonomies of the witness
+    connections (:func:`pqk.dpg.witness_connection`) for the unit targets:
+    ``EdgeWord`` refuses a repeated atom and ``Graph`` refuses edges that
+    share one, so the connection putting target t on the first atom of
+    edge t has holonomy 1 on edge t and 0 on every other edge.  The audit
+    ranks these rows as it ranks explicit ones.  Span instances come from
+    edge inverses; directedness is probed on every non-maximal label pair.
+    Operator instances (A1b) need no probes: the audit reads them off the
+    declared order witnesses.
     """
     names = sorted(system.labels)
     ops_key = {
@@ -300,7 +305,7 @@ def default_probes(system: System) -> Probes:
             span_probe(d) for _, d in sorted(system.dlabels.items())
         ),
         surjectivity={
-            name: surjectivity_rows(d.graph)
+            name: tuple({dof: Fraction(1)} for dof in d.graph.dofs)
             for name, d in sorted(system.dlabels.items())
         },
         equal_space_pairs=equal_pairs,

@@ -2,15 +2,16 @@
 
 Matrices are immutable tuples of tuples of ``fractions.Fraction``.  Floats
 are dyadic rationals, so conversion through :func:`as_fraction` is lossless
-and every computation here (products, sums of products, rank, null space,
-determinant, inverse) is exact.  All of them run over integers: each row
-(or column) is scaled by the lcm of its denominators, so a product entry is
-one integer dot product over the two scales, and rank, null space,
-determinant and inverse share one fraction-free Gauss-Jordan elimination
-(:func:`echelon`) whose row updates are divided by their gcd; a caller that
-needs several of them from one matrix keeps its :class:`Echelon`.  Checks
-that only need a verdict (:func:`product_is_identity`, :func:`equals_dot`)
-compare integers and make no ``Fraction``.  A second elimination,
+and every computation here (products, rank, null space, determinant,
+inverse) is exact.  All of them run over integers: each row (or column) is
+scaled by the lcm of its denominators, so a product entry is one integer
+dot product over the two scales, and rank, null space, determinant and
+inverse share one fraction-free Gauss-Jordan elimination (:func:`echelon`)
+whose row updates are divided by their gcd; a caller that needs several of
+them from one matrix keeps its :class:`Echelon`, and one that needs only
+the pivot columns reads them off it.  Checks that only need a verdict
+(:func:`product_is_identity`, and :func:`equals_dot` for a sum of
+products) compare integers and make no ``Fraction``.  A second elimination,
 :func:`full_pivot_solve`, is Bareiss's full-pivot pass that the DPG join
 reads its edge order, rank test and lead faces off.  ``Fraction`` objects
 are made only on return, one per entry.  Sparse rows (mappings from keys
@@ -119,8 +120,10 @@ def product_is_identity(a: Mat, b: Mat) -> bool:
     )
 
 
-def _dot_terms(pairs: Iterable[tuple[Fraction, Fraction]]) -> tuple[int, int]:
-    """(num, den) with num / den the exact sum of the products x * y, den > 0."""
+def equals_dot(value: Fraction, pairs: Iterable[tuple[Fraction, Fraction]]) -> bool:
+    """Whether ``value`` is the exact sum of the products x * y, decided by
+    cross-multiplying the integers of both sides; ``pairs`` is consumed in
+    order and no ``Fraction`` is made."""
     num, den = 0, 1
     for x, y in pairs:
         n = x.numerator * y.numerator
@@ -131,19 +134,6 @@ def _dot_terms(pairs: Iterable[tuple[Fraction, Fraction]]) -> tuple[int, int]:
             common = lcm(den, d)
             num, n, den = num * (common // den), n * (common // d), common
         num += n
-    return num, den
-
-
-def dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
-    """Exact sum of the products x * y, consuming ``pairs`` in order."""
-    num, den = _dot_terms(pairs)
-    return Fraction(num) if den == 1 else Fraction(num, den)
-
-
-def equals_dot(value: Fraction, pairs: Iterable[tuple[Fraction, Fraction]]) -> bool:
-    """Whether ``value == dot(pairs)``, decided by cross-multiplying the
-    integers of both sides; no ``Fraction`` is made."""
-    num, den = _dot_terms(pairs)
     return value.numerator * den == num * value.denominator
 
 
@@ -151,10 +141,6 @@ def hstack(a: Mat, b: Mat) -> Mat:
     if len(a) != len(b):
         raise ValueError("row count mismatch in hstack")
     return tuple(ra + rb for ra, rb in zip(a, b))
-
-
-def is_zero(m: Mat) -> bool:
-    return all(x == 0 for row in m for x in row)
 
 
 class Echelon(NamedTuple):

@@ -367,15 +367,15 @@ def select_independent_dofs(
 ) -> tuple[DofId, ...]:
     """Greedy subset of the pool on which the operators stay independent.
 
-    The pool entries at the pivot columns of the reduced echelon form of
-    the ops x pool action matrix: walking the pool in order, a d.o.f. is
-    kept exactly when its action column is independent of the columns
-    kept before it, so the result is the first full-rank subset and has
-    exactly as many d.o.f. as operators.  Raises
+    The pool entries at the pivot columns of the ops x pool action matrix's
+    elimination (:func:`pqk.ratlin.echelon`): walking the pool in order, a
+    d.o.f. is kept exactly when its action column is independent of the
+    columns kept before it, so the result is the first full-rank subset and
+    has exactly as many d.o.f. as operators.  Raises
     :class:`NotResolvableError` when the pool cannot separate them.
     """
     action = ratlin.from_sparse((op.action_map for op in ops), pool)
-    _, pivots = ratlin.rref(action)
+    pivots = ratlin.echelon(action).pivots
     if len(pivots) < len(ops):
         raise NotResolvableError(
             f"pool separates only {len(pivots)} of {len(ops)} operators"

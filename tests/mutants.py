@@ -1,0 +1,187 @@
+"""A standing mutation gate: each mutant is one exact edit of the package
+source, and every test named beside it must fail on the edited copy.
+
+For each mutant the runner copies ``src``, ``tests`` and ``pyproject.toml``
+into a fresh temporary directory, replaces the mutant's snippet in its
+module and runs the named tests there with pytest, in a subprocess that
+imports the copy.  The named tests first run once on an unmutated copy,
+where they must pass.  The run fails when a snippet does not occur exactly
+once in its module (so a refactor cannot leave a stale mutant behind), when
+the unmutated copy fails, or when a named test does not fail on its mutant.
+A mutant that survives is a fault of the tests, not of the mutant.
+
+Hypothesis runs with a fixed seed, so every run draws the same examples.
+
+Run it from the repository root with the test dependencies installed::
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # the named mutants
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600  # a mutant that makes its tests hang is not caught
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # a file of src/pqk
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "default-probes-drop-a-unit-row",
+        "io.py",
+        "tuple({dof: Fraction(1)} for dof in d.graph.dofs)",
+        "tuple({dof: Fraction(1)} for dof in d.graph.dofs[1:])",
+        ("tests/test_dpg.py::test_default_probes_are_the_unit_target_holonomy_rows",
+         "tests/test_systems.py::test_check_assumptions_passes_on_generated"),
+    ),
+    Mutant(
+        "a2-granted-to-every-label",
+        "systems.py",
+        "        ok = name in surjective\n",
+        "        ok = True\n",
+        ("tests/test_systems.py::"
+         "test_check_assumptions_fails_rank_deficient_explicit_rows",
+         "tests/test_systems.py::"
+         "test_a2_derives_nothing_along_an_edge_whose_projection_does_not_build"),
+    ),
+    Mutant(
+        "select-independent-dofs-takes-the-pool-prefix",
+        "systems.py",
+        "    return tuple(pool[c] for c in pivots)\n",
+        "    return tuple(pool[: len(ops)])\n",
+        ("tests/test_acceptance.py::test_criterion_8_greedy_selection",),
+    ),
+    Mutant(
+        "random-label-full-rank-test-always-true",
+        "dpg.py",
+        "        if len(ratlin.echelon(candidate).pivots) == n:\n",
+        "        if True:\n",
+        ("tests/test_acceptance.py::test_criterion_6_assumption_audit",),
+    ),
+    Mutant(
+        "lebesgue-factor-not-inverted",
+        "frames.py",
+        "lebesgue_factor=abs(1 / ratlin.pivot_det(projection.echelon)),",
+        "lebesgue_factor=abs(ratlin.pivot_det(projection.echelon)),",
+        ("tests/test_frames.py::test_kernel_decomposition_zero_dim_kernel_is_det_w",
+         "tests/test_frames.py::"
+         "test_lebesgue_factor_does_not_depend_on_the_right_inverse"),
+    ),
+    Mutant(
+        "right-inverse-check-always-true",
+        "frames.py",
+        "    if not ratlin.product_is_identity(b, w):\n",
+        "    if False:\n",
+        ("tests/test_frames.py::test_kernel_decomposition_rejects_non_right_inverse",
+         "tests/test_systems.py::test_integer_verdicts_agree_with_their_fraction_forms"),
+    ),
+    Mutant(
+        "equals-dot-always-true",
+        "ratlin.py",
+        "    return value.numerator * den == num * value.denominator\n",
+        "    return True\n",
+        ("tests/test_ratlin.py::test_equals_dot_agrees_with_the_fraction_sum",
+         "tests/test_systems.py::test_refines_identity_and_perturbation"),
+    ),
+    Mutant(
+        "kernel-basis-sign-flip",
+        "ratlin.py",
+        "            col[p] = Fraction(-row[f], row[p])\n",
+        "            col[p] = Fraction(row[f], row[p])\n",
+        ("tests/test_ratlin.py::test_integer_kernel_equals_fraction_elimination",
+         "tests/test_frames.py::test_kernel_decomposition_one_dim_kernel"),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest)
+
+
+def _failed(dest: Path, tests: tuple[str, ...]) -> tuple[int | None, set[str]]:
+    """Run ``tests`` on the copy at ``dest``: pytest's exit code (None when
+    it runs past TIMEOUT_S) and the ids of the tests it reports failed."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *tests],
+            cwd=dest, env={**os.environ, "PYTHONPATH": str(dest / "src")},
+            capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None, set()
+    failed = {line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")}
+    return proc.returncode, failed
+
+
+def _caught(test: str, failed: set[str]) -> bool:
+    """Whether ``test``, or one of its parametrized cases, failed."""
+    return any(f == test or f.startswith(test + "[") for f in failed)
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    sources = {m.module: (ROOT / "src" / "pqk" / m.module).read_text()
+               for m in mutants}
+    stale = [m for m in mutants if sources[m.module].count(m.snippet) != 1]
+    for m in stale:
+        count = sources[m.module].count(m.snippet)
+        print(f"STALE     {m.name}: its snippet occurs {count} times in {m.module}")
+    if stale:
+        return 1
+
+    every_test = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy(Path(tmp))
+        code, failed = _failed(Path(tmp), every_test)
+    if code != 0:
+        print(f"BASELINE  the named tests do not pass unmutated (pytest exit {code}): "
+              f"{sorted(failed)}")
+        return 1
+
+    survivors = 0
+    for m in mutants:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            dest = Path(tmp)
+            _copy(dest)
+            (dest / "src" / "pqk" / m.module).write_text(
+                sources[m.module].replace(m.snippet, m.replacement)
+            )
+            code, failed = _failed(dest, m.tests)
+        missed = [t for t in m.tests if not _caught(t, failed)]
+        if code != 1 or missed:
+            survivors += 1
+            print(f"SURVIVED  {m.name} (pytest exit {code}; not failed: {missed})")
+        else:
+            print(f"caught    {m.name} ({time.perf_counter() - start:.1f} s)")
+    print(f"{len(mutants) - survivors} of {len(mutants)} mutants caught")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -121,6 +121,52 @@ def test_witness_connection_reversed_first_letter():
     assert holonomy(g.edges[0], conn) == 1
 
 
+def unit_target_holonomies(graph):
+    """Row t: each edge's holonomy under the witness connection of the unit
+    target t, the evaluation rows A2 ranks for a DPG label."""
+    n = len(graph.edges)
+    return [
+        [holonomy(e, witness_connection(graph, [int(i == t) for i in range(n)]))
+         for e in graph.edges]
+        for t in range(n)
+    ]
+
+
+@st.composite
+def disjoint_graphs(draw):
+    """Graphs of 1-5 edges of 1-3 letters with random signs; the edges take
+    consecutive runs of a shuffled list of atom ids, so they share none."""
+    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    ids = draw(st.permutations([f"a{i}" for i in range(sum(lengths))]))
+    edges, start = [], 0
+    for n in lengths:
+        run = ids[start : start + n]
+        edges.append(EdgeWord(tuple((a, draw(st.sampled_from((-1, 1)))) for a in run)))
+        start += n
+    return Graph(tuple(edges))
+
+
+@settings(max_examples=50, deadline=None)
+@given(disjoint_graphs())
+def test_unit_target_connections_have_unit_holonomies(graph):
+    # Atom-disjoint edges: the connection for target t touches edge t alone.
+    n = len(graph.edges)
+    assert unit_target_holonomies(graph) == [
+        [int(i == t) for i in range(n)] for t in range(n)
+    ]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 4), st.integers(0, 2**16))
+def test_default_probes_are_the_unit_target_holonomy_rows(edges, depth, seed):
+    system = random_system(edges, depth, seed)
+    rows = pio.default_probes(system).surjectivity
+    assert list(rows) == sorted(system.dlabels)
+    for name, d in system.dlabels.items():
+        dense = ratlin.from_sparse(rows[name], d.graph.dofs)
+        assert dense == ratlin.mat(unit_target_holonomies(d.graph))
+
+
 # --- incidence numbers ----------------------------------------------------------
 
 
@@ -724,25 +770,28 @@ def test_graph_witness_refuses_a_pair_that_does_not_refine():
         dpg._graph_witness(fine, coarse, {})
 
 
-def _count_calls(monkeypatch, *names):
-    """Wrap each named ``pqk.dpg`` function so that its calls are counted."""
+def _count_calls(monkeypatch, *names, module=dpg):
+    """Wrap each named function of ``module`` so that its calls are counted."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(dpg, name)
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(dpg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_generating_and_writing_a_system_builds_no_labels_or_probes(monkeypatch):
-    calls = _count_calls(monkeypatch, "materialize", "surjectivity_rows")
+    # io.default_probes, the one probe builder, calls its own binding of
+    # span_probe once per label.
+    calls = _count_calls(monkeypatch, "materialize")
+    probes = _count_calls(monkeypatch, "span_probe", module=pio)
     for edges, depth in ((1, 1), (3, 2), (2, 4)):
         pio.system_to_document(random_system(edges, depth, seed=3))
-    assert calls == {"materialize": 0, "surjectivity_rows": 0}
+    assert calls == {"materialize": 0} and probes == {"span_probe": 0}
 
 
 def test_system_labels_are_built_once_on_first_access(monkeypatch):

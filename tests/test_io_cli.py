@@ -398,6 +398,32 @@ def test_cli_project_requires_witnessed_relation(tmp_path, capsys, command):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command, request_, detail", [
+    ("project", ("--from", "b0", "--to", "b0"), "--to: is the --from label 'b0'"),
+    ("oracle", ("--from", "j(b0+b1)", "--to", "j(b0+b1)"),
+     "--to: is the --from label 'j(b0+b1)'"),
+    ("consistency", ("--chain", "j(b0+b1),b0,b0"),
+     "--chain: must name three distinct labels"),
+    ("consistency", ("--chain", "j(b0+b1),j(b0+b1),b0"),
+     "--chain: must name three distinct labels"),
+], ids=["project", "oracle", "consistency-bottom", "consistency-middle"])
+def test_cli_refuses_an_edge_from_a_label_to_itself(
+    tmp_path, capsys, command, request_, detail
+):
+    # Degenerate requests, not a broken family: refused before the state is
+    # read (its path does not exist) or any file is written.
+    sys_path = str(tmp_path / "sys.json")
+    run_cli(capsys, "dpg-demo", "--edges", "2", "--depth", "3", "--seed", "0",
+            "--out", sys_path)
+    out_path = tmp_path / "x.json"
+    extra = ("--out", str(out_path)) if command == "project" else ()
+    missing = str(tmp_path / "missing.json")
+    assert _one_error_line(
+        capsys, command, "--system", sys_path, "--state", missing, *request_, *extra
+    ) == detail
+    assert not out_path.exists()
+
+
 def test_cli_oracle(tmp_path, capsys):
     sys_path = str(tmp_path / "sys.json")
     run_cli(capsys, "dpg-demo", "--edges", "1", "--depth", "2", "--seed", "2",

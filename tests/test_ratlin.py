@@ -72,7 +72,7 @@ def test_nullspace_annihilates_and_completes_rank(rows):
     rank = ratlin.rank(m)
     assert ratlin.shape(ns) == (c, c - rank)
     if c - rank:
-        assert ratlin.is_zero(ratlin.matmul(m, ns))
+        assert ratlin.matmul(m, ns) == ((0,) * (c - rank),) * r
         assert ratlin.rank(ratlin.transpose(ns)) == c - rank
 
 
@@ -263,6 +263,7 @@ def test_integer_kernel_equals_fraction_elimination(m):
     assert ratlin.rref(m) == (red, pivots)
     assert ratlin.rank(m) == len(pivots)
     assert ratlin.nullspace(m) == naive_nullspace(m)
+    assert tuple(ratlin.echelon(m).pivots) == pivots
     with mock.patch.object(ratlin, "rref", naive_rref):
         expected_inv = outcome(ratlin.inv, m)
     assert outcome(ratlin.inv, m) == expected_inv
@@ -419,11 +420,10 @@ def test_integer_products_equal_fraction_products(operands):
     )
     for row in a:
         pairs = list(zip(row, v))
-        got = ratlin.dot(iter(pairs))
-        assert type(got) is Fraction and got == naive_dot(pairs)
-        assert ratlin.equals_dot(got, iter(pairs))
-        assert not ratlin.equals_dot(got + Fraction(1, 2), iter(pairs))
-    assert ratlin.dot(iter(())) == 0
+        total = naive_dot(pairs)
+        assert ratlin.equals_dot(total, iter(pairs))
+        assert not ratlin.equals_dot(total + Fraction(1, 2), iter(pairs))
+    assert ratlin.equals_dot(Fraction(0), iter(()))
 
 
 TINY = Fraction(1, 2**60)
@@ -469,7 +469,7 @@ DOT_VERDICTS = {
 
 @pytest.mark.parametrize("value, pairs", DOT_VERDICTS.values(), ids=DOT_VERDICTS.keys())
 def test_equals_dot_agrees_with_the_fraction_sum(value, pairs):
-    assert ratlin.equals_dot(value, iter(pairs)) == (value == ratlin.dot(iter(pairs)))
+    assert ratlin.equals_dot(value, iter(pairs)) == (value == naive_dot(pairs))
 
 
 def test_dot_consumes_pairs_lazily_in_order():
@@ -478,4 +478,4 @@ def test_dot_consumes_pairs_lazily_in_order():
         raise KeyError("second")
 
     with pytest.raises(KeyError, match="second"):
-        ratlin.dot(pairs())
+        ratlin.equals_dot(Fraction(1), pairs())

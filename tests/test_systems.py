@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from fractions import Fraction
@@ -213,7 +214,9 @@ def test_integer_verdicts_agree_with_their_fraction_forms(
     if defect == "embedding-off-by-one":
         assert got[2] == "NotARightInverseError('B @ W is not the identity')"
     # The Fraction forms: one Fraction per compared sum, and B @ W built.
-    monkeypatch.setattr(ratlin, "equals_dot", lambda v, pairs: v == ratlin.dot(pairs))
+    monkeypatch.setattr(
+        ratlin, "equals_dot", lambda v, pairs: v == sum(x * y for x, y in pairs)
+    )
     monkeypatch.setattr(
         ratlin, "product_is_identity",
         lambda a, b: ratlin.matmul(a, b) == ratlin.identity(len(a)),
@@ -453,6 +456,23 @@ def test_check_assumptions_derives_surjectivity(demo_system):
         i for i in report.instances if i.assumption == "A2" and i.subject == name
     )
     assert inst.passed
+
+
+def test_check_assumptions_fails_rank_deficient_explicit_rows(demo_system):
+    # Supplied rows decide their label: one row short of full rank fails A2,
+    # though the label is also reachable along verified edges.
+    rs = demo_system
+    name = sorted({e.lower for e in rs.order})[0]
+    probes = default_probes(rs)
+    rows = probes.surjectivity[name]
+    deficient = dataclasses.replace(
+        probes, surjectivity={**probes.surjectivity, name: rows[:-1]}
+    )
+    report = check_assumptions(rs.labels, rs.order, deficient)
+    a2 = {i.subject: (i.passed, i.detail) for i in report.instances
+          if i.assumption == "A2"}
+    assert a2.pop(name) == (False, "no surjectivity witness supplied or derivable")
+    assert a2 and all(passed for passed, _ in a2.values())
 
 
 def test_check_assumptions_flags_singular_pairing(demo_system):
