@@ -53,6 +53,22 @@ exact() {
   status=0
   pqk ap --op limit-equal --in v2.json w2.json low.json low.json || status=$?
   test "$status" -eq 2
+  # So are inputs over mismatched frames: vectors over (k1, k2) and
+  # (k1, k3), a vector off its projection's target, and two projections
+  # from different source frames.  Each exits 2 naming --in.
+  echo '{"frame": ["k1", "k3"], "terms": [{"freq": [1, 0], "re": 1}]}' > w3.json
+  echo '{"target_frame": ["k1", "k2"], "source_frame": ["s1", "s2"], "entries": [[1, 0], [0, 1]]}' > p2.json
+  echo '{"target_frame": ["k1", "k2"], "source_frame": ["t1", "t2"], "entries": [[1, 0], [0, 1]]}' > q2.json
+  for call in "inner v2.json w3.json" "promote w3.json p2.json" \
+      "limit-equal v2.json v2.json p2.json q2.json"; do
+    set -- $call
+    op=$1
+    shift
+    status=0
+    pqk ap --op "$op" --in "$@" > err.json || status=$?
+    test "$status" -eq 2
+    grep -F '"detail": "--in: ' err.json
+  done
   # A label with no edges is malformed input: exit 2.
   python -c 'import json; d = json.load(open("sys.json")); d["labels"].append({"id": "empty", "graph": [], "flux_basis": []}); json.dump(d, open("sys.json", "w"))'
   status=0

@@ -6,6 +6,7 @@ or a passing check, 1 on a verification/consistency failure, 2 on
 malformed input or an out-of-range flag (the message names the offending
 field or flag); a file that cannot be read or decoded, or an output path
 that cannot be written, is malformed input and its message names the path.
+ap inputs over mismatched frames are malformed input naming --in.
 Only project, consistency and oracle import the Gaussian layer, and numpy
 with it.
 """
@@ -13,6 +14,7 @@ with it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +22,7 @@ import sys
 
 from . import io
 from .dpg import System, random_system
-from .errors import DocumentError, OrderViolationError, PqkError
+from .errors import DocumentError, FrameMismatchError, OrderViolationError, PqkError
 from .almost_periodic import inner_product, limit_equal, promote
 from .systems import ASSUMPTION_TITLES, check_assumptions
 
@@ -91,7 +93,7 @@ def cmd_verify(args) -> int:
         {
             "assumption": inst.assumption,
             "anchor": f"Assumption {inst.assumption} "
-            f"({ASSUMPTION_TITLES.get(inst.assumption, 'unlisted check')})",
+            f"({ASSUMPTION_TITLES[inst.assumption]})",
             "subject": inst.subject,
             "detail": inst.detail,
         }
@@ -101,15 +103,7 @@ def cmd_verify(args) -> int:
         "command": "verify",
         "passed": report.passed,
         "checked": len(report.instances),
-        "instances": [
-            {
-                "assumption": inst.assumption,
-                "subject": inst.subject,
-                "passed": inst.passed,
-                "detail": inst.detail,
-            }
-            for inst in report.instances
-        ],
+        "instances": [dataclasses.asdict(inst) for inst in report.instances],
         "failures": failures,
     }
     if args.report:
@@ -254,6 +248,13 @@ def cmd_dpg_demo(args) -> int:
 
 
 def cmd_ap(args) -> int:
+    try:
+        return _ap(args)
+    except FrameMismatchError as exc:
+        raise DocumentError(f"--in: {exc}") from exc
+
+
+def _ap(args) -> int:
     if args.out is not None and args.op != "promote":
         raise DocumentError(f"--out: {args.op} writes no vector")
     docs = [io.load_json(path) for path in args.inputs]

@@ -299,7 +299,14 @@ def graph_refines(fine: Graph, coarse: Graph) -> bool:
 def combos_from_decomposition(
     dec: GraphDecomposition,
 ) -> dict[DofId, dict[DofId, Fraction]]:
-    """Linear-combination coefficients implied by an edge factorization."""
+    """Linear-combination coefficients implied by an edge factorization.
+
+    A coarse edge uses each fine edge at most once (a word repeats no atom),
+    with sign +-1, and no fine edge serves two coarse edges (they share no
+    atom).  So the rows of B hold +-1 on disjoint columns, as do products
+    of such B (composed witnesses), and every DPG projection has Lebesgue
+    factor 1/|det B[:, pivots]| = 1.
+    """
     if not dec.accepted:
         raise PqkError(f"cannot derive combinations from a refusal: {dec.reason}")
     return {

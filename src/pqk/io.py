@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .almost_periodic import APVector, Frequency, QC
@@ -285,35 +286,21 @@ def default_probes(system: System) -> Probes:
     declared order witnesses.
     """
     names = sorted(system.labels)
-    ops_key = {
-        name: frozenset(op.key for op in system.labels[name].ops) for name in names
-    }
-    equal_pairs = tuple(
-        (a, b)
-        for i, a in enumerate(names)
-        for b in names[i + 1 :]
-        if ops_key[a] == ops_key[b]
-    )
-
+    ops_key = {n: frozenset(op.key for op in system.labels[n].ops) for n in names}
     # A finite presented family always has maximal labels whose pairwise
     # joins lie outside it, so directedness is probed on the non-maximal
     # labels only; explicit Probes cover anything stricter.
     non_maximal = sorted({e.lower for e in system.order})
-
     return Probes(
-        span_instances=tuple(
-            span_probe(d) for _, d in sorted(system.dlabels.items())
-        ),
+        span_instances=tuple(span_probe(d) for _, d in sorted(system.dlabels.items())),
         surjectivity={
             name: tuple({dof: Fraction(1)} for dof in d.graph.dofs)
             for name, d in sorted(system.dlabels.items())
         },
-        equal_space_pairs=equal_pairs,
-        directed_pairs=tuple(
-            (a, b)
-            for i, a in enumerate(non_maximal)
-            for b in non_maximal[i + 1 :]
+        equal_space_pairs=tuple(
+            (a, b) for a, b in combinations(names, 2) if ops_key[a] == ops_key[b]
         ),
+        directed_pairs=tuple(combinations(non_maximal, 2)),
         dof_values=word_values(system.words.values()),
     )
 

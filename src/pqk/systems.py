@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from . import ratlin
@@ -385,6 +386,7 @@ def select_independent_dofs(
 
 # --- assumption audit -------------------------------------------------------
 
+# Every assumption the audit checks, with its title, in report order.
 ASSUMPTION_TITLES = {
     "A1a": "every probed d.o.f. set is spanned by some label's frame",
     "A1b": "every probed operator set is contained in some label's basis",
@@ -456,25 +458,18 @@ def check_assumptions(
     The audit is witness- and instance-based: it verifies exactly the
     presented labels, order edges and probe data, and records which
     instances were checked.  Universal statements are out of reach of any
-    finite audit and are not claimed.
+    finite audit and are not claimed.  Each order edge's plan and each
+    label are read once; instances are reported grouped by assumption, in
+    the order of :data:`ASSUMPTION_TITLES`.
     """
-    order = tuple(order)
-    instances: list[AssumptionInstance] = []
+    found: dict[str, list[AssumptionInstance]] = {a: [] for a in ASSUMPTION_TITLES}
 
-    # Each order edge is verified once, by its witness's plan; A1b, A2, A5,
-    # A6, directedness and later projections along the edge reuse it.
-    plans = [
-        edge.witness.plan(family[edge.upper], family[edge.lower])
-        if edge.upper in family and edge.lower in family
-        else None
-        for edge in order
-    ]
+    def record(kind: str, subject: str, passed: bool, detail: str) -> None:
+        found[kind].append(AssumptionInstance(kind, subject, passed, detail))
 
     for probe in probes.span_instances:
         if probe.label not in family:
-            instances.append(
-                AssumptionInstance("A1a", probe.label, False, "unknown label")
-            )
+            record("A1a", probe.label, False, "unknown label")
             continue
         frame = family[probe.label].frame
         faults = (
@@ -483,20 +478,30 @@ def check_assumptions(
         )
         fault = next(filter(None, faults), None)
         detail = fault or f"{len(probe.combos)} d.o.f. spanned by {probe.label!r}"
-        instances.append(AssumptionInstance("A1a", probe.label, not fault, detail))
+        record("A1a", probe.label, not fault, detail)
 
-    # A1b: each edge whose witness has a membership row for every lower
-    # operator is an instance, decided by its plan's membership check.
-    for edge, plan in zip(order, plans):
-        if plan and all(op.id in edge.witness.op_membership for op in plan.coarse.ops):
+    # Each order edge is verified once, by its witness's plan, which later
+    # projections along the edge reuse.  An edge whose witness has a
+    # membership row for every lower operator is an A1b instance, decided
+    # by the plan's membership check.  The verified plans, every one of a
+    # repeated pair kept, are the relations A2, A5 and directedness read.
+    verified: dict[str, dict[str, list[EdgePlan]]] = {}
+    for edge in order:
+        subject = f"{edge.upper} >= {edge.lower}"
+        if edge.upper not in family or edge.lower not in family:
+            record("A6", subject, False, "unknown label")
+            continue
+        plan = edge.witness.plan(family[edge.upper], family[edge.lower])
+        if all(op.id in edge.witness.op_membership for op in plan.coarse.ops):
             fault = plan.check.membership
-            n = len(plan.coarse.ops)
-            detail = fault or f"{n} operators contained in {edge.upper!r}"
-            instances.append(AssumptionInstance("A1b", edge.upper, not fault, detail))
+            contained = f"{len(plan.coarse.ops)} operators contained in {edge.upper!r}"
+            record("A1b", edge.upper, not fault, fault or contained)
+        record("A6", subject, plan.check.ok, plan.check.diagnostic)
+        if plan.check:
+            verified.setdefault(edge.upper, {}).setdefault(edge.lower, []).append(plan)
 
-    verified_edges = {
-        (e.upper, e.lower) for e, plan in zip(order, plans) if plan and plan.check
-    }
+    def reaches(upper: str, lower: str) -> bool:
+        return lower in verified.get(upper, ())
 
     # A2: labels with evaluation probes are decided by them.  The others are
     # surjective when reachable from a surjective label along verified edges
@@ -508,64 +513,40 @@ def check_assumptions(
             label = family[name]
             if ratlin.rank(ratlin.from_sparse(mat, label.frame.dofs)) == label.dim:
                 surjective.add(name)
-    derivable: dict[str, list[tuple[str, EdgePlan]]] = {}
-    for edge, plan in zip(order, plans):
-        if plan and plan.check and edge.lower not in probes.surjectivity:
-            derivable.setdefault(edge.upper, []).append((edge.lower, plan))
     frontier = sorted(surjective)
     while frontier:
-        for lower, plan in derivable.get(frontier.pop(), ()):
-            if lower in surjective:
+        for lower, plans in verified.get(frontier.pop(), {}).items():
+            if lower in surjective or lower in probes.surjectivity:
                 continue
-            try:
-                plan.projection
-            except PqkError:
-                continue
-            surjective.add(lower)
-            frontier.append(lower)
+            for plan in plans:
+                try:
+                    plan.projection
+                except PqkError:
+                    continue
+                surjective.add(lower)
+                frontier.append(lower)
+                break
 
     for name in sorted(family):
         ok = name in surjective
-        instances.append(
-            AssumptionInstance(
-                "A2",
-                name,
-                ok,
-                "full-rank evaluation witness"
-                if ok
-                else "no surjectivity witness supplied or derivable",
-            )
-        )
-
-    for name in sorted(family):
-        instances.append(
-            AssumptionInstance(
-                "A3",
-                name,
-                True,
-                "actions are constants by construction; linearity structural",
-            )
-        )
-
-    for name in sorted(family):
+        underived = "no surjectivity witness supplied or derivable"
+        record("A2", name, ok, "full-rank evaluation witness" if ok else underived)
+        structural = "actions are constants by construction; linearity structural"
+        record("A3", name, True, structural)
         try:
             pairing_matrix(family[name])
-            instances.append(AssumptionInstance("A4", name, True, "det != 0"))
+            record("A4", name, True, "det != 0")
         except (DegeneratePairingError, MissingActionError) as exc:
-            instances.append(AssumptionInstance("A4", name, False, str(exc)))
+            record("A4", name, False, str(exc))
 
     for a, b in probes.equal_space_pairs:
         subject = f"{a} ~ {b}"
         if a not in family or b not in family:
-            instances.append(
-                AssumptionInstance("A5", subject, False, "unknown label")
-            )
+            record("A5", subject, False, "unknown label")
             continue
         la, lb = family[a], family[b]
         if {op.key for op in la.ops} != {op.key for op in lb.ops}:
-            instances.append(
-                AssumptionInstance("A5", subject, False, "operator bases differ")
-            )
+            record("A5", subject, False, "operator bases differ")
             continue
         values = probes.dof_values
         probe_ids = sorted(
@@ -575,53 +556,22 @@ def check_assumptions(
             ratlin.from_sparse((values.get(d, {}) for d in f.dofs), probe_ids)
             for f in (la.frame, lb.frame)
         )
-        stacked = ma + mb
-        same_space = (
-            ratlin.rank(ma) == ratlin.rank(mb) == ratlin.rank(stacked) == la.dim
-        )
-        if not same_space:
-            instances.append(
-                AssumptionInstance(
-                    "A5", subject, False, "frames do not span the same space"
-                )
-            )
+        if not ratlin.rank(ma) == ratlin.rank(mb) == ratlin.rank(ma + mb) == la.dim:
+            record("A5", subject, False, "frames do not span the same space")
             continue
-        ordered = (a, b) in verified_edges or (b, a) in verified_edges
-        instances.append(
-            AssumptionInstance(
-                "A5",
-                subject,
-                ordered,
-                "ordered" if ordered else "equal reduced spaces but no order edge",
-            )
-        )
-
-    for edge, plan in zip(order, plans):
-        subject = f"{edge.upper} >= {edge.lower}"
-        if plan is None:
-            instances.append(
-                AssumptionInstance("A6", subject, False, "unknown label")
-            )
-            continue
-        instances.append(
-            AssumptionInstance("A6", subject, plan.check.ok, plan.check.diagnostic)
-        )
+        ordered = reaches(a, b) or reaches(b, a)
+        detail = "ordered" if ordered else "equal reduced spaces but no order edge"
+        record("A5", subject, ordered, detail)
 
     for a, b in probes.directed_pairs:
         subject = f"{a}, {b}"
+        if a not in family or b not in family:
+            record("directed", subject, False, "unknown label")
+            continue
         upper = sorted(
-            name
-            for name in family
-            if ((name, a) in verified_edges or name == a)
-            and ((name, b) in verified_edges or name == b)
+            n for n in family if (n == a or reaches(n, a)) and (n == b or reaches(n, b))
         )
-        instances.append(
-            AssumptionInstance(
-                "directed",
-                subject,
-                bool(upper),
-                f"upper bound {upper[0]!r}" if upper else "no witnessed upper bound",
-            )
-        )
+        detail = f"upper bound {upper[0]!r}" if upper else "no witnessed upper bound"
+        record("directed", subject, bool(upper), detail)
 
-    return AssumptionReport(tuple(instances))
+    return AssumptionReport(tuple(chain.from_iterable(found.values())))

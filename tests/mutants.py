@@ -81,7 +81,9 @@ MUTANTS = (
         "lebesgue_factor=abs(ratlin.pivot_det(projection.echelon)),",
         ("tests/test_frames.py::test_kernel_decomposition_zero_dim_kernel_is_det_w",
          "tests/test_frames.py::"
-         "test_lebesgue_factor_does_not_depend_on_the_right_inverse"),
+         "test_lebesgue_factor_does_not_depend_on_the_right_inverse",
+         "tests/test_gaussian.py::test_projection_with_scaled_dof_preserves_trace",
+         "tests/test_gaussian.py::test_projection_with_scaled_dof_and_kernel"),
     ),
     Mutant(
         "right-inverse-check-always-true",
@@ -106,6 +108,31 @@ MUTANTS = (
         "            col[p] = Fraction(row[f], row[p])\n",
         ("tests/test_ratlin.py::test_integer_kernel_equals_fraction_elimination",
          "tests/test_frames.py::test_kernel_decomposition_one_dim_kernel"),
+    ),
+    Mutant(
+        "unverified-edge-counts-as-a-relation",
+        "systems.py",
+        "        if plan.check:\n            verified.setdefault(",
+        "        if True:\n            verified.setdefault(",
+        ("tests/test_systems.py::test_a5_ignores_an_order_edge_that_does_not_verify",
+         "tests/test_systems.py::"
+         "test_directed_pair_ignores_an_upper_bound_through_an_unverified_edge"),
+    ),
+    Mutant(
+        "a5-reads-one-direction-of-the-order",
+        "systems.py",
+        "        ordered = reaches(a, b) or reaches(b, a)\n",
+        "        ordered = reaches(a, b)\n",
+        ("tests/test_systems.py::test_a5_reads_an_order_edge_in_either_direction",),
+    ),
+    Mutant(
+        "a6-passes-every-edge",
+        "systems.py",
+        '        record("A6", subject, plan.check.ok, plan.check.diagnostic)\n',
+        '        record("A6", subject, True, plan.check.diagnostic)\n',
+        ("tests/test_systems.py::"
+         "test_refines_names_each_fault_and_the_audit_reports_it",
+         "tests/test_systems.py::test_a1b_and_a6_share_the_membership_fault"),
     ),
 )
 

@@ -167,6 +167,22 @@ def test_default_probes_are_the_unit_target_holonomy_rows(edges, depth, seed):
         assert dense == ratlin.mat(unit_target_holonomies(d.graph))
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 5), st.integers(0, 2**16))
+def test_generated_projections_have_lebesgue_factor_one(edges, depth, seed):
+    # Each coarse edge factors through atom-disjoint fine edges, each used at
+    # most once: the rows of B hold +-1 on disjoint columns, so B[:, pivots]
+    # is a signed permutation and |det B[:, pivots]| = 1.
+    system = random_system(edges, depth, seed)
+    for e in system.order:
+        plan = e.witness.plan(system.labels[e.upper], system.labels[e.lower])
+        b = plan.projection.entries
+        assert all(x in (-1, 0, 1) for row in b for x in row)
+        assert all(any(row) for row in b)
+        assert all(sum(x != 0 for x in col) <= 1 for col in zip(*b))
+        assert plan.decomposition.lebesgue_factor == 1
+
+
 # --- incidence numbers ----------------------------------------------------------
 
 

@@ -1044,3 +1044,27 @@ def test_cli_limit_equal_rejects_rank_deficient_projections(tmp_path, capsys):
     assert report["error"] == "DocumentError"
     assert report["detail"].startswith("projection: ")
     assert "rank 1 < 2" in report["detail"]
+
+
+@pytest.mark.parametrize("op, inputs, detail", [
+    ("inner", ("v", "w"), "--in: inner product of vectors over different frames"),
+    ("promote", ("w", "p"), "--in: vector frame differs from projection target"),
+    ("limit-equal", ("v", "v", "p", "q"),
+     "--in: upper projections disagree on the refined frame"),
+], ids=["inner", "promote", "limit-equal"])
+def test_cli_ap_frame_mismatch_is_malformed_input(tmp_path, capsys, op, inputs, detail):
+    docs = {
+        "v": {"frame": ["a", "b"], "terms": [{"freq": [1, 0], "re": 1}]},
+        "w": {"frame": ["a", "c"], "terms": [{"freq": [1, 0], "re": 1}]},
+        "p": {"target_frame": ["a", "b"], "source_frame": ["s1", "s2"],
+              "entries": [[1, 0], [0, 1]]},
+        "q": {"target_frame": ["a", "b"], "source_frame": ["t1", "t2"],
+              "entries": [[1, 0], [0, 1]]},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        pio.dump_json(doc, paths[name])
+    code, report = run_cli(capsys, "ap", "--op", op, "--in", *(paths[k] for k in inputs))
+    assert code == 2
+    assert report == {"error": "DocumentError", "detail": detail}

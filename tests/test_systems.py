@@ -330,13 +330,13 @@ def reference_a1b(family, order):
     return out
 
 
-def audit(family, order, probes=None):
-    """(subject, passed, detail) of every A1b and A6 instance."""
+def audit(family, order, probes=None, kinds=("A1b", "A6")):
+    """(subject, passed, detail) of every instance of each of ``kinds``."""
     report = check_assumptions(family, order, probes or Probes())
     return {
         kind: [(i.subject, i.passed, i.detail)
                for i in report.instances if i.assumption == kind]
-        for kind in ("A1b", "A6")
+        for kind in kinds
     }
 
 
@@ -743,3 +743,59 @@ def test_a2_derives_nothing_along_an_edge_whose_projection_does_not_build():
         ("C", False, "no surjectivity witness supplied or derivable"),
         ("F", True, "full-rank evaluation witness"),
     ]
+
+
+# --- relations the audit reads off the order -------------------------------------
+
+
+def _without(order, upper, lower):
+    return tuple(e for e in order if (e.upper, e.lower) != (upper, lower))
+
+
+@pytest.mark.parametrize("dropped", [("b0", "b0t"), ("b0t", "b0")])
+def test_a5_reads_an_order_edge_in_either_direction(demo_system, dropped):
+    # b0 and b0t share operators and reduced space; either verified edge
+    # between them orders the pair b0 ~ b0t.
+    rs = demo_system
+    probes = Probes(equal_space_pairs=(("b0", "b0t"),),
+                    dof_values=default_probes(rs).dof_values)
+    order = _without(rs.order, *dropped)
+    assert audit(rs.labels, order, probes, ["A5"]) == {
+        "A5": [("b0 ~ b0t", True, "ordered")]
+    }
+
+
+def test_a5_ignores_an_order_edge_that_does_not_verify(demo_system):
+    rs = demo_system
+    probes = Probes(equal_space_pairs=(("b0", "b0t"),),
+                    dof_values=default_probes(rs).dof_values)
+    i = next(i for i, e in enumerate(rs.order) if (e.upper, e.lower) == ("b0", "b0t"))
+    broken = _with_witness(rs, i, combos=_broken_combos(rs.order[i].witness))
+    order = _without(broken, "b0t", "b0")
+    found = audit(rs.labels, order, probes, ["A5", "A6"])
+    assert ("b0 >= b0t", False) in [a6[:2] for a6 in found["A6"]]
+    assert found["A5"] == [("b0 ~ b0t", False, "equal reduced spaces but no order edge")]
+
+
+def test_directed_pair_ignores_an_upper_bound_through_an_unverified_edge(demo_system):
+    # j(b0+b1) is the only upper bound of b0 and b1 in the family.
+    rs = demo_system
+    probes = Probes(directed_pairs=(("b0", "b1"),))
+    assert audit(rs.labels, rs.order, probes, ["directed"]) == {
+        "directed": [("b0, b1", True, "upper bound 'j(b0+b1)'")]
+    }
+    i = next(i for i, e in enumerate(rs.order) if (e.upper, e.lower) == ("j(b0+b1)", "b1"))
+    order = _with_witness(rs, i, combos=_broken_combos(rs.order[i].witness))
+    assert audit(rs.labels, order, probes, ["directed"]) == {
+        "directed": [("b0, b1", False, "no witnessed upper bound")]
+    }
+
+
+def test_directed_pair_names_an_unknown_label(demo_system):
+    rs = demo_system
+    probes = Probes(directed_pairs=(("b0", "X"), ("X", "b0"), ("b0", "b1")))
+    assert audit(rs.labels, rs.order, probes, ["directed"]) == {"directed": [
+        ("b0, X", False, "unknown label"),
+        ("X, b0", False, "unknown label"),
+        ("b0, b1", True, "upper bound 'j(b0+b1)'"),
+    ]}
