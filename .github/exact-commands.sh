@@ -46,6 +46,27 @@ exact() {
   pqk ap --op inner --in v.json v.json
   pqk ap --op promote --in v.json p.json
   pqk ap --op limit-equal --in v.json v.json p.json p.json
+  # Each ap op reads a fixed count of vector and projection files, and only
+  # promote writes a vector: a wrong count, or --out on another op, exits 2
+  # naming the flag and writes nothing.
+  ap_refused() {
+    detail=$1
+    shift
+    status=0
+    pqk ap "$@" > err.json || status=$?
+    test "$status" -eq 2
+    grep -F "\"detail\": \"$detail\"" err.json
+  }
+  ap_refused "--in: inner expects two vector files" --op inner --in v.json
+  ap_refused "--in: promote expects a vector and a projection" \
+    --op promote --in v.json p.json p.json
+  ap_refused "--in: limit-equal expects two vectors and two projections" \
+    --op limit-equal --in v.json v.json p.json
+  ap_refused "--out: inner writes no vector" \
+    --op inner --in v.json v.json --out no.json
+  ap_refused "--out: limit-equal writes no vector" \
+    --op limit-equal --in v.json v.json p.json p.json --out no.json
+  test ! -e no.json
   # A rank-deficient projection is malformed input: exit 2.
   echo '{"frame": ["k1", "k2"], "terms": [{"freq": [1, 0], "re": 1}]}' > v2.json
   echo '{"frame": ["k1", "k2"], "terms": [{"freq": [0, 1], "re": 1}]}' > w2.json

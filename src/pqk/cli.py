@@ -3,12 +3,11 @@
 Subcommands: verify, project, consistency, join, oracle, dpg-demo, ap.
 Every command prints one JSON report to stdout.  Exit codes: 0 on success
 or a passing check, 1 on a verification/consistency failure, 2 on
-malformed input or an out-of-range flag (the message names the offending
-field or flag); a file that cannot be read or decoded, or an output path
-that cannot be written, is malformed input and its message names the path.
-ap inputs over mismatched frames are malformed input naming --in.
-Only project, consistency and oracle import the Gaussian layer, and numpy
-with it.
+malformed input or an out-of-range flag.  Its message names the offending
+field or flag, by the one rule :func:`pqk.io.named` (ap inputs over
+mismatched frames name --in), or the path of a file that cannot be read,
+decoded or written.  Only project, consistency and oracle import the
+Gaussian layer, and numpy with it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import sys
 
 from . import io
 from .dpg import System, random_system
-from .errors import DocumentError, FrameMismatchError, OrderViolationError, PqkError
+from .errors import DocumentError, OrderViolationError, PqkError
 from .almost_periodic import inner_product, limit_equal, promote
 from .systems import ASSUMPTION_TITLES, check_assumptions
 
@@ -60,8 +59,7 @@ def _load_state(path: str, system: System, expected_label: str):
 
 
 def _require_label(system: System, name: str, field: str) -> None:
-    if name not in system.dlabels:
-        raise DocumentError(f"{field}: unknown label {name!r}")
+    _require_flag(name in system.dlabels, field, f"unknown label {name!r}")
 
 
 def _load_edge(args):
@@ -137,8 +135,7 @@ def cmd_consistency(args) -> int:
     _require_tol(args.tol)
     system = _load_system(args.system)
     chain = args.chain.split(",")
-    if len(chain) != 3:
-        raise DocumentError("--chain: expected three comma-separated labels")
+    _require_flag(len(chain) == 3, "--chain", "expected three comma-separated labels")
     top, mid, bot = chain
     for name in chain:
         _require_label(system, name, "--chain")
@@ -169,17 +166,15 @@ def cmd_consistency(args) -> int:
 def cmd_join(args) -> int:
     system = _load_system(args.system)
     names = args.labels.split(",")
-    if len(names) != 2:
-        raise DocumentError("--labels: expected two comma-separated labels")
+    _require_flag(len(names) == 2, "--labels", "expected two comma-separated labels")
     for name in names:
         _require_label(system, name, "--labels")
     a, b = names
-    if a == b:
-        raise DocumentError(f"--labels: cannot join {a!r} with itself")
+    _require_flag(a != b, "--labels", f"cannot join {a!r} with itself")
     join_name = f"j({a}+{b})"
     for name in (join_name, f"j({b}+{a})"):
-        if name in system.dlabels:
-            raise DocumentError(f"--labels: label {name!r} already present")
+        present = name in system.dlabels
+        _require_flag(not present, "--labels", f"label {name!r} already present")
     merged, result = system.with_join(a, b, join_name)
     io.dump_json(io.system_to_document(merged), args.out)
     _print(
@@ -206,10 +201,7 @@ def cmd_oracle(args) -> int:
     _require_tol(args.tol)
     state, fine, coarse, witness = _load_edge(args)
     kdec = decomposition_for(fine, coarse, witness)
-    try:
-        check_kernel_points(args.grid, kdec)
-    except ValueError as exc:
-        raise DocumentError(f"--grid: {exc}") from exc
+    io.named("--grid", check_kernel_points, args.grid, kdec)
     report = oracle_report(
         state, fine, coarse, witness, grid_points=args.grid, extent=args.extent
     )
@@ -247,60 +239,39 @@ def cmd_dpg_demo(args) -> int:
     return 0
 
 
+# Each ap operation: what it computes, its vector files, then its projection
+# files (read in that order), and how --in names them.
+AP_OPS = {
+    "inner": (inner_product, 2, 0, "two vector files"),
+    "promote": (promote, 1, 1, "a vector and a projection"),
+    "limit-equal": (limit_equal, 2, 2, "two vectors and two projections"),
+}
+
+
 def cmd_ap(args) -> int:
-    try:
-        return _ap(args)
-    except FrameMismatchError as exc:
-        raise DocumentError(f"--in: {exc}") from exc
-
-
-def _ap(args) -> int:
-    if args.out is not None and args.op != "promote":
-        raise DocumentError(f"--out: {args.op} writes no vector")
+    op, vectors, projections, files = AP_OPS[args.op]
+    writes = args.op == "promote"
+    _require_flag(args.out is None or writes, "--out", f"{args.op} writes no vector")
     docs = [io.load_json(path) for path in args.inputs]
+    count = vectors + projections
+    _require_flag(len(docs) == count, "--in", f"{args.op} expects {files}")
+    vs = [io.document_to_ap(d) for d in docs[:vectors]]
+    ps = [io.document_to_projection(d) for d in docs[vectors:]]
+    result = io.named("--in", op, *vs, *ps)
+    report = {"command": "ap", "op": args.op}
     if args.op == "inner":
-        if len(docs) != 2:
-            raise DocumentError("--in: inner expects two vector files")
-        v, w = (io.document_to_ap(d) for d in docs)
-        value = inner_product(v, w)
-        _print(
-            {
-                "command": "ap",
-                "op": "inner",
-                "value": {"re": io.rat_to_json(value.re), "im": io.rat_to_json(value.im)},
-                "value_float": [float(value.re), float(value.im)],
-            }
-        )
-        return 0
-    if args.op == "promote":
-        if len(docs) != 2:
-            raise DocumentError("--in: promote expects a vector and a projection")
-        v = io.document_to_ap(docs[0])
-        p = io.document_to_projection(docs[1])
-        out_vec = promote(v, p)
-        report = {
-            "command": "ap",
-            "op": "promote",
-            "result": io.ap_to_document(out_vec),
-        }
+        re, im = result.re, result.im
+        report["value"] = {"re": io.rat_to_json(re), "im": io.rat_to_json(im)}
+        report["value_float"] = [float(re), float(im)]
+    elif writes:
+        report["result"] = io.ap_to_document(result)
         if args.out:
-            io.dump_json(io.ap_to_document(out_vec), args.out)
+            io.dump_json(report["result"], args.out)
             report["out"] = args.out
-        _print(report)
-        return 0
-    if args.op == "limit-equal":
-        if len(docs) != 4:
-            raise DocumentError(
-                "--in: limit-equal expects two vectors and two projections"
-            )
-        v = io.document_to_ap(docs[0])
-        w = io.document_to_ap(docs[1])
-        pv = io.document_to_projection(docs[2])
-        pw = io.document_to_projection(docs[3])
-        equal = limit_equal(v, w, pv, pw)
-        _print({"command": "ap", "op": "limit-equal", "passed": equal})
-        return 0 if equal else 1
-    raise DocumentError(f"--op: unknown operation {args.op!r}")
+    else:
+        report["passed"] = result
+    _print(report)
+    return 0 if report.get("passed", True) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dpg_demo)
 
     p = sub.add_parser("ap", help="almost-periodic vector operations")
-    p.add_argument("--op", required=True, choices=["inner", "promote", "limit-equal"])
+    p.add_argument("--op", required=True, choices=list(AP_OPS))
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ap)

@@ -31,7 +31,7 @@ from .dpg import (
     validate_word,
     word_values,
 )
-from .errors import DimensionMismatchError, DocumentError, PqkError
+from .errors import DocumentError, PqkError
 from .frames import ProjectionMatrix, ReducedFrame
 from .systems import OrderEdge, OrderWitness, Probes
 from . import ratlin
@@ -104,11 +104,21 @@ def _fresh(registry, key: str, where: str, kind: str) -> str:
     return key
 
 
-def _expect_frame(doc, key: str, where: str) -> ReducedFrame:
+def named(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ``ValueError`` or pqk error it raises
+    becomes a :class:`DocumentError` naming ``where``, the field or flag read.
+    A :class:`DocumentError` already names its own field and passes through."""
     try:
-        return ReducedFrame(tuple(_expect_items(doc, key, str, where)))
-    except DimensionMismatchError as exc:
-        raise DocumentError(f"{where}.{key}: {exc}") from exc
+        return make(*args, **kwargs)
+    except DocumentError:
+        raise
+    except (ValueError, PqkError) as exc:
+        raise DocumentError(f"{where}: {exc}") from exc
+
+
+def _expect_frame(doc, key: str, where: str) -> ReducedFrame:
+    dofs = tuple(_expect_items(doc, key, str, where))
+    return named(f"{where}.{key}", ReducedFrame, dofs)
 
 
 def system_to_document(system: System) -> dict:
@@ -173,15 +183,10 @@ def document_to_system(doc: dict) -> System:
     for i, entry in enumerate(_expect(doc, "atomic_edges", list, "document")):
         where = f"atomic_edges[{i}]"
         aid = _fresh(atoms, _expect(entry, "id", str, where), f"{where}.id", "atom")
-        try:
-            atoms[aid] = AtomicEdge(
-                aid,
-                _expect(entry, "source", str, where),
-                _expect(entry, "target", str, where),
-                "loop" in entry and _expect(entry, "loop", bool, where),
-            )
-        except ValueError as exc:
-            raise DocumentError(f"{where}: {exc}") from exc
+        source = _expect(entry, "source", str, where)
+        target = _expect(entry, "target", str, where)
+        loop = "loop" in entry and _expect(entry, "loop", bool, where)
+        atoms[aid] = named(where, AtomicEdge, aid, source, target, loop)
 
     words: dict[str, EdgeWord] = {}
     for i, entry in enumerate(_expect(doc, "edges", list, "document")):
@@ -195,12 +200,8 @@ def document_to_system(doc: dict) -> System:
             if sign not in (-1, 1):
                 raise DocumentError(f"{lw}.sign: must be 1 or -1")
             letters.append((atom, sign))
-        try:
-            w = EdgeWord(tuple(letters))
-            validate_word(w, atoms)
-        except (ValueError, PqkError) as exc:
-            raise DocumentError(f"{where}: {exc}") from exc
-        words[eid] = w
+        words[eid] = named(where, EdgeWord, tuple(letters))
+        named(where, validate_word, words[eid], atoms)
 
     faces: dict[str, Face] = {}
     for i, entry in enumerate(_expect(doc, "faces", list, "document")):
@@ -212,10 +213,7 @@ def document_to_system(doc: dict) -> System:
             atom = _expect(item, "atom", str, iw)
             _declared(atoms, atom, f"{iw}.atom", "atom")
             incidence.append((atom, json_to_rat(item.get("value"), f"{iw}.value")))
-        try:
-            faces[fid] = Face(fid, tuple(incidence))
-        except ValueError as exc:
-            raise DocumentError(f"{where}.incidence: {exc}") from exc
+        faces[fid] = named(f"{where}.incidence", Face, fid, tuple(incidence))
 
     dlabels: dict[str, DpgLabel] = {}
     for i, entry in enumerate(_expect(doc, "labels", list, "document")):
@@ -229,10 +227,7 @@ def document_to_system(doc: dict) -> System:
         basis = tuple(
             _declared(faces, f, f"{where}.flux_basis", "face id") for f in face_ids
         )
-        try:
-            dlabels[lid] = DpgLabel(id=lid, graph=Graph(edges), faces=basis)
-        except (ValueError, PqkError) as exc:
-            raise DocumentError(f"{where}: {exc}") from exc
+        dlabels[lid] = named(where, DpgLabel, lid, named(where, Graph, edges), basis)
 
     values = word_values(words.values())
 
@@ -364,16 +359,10 @@ def document_to_state(doc: dict, dim: int) -> GaussianMixtureState:
         if not abs(logw) <= sys.float_info.max:
             raise DocumentError(f"{where}.logw: must be finite")
         P, R = matrix("P"), matrix("R")
-        try:
-            kernel = GaussianKernel(dim=dim, P=P, R=R, s=s, logw=logw)
-        except (ValueError, PqkError) as exc:
-            raise DocumentError(f"{where}: {exc}") from exc
+        kernel = named(where, GaussianKernel, dim=dim, P=P, R=R, s=s, logw=logw)
         terms.append((float(weight), kernel))
-    try:
-        state = GaussianMixtureState(dim, tuple(terms))
-        total = trace(state)
-    except (ValueError, PqkError) as exc:
-        raise DocumentError(f"state.terms: {exc}") from exc
+    state = named("state.terms", GaussianMixtureState, dim, tuple(terms))
+    total = named("state.terms", trace, state)
     if abs(total - 1.0) > 1e-10:
         raise DocumentError(f"state.terms: trace is {total!r}, expected 1")
     return state
@@ -429,10 +418,7 @@ def document_to_projection(doc: dict) -> ProjectionMatrix:
         [json_to_rat(x, f"projection.entries[{i}]") for x in row]
         for i, row in enumerate(_expect_items(doc, "entries", list, "projection"))
     ]
-    try:
-        return ProjectionMatrix(entries, source_frame=source, target_frame=target)
-    except (ValueError, PqkError) as exc:
-        raise DocumentError(f"projection: {exc}") from exc
+    return named("projection", ProjectionMatrix, entries, source, target)
 
 
 def load_json(path: str) -> dict:

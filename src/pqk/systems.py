@@ -106,6 +106,15 @@ class SystemLabel:
             ) from None
 
 
+def _exact_rows(rows: Mapping) -> dict[str, dict[str, Fraction]]:
+    """Sparse rows by id, with str ids and exact rational values: the one
+    conversion of caller data, so int, float, str and Fraction audit alike."""
+    return {
+        str(k): {str(s): ratlin.as_fraction(c) for s, c in row.items()}
+        for k, row in dict(rows).items()
+    }
+
+
 @dataclass(frozen=True)
 class OrderWitness:
     """Certificates for one refinement: fine label >= coarse label.
@@ -123,11 +132,7 @@ class OrderWitness:
 
     def __post_init__(self):
         for name in ("combos", "op_membership", "dof_values"):
-            rows = {
-                str(k): {str(s): ratlin.as_fraction(c) for s, c in row.items()}
-                for k, row in dict(getattr(self, name)).items()
-            }
-            object.__setattr__(self, name, rows)
+            object.__setattr__(self, name, _exact_rows(getattr(self, name)))
 
     def plan(self, fine: SystemLabel, coarse: SystemLabel) -> EdgePlan:
         """The verified plan of ``fine >= coarse``, kept on this witness for
@@ -414,6 +419,10 @@ class SpanProbe:
     combos: Mapping[DofId, Mapping[DofId, Fraction]]
     dof_values: DofValues
 
+    def __post_init__(self):
+        for name in ("combos", "dof_values"):
+            object.__setattr__(self, name, _exact_rows(getattr(self, name)))
+
 
 @dataclass(frozen=True)
 class Probes:
@@ -426,6 +435,13 @@ class Probes:
     equal_space_pairs: tuple[tuple[str, str], ...] = ()
     directed_pairs: tuple[tuple[str, str], ...] = ()
     dof_values: DofValues = field(default_factory=dict)
+
+    def __post_init__(self):
+        # Each label's rows convert as rows keyed by their position.
+        labels = self.surjectivity.items()
+        surjectivity = {n: tuple(_exact_rows(enumerate(r)).values()) for n, r in labels}
+        object.__setattr__(self, "surjectivity", surjectivity)
+        object.__setattr__(self, "dof_values", _exact_rows(self.dof_values))
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,52 @@ MUTANTS = (
          "test_refines_names_each_fault_and_the_audit_reports_it",
          "tests/test_systems.py::test_a1b_and_a6_share_the_membership_fault"),
     ),
+    Mutant(
+        "project-with-reuses-another-states-projection",
+        "gaussian.py",
+        "    if kept is not None and kept[0] is state:\n",
+        "    if kept is not None:\n",
+        ("tests/test_gaussian.py::test_a_decomposition_keeps_its_last_projection",
+         "tests/test_gaussian.py::test_kept_projections_match_fresh_ones"),
+    ),
+    Mutant(
+        "zero-distance-skips-the-convergence-check",
+        "gaussian.py",
+        "            _self_pairing(s2)\n            return 0.0\n",
+        "            return 0.0\n",
+        ("tests/test_gaussian.py::test_a_divergent_state_keeps_no_self_pairing",
+         "tests/test_gaussian.py::test_stacked_hs_pairing_keeps_its_errors"),
+    ),
+    Mutant(
+        "operator-key-drops-denominators",
+        "systems.py",
+        "tuple((d, v.numerator, v.denominator) for d, v in self.action)",
+        "tuple((d, v.numerator) for d, v in self.action)",
+        ("tests/test_systems.py::"
+         "test_operator_keys_are_equal_exactly_when_id_and_action_are",
+         "tests/test_systems.py::test_a5_compares_operator_bases_by_value"),
+    ),
+    Mutant(
+        "named-rewraps-a-document-error",
+        "io.py",
+        "    except DocumentError:\n        raise\n",
+        "",
+        ("tests/test_io_cli.py::test_named_names_a_field_once",),
+    ),
+    Mutant(
+        "probes-keep-raw-values",
+        "systems.py",
+        "    def __post_init__(self):\n        # Each label's rows convert",
+        "    def _unused(self):\n        # Each label's rows convert",
+        ("tests/test_systems.py::test_probes_convert_their_values_as_witnesses_do",),
+    ),
+    Mutant(
+        "span-probes-keep-raw-values",
+        "systems.py",
+        '    def __post_init__(self):\n        for name in ("combos", "dof_values"):',
+        '    def _unused(self):\n        for name in ("combos", "dof_values"):',
+        ("tests/test_systems.py::test_probes_convert_their_values_as_witnesses_do",),
+    ),
 )
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from pqk import (
     DocumentError,
+    FrameMismatchError,
     chain_consistency,
     check_assumptions,
     hs_distance,
@@ -74,6 +75,24 @@ def test_state_document_rejects_nonhermitian():
     doc["terms"][0]["R"][0][1] = [0.5, 0.0]
     with pytest.raises(DocumentError, match="Hermitian"):
         pio.document_to_state(doc, 2)
+
+
+@pytest.mark.parametrize("error, detail", [
+    (ValueError("bad"), "edges[0]: bad"),
+    (FrameMismatchError("bad"), "edges[0]: bad"),
+    (DocumentError("edges[0].letters[1].sign: must be 1 or -1"),
+     "edges[0].letters[1].sign: must be 1 or -1"),
+], ids=["value-error", "pqk-error", "document-error"])
+def test_named_names_a_field_once(error, detail):
+    def fail():
+        raise error
+
+    with pytest.raises(DocumentError) as caught:
+        pio.named("edges[0]", fail)
+    assert str(caught.value) == detail
+    assert pio.named("edges[0]", Fraction, "1/2") == Fraction(1, 2)
+    with pytest.raises(TypeError):  # not a document fault: raised as it is
+        pio.named("edges[0]", Fraction, None)
 
 
 def test_document_errors_name_fields(tmp_path):
@@ -406,7 +425,12 @@ def test_cli_project_requires_witnessed_relation(tmp_path, capsys, command):
      "--chain: must name three distinct labels"),
     ("consistency", ("--chain", "j(b0+b1),j(b0+b1),b0"),
      "--chain: must name three distinct labels"),
-], ids=["project", "oracle", "consistency-bottom", "consistency-middle"])
+    ("consistency", ("--chain", "j(b0+b1),b0"),
+     "--chain: expected three comma-separated labels"),
+    ("consistency", ("--chain", "j(b0+b1),b0,b0t,b1"),
+     "--chain: expected three comma-separated labels"),
+], ids=["project", "oracle", "consistency-bottom", "consistency-middle",
+        "consistency-two-labels", "consistency-four-labels"])
 def test_cli_refuses_an_edge_from_a_label_to_itself(
     tmp_path, capsys, command, request_, detail
 ):
@@ -548,6 +572,8 @@ def test_cli_join_then_verify(tmp_path, capsys):
     ("b0,b0", "--labels: cannot join 'b0' with itself"),
     ("b1,b0", "--labels: label 'j(b0+b1)' already present"),
     ("b0,b1", "--labels: label 'j(b0+b1)' already present"),
+    ("b0", "--labels: expected two comma-separated labels"),
+    ("b0,b1,b0t", "--labels: expected two comma-separated labels"),
 ])
 def test_cli_join_refuses_a_self_join_and_a_present_join(
     tmp_path, capsys, labels, detail
@@ -1015,14 +1041,29 @@ def test_cli_ap_out_is_refused_where_no_vector_is_written(tmp_path, capsys, op, 
     pio.dump_json({"target_frame": ["k1"], "source_frame": ["k1", "k2"],
                    "entries": [[1, 1]]}, paths["p"])
     out = tmp_path / "out.json"
-    code, report = run_cli(
-        capsys, "ap", "--op", op, "--in", *(paths[k] for k in inputs),
-        "--out", str(out),
+    detail = _one_error_line(
+        capsys, "ap", "--op", op, "--in", *(paths[k] for k in inputs), "--out", str(out)
     )
-    assert code == 2
-    assert report["error"] == "DocumentError"
-    assert report["detail"].startswith("--out: ")
+    assert detail == f"--out: {op} writes no vector"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("op, inputs, detail", [
+    ("inner", ("v",), "--in: inner expects two vector files"),
+    ("inner", ("v", "v", "v"), "--in: inner expects two vector files"),
+    ("promote", ("v",), "--in: promote expects a vector and a projection"),
+    ("promote", ("v", "p", "p"), "--in: promote expects a vector and a projection"),
+    ("limit-equal", ("v", "v", "p"),
+     "--in: limit-equal expects two vectors and two projections"),
+], ids=["inner-one", "inner-three", "promote-one", "promote-three", "limit-equal-three"])
+def test_cli_ap_names_the_files_each_op_reads(tmp_path, capsys, op, inputs, detail):
+    paths = {"v": str(tmp_path / "v.json"), "p": str(tmp_path / "p.json")}
+    pio.dump_json({"frame": ["k1"], "terms": [{"freq": [1], "re": 2}]}, paths["v"])
+    pio.dump_json({"target_frame": ["k1"], "source_frame": ["k1", "k2"],
+                   "entries": [[1, 1]]}, paths["p"])
+    assert _one_error_line(
+        capsys, "ap", "--op", op, "--in", *(paths[k] for k in inputs)
+    ) == detail
 
 
 def test_cli_limit_equal_rejects_rank_deficient_projections(tmp_path, capsys):

@@ -620,6 +620,45 @@ def test_default_probes_pair_the_labels_the_former_keys_paired(edges, depth, see
     assert pairs == former_equal_space_pairs(system) and pairs
 
 
+@pytest.mark.parametrize(
+    "kind, scale", [(int, 2), (float, Fraction(1, 2)), (str, Fraction(-3, 7))],
+    ids=["int", "float", "str"],
+)
+def test_probes_convert_their_values_as_witnesses_do(demo_system, kind, scale):
+    # Span combinations (A1a), explicit surjectivity rows (A2) and evaluation
+    # data (A1a, A5) written as int, float or string hold, and audit as, the
+    # Fractions they stand for; a float or a string once crashed the audit.
+    base = default_probes(demo_system)
+
+    def written(rows, factor=1):
+        return {k: {s: kind(factor * c) for s, c in row.items()} for k, row in rows.items()}
+
+    def scaled(rows):
+        return tuple({d: scale * c for d, c in row.items()} for row in rows)
+
+    exact = dataclasses.replace(
+        base, surjectivity={n: scaled(rows) for n, rows in base.surjectivity.items()}
+    )
+    raw = dataclasses.replace(
+        base,
+        span_instances=tuple(
+            SpanProbe(p.label, written(p.combos), written(p.dof_values))
+            for p in base.span_instances
+        ),
+        surjectivity={
+            n: tuple(written(dict(enumerate(rows)), scale).values())
+            for n, rows in base.surjectivity.items()
+        },
+        dof_values=written(base.dof_values),
+    )
+    family = dict(demo_system.labels)
+    reference = check_assumptions(family, demo_system.order, exact)
+    assert reference.passed
+    assert {i.assumption for i in reference.instances} >= {"A1a", "A2", "A5"}
+    assert check_assumptions(family, demo_system.order, raw) == reference
+    assert raw == exact
+
+
 def test_a5_compares_operator_bases_by_value(demo_system):
     labels = dict(demo_system.labels)
     probes = Probes(
