@@ -30,6 +30,15 @@ the whole grid's (see :func:`_chunk_sums`), each task is the same code on
 the same midpoints whichever thread runs it, and the calling thread adds
 each block's chunk sums into its rows in chunk order.
 
+The cross term x'^T R y' and its (chunk, nx, Np, Np) x' R products are
+built only when R != 0.  Every pure state psi(x) conj(psi(y)), and every
+mixture of pure states, has R = 0, so the quadrature of such a source skips
+them, with the same bits (the argument is in :func:`_chunk_sums`).  On a
+shared 2-vCPU machine this took the ``oracle`` workload, whose sources are
+all such mixtures, from 20.8 to 36.5 ops/s (median of 10 pairs), and left
+an R != 0 call at the 3->1 grid-256 shape at 268 -> 264 ms
+(``BENCH_product_kernels.json``).
+
 Exponent convention, shared with :mod:`pqk.gaussian`:
 
     E(x, y) = -x^T P x / 2 - y^T conj(P) y / 2 + x^T R y + s^T x
@@ -65,7 +74,9 @@ def quad_table(P, R, s, logw, xps, yps, uks, weight, chunk=256):
     ``weight`` (cell volume times the Lebesgue factor).  Returns (nx, ny)
     complex.  Each chunk of midpoints is capped at 2**20 // (nx * ny), so
     the exponent buffer and the cross term, each (chunk, nx, ny), stay near
-    16 MiB on any grid; the x' R products add (chunk, nx, Np, Np).
+    16 MiB on any grid; the x' R products add (chunk, nx, Np, Np).  The
+    cross term and those products are built only when R != 0; a product
+    kernel (R = 0) skips them with the same bits (see :func:`_chunk_sums`).
 
     A call of at least ``_FLOOR`` exponent elements with fewer chunks than
     CPUs also splits the table into blocks of evaluation rows, and each
@@ -132,7 +143,25 @@ def _chunk_sums(P, R, s, logw, xps, yps, uks, chunk, tasks):
     the cross term and the sum over midpoints of a row slice equal the
     whole table's rows, unless the slice is one row of a one-column table
     (see :func:`quad_table`).
+
+    A product kernel, R = 0 (every pure state and every mixture of pure
+    states), builds neither the x' R products nor the cross term, and keeps
+    the bits on a finite grid:
+
+    - each product (x'_m R_mn) y'_n is a signed zero, so the einsum's sum
+      is +0, since an accumulator that starts at +0 never becomes -0;
+    - adding that +0 to the exponent, and each addition after it, can
+      change only the sign of an exponent component that is exactly 0;
+    - ``exp`` maps both signs of a zero real part to the same value,
+      exp(+-0) = 1, and the sine of the imaginary part does not depend on
+      the real part's sign.  A zero imaginary part passes its sign to a
+      zero imaginary part of the sample, so the chunk sums differ at most
+      in the sign of a zero, and :func:`quad_table` adds them into a table
+      that starts at +0, which erases it.
+
+    ``R.any()`` counts a NaN and a purely imaginary entry as nonzero.
     """
+    cross = R.any()
     for start, rows in tasks:
         u = uks[start : start + chunk, None, :]
         xp = u + xps  # (cu, nx, Np)
@@ -146,7 +175,8 @@ def _chunk_sums(P, R, s, logw, xps, yps, uks, chunk, tasks):
             lin_y = yp @ s.conj()
         xp, qx, lin_x = xp[:, rows], qx[:, rows], lin_x[:, rows]
         expo = -0.5 * qx[:, :, None] - 0.5 * qy[:, None, :]
-        expo += np.einsum("uimn,ujn->uij", xp[..., :, None] * R, yp)
+        if cross:
+            expo += np.einsum("uimn,ujn->uij", xp[..., :, None] * R, yp)
         expo += lin_x[:, :, None]
         expo += lin_y[:, None, :]
         expo += logw

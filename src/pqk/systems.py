@@ -476,7 +476,9 @@ def check_assumptions(
     instances were checked.  Universal statements are out of reach of any
     finite audit and are not claimed.  Each order edge's plan and each
     label are read once; instances are reported grouped by assumption, in
-    the order of :data:`ASSUMPTION_TITLES`.
+    the order of :data:`ASSUMPTION_TITLES`.  The A1b and A6 instances come
+    in (upper, lower) order, a repeated pair's as given, so the report does
+    not depend on the order of ``order``.
     """
     found: dict[str, list[AssumptionInstance]] = {a: [] for a in ASSUMPTION_TITLES}
 
@@ -502,7 +504,7 @@ def check_assumptions(
     # by the plan's membership check.  The verified plans, every one of a
     # repeated pair kept, are the relations A2, A5 and directedness read.
     verified: dict[str, dict[str, list[EdgePlan]]] = {}
-    for edge in order:
+    for edge in sorted(order, key=lambda e: (e.upper, e.lower)):
         subject = f"{edge.upper} >= {edge.lower}"
         if edge.upper not in family or edge.lower not in family:
             record("A6", subject, False, "unknown label")

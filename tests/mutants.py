@@ -180,6 +180,52 @@ MUTANTS = (
         '    def _unused(self):\n        for name in ("combos", "dof_values"):',
         ("tests/test_systems.py::test_probes_convert_their_values_as_witnesses_do",),
     ),
+    Mutant(
+        "product-kernel-test-reads-only-real-R",
+        "_kernels.py",
+        "    cross = R.any()\n",
+        "    cross = R.real.any()\n",
+        ("tests/test_kernels.py::test_a_purely_imaginary_R_keeps_the_cross_term",),
+    ),
+    Mutant(
+        "cross-term-always-skipped",
+        "_kernels.py",
+        "        if cross:\n",
+        "        if False:\n",
+        ("tests/test_kernels.py::test_kernel_table_matches_pointwise_reference",
+         "tests/test_kernels.py::"
+         "test_kernels_reproduce_the_former_kernels_bit_for_bit"),
+    ),
+    Mutant(
+        "cross-term-built-for-a-product-kernel",
+        "_kernels.py",
+        "    cross = R.any()\n",
+        "    cross = True\n",
+        ("tests/test_kernels.py::test_only_a_nonzero_R_builds_the_cross_term",),
+    ),
+    Mutant(
+        "verify-keeps-the-document-order-of-edges",
+        "systems.py",
+        "    for edge in sorted(order, key=lambda e: (e.upper, e.lower)):\n",
+        "    for edge in order:\n",
+        ("tests/test_io_cli.py::test_verify_bytes_ignore_the_order_of_the_order_list",
+         "tests/test_io_cli.py::test_a_joined_document_verifies_in_sorted_order",
+         "tests/test_systems.py::test_a6_names_an_edge_to_an_unknown_label"),
+    ),
+    Mutant(
+        "tuple-amplitude-swaps-re-and-im",
+        "almost_periodic.py",
+        "cls(ratlin.as_fraction(value[0]), ratlin.as_fraction(value[1]))",
+        "cls(ratlin.as_fraction(value[1]), ratlin.as_fraction(value[0]))",
+        ("tests/test_almost_periodic.py::test_a_tuple_amplitude_reads_re_then_im",),
+    ),
+    Mutant(
+        "random-system-admits-no-edges",
+        "dpg.py",
+        "    if n_edges < 1 or depth < 1:\n",
+        "    if n_edges < 0 or depth < 1:\n",
+        ("tests/test_dpg.py::test_random_system_refuses_no_edges_and_no_depth",),
+    ),
 )
 
 

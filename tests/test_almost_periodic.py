@@ -49,6 +49,13 @@ def test_inner_product_sesquilinear():
     assert inner_product(e2, v) == QC(0, 1)
 
 
+def test_a_tuple_amplitude_reads_re_then_im():
+    v = ap_vector(K1, {(Fraction(1),): (Fraction(1, 2), 3)})
+    assert inner_product(basis_vector(K1, (Fraction(1),)), v) == QC(
+        Fraction(1, 2), Fraction(3)
+    )
+
+
 def test_inner_product_frame_mismatch():
     with pytest.raises(FrameMismatchError):
         inner_product(basis_vector(K1, (1,)), basis_vector(K2, (1, 0)))

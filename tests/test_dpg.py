@@ -738,6 +738,12 @@ def test_random_system_minimal():
     assert rs.order == ()
 
 
+@pytest.mark.parametrize("n_edges, depth", [(0, 3), (3, 0), (0, 0)])
+def test_random_system_refuses_no_edges_and_no_depth(n_edges, depth):
+    with pytest.raises(ValueError, match="n_edges and depth must be at least 1"):
+        random_system(n_edges, depth, seed=1)
+
+
 def test_random_system_depth_two_structure():
     rs = random_system(3, 2, seed=5)
     assert {"b0", "b1", "j(b0+b1)"} <= set(rs.labels)

@@ -568,6 +568,48 @@ def test_cli_join_then_verify(tmp_path, capsys):
     assert code == 0 and report["passed"]
 
 
+def edge_pairs(report, kind):
+    """The (upper, lower) pairs of a verify report's ``kind`` instances."""
+    return [
+        tuple(i["subject"].split(" >= "))
+        for i in report["instances"]
+        if i["assumption"] == kind
+    ]
+
+
+def test_verify_bytes_ignore_the_order_of_the_order_list(tmp_path, capsys):
+    """A1b and A6 instances come in (upper, lower) order, so a document
+    whose ``order`` list is shuffled verifies to the same bytes."""
+    doc = pio.system_to_document(random_system(3, 3, seed=7))
+    outputs = set()
+    for seed in range(4):
+        shuffled = json.loads(json.dumps(doc))
+        random.Random(seed).shuffle(shuffled["order"])
+        assert seed == 0 or shuffled["order"] != doc["order"]
+        path = tmp_path / f"sys{seed}.json"
+        pio.dump_json(shuffled, str(path))
+        assert main(["verify", str(path)]) == 0
+        outputs.add(capsys.readouterr().out)
+    (out,) = outputs
+    pairs = edge_pairs(json.loads(out), "A6")
+    assert len(pairs) == len(doc["order"]) and pairs == sorted(pairs)
+
+
+def test_a_joined_document_verifies_in_sorted_order(tmp_path, capsys):
+    # pqk join appends the new label's edges after the document's own.
+    sys_path = str(tmp_path / "sys.json")
+    out_path = str(tmp_path / "sys2.json")
+    run_cli(capsys, "dpg-demo", "--edges", "2", "--depth", "2", "--seed", "9",
+            "--out", sys_path)
+    run_cli(capsys, "join", "--system", sys_path, "--labels", "b0t,b1",
+            "--out", out_path)
+    order = [(e["upper"], e["lower"]) for e in pio.load_json(out_path)["order"]]
+    assert order != sorted(order)
+    code, report = run_cli(capsys, "verify", out_path)
+    assert code == 0
+    assert edge_pairs(report, "A6") == sorted(order)
+
+
 @pytest.mark.parametrize("labels, detail", [
     ("b0,b0", "--labels: cannot join 'b0' with itself"),
     ("b1,b0", "--labels: label 'j(b0+b1)' already present"),

@@ -457,3 +457,108 @@ def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
     b = reference_quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=1)
     assert len(results) == 5
     assert all(same_bits(a, b) for a in results)
+
+
+# Product kernels.  A source with R = 0, as every pure state and every
+# mixture of pure states has, builds no cross term; the former kernels,
+# which always built it, must still be reproduced bit for bit on every
+# path quad_table takes.
+
+
+def zero_R(rng, dim):
+    """An R of exact zeros, some parts of some entries -0.0."""
+    R = np.zeros((dim, dim), dtype=complex)
+    R.real[rng.random(size=(dim, dim)) < 0.5] = -0.0
+    R.imag[rng.random(size=(dim, dim)) < 0.5] = -0.0
+    return R
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    nx=st.integers(1, 9),
+    ny=st.integers(1, 9),
+    nu=st.integers(0, 40),
+    chunk=st.sampled_from([1, 256]),
+    shared=st.booleans(),
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    real=st.booleans(),
+    s_zero=st.booleans(),
+    logw=st.sampled_from([0.0, -0.0, -1.3]),
+    cpus=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# The oracle's 3->1 table at grid 64 (16 chunks on 2 CPUs) and its 3->2
+# table (one chunk, row blocks on 4 CPUs).
+@example(dim=3, nx=8, ny=8, nu=4096, chunk=256, shared=True, zeros=0.0,
+         real=False, s_zero=False, logw=-1.3, cpus=2, seed=1)
+@example(dim=3, nx=64, ny=64, nu=64, chunk=256, shared=True, zeros=0.3,
+         real=True, s_zero=True, logw=-0.0, cpus=4, seed=2)
+def test_product_kernels_skip_the_cross_term_bit_for_bit(
+    dim, nx, ny, nu, chunk, shared, zeros, real, s_zero, logw, cpus, seed
+):
+    rng = np.random.default_rng(seed)
+    P, _, s, _ = random_kernel_params(rng, dim)
+    R = zero_R(rng, dim)
+    if real:
+        # With real P and s a zero grid point gives exponent components
+        # that are exactly zero.
+        P, s = P.real + 0j, s.real + 0j
+    if s_zero:
+        s = np.zeros(dim, dtype=complex)
+    xps = grid(rng, nx, dim, zeros)
+    yps = xps if shared else grid(rng, ny, dim, zeros)
+    uks = grid(rng, nu, dim, zeros) if nu else np.zeros((1, dim))
+    with pytest.MonkeyPatch.context() as mp:
+        # Without the floor the small tables take the threaded and
+        # row-block paths too.
+        mp.setattr(_kernels, "_FLOOR", 0)
+        report_cpus(mp, cpus)
+        a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 0.25, chunk=chunk)
+        k = _kernels.kernel_table(P, R, s, logw, xps, yps)
+    assert same_bits(a, reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25, chunk))
+    assert same_bits(k, reference_kernel_table(P, R, s, logw, xps, yps))
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_a_purely_imaginary_R_keeps_the_cross_term(shared):
+    rng = np.random.default_rng(10)
+    P, R, s, logw = random_kernel_params(rng, 3)
+    R = 1j * R.imag
+    assert R.any() and not R.real.any()
+    xps = grid(rng, 6, 3, 0.3)
+    yps = xps if shared else grid(rng, 5, 3, 0.3)
+    uks = grid(rng, 40, 3, 0.3)
+    a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 0.25)
+    assert same_bits(a, reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25))
+    k = _kernels.kernel_table(P, R, s, logw, xps, yps)
+    assert same_bits(k, reference_kernel_table(P, R, s, logw, xps, yps))
+
+
+def test_a_nan_in_R_reaches_every_sample():
+    rng = np.random.default_rng(11)
+    P, _, s, logw = random_kernel_params(rng, 2)
+    R = np.zeros((2, 2), dtype=complex)
+    R[0, 1] = np.nan
+    xps = grid(rng, 4, 2, 0.0)
+    a = _kernels.quad_table(P, R, s, logw, xps, xps, grid(rng, 9, 2, 0.0), 1.0)
+    assert np.isnan(a).all()
+
+
+def test_only_a_nonzero_R_builds_the_cross_term(monkeypatch):
+    built = []
+    einsum = np.einsum
+
+    def recording(subscripts, *operands, **kwargs):
+        built.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    rng = np.random.default_rng(12)
+    P, R, s, logw = random_kernel_params(rng, 2)
+    xps = grid(rng, 4, 2, 0.0)
+    uks = grid(rng, 9, 2, 0.0)
+    monkeypatch.setattr(np, "einsum", recording)
+    for r, cross in ((zero_R(rng, 2), False), (R, True)):
+        built.clear()
+        _kernels.quad_table(P, r, s, logw, xps, xps, uks, 1.0)
+        assert ("uimn,ujn->uij" in built) == cross
