@@ -61,7 +61,6 @@ class ProjectionMatrix:
     entries: Mat
     source_frame: ReducedFrame
     target_frame: ReducedFrame
-    echelon: ratlin.Echelon = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", ratlin.mat(self.entries))
@@ -71,10 +70,7 @@ class ProjectionMatrix:
                 f"projection is {r}x{c}, frames are "
                 f"{self.target_frame.dim} and {self.source_frame.dim}"
             )
-        # Kept: the kernel decomposition reads its basis and factor off it.
-        echelon = ratlin.echelon(self.entries)
-        object.__setattr__(self, "echelon", echelon)
-        rank = len(echelon.pivots)
+        rank = len(ratlin.echelon(self.entries).pivots)
         if rank < r:
             raise RankDeficientError(
                 f"target d.o.f. are dependent over the source frame (rank {rank} < {r})"
@@ -166,12 +162,12 @@ def kernel_decomposition(
 
     ``embedding`` must be an exact right inverse W of the projection
     (normally produced by :func:`pqk.systems.embedding_matrix`).  Kernel
-    basis and Lebesgue factor are read off the elimination the projection
-    made of B.  The basis Kb is :func:`pqk.ratlin.kernel_basis`'s: Kb is the
-    identity on B's free (non-pivot) rows.  So for E the rows selecting
-    the free coordinates, [E; B] [Kb | W] = [[I, E W], [0, I]], whose
-    determinant is 1, and |det [Kb | W]| = 1 / |det [E; B]| = 1 / |det
-    B[:, pivots]| for every W with B W = I: the factor does not depend on W.
+    basis and Lebesgue factor are read off one elimination of B.  The basis
+    Kb is :func:`pqk.ratlin.kernel_basis`'s: Kb is the identity on B's free
+    (non-pivot) rows.  So for E the rows selecting the free coordinates,
+    [E; B] [Kb | W] = [[I, E W], [0, I]], whose determinant is 1, and
+    |det [Kb | W]| = 1 / |det [E; B]| = 1 / |det B[:, pivots]| for every W
+    with B W = I: the factor does not depend on W.
     """
     b = projection.entries
     w = ratlin.mat(embedding)
@@ -180,11 +176,12 @@ def kernel_decomposition(
         raise DimensionMismatchError(
             f"embedding must be {n_src}x{n}, got {ratlin.shape(w)}"
         )
-    if not ratlin.product_is_identity(b, w):
+    if ratlin.matmul(b, w) != ratlin.identity(n):
         raise NotARightInverseError("B @ W is not the identity")
+    e = ratlin.echelon(b)
     return KernelDecomposition(
-        kernel_basis=ratlin.kernel_basis(projection.echelon),
+        kernel_basis=ratlin.kernel_basis(e),
         embedding=w,
-        lebesgue_factor=abs(1 / ratlin.pivot_det(projection.echelon)),
+        lebesgue_factor=abs(1 / ratlin.pivot_det(e)),
         projection=projection,
     )

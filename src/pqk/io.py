@@ -281,7 +281,7 @@ def default_probes(system: System) -> Probes:
     declared order witnesses.
     """
     names = sorted(system.labels)
-    ops_key = {n: frozenset(op.key for op in system.labels[n].ops) for n in names}
+    ops = {n: frozenset(system.labels[n].ops) for n in names}
     # A finite presented family always has maximal labels whose pairwise
     # joins lie outside it, so directedness is probed on the non-maximal
     # labels only; explicit Probes cover anything stricter.
@@ -293,7 +293,7 @@ def default_probes(system: System) -> Probes:
             for name, d in sorted(system.dlabels.items())
         },
         equal_space_pairs=tuple(
-            (a, b) for a, b in combinations(names, 2) if ops_key[a] == ops_key[b]
+            (a, b) for a, b in combinations(names, 2) if ops[a] == ops[b]
         ),
         directed_pairs=tuple(combinations(non_maximal, 2)),
         dof_values=word_values(system.words.values()),

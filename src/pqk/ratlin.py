@@ -9,14 +9,13 @@ dot product over the two scales, and rank, null space, determinant and
 inverse share one fraction-free Gauss-Jordan elimination (:func:`echelon`)
 whose row updates are divided by their gcd; a caller that needs several of
 them from one matrix keeps its :class:`Echelon`, and one that needs only
-the pivot columns reads them off it.  Checks that only need a verdict
-(:func:`product_is_identity`, and :func:`equals_dot` for a sum of
-products) compare integers and make no ``Fraction``.  A second elimination,
-:func:`full_pivot_solve`, is Bareiss's full-pivot pass that the DPG join
-reads its edge order, rank test and lead faces off.  ``Fraction`` objects
-are made only on return, one per entry.  Sparse rows (mappings from keys
-to ``Fraction``) are summed by :func:`combine` and made dense by
-:func:`from_sparse`.
+the pivot columns reads them off it.  :func:`equals_dot` decides whether
+a value is a sum of products on integers and makes no ``Fraction``.  A
+second elimination, :func:`full_pivot_solve`, is Bareiss's full-pivot pass
+that the DPG join reads its edge order, rank test and lead faces off.
+``Fraction`` objects are made only on return, one per entry.  Sparse rows
+(mappings from keys to ``Fraction``) are summed by :func:`combine` and made
+dense by :func:`from_sparse`.
 """
 
 from __future__ import annotations
@@ -99,25 +98,6 @@ def matmul(a: Mat, b: Mat) -> Mat:
     if ca != rb:
         raise ValueError(f"shape mismatch: {ra}x{ca} @ {rb}x{cb}")
     return _products(a, transpose(b))
-
-
-def product_is_identity(a: Mat, b: Mat) -> bool:
-    """Whether a @ b is the identity, decided on the integer dot products of
-    :func:`matmul` (entry (i, j) is 1 exactly when its dot product equals
-    the product of the two scales, 0 when it is 0); no ``Fraction`` is made."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValueError(f"shape mismatch: {ra}x{ca} @ {rb}x{cb}")
-    if ra != cb:
-        return False
-    a_rows, a_scales = _int_rows(a)
-    c_rows, c_scales = _int_rows(transpose(b))
-    return all(
-        sum(map(mul, r, c)) == (x * y if i == j else 0)
-        for i, (r, x) in enumerate(zip(a_rows, a_scales))
-        for j, (c, y) in enumerate(zip(c_rows, c_scales))
-    )
 
 
 def equals_dot(value: Fraction, pairs: Iterable[tuple[Fraction, Fraction]]) -> bool:

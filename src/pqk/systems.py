@@ -58,12 +58,6 @@ class MomentumOperator:
     def action_map(self) -> dict[DofId, Fraction]:
         return dict(self.action)
 
-    @cached_property
-    def key(self) -> tuple:
-        """``(id, ((dof, numerator, denominator), ...))``, equal exactly when
-        id and action are (Fractions are in lowest terms); no Fraction hash."""
-        return self.id, tuple((d, v.numerator, v.denominator) for d, v in self.action)
-
     def on(self, dof: DofId) -> Fraction:
         try:
             return self.action_map[dof]
@@ -106,13 +100,19 @@ class SystemLabel:
             ) from None
 
 
-def _exact_rows(rows: Mapping) -> dict[str, dict[str, Fraction]]:
+def _exact_rows(rows: Mapping, name: str) -> dict[str, dict[str, Fraction]]:
     """Sparse rows by id, with str ids and exact rational values: the one
-    conversion of caller data, so int, float, str and Fraction audit alike."""
-    return {
-        str(k): {str(s): ratlin.as_fraction(c) for s, c in row.items()}
-        for k, row in dict(rows).items()
-    }
+    conversion of caller data, so int, float, str and Fraction audit alike;
+    an id given twice (say as 1 and "1") is a ValueError naming ``name``."""
+    out: dict[str, dict[str, Fraction]] = {}
+    for k, row in dict(rows).items():
+        key, entries = str(k), {str(s): ratlin.as_fraction(c) for s, c in row.items()}
+        if key in out:
+            raise ValueError(f"{name} has duplicate row {key!r}")
+        if len(entries) != len(row):
+            raise ValueError(f"{name} row {key!r} has duplicate entries")
+        out[key] = entries
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class OrderWitness:
 
     def __post_init__(self):
         for name in ("combos", "op_membership", "dof_values"):
-            object.__setattr__(self, name, _exact_rows(getattr(self, name)))
+            object.__setattr__(self, name, _exact_rows(getattr(self, name), name))
 
     def plan(self, fine: SystemLabel, coarse: SystemLabel) -> EdgePlan:
         """The verified plan of ``fine >= coarse``, kept on this witness for
@@ -421,7 +421,7 @@ class SpanProbe:
 
     def __post_init__(self):
         for name in ("combos", "dof_values"):
-            object.__setattr__(self, name, _exact_rows(getattr(self, name)))
+            object.__setattr__(self, name, _exact_rows(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -438,10 +438,13 @@ class Probes:
 
     def __post_init__(self):
         # Each label's rows convert as rows keyed by their position.
-        labels = self.surjectivity.items()
-        surjectivity = {n: tuple(_exact_rows(enumerate(r)).values()) for n, r in labels}
+        surjectivity = {
+            n: tuple(_exact_rows(enumerate(r), f"surjectivity of {n!r}").values())
+            for n, r in self.surjectivity.items()
+        }
         object.__setattr__(self, "surjectivity", surjectivity)
-        object.__setattr__(self, "dof_values", _exact_rows(self.dof_values))
+        dof_values = _exact_rows(self.dof_values, "dof_values")
+        object.__setattr__(self, "dof_values", dof_values)
 
 
 @dataclass(frozen=True)
@@ -563,7 +566,7 @@ def check_assumptions(
             record("A5", subject, False, "unknown label")
             continue
         la, lb = family[a], family[b]
-        if {op.key for op in la.ops} != {op.key for op in lb.ops}:
+        if set(la.ops) != set(lb.ops):
             record("A5", subject, False, "operator bases differ")
             continue
         values = probes.dof_values

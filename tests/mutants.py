@@ -77,8 +77,8 @@ MUTANTS = (
     Mutant(
         "lebesgue-factor-not-inverted",
         "frames.py",
-        "lebesgue_factor=abs(1 / ratlin.pivot_det(projection.echelon)),",
-        "lebesgue_factor=abs(ratlin.pivot_det(projection.echelon)),",
+        "lebesgue_factor=abs(1 / ratlin.pivot_det(e)),",
+        "lebesgue_factor=abs(ratlin.pivot_det(e)),",
         ("tests/test_frames.py::test_kernel_decomposition_zero_dim_kernel_is_det_w",
          "tests/test_frames.py::"
          "test_lebesgue_factor_does_not_depend_on_the_right_inverse",
@@ -88,9 +88,10 @@ MUTANTS = (
     Mutant(
         "right-inverse-check-always-true",
         "frames.py",
-        "    if not ratlin.product_is_identity(b, w):\n",
+        "    if ratlin.matmul(b, w) != ratlin.identity(n):\n",
         "    if False:\n",
         ("tests/test_frames.py::test_kernel_decomposition_rejects_non_right_inverse",
+         "tests/test_frames.py::test_kernel_decomposition_decides_b_w_exactly",
          "tests/test_systems.py::test_integer_verdicts_agree_with_their_fraction_forms"),
     ),
     Mutant(
@@ -151,13 +152,11 @@ MUTANTS = (
          "tests/test_gaussian.py::test_stacked_hs_pairing_keeps_its_errors"),
     ),
     Mutant(
-        "operator-key-drops-denominators",
+        "a5-compares-operator-ids-only",
         "systems.py",
-        "tuple((d, v.numerator, v.denominator) for d, v in self.action)",
-        "tuple((d, v.numerator) for d, v in self.action)",
-        ("tests/test_systems.py::"
-         "test_operator_keys_are_equal_exactly_when_id_and_action_are",
-         "tests/test_systems.py::test_a5_compares_operator_bases_by_value"),
+        "        if set(la.ops) != set(lb.ops):\n",
+        "        if {op.id for op in la.ops} != {op.id for op in lb.ops}:\n",
+        ("tests/test_systems.py::test_a5_compares_operator_bases_by_value",),
     ),
     Mutant(
         "named-rewraps-a-document-error",
@@ -174,11 +173,36 @@ MUTANTS = (
         ("tests/test_systems.py::test_probes_convert_their_values_as_witnesses_do",),
     ),
     Mutant(
+        "exact-rows-keep-the-last-of-a-key-given-twice",
+        "systems.py",
+        "        if key in out:\n"
+        "            raise ValueError(f\"{name} has duplicate row {key!r}\")\n"
+        "        if len(entries) != len(row):\n"
+        "            raise ValueError(f\"{name} row {key!r} has duplicate entries\")\n",
+        "",
+        ("tests/test_systems.py::test_exact_rows_refuse_a_key_given_twice",),
+    ),
+    Mutant(
         "span-probes-keep-raw-values",
         "systems.py",
         '    def __post_init__(self):\n        for name in ("combos", "dof_values"):',
         '    def _unused(self):\n        for name in ("combos", "dof_values"):',
         ("tests/test_systems.py::test_probes_convert_their_values_as_witnesses_do",),
+    ),
+    Mutant(
+        "projected-stack-left-writeable",
+        "gaussian.py",
+        "    for a in (P, R, s):\n        a.flags.writeable = False\n    return [P, R, s]\n",
+        "    return [P, R, s]\n",
+        ("tests/test_gaussian.py::test_projected_kernels_carry_the_constructors_bits",
+         "tests/test_gaussian.py::test_a_projected_state_keeps_its_checked_stacks"),
+    ),
+    Mutant(
+        "ap-merge-keeps-the-last-amplitude",
+        "almost_periodic.py",
+        "            merged[freq] = amp if first is None else first + amp\n",
+        "            merged[freq] = amp\n",
+        ("tests/test_almost_periodic.py::test_a_repeated_frequency_sums_its_amplitudes",),
     ),
     Mutant(
         "product-kernel-test-reads-only-real-R",

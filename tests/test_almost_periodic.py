@@ -56,6 +56,14 @@ def test_a_tuple_amplitude_reads_re_then_im():
     )
 
 
+def test_a_repeated_frequency_sums_its_amplitudes():
+    # 1/3 written twice, once as "2/6": one term, the sum of both amplitudes.
+    v = ap_vector(K1, [((Fraction(1, 3),), 2), (("2/6",), (0, "1/5"))])
+    assert [(f.coords, a) for f, a in v.amplitudes] == [
+        ((Fraction(1, 3),), QC(Fraction(2), Fraction(1, 5)))
+    ]
+
+
 def test_inner_product_frame_mismatch():
     with pytest.raises(FrameMismatchError):
         inner_product(basis_vector(K1, (1,)), basis_vector(K2, (1, 0)))

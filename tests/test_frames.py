@@ -131,6 +131,39 @@ def test_kernel_decomposition_rejects_non_right_inverse():
         kernel_decomposition(p, [[1], [1]])
 
 
+TINY = Fraction(1, 2**60)
+EXACT_INVERSE = (
+    ratlin.mat([[1, "1/2", 0], [0, 1, "1/3"]]),
+    ratlin.mat([[1, "-1/2"], [0, 1], [0, 0]]),
+)
+RIGHT_INVERSE_VERDICTS = {
+    "right-inverse": EXACT_INVERSE,
+    "off-by-one": (EXACT_INVERSE[0], ratlin.mat([[1, "-1/2"], [0, 1], [1, 0]])),
+    "off-by-2**-60": (EXACT_INVERSE[0], ratlin.mat([[1, "-1/2"], [0, 1], [TINY, 0]])),
+    "dyadic-inverse-pair": (ratlin.mat([[0.5, 0.25], [0, 4.0]]),
+                            ratlin.mat([[2.0, -0.125], [0, 0.25]])),
+    "identity": (ratlin.identity(3), ratlin.identity(3)),
+    "square-not-identity": (ratlin.mat([[1, 1], [0, 1]]), ratlin.identity(2)),
+}
+
+
+@pytest.mark.parametrize(
+    "b, w", RIGHT_INVERSE_VERDICTS.values(), ids=RIGHT_INVERSE_VERDICTS.keys()
+)
+def test_kernel_decomposition_decides_b_w_exactly(b, w):
+    # B @ W = I is decided exactly: the Fraction product is the reference.
+    r, c = ratlin.shape(b)
+    p = ProjectionMatrix(
+        b, source_frame=ReducedFrame([f"s{j}" for j in range(c)]),
+        target_frame=ReducedFrame([f"t{i}" for i in range(r)]),
+    )
+    if ratlin.matmul(b, w) == ratlin.identity(r):
+        assert kernel_decomposition(p, w).embedding == w
+    else:
+        with pytest.raises(NotARightInverseError, match="B @ W is not the identity"):
+            kernel_decomposition(p, w)
+
+
 small_rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 

@@ -1,15 +1,21 @@
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqk import (
     DocumentError,
@@ -593,6 +599,73 @@ def test_verify_bytes_ignore_the_order_of_the_order_list(tmp_path, capsys):
     (out,) = outputs
     pairs = edge_pairs(json.loads(out), "A6")
     assert len(pairs) == len(doc["order"]) and pairs == sorted(pairs)
+
+
+DOCUMENT_LISTS = ("atomic_edges", "edges", "faces", "labels", "order")
+
+
+def _cli_bytes(*argv, out=None):
+    """Exit code and stdout of one pqk command, and the bytes it wrote to
+    ``out`` (None when it wrote nothing), which it then removes."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(list(argv))
+    written = None
+    if out is not None and os.path.exists(out):
+        written = Path(out).read_bytes()
+        os.remove(out)
+    return code, stdout.getvalue(), written
+
+
+def _sorted_lists(raw):
+    return {k: sorted(map(json.dumps, v)) if isinstance(v, list) else v
+            for k, v in json.loads(raw).items()}
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 3), st.integers(0, 2**16), st.data())
+def test_list_order_does_not_move_cli_bytes(edges, depth, seed, data):
+    # A family is a set of labels and relations: the order of a document's
+    # top-level lists must not reach any command's bytes.  Join writes its
+    # new order edges after the input's, so its document compares sorted.
+    system = random_system(edges, depth, seed)
+    doc = pio.system_to_document(system)
+    moved = dict(doc)
+    for key in DOCUMENT_LISTS:
+        if data.draw(st.booleans(), label=f"reverse {key}"):
+            moved[key] = doc[key][::-1]
+        else:
+            moved[key] = data.draw(st.permutations(doc[key]), label=key)
+    upper, lower = data.draw(st.sampled_from(sorted(
+        (e.upper, e.lower) for e in system.order)), label="edge")
+    chain = system.chains()[:1]
+    pair = data.draw(st.lists(st.sampled_from(sorted(system.dlabels)), min_size=2,
+                              max_size=2, unique=True), label="join")
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        states = {}
+        for label in {upper, *(c[0] for c in chain)}:
+            states[label] = os.path.join(tmp, f"{len(states)}.json")
+            mixture = random_mixture(system.labels[label].dim, 2, rng)
+            pio.dump_json(pio.state_to_document(mixture, label), states[label])
+        path, out = os.path.join(tmp, "sys.json"), os.path.join(tmp, "out.json")
+        runs = []
+        for document in (doc, moved):
+            pio.dump_json(document, path)
+            run = [
+                _cli_bytes("verify", path),
+                _cli_bytes("project", "--system", path, "--state", states[upper],
+                           "--from", upper, "--to", lower, "--out", out, out=out),
+                *(_cli_bytes("consistency", "--system", path, "--state", states[c[0]],
+                             "--chain", ",".join(c)) for c in chain),
+            ]
+            code, stdout, written = _cli_bytes(
+                "join", "--system", path, "--labels", ",".join(pair), "--out", out,
+                out=out,
+            )
+            runs.append([*run, (code, stdout, written and _sorted_lists(written))])
+    assert runs[0] == runs[1]
+    assert [r[0] for r in runs[0][:-1]] == [0] * (len(runs[0]) - 1)
 
 
 def test_a_joined_document_verifies_in_sorted_order(tmp_path, capsys):

@@ -415,9 +415,6 @@ def test_integer_products_equal_fraction_products(operands):
     assert outcome(lambda m: ratlin.matmul(m, b), a) == outcome(
         lambda m: naive_matmul(m, b), a
     )
-    assert outcome(lambda m: ratlin.product_is_identity(m, b), a) == outcome(
-        lambda m: naive_matmul(m, b) == ratlin.identity(len(m)), a
-    )
     for row in a:
         pairs = list(zip(row, v))
         total = naive_dot(pairs)
@@ -427,32 +424,6 @@ def test_integer_products_equal_fraction_products(operands):
 
 
 TINY = Fraction(1, 2**60)
-EXACT_INVERSE = (
-    ratlin.mat([[1, "1/2", 0], [0, 1, "1/3"]]),
-    ratlin.mat([[1, "-1/2"], [0, 1], [0, 0]]),
-)
-IDENTITY_VERDICTS = {
-    "right-inverse": EXACT_INVERSE,
-    "off-by-one": (EXACT_INVERSE[0], ratlin.mat([[1, "-1/2"], [0, 1], [1, 0]])),
-    "off-by-2**-60": (EXACT_INVERSE[0], ratlin.mat([[1, "-1/2"], [0, 1], [TINY, 0]])),
-    "dyadic-inverse-pair": (ratlin.mat([[0.5, 0.25], [0, 4.0]]),
-                            ratlin.mat([[2.0, -0.125], [0, 0.25]])),
-    "identity": (ratlin.identity(3), ratlin.identity(3)),
-    "square-not-identity": (ratlin.mat([[1, 1], [0, 1]]), ratlin.identity(2)),
-    "product-not-square": (EXACT_INVERSE[0], ratlin.identity(3)),
-    "empty": ((), ()),
-    "shape-mismatch": (EXACT_INVERSE[0], EXACT_INVERSE[0]),
-}
-
-
-@pytest.mark.parametrize(
-    "a, b", IDENTITY_VERDICTS.values(), ids=IDENTITY_VERDICTS.keys()
-)
-def test_product_is_identity_agrees_with_the_fraction_product(a, b):
-    got = outcome(lambda m: ratlin.product_is_identity(m, b), a)
-    assert got == outcome(lambda m: ratlin.matmul(m, b) == ratlin.identity(len(m)), a)
-
-
 F = Fraction
 DOT_VERDICTS = {
     "equal": (F(7, 6), [(F(1, 2), F(1)), (F(2, 3), F(1))]),

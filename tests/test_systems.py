@@ -213,13 +213,9 @@ def test_integer_verdicts_agree_with_their_fraction_forms(
     assert got[:2] == (verdict, detail)
     if defect == "embedding-off-by-one":
         assert got[2] == "NotARightInverseError('B @ W is not the identity')"
-    # The Fraction forms: one Fraction per compared sum, and B @ W built.
+    # The Fraction form: one Fraction per compared sum.
     monkeypatch.setattr(
         ratlin, "equals_dot", lambda v, pairs: v == sum(x * y for x, y in pairs)
-    )
-    monkeypatch.setattr(
-        ratlin, "product_is_identity",
-        lambda a, b: ratlin.matmul(a, b) == ratlin.identity(len(a)),
     )
     assert _verdict_case(defect) == got
 
@@ -581,7 +577,7 @@ def test_derived_surjectivity_ignores_hash_seed(hash_seed):
     assert out.split("\n") == ["b0 True", "b0t True", ""]
 
 
-# --- exact keys: operators compare by their integer pairs ----------------------
+# --- operators compare by value -----------------------------------------------
 
 # Few ids, d.o.f. and values, each value written as an int, float, str or
 # Fraction, so that equal operators are drawn often.
@@ -597,10 +593,11 @@ OPERATORS = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(OPERATORS, OPERATORS)
 def test_operator_keys_are_equal_exactly_when_id_and_action_are(a, b):
+    # Probes and A5 compare operator sets, so == and hash must read the
+    # exact (id, action) pair, whatever the values were written as.
     same = (a.id, a.action) == (b.id, b.action)
-    assert (a.key == b.key) == same
-    assert not same or hash(a.key) == hash(b.key)
-    assert a.key is a.key  # kept on the operator
+    assert (a == b) == same
+    assert not same or hash(a) == hash(b)
 
 
 def former_equal_space_pairs(system):
@@ -657,6 +654,32 @@ def test_probes_convert_their_values_as_witnesses_do(demo_system, kind, scale):
     assert {i.assumption for i in reference.instances} >= {"A1a", "A2", "A5"}
     assert check_assumptions(family, demo_system.order, raw) == reference
     assert raw == exact
+
+
+# Keys equal after str() are one id given twice: each is refused by name.
+REPEATED_KEYS = {
+    "witness-entry": (lambda: OrderWitness({"y0": {1: 2, "1": 3}}, {}),
+                      "combos row 'y0' has duplicate entries"),
+    "witness-row": (lambda: OrderWitness({}, {1: {"op0": 1}, "1": {"op0": 2}}),
+                    "op_membership has duplicate row '1'"),
+    "span-probe-row": (lambda: SpanProbe("b0", {}, {0: {"p": 1}, "0": {"p": 1}}),
+                       "dof_values has duplicate row '0'"),
+    "probes-entry": (lambda: Probes(dof_values={"x": {1: 1, "1": 5}}),
+                     "dof_values row 'x' has duplicate entries"),
+    "surjectivity-entry": (
+        lambda: Probes(surjectivity={"b0": ({"x": 1}, {2: 1, "2": 0})}),
+        "surjectivity of 'b0' row '1' has duplicate entries",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, detail", REPEATED_KEYS.values(), ids=REPEATED_KEYS.keys()
+)
+def test_exact_rows_refuse_a_key_given_twice(build, detail):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == detail
 
 
 def test_a5_compares_operator_bases_by_value(demo_system):
