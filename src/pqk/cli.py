@@ -190,7 +190,7 @@ def cmd_join(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .gaussian import check_kernel_points, decomposition_for, oracle_report
+    from .gaussian import check_extent, check_kernel_points, decomposition_for, oracle_report
 
     _require_flag(args.grid >= 16, "--grid", "must be at least 16")
     _require_flag(
@@ -202,6 +202,7 @@ def cmd_oracle(args) -> int:
     state, fine, coarse, witness = _load_edge(args)
     kdec = decomposition_for(fine, coarse, witness)
     io.named("--grid", check_kernel_points, args.grid, kdec)
+    io.named("--extent", check_extent, args.extent, args.grid, kdec, state)
     report = oracle_report(
         state, fine, coarse, witness, grid_points=args.grid, extent=args.extent
     )

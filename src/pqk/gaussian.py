@@ -421,25 +421,33 @@ def hs_distance(s1: GaussianMixtureState, s2: GaussianMixtureState) -> float:
     Generic states go through closed-form pair integrals.  States whose
     terms match pairwise to better than one part in 10^6 (e.g. the same
     projection computed along two paths) switch to a first-order expansion
-    in the parameter differences, which stays accurate far below the
-    cancellation floor of the generic form.  States whose terms match with
-    deviation exactly 0 (the same state, or a term-for-term copy) are at
-    distance 0.0, the value the expansion gives them; only the pairing
+    in the parameter differences, around s2, which stays accurate far below
+    the cancellation floor of the generic form.  States whose terms match
+    with deviation exactly 0 (the same state, or a term-for-term copy) are
+    at distance 0.0, the value the expansion gives them; only the pairing
     forms of s2 with itself are built (once per state object, then kept),
-    so a divergent state still raises.
+    so a divergent state still raises.  The result is kept on s2 with the
+    state object s1 (one slot, matched by identity, which keeps that s1
+    alive), unless s1 is s2; a call that raises keeps nothing.
     """
+    kept = s2.__dict__.get("_compared")
+    if kept is not None and kept[0] is s1:
+        return kept[1]
     if s1.dim != s2.dim:
         raise DimensionMismatchError(
             f"states live in dimensions {s1.dim} and {s2.dim}"
         )
-    if len(s1.terms) == len(s2.terms):
-        devs = _term_deviations(s1, s2)
-        if not any(devs):
-            _self_pairing(s2)
-            return 0.0
-        if max(devs) <= _PERTURBATIVE_THRESHOLD:
-            return _perturbative_distance(s1, s2)
-    return _gram_distance(s1, s2)
+    devs = _term_deviations(s1, s2) if len(s1.terms) == len(s2.terms) else [math.inf]
+    if not any(devs):
+        _self_pairing(s2)
+        distance = 0.0
+    elif max(devs) <= _PERTURBATIVE_THRESHOLD:
+        distance = _perturbative_distance(s1, s2)
+    else:
+        distance = _gram_distance(s1, s2)
+    if s1 is not s2:
+        object.__setattr__(s2, "_compared", (s1, distance))
+    return distance
 
 
 def purity(state: GaussianMixtureState) -> float:
@@ -586,7 +594,8 @@ def chain_consistency(
     """Compare projecting top->bottom directly against top->mid->bottom.
 
     The two compositions agree identically for exact kernels; the reported
-    HS distance measures floating-point residue only.
+    HS distance, ``hs_distance(direct, two_step)``, measures floating-point
+    residue only; from the top of a just-checked family it is the kept one.
     """
     _require_tol(tol)
     direct = project_state(state, top, bottom, w_top_bottom)
@@ -659,6 +668,22 @@ def check_kernel_points(grid_points: int, kdec: KernelDecomposition) -> None:
         )
 
 
+def check_extent(extent: float, grid_points: int, kdec: KernelDecomposition, state) -> None:
+    """Refuse an oracle extent at which the midpoint spacing, the cell volume
+    or a bound on the source exponent overflows: reach**2 times a term's
+    sum of |P| and |R|, reach bounding a source coordinate on the grid."""
+    kb, w, lf = kdec.floats
+    with np.errstate(over="ignore"):
+        h = 2.0 * extent / grid_points
+        reach = extent * np.abs(kb).sum(axis=1).max() + _WINDOW * np.abs(w).sum(axis=1).max()
+        size = max(np.abs(k.P).sum() + np.abs(k.R).sum() for _, k in state.terms)
+        parts = {"midpoint grid": h, "cell volume": lf * np.float64(h) ** kdec.kernel_dim,
+                 "source exponent": reach * reach * size}
+    for what, value in parts.items():
+        if not math.isfinite(value):
+            raise ValueError(f"extent {float(extent)!r} overflows the {what}")
+
+
 def quadrature_partial_trace(
     state: GaussianMixtureState,
     fine: SystemLabel,
@@ -674,7 +699,7 @@ def quadrature_partial_trace(
     dimension over [-extent, extent], weighted by the Lebesgue factor) and
     samples the result on the fixed (b', b) evaluation window.  No
     closed-form projection machinery is reused.  The grid is bounded by
-    :func:`check_kernel_points`.
+    :func:`check_kernel_points` and the extent by :func:`check_extent`.
     """
     if not isinstance(grid_points, numbers.Integral):
         raise ValueError(f"grid_points must be an integer, got {grid_points!r}")
@@ -684,6 +709,7 @@ def quadrature_partial_trace(
         raise ValueError("extent must be finite and > 0")
     kdec = decomposition_for(fine, coarse, witness)
     check_kernel_points(grid_points, kdec)
+    check_extent(extent, grid_points, kdec, state)
     d = kdec.kernel_dim
     kb, w, lf = kdec.floats
     n = kdec.projection.rows
@@ -817,7 +843,8 @@ class FamilyReport:
 
 
 def check_coherent_family(family: CoherentFamily, tol: float = 1e-8) -> FamilyReport:
-    """Verify that each witnessed projection maps the fine state to the coarse one."""
+    """Verify that each witnessed projection maps the fine state to the coarse
+    one, as ``hs_distance(coarse, projected)`` (:func:`chain_consistency`'s order)."""
     _require_tol(tol)
     results = []
     for edge in family.order:
@@ -827,7 +854,7 @@ def check_coherent_family(family: CoherentFamily, tol: float = 1e-8) -> FamilyRe
             family.labels[edge.lower],
             edge.witness,
         )
-        dist = hs_distance(projected, family.states[edge.lower])
+        dist = hs_distance(family.states[edge.lower], projected)
         results.append(
             FamilyEdgeResult(edge.upper, edge.lower, dist, dist <= tol)
         )

@@ -146,8 +146,8 @@ MUTANTS = (
     Mutant(
         "zero-distance-skips-the-convergence-check",
         "gaussian.py",
-        "            _self_pairing(s2)\n            return 0.0\n",
-        "            return 0.0\n",
+        "        _self_pairing(s2)\n        distance = 0.0\n",
+        "        distance = 0.0\n",
         ("tests/test_gaussian.py::test_a_divergent_state_keeps_no_self_pairing",
          "tests/test_gaussian.py::test_stacked_hs_pairing_keeps_its_errors"),
     ),
@@ -249,6 +249,36 @@ MUTANTS = (
         "    if n_edges < 1 or depth < 1:\n",
         "    if n_edges < 0 or depth < 1:\n",
         ("tests/test_dpg.py::test_random_system_refuses_no_edges_and_no_depth",),
+    ),
+    Mutant(
+        "kept-distance-matches-any-first-state",
+        "gaussian.py",
+        "    if kept is not None and kept[0] is s1:\n",
+        "    if kept is not None:\n",
+        ("tests/test_gaussian.py::test_a_distance_is_kept_for_the_last_first_state",),
+    ),
+    Mutant(
+        "family-compares-the-projection-first",
+        "gaussian.py",
+        "hs_distance(family.states[edge.lower], projected)",
+        "hs_distance(projected, family.states[edge.lower])",
+        ("tests/test_gaussian.py::test_chains_from_a_checked_family_read_its_distances",),
+    ),
+    Mutant(
+        "kept-distance-written-before-it-is-known",
+        "gaussian.py",
+        "    devs = _term_deviations(s1, s2) if",
+        "    object.__setattr__(s2, \"_compared\", (s1, 0.0))\n"
+        "    devs = _term_deviations(s1, s2) if",
+        ("tests/test_gaussian.py::test_a_failed_distance_keeps_nothing",),
+    ),
+    Mutant(
+        "oracle-skips-the-extent-check",
+        "gaussian.py",
+        "        if not math.isfinite(value):\n",
+        "        if False:\n",
+        ("tests/test_gaussian.py::test_quadrature_refuses_an_extent_that_overflows",
+         "tests/test_io_cli.py::test_cli_oracle_refuses_an_extent_that_overflows"),
     ),
 )
 

@@ -877,10 +877,10 @@ def test_a_decomposition_keeps_its_last_projection():
     assert released() is None
 
 
-def check_family_and_chains(seed):
-    """On ``random_system(4, 4, seed)``: project a 3-term state from the
-    label with the most edges below it, check that family's coherence, then
-    every chain (from the top with that state, elsewhere with a fresh one)."""
+def top_family(seed):
+    """On ``random_system(4, 4, seed)``: a 3-term state on the label with the
+    most edges below it, projected along each of them, as a family.  Returns
+    the system, the family, its top label and the rng that drew the state."""
     system = random_system(4, 4, seed)
     labels = system.labels
     rng = np.random.default_rng(seed)
@@ -894,16 +894,29 @@ def check_family_and_chains(seed):
             )
     edges = tuple(e for e in system.order if {e.upper, e.lower} <= set(states))
     family = CoherentFamily({n: labels[n] for n in states}, states, edges)
+    return system, family, top, rng
+
+
+def chain_report(system, source, chain):
+    a, b, c = chain
+    return chain_consistency(
+        source, *(system.labels[n] for n in chain), system.find_witness(a, b),
+        system.find_witness(b, c), system.find_witness(a, c),
+    )
+
+
+def check_family_and_chains(seed):
+    """On :func:`top_family`: check that family's coherence, then every chain
+    (from the top with its state, elsewhere with a fresh one)."""
+    system, family, top, rng = top_family(seed)
+    st = family.states[top]
     assert check_coherent_family(family).passed
     chains = system.chains()
     assert chains
-    for a, b, c in chains:
-        source = st if a == top else random_mixture(labels[a].dim, 2, rng)
-        assert chain_consistency(
-            source, labels[a], labels[b], labels[c],
-            system.find_witness(a, b), system.find_witness(b, c),
-            system.find_witness(a, c),
-        ).passed
+    for chain in chains:
+        a = chain[0]
+        source = st if a == top else random_mixture(system.labels[a].dim, 2, rng)
+        assert chain_report(system, source, chain).passed
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -1010,6 +1023,99 @@ def test_each_state_pairs_with_itself_at_most_once(seed, monkeypatch):
         assert distance.hex() == hs_distance(s1, rebuilt(s2)).hex()
 
 
+def top_chain_distances(seed, check_family):
+    """The distance of every chain from the top of :func:`top_family`, as hex,
+    with or without the family's check first."""
+    system, family, top, _ = top_family(seed)
+    if check_family:
+        assert check_coherent_family(family).passed
+    chains = [c for c in system.chains() if c[0] == top]
+    assert chains
+    st = family.states[top]
+    return [chain_report(system, st, c).distance.hex() for c in chains]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chain_distances_do_not_depend_on_a_family_check_first(seed):
+    checked = top_chain_distances(seed, check_family=True)
+    assert checked == top_chain_distances(seed, check_family=False)
+    # Copies of the top state project to new objects, which keep no distance.
+    system, family, top, _ = top_family(seed)
+    fresh = [
+        chain_report(system, rebuilt(family.states[top]), c).distance.hex()
+        for c in system.chains() if c[0] == top
+    ]
+    assert checked == fresh
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chains_from_a_checked_family_read_its_distances(seed, monkeypatch):
+    expansions = calls_to(monkeypatch, "_perturbative_distance")
+    integrals = calls_to(monkeypatch, "_pair_integrals")
+    top_chain_distances(seed, check_family=False)
+    # Unchecked, the chains expand; the test below would be vacuous otherwise.
+    assert expansions and integrals
+    system, family, top, _ = top_family(seed)
+    check_coherent_family(family)
+    expansions.clear()
+    integrals.clear()
+    for chain in system.chains():
+        if chain[0] == top:
+            chain_report(system, family.states[top], chain)
+    assert not expansions and not integrals
+
+
+def test_a_distance_is_kept_for_the_last_first_state(monkeypatch):
+    rng = np.random.default_rng(27)
+    s2 = random_mixture(3, 3, rng)
+    a, b = perturbed(s2, 1e-10, rng), random_mixture(3, 3, rng)
+    want = {id(s1): naive_hs_distance(s1, s2).hex() for s1 in (a, b)}
+    expansions = calls_to(monkeypatch, "_perturbative_distance")
+    grams = calls_to(monkeypatch, "_gram_distance")
+    for s1 in (a, a, b, b, a):
+        assert hs_distance(s1, s2).hex() == want[id(s1)]
+        assert vars(s2)["_compared"][0] is s1
+    # a, then b, then a again: each a fresh call, each repeat kept.
+    assert len(expansions) == 2 and len(grams) == 1
+    expansions.clear()
+    grams.clear()
+    # One slot: b is no longer held by s2, and a goes with s2.
+    released = [weakref.ref(x) for x in (a, b, s2)]
+    del b, s1
+    gc.collect()
+    assert released[1]() is None
+    del a, s2
+    gc.collect()
+    assert [r() for r in released] == [None] * 3
+
+
+def test_a_failed_distance_keeps_nothing():
+    rng = np.random.default_rng(28)
+    good = random_mixture(2, 3, rng)
+    divergent = GaussianKernel(2, -100 * np.eye(2), np.zeros((2, 2)), np.zeros(2), 0.0)
+    bad = GaussianMixtureState(2, good.terms[:2] + ((0.5, divergent),))
+    near, one_dim = perturbed(bad, 1e-10, rng), random_mixture(1, 3, rng)
+    for s1, s2, error in ((near, bad, DivergentError), (bad, good, DivergentError),
+                          (one_dim, good, DimensionMismatchError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                hs_distance(s1, s2)
+            assert "_compared" not in vars(s2)
+    close = perturbed(good, 1e-10, rng)
+    kept = hs_distance(close, good)
+    with pytest.raises(DivergentError):
+        hs_distance(bad, good)
+    assert vars(good)["_compared"] == (close, kept)
+
+
+def test_a_state_compared_with_itself_keeps_no_distance():
+    st = random_mixture(2, 3, np.random.default_rng(29))
+    assert hs_distance(st, st) == 0.0 and "_compared" not in vars(st)
+    copy = rebuilt(st)
+    assert hs_distance(copy, st) == 0.0 and vars(st)["_compared"][0] is copy
+    assert hs_distance(st, st) == 0.0 and vars(st)["_compared"][0] is copy
+
+
 # --- chain consistency ----------------------------------------------------------
 
 
@@ -1101,6 +1207,27 @@ def test_quadrature_extent_too_small():
     fine, coarse, witness = generic_reduction([[1, 0]])
     with pytest.raises(ExtentTooSmallError):
         quadrature_partial_trace(st, fine, coarse, witness, extent=1.0)
+
+
+@pytest.mark.parametrize("extent, what", [
+    (1e308, "midpoint grid"), (1e160, "cell volume"), (1e154, "source exponent"),
+])
+def test_quadrature_refuses_an_extent_that_overflows(extent, what, monkeypatch):
+    # Before the check, 1e154 gave a NaN error and 1e160 a bare OverflowError.
+    system = random_system(1, 2, 0)
+    labels, witness = system.labels, system.find_witness("j(b0+b1)", "b0")
+    st = random_mixture(3, 2, np.random.default_rng(1))
+    monkeypatch.setattr(gaussian, "_kernels", None)  # no quadrature runs
+    detail = re.escape(f"extent {extent!r} overflows the {what}")
+    for routine in (quadrature_partial_trace, oracle_report):
+        with pytest.raises(ValueError, match=f"^{detail}$"):
+            routine(st, labels["j(b0+b1)"], labels["b0"], witness, 16, extent)
+    monkeypatch.undo()
+    # Below the bound the report stays finite: its 16 midpoints miss the state.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = oracle_report(st, labels["j(b0+b1)"], labels["b0"], witness, 16, 1e153)
+    assert report.max_rel_error == 1.0
 
 
 def test_quadrature_rejects_tiny_grid():

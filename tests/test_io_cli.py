@@ -560,6 +560,35 @@ def test_cli_oracle_names_a_subnormal_closed_form(tmp_path):
     }
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("extent, grid, what", [
+    ("1e308", "64", "midpoint grid"),
+    ("1e200", "16", "cell volume"),
+    ("1e154", "16", "source exponent"),
+])
+def test_cli_oracle_refuses_an_extent_that_overflows(tmp_path, extent, grid, what):
+    # On this 3 -> 1 edge (a 2-dimensional kernel) these extents overflowed
+    # the quadrature: NaN, which is not JSON, with warnings, or a traceback.
+    pio.dump_json(pio.system_to_document(random_system(1, 2, seed=0)),
+                  str(tmp_path / "sys.json"))
+    st = pure_state(np.eye(3), np.zeros(3))
+    pio.dump_json(pio.state_to_document(st, "j(b0+b1)"), str(tmp_path / "state.json"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pqk.cli", "oracle", "--system",
+         "sys.json", "--state", "state.json", "--from", "j(b0+b1)", "--to", "b0",
+         "--grid", grid, "--extent", extent],
+        cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout, parse_constant=_refuse_constant) == {
+        "error": "DocumentError",
+        "detail": f"--extent: extent {float(extent)!r} overflows the {what}",
+    }
+
+
 def test_cli_join_then_verify(tmp_path, capsys):
     sys_path = str(tmp_path / "sys.json")
     run_cli(capsys, "dpg-demo", "--edges", "2", "--depth", "2", "--seed", "9",
@@ -666,6 +695,78 @@ def test_list_order_does_not_move_cli_bytes(edges, depth, seed, data):
             runs.append([*run, (code, stdout, written and _sorted_lists(written))])
     assert runs[0] == runs[1]
     assert [r[0] for r in runs[0][:-1]] == [0] * (len(runs[0]) - 1)
+
+
+def _renamed(doc, new):
+    """``doc`` with every label id ``old`` replaced by ``new[old]``."""
+    return {
+        **doc,
+        "labels": [{**label, "id": new[label["id"]]} for label in doc["labels"]],
+        "order": [{**e, "upper": new[e["upper"]], "lower": new[e["lower"]]}
+                  for e in doc["order"]],
+    }
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 3), st.integers(0, 2**16), st.data())
+def test_renamed_labels_do_not_move_cli_results(edges, depth, seed, data):
+    # A label's id names it and nothing more: renamed consistently, a family
+    # projects to the same state, compares at the same distance and passes
+    # the same audit, whose instances differ only by the names.  The new
+    # names are "L" and two digits, in a drawn order, so sorting by name
+    # differs and no name occurs inside another or in any other output.  A5
+    # and directedness relate an unordered pair, which their subjects list in
+    # name order, so those compare as pairs.  A directed pair's detail names
+    # the first of its upper bounds in name order, so where it has several
+    # (labels that refine each other) a renaming can name another: only
+    # whether it has one is compared.
+    system = random_system(edges, depth, seed)
+    doc = pio.system_to_document(system)
+    names = sorted(system.dlabels)
+    order = data.draw(st.permutations(range(len(names))), label="renaming")
+    new = {old: f"L{k:02d}" for old, k in zip(names, order)}
+    upper, lower = data.draw(st.sampled_from(sorted(
+        (e.upper, e.lower) for e in system.order)), label="edge")
+    chain = system.chains()[:1]
+    rng = np.random.default_rng(seed)
+    mixtures = {label: random_mixture(system.labels[label].dim, 2, rng)
+                for label in sorted({upper, *(c[0] for c in chain)})}
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "sys.json"), os.path.join(tmp, "out.json")
+        for rename in ({n: n for n in names}, new):
+            name = rename.get
+            pio.dump_json(_renamed(doc, rename), path)
+            states = {}
+            for label, mixture in mixtures.items():
+                states[label] = os.path.join(tmp, f"{len(states)}.json")
+                pio.dump_json(pio.state_to_document(mixture, name(label)), states[label])
+            code, verify, _ = _cli_bytes("verify", path)
+            for n in names:  # back to the first names, for the comparison
+                verify = verify.replace(rename[n], n)
+            report = json.loads(verify)
+            instances = report.pop("instances")
+            for inst in instances:
+                sep = {"A5": " ~ ", "directed": ", "}.get(inst["assumption"])
+                if sep:
+                    inst["subject"] = sep.join(sorted(inst["subject"].split(sep)))
+                if inst["assumption"] == "directed":
+                    inst["detail"] = inst["detail"].split(" '")[0]
+            instances = sorted(map(json.dumps, instances))
+            _, _, written = _cli_bytes(
+                "project", "--system", path, "--state", states[upper], "--from",
+                name(upper), "--to", name(lower), "--out", out, out=out)
+            projected = json.loads(written)
+            assert projected.pop("label") == name(lower)
+            distances = [
+                json.loads(_cli_bytes(
+                    "consistency", "--system", path, "--state", states[c[0]],
+                    "--chain", ",".join(map(name, c)))[1])["hs_distance"]
+                for c in chain
+            ]
+            runs.append((code, report, instances, projected,
+                         [float(d).hex() for d in distances]))
+    assert runs[0] == runs[1]
 
 
 def test_a_joined_document_verifies_in_sorted_order(tmp_path, capsys):
