@@ -170,12 +170,11 @@ def cmd_join(args) -> int:
     for name in names:
         _require_label(system, name, "--labels")
     a, b = names
-    _require_flag(a != b, "--labels", f"cannot join {a!r} with itself")
+    swapped = f"j({b}+{a})"
+    present = a != b and swapped in system.dlabels
+    _require_flag(not present, "--labels", f"label {swapped!r} already present")
     join_name = f"j({a}+{b})"
-    for name in (join_name, f"j({b}+{a})"):
-        present = name in system.dlabels
-        _require_flag(not present, "--labels", f"label {name!r} already present")
-    merged, result = system.with_join(a, b, join_name)
+    merged, result = io.named("--labels", system.with_join, a, b, join_name)
     io.dump_json(io.system_to_document(merged), args.out)
     _print(
         {
@@ -192,12 +191,6 @@ def cmd_join(args) -> int:
 def cmd_oracle(args) -> int:
     from .gaussian import check_extent, check_kernel_points, decomposition_for, oracle_report
 
-    _require_flag(args.grid >= 16, "--grid", "must be at least 16")
-    _require_flag(
-        math.isfinite(args.extent) and args.extent > 0,
-        "--extent",
-        "must be finite and > 0",
-    )
     _require_tol(args.tol)
     state, fine, coarse, witness = _load_edge(args)
     kdec = decomposition_for(fine, coarse, witness)

@@ -517,7 +517,12 @@ class System:
         Existing edge ids are kept; each new word takes the first free
         ``e<i>`` counting from ``len(words)``.  ``name`` gets witnesses to
         ``a`` and ``b`` and, composed from them, to every label they reach.
+        Raises ``ValueError`` when ``a`` is ``b`` or ``name`` is a label.
         """
+        if a == b:
+            raise ValueError(f"cannot join {a!r} with itself")
+        if name in self.dlabels:
+            raise ValueError(f"label {name!r} already present")
         result = system_join(self.dlabels[a], self.dlabels[b], name)
         words = dict(self.words)
         known = set(words.values())

@@ -317,24 +317,6 @@ def _term_deviations(s1: GaussianMixtureState, s2: GaussianMixtureState) -> list
     ]
 
 
-def _self_pairing(state: GaussianMixtureState, expand: bool = False) -> tuple:
-    """The state paired with itself, kept on it: the checked forms M, v of
-    :func:`_pair_forms`, or, once an expansion has asked (``expand``), its
-    base in their place: per term pair w exp(log integral), and the
-    pairing's covariance Sigma and mean mu.  A check that raises keeps
-    nothing."""
-    kept = state.__dict__.get("_self_pairing") or _pair_forms(state, state)
-    if expand and len(kept) == 2:
-        M, v = kept
-        t, m = len(state.terms), M.shape[-1]
-        sigma = np.linalg.inv(M)
-        sigma = ((sigma + sigma.swapaxes(-1, -2)) / 2).reshape(t, t, m, m)
-        mu = (sigma @ v.reshape(t, t, m, 1))[..., 0]
-        kept = (_pair_integrals(state, state, M, v), sigma, mu)
-    object.__setattr__(state, "_self_pairing", kept)
-    return kept
-
-
 def _moment_product(
     tA, tB, tASBS, mAm, mBm, bm, dm, mASBm, mASd, mBSb, bSd, c, e
 ) -> complex:
@@ -373,9 +355,8 @@ def _perturbative_distance(
     term difference is expanded as reference-kernel times a small quadratic
     form, so every contribution is computed directly at the size of the
     deviation itself.  Every trace and contraction of the expansion runs
-    once over the stack of term pairs; what depends on s2 alone (its
-    pairing with itself, the per-pair integrals, Sigma and mu) is kept on
-    s2 by :func:`_self_pairing`.
+    once over the stack of term pairs, around the base of s2 paired with
+    itself: the per-pair integrals, covariance Sigma and mean mu.
     """
     (P1, R1, v1), (P2, R2, v2) = s1._stacks, s2._stacks
     dP, dR, ds = P1 - P2, R1 - R2, v1 - v2
@@ -385,7 +366,12 @@ def _perturbative_distance(
         (k1.logw - k2.logw) + math.log(w1 / w2)
         for (w1, k1), (w2, k2) in zip(s1.terms, s2.terms)
     ]
-    bases, sigma, mu = _self_pairing(s2, expand=True)
+    M, v = _pair_forms(s2, s2)
+    t, m = len(s2.terms), M.shape[-1]
+    sigma = np.linalg.inv(M)
+    sigma = ((sigma + sigma.swapaxes(-1, -2)) / 2).reshape(t, t, m, m)
+    mu = (sigma @ v.reshape(t, t, m, 1))[..., 0]
+    bases = _pair_integrals(s2, s2, M, v)
     # pair (t, u) contracts conj(A_t), conj(b_t) with A_u, b_u
     At, Au, bt, bu = A.conj()[:, None], A[None], b.conj()[:, None], b[None]
     row, col = mu[..., None, :], mu[..., :, None]
@@ -425,10 +411,10 @@ def hs_distance(s1: GaussianMixtureState, s2: GaussianMixtureState) -> float:
     the cancellation floor of the generic form.  States whose terms match
     with deviation exactly 0 (the same state, or a term-for-term copy) are
     at distance 0.0, the value the expansion gives them; only the pairing
-    forms of s2 with itself are built (once per state object, then kept),
-    so a divergent state still raises.  The result is kept on s2 with the
-    state object s1 (one slot, matched by identity, which keeps that s1
-    alive), unless s1 is s2; a call that raises keeps nothing.
+    forms of s2 with itself are built, so a divergent state still raises.
+    The result is kept on s2 with the state object s1 (one slot, matched
+    by identity, which keeps that s1 alive), unless s1 is s2; a call that
+    raises keeps nothing.
     """
     kept = s2.__dict__.get("_compared")
     if kept is not None and kept[0] is s1:
@@ -439,7 +425,7 @@ def hs_distance(s1: GaussianMixtureState, s2: GaussianMixtureState) -> float:
         )
     devs = _term_deviations(s1, s2) if len(s1.terms) == len(s2.terms) else [math.inf]
     if not any(devs):
-        _self_pairing(s2)
+        _pair_forms(s2, s2)
         distance = 0.0
     elif max(devs) <= _PERTURBATIVE_THRESHOLD:
         distance = _perturbative_distance(s1, s2)
@@ -657,9 +643,14 @@ def _tail_mass(
 
 
 def check_kernel_points(grid_points: int, kdec: KernelDecomposition) -> None:
-    """Refuse an oracle grid of more than ``MAX_KERNEL_POINTS`` kernel points:
-    ``grid_points ** d`` midpoints, d the kernel dimension, times the
-    ``(8 ** n) ** 2`` evaluation pairs of an n-dimensional target."""
+    """Refuse an oracle grid that is not an integer of at least 16, or of more
+    than ``MAX_KERNEL_POINTS`` kernel points: ``grid_points ** d`` midpoints,
+    d the kernel dimension, times the ``(8 ** n) ** 2`` evaluation pairs of
+    an n-dimensional target."""
+    if not isinstance(grid_points, numbers.Integral):
+        raise ValueError(f"grid_points must be an integer, got {grid_points!r}")
+    if grid_points < 16:
+        raise ValueError("grid_points must be at least 16")
     d, pairs = kdec.kernel_dim, _WINDOW_POINTS ** (2 * kdec.projection.rows)
     if int(grid_points) ** d * pairs > MAX_KERNEL_POINTS:
         raise ValueError(
@@ -669,9 +660,12 @@ def check_kernel_points(grid_points: int, kdec: KernelDecomposition) -> None:
 
 
 def check_extent(extent: float, grid_points: int, kdec: KernelDecomposition, state) -> None:
-    """Refuse an oracle extent at which the midpoint spacing, the cell volume
-    or a bound on the source exponent overflows: reach**2 times a term's
-    sum of |P| and |R|, reach bounding a source coordinate on the grid."""
+    """Refuse an oracle extent that is not finite and positive, or at which
+    the midpoint spacing, the cell volume or a bound on the source exponent
+    overflows: reach**2 times a term's sum of |P| and |R|, reach bounding a
+    source coordinate on the grid."""
+    if not 0 < extent < math.inf:
+        raise ValueError("extent must be finite and > 0")
     kb, w, lf = kdec.floats
     with np.errstate(over="ignore"):
         h = 2.0 * extent / grid_points
@@ -701,12 +695,6 @@ def quadrature_partial_trace(
     closed-form projection machinery is reused.  The grid is bounded by
     :func:`check_kernel_points` and the extent by :func:`check_extent`.
     """
-    if not isinstance(grid_points, numbers.Integral):
-        raise ValueError(f"grid_points must be an integer, got {grid_points!r}")
-    if grid_points < 16:
-        raise ValueError("grid_points must be at least 16")
-    if not 0 < extent < math.inf:
-        raise ValueError("extent must be finite and > 0")
     kdec = decomposition_for(fine, coarse, witness)
     check_kernel_points(grid_points, kdec)
     check_extent(extent, grid_points, kdec, state)

@@ -146,10 +146,18 @@ MUTANTS = (
     Mutant(
         "zero-distance-skips-the-convergence-check",
         "gaussian.py",
-        "        _self_pairing(s2)\n        distance = 0.0\n",
+        "        _pair_forms(s2, s2)\n        distance = 0.0\n",
         "        distance = 0.0\n",
-        ("tests/test_gaussian.py::test_a_divergent_state_keeps_no_self_pairing",
+        ("tests/test_gaussian.py::test_a_divergent_state_keeps_nothing",
          "tests/test_gaussian.py::test_stacked_hs_pairing_keeps_its_errors"),
+    ),
+    Mutant(
+        "expansion-pairs-the-first-state",
+        "gaussian.py",
+        "    M, v = _pair_forms(s2, s2)\n",
+        "    M, v = _pair_forms(s1, s1)\n",
+        ("tests/test_gaussian.py::test_a_state_compared_again_gives_the_fresh_bits",
+         "tests/test_gaussian.py::test_stacked_hs_pairing_matches_per_pair_reference"),
     ),
     Mutant(
         "a5-compares-operator-ids-only",
@@ -244,6 +252,23 @@ MUTANTS = (
         ("tests/test_almost_periodic.py::test_a_tuple_amplitude_reads_re_then_im",),
     ),
     Mutant(
+        "join-replaces-a-present-label",
+        "dpg.py",
+        "        if name in self.dlabels:\n"
+        "            raise ValueError(f\"label {name!r} already present\")\n",
+        "",
+        ("tests/test_dpg.py::test_with_join_refuses_a_present_name_and_a_self_join",
+         "tests/test_io_cli.py::test_cli_join_refuses_a_self_join_and_a_present_join"),
+    ),
+    Mutant(
+        "join-admits-a-label-joined-with-itself",
+        "dpg.py",
+        "        if a == b:\n            raise ValueError(f\"cannot join {a!r} with itself\")\n",
+        "",
+        ("tests/test_dpg.py::test_with_join_refuses_a_present_name_and_a_self_join",
+         "tests/test_io_cli.py::test_cli_join_refuses_a_self_join_and_a_present_join"),
+    ),
+    Mutant(
         "random-system-admits-no-edges",
         "dpg.py",
         "    if n_edges < 1 or depth < 1:\n",
@@ -290,13 +315,14 @@ def _copy(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest)
 
 
-def _failed(dest: Path, tests: tuple[str, ...]) -> tuple[int | None, set[str]]:
-    """Run ``tests`` on the copy at ``dest``: pytest's exit code (None when
-    it runs past TIMEOUT_S) and the ids of the tests it reports failed."""
+def _failed(dest: Path, tests: tuple[str, ...], *flags: str) -> tuple[int | None, set[str]]:
+    """Run ``tests`` on the copy at ``dest``, with pytest's ``flags``: its exit
+    code (None when it runs past TIMEOUT_S) and the ids of the tests it
+    reports failed."""
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", *tests],
+             "--hypothesis-seed=0", *flags, *tests],
             cwd=dest, env={**os.environ, "PYTHONPATH": str(dest / "src")},
             capture_output=True, text=True, timeout=TIMEOUT_S,
         )

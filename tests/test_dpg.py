@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -744,6 +745,19 @@ def test_random_system_refuses_no_edges_and_no_depth(n_edges, depth):
         random_system(n_edges, depth, seed=1)
 
 
+@pytest.mark.parametrize("a, b, name, detail", [
+    ("b0", "b1", "b2", "label 'b2' already present"),
+    ("b0", "b1", "j(b0+b1)", "label 'j(b0+b1)' already present"),
+    ("b0", "b0", "x", "cannot join 'b0' with itself"),
+], ids=["present", "present-join", "self"])
+def test_with_join_refuses_a_present_name_and_a_self_join(a, b, name, detail):
+    # A join under a present name used to replace that label: b2 became
+    # j(b0+b1)'s copy and the family failed A6 and directed.
+    rs = random_system(2, 3, 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+        rs.with_join(a, b, name)
+
+
 def test_random_system_depth_two_structure():
     rs = random_system(3, 2, seed=5)
     assert {"b0", "b1", "j(b0+b1)"} <= set(rs.labels)
@@ -831,6 +845,15 @@ def test_system_labels_are_built_once_on_first_access(monkeypatch):
 
 def test_random_system_chains_exist_at_depth_three(deep_system):
     assert deep_system.chains()
+
+
+def test_chains_are_the_witnessed_triples_of_three_labels(deep_system):
+    # (top, mid, bot) is a chain when top >= mid, mid >= bot and top >= bot
+    # are all witnessed, in name order.
+    pairs = {(e.upper, e.lower) for e in deep_system.order}
+    want = sorted((t, m, b) for t, m in pairs for m2, b in pairs
+                  if m == m2 and (t, b) in pairs and len({t, m, b}) == 3)
+    assert list(deep_system.chains()) == want
 
 
 # sha256 of the document io.dump_json writes for random_system(edges, depth,

@@ -341,6 +341,13 @@ def test_project_dimension_mismatch():
         project_with(st, decomposition_for(fine, coarse, witness))
 
 
+@pytest.mark.parametrize("A, shape", [(np.ones((2, 3)), "(2, 3)"), (np.ones(2), "(2,)")])
+def test_pure_state_refuses_an_A_that_is_not_square(A, shape):
+    # The dimension is A's row count, so the refusal names A's own shape.
+    with pytest.raises(DimensionMismatchError, match=f"^A must be 2x2, got {re.escape(shape)}$"):
+        pure_state(A, np.zeros(2))
+
+
 # --- the stacked projection against a per-term reference ----------------------
 
 
@@ -524,6 +531,24 @@ def _non_finite_log_weight(parts):
 
 
 NAN_P = _set(0, {(0, 0): math.nan})
+
+
+@pytest.mark.parametrize("part, message", [
+    ("A", "A must be symmetric"), ("P", "P must be symmetric"), ("R", "R must be Hermitian"),
+])
+def test_an_asymmetry_of_exactly_the_tolerance_is_accepted(part, message):
+    # Entries of size at most 1 make the scale 1, so the bound is 1e-12
+    # itself: an asymmetry of 1e-12 passes and the next float above it fails.
+    def build(gap):
+        P, R = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+        (R if part == "R" else P)[1, 0] = gap
+        if part == "A":
+            return pure_state(P, np.zeros(2))
+        return GaussianKernel(2, P, R, np.zeros(2), 0.0)
+
+    build(1e-12)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(np.nextafter(1e-12, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -964,10 +989,11 @@ PARTNERS = ("same", "copy", "1e-14", "1e-10", "1e-7", "other")
     seed=strategies.integers(0, 2**32 - 1),
     order=strategies.lists(strategies.sampled_from(PARTNERS), min_size=1, max_size=6),
 )
-def test_a_kept_self_pairing_gives_the_fresh_bits(dim, n_terms, seed, order):
+def test_a_state_compared_again_gives_the_fresh_bits(dim, n_terms, seed, order):
     # One state is s2 against several s1, in a random order of branches: the
-    # zero path, expansions and the Gram form.  What it keeps must give the
-    # bits of a fresh copy and of the per-pair reference on every call.
+    # zero path, expansions and the Gram form.  What it keeps (its stacks and
+    # its last distance) must give the bits of a fresh copy and of the
+    # per-pair reference on every call.
     rng = np.random.default_rng(seed)
     s2 = random_mixture(dim, n_terms, rng)
     partners = {
@@ -985,26 +1011,36 @@ def test_a_kept_self_pairing_gives_the_fresh_bits(dim, n_terms, seed, order):
         ], kind
 
 
-def test_a_divergent_state_keeps_no_self_pairing():
+def test_a_divergent_state_keeps_nothing():
     rng = np.random.default_rng(21)
     good = random_mixture(2, 3, rng)
     divergent = GaussianKernel(2, -100 * np.eye(2), np.zeros((2, 2)), np.zeros(2), 0.0)
     bad = GaussianMixtureState(2, good.terms[:2] + ((0.5, divergent),))
+    fields = {f.name for f in dataclasses.fields(bad)}
     near = perturbed(bad, 1e-10, rng)
     for s1 in (bad, near, rebuilt(bad), near, bad):
         with pytest.raises(DivergentError, match="^quadratic form has non-positive"):
             hs_distance(s1, bad)
-        assert "_self_pairing" not in vars(bad)
+        assert set(vars(bad)) - fields <= {"_stacks"}  # no _compared slot
 
 
-def test_a_kept_self_pairing_is_released_with_its_state():
+def test_a_compared_state_keeps_only_its_stacks_and_last_distance(monkeypatch):
+    # After the zero path, an expansion and the Gram form around one state,
+    # it holds its stacks and its last distance, and nothing of its pairing
+    # with itself; all of it is released with the state.
     rng = np.random.default_rng(22)
+    expansions = calls_to(monkeypatch, "_perturbative_distance")
+    grams = calls_to(monkeypatch, "_gram_distance")
     st = random_mixture(3, 3, rng)
     assert hs_distance(rebuilt(st), st) == 0.0
     assert hs_distance(perturbed(st, 1e-10, rng), st) > 0.0
-    _, sigma, mu = vars(st)["_self_pairing"]
-    kept = [weakref.ref(x) for x in (st, sigma, mu, *st._stacks)]
-    del st, sigma, mu
+    assert hs_distance(random_mixture(3, 3, rng), st) > 0.0
+    assert len(expansions) == len(grams) == 1
+    monkeypatch.undo()  # the recorders hold the calls' arguments
+    fields = {f.name for f in dataclasses.fields(st)}
+    assert set(vars(st)) - fields == {"_stacks", "_compared"}
+    kept = [weakref.ref(x) for x in (st, *st._stacks)]
+    del st, expansions, grams
     gc.collect()
     assert [r() for r in kept] == [None] * len(kept)
 
@@ -1207,6 +1243,18 @@ def test_quadrature_extent_too_small():
     fine, coarse, witness = generic_reduction([[1, 0]])
     with pytest.raises(ExtentTooSmallError):
         quadrature_partial_trace(st, fine, coarse, witness, extent=1.0)
+
+
+def test_quadrature_tail_mass_takes_each_tail_at_its_own_distance():
+    # The kernel coordinate is a Gaussian of mean 2 and deviation 1/sqrt(2).
+    # At extent 5.4 its tail beyond +extent (7.6e-7) and the one below
+    # -extent (6e-26) sum to within the 1e-6 bound, but twice the first
+    # does not; at 5.3 the first alone (1.5e-6) exceeds it.
+    st = pure_state(np.eye(2), np.array([0.0, 2.0]))
+    fine, coarse, witness = generic_reduction([[1, 0]])
+    quadrature_partial_trace(st, fine, coarse, witness, grid_points=16, extent=5.4)
+    with pytest.raises(ExtentTooSmallError, match="^estimated tail mass 1.529e-06 exceeds"):
+        quadrature_partial_trace(st, fine, coarse, witness, grid_points=16, extent=5.3)
 
 
 @pytest.mark.parametrize("extent, what", [
