@@ -167,8 +167,6 @@ def cmd_join(args) -> int:
     system = _load_system(args.system)
     names = args.labels.split(",")
     _require_flag(len(names) == 2, "--labels", "expected two comma-separated labels")
-    for name in names:
-        _require_label(system, name, "--labels")
     a, b = names
     swapped = f"j({b}+{a})"
     present = a != b and swapped in system.dlabels

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, pairwise
 from math import lcm
@@ -247,22 +247,13 @@ def word_values(words: Iterable[EdgeWord]) -> dict[DofId, dict[str, Fraction]]:
 # --- graph order -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphDecomposition:
-    """Factorization of each coarse edge through fine edges, or a refusal."""
-
-    accepted: bool
-    factors: Mapping[EdgeWord, tuple[tuple[EdgeWord, Sign], ...]] = field(
-        default_factory=dict
-    )
-    reason: str = ""
-
-
-def decompose_edges(fine: Graph, coarse: Graph) -> GraphDecomposition:
-    """Factor every coarse edge as a concatenation of fine edges and inverses.
+def decompose_edges(fine: Graph, coarse: Graph) -> dict[EdgeWord, tuple]:
+    """Factor every coarse edge as a concatenation of fine edges and inverses,
+    each coarse edge to its ``((fine edge, +-1), ...)``.
 
     Fine edges are atom-disjoint, so the factorization is forced: at each
     position the owning fine edge must match forward or reversed in full.
+    A pair that does not refine raises :class:`PqkError` with the reason.
     """
     owner: dict[str, EdgeWord] = {}
     for e in fine.edges:
@@ -277,42 +268,26 @@ def decompose_edges(fine: Graph, coarse: Graph) -> GraphDecomposition:
             a, s = letters[k]
             f = owner.get(a)
             if f is None:
-                return GraphDecomposition(False, reason=f"atom {a!r} not covered")
+                raise PqkError(f"atom {a!r} not covered")
             m = len(f.letters)
             if letters[k : k + m] == f.letters:
                 parts.append((f, 1))
             elif letters[k : k + m] == f.inverse().letters:
                 parts.append((f, -1))
             else:
-                return GraphDecomposition(
-                    False, reason=f"word does not factor through {dof_id(f)!r} at {a!r}"
-                )
+                raise PqkError(f"word does not factor through {dof_id(f)!r} at {a!r}")
             k += m
         factors[e] = tuple(parts)
-    return GraphDecomposition(True, factors=factors)
+    return factors
 
 
 def graph_refines(fine: Graph, coarse: Graph) -> bool:
-    return decompose_edges(fine, coarse).accepted
-
-
-def combos_from_decomposition(
-    dec: GraphDecomposition,
-) -> dict[DofId, dict[DofId, Fraction]]:
-    """Linear-combination coefficients implied by an edge factorization.
-
-    A coarse edge uses each fine edge at most once (a word repeats no atom),
-    with sign +-1, and no fine edge serves two coarse edges (they share no
-    atom).  So the rows of B hold +-1 on disjoint columns, as do products
-    of such B (composed witnesses), and every DPG projection has Lebesgue
-    factor 1/|det B[:, pivots]| = 1.
-    """
-    if not dec.accepted:
-        raise PqkError(f"cannot derive combinations from a refusal: {dec.reason}")
-    return {
-        dof_id(e): ratlin.combine((s, {dof_id(f): _ONE}) for f, s in parts)
-        for e, parts in dec.factors.items()
-    }
+    """Whether every coarse edge factors through the fine edges."""
+    try:
+        decompose_edges(fine, coarse)
+    except PqkError:
+        return False
+    return True
 
 
 def _graph_witness(
@@ -320,9 +295,18 @@ def _graph_witness(
 ) -> OrderWitness:
     """The witness of a graph refinement: each coarse edge over the fine
     edges it factors through, evaluated on both graphs' words.  A pair that
-    does not refine raises :class:`PqkError` with the decomposition's reason."""
+    does not refine raises :class:`PqkError` with the decomposition's reason.
+
+    A coarse edge uses each fine edge at most once (a word repeats no atom),
+    with sign +-1, and no fine edge serves two coarse edges (they share no
+    atom).  So the rows of B hold +-1 on disjoint columns, as do products
+    of such B (composed witnesses), and every DPG projection has Lebesgue
+    factor 1/|det B[:, pivots]| = 1."""
     return OrderWitness(
-        combos=combos_from_decomposition(decompose_edges(fine, coarse)),
+        combos={
+            dof_id(e): ratlin.combine((s, {dof_id(f): _ONE}) for f, s in parts)
+            for e, parts in decompose_edges(fine, coarse).items()
+        },
         op_membership=membership,
         dof_values=word_values((*coarse.edges, *fine.edges)),
     )
@@ -517,8 +501,11 @@ class System:
         Existing edge ids are kept; each new word takes the first free
         ``e<i>`` counting from ``len(words)``.  ``name`` gets witnesses to
         ``a`` and ``b`` and, composed from them, to every label they reach.
-        Raises ``ValueError`` when ``a`` is ``b`` or ``name`` is a label.
+        Raises ``ValueError`` when ``a`` or ``b`` is not a label, ``a`` is
+        ``b`` or ``name`` is a label, in that order.
         """
+        if unknown := [x for x in (a, b) if x not in self.dlabels]:
+            raise ValueError(f"unknown label {unknown[0]!r}")
         if a == b:
             raise ValueError(f"cannot join {a!r} with itself")
         if name in self.dlabels:

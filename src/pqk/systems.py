@@ -27,7 +27,7 @@ from .errors import (
     PqkError,
 )
 from .frames import DofId, KernelDecomposition, ProjectionMatrix, ReducedFrame
-from .frames import build_projection, kernel_decomposition
+from .frames import kernel_decomposition
 from .ratlin import Fraction, Mat
 
 # Sparse evaluation data: dof -> {probe id -> value}. Absent probes are 0.
@@ -334,7 +334,7 @@ class EdgePlan:
             raise OrderViolationError(f"relation not witnessed: {self.check.diagnostic}")
         coarse, fine = self.coarse.frame, self.fine.frame
         rows = ratlin.from_sparse((self.combos[d] for d in coarse.dofs), fine.dofs)
-        return build_projection(coarse, fine, dict(zip(coarse.dofs, rows)))
+        return ProjectionMatrix(rows, fine, coarse)
 
     @cached_property
     def decomposition(self) -> KernelDecomposition:

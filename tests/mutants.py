@@ -305,6 +305,67 @@ MUTANTS = (
         ("tests/test_gaussian.py::test_quadrature_refuses_an_extent_that_overflows",
          "tests/test_io_cli.py::test_cli_oracle_refuses_an_extent_that_overflows"),
     ),
+    Mutant(
+        "inverse-factor-keeps-a-plus-sign",
+        "dpg.py",
+        "                parts.append((f, -1))\n",
+        "                parts.append((f, 1))\n",
+        ("tests/test_dpg.py::test_graph_refines_iff_linear_combination",
+         "tests/test_dpg.py::test_decompose_witness_matches_refines",
+         "tests/test_systems.py::test_check_assumptions_passes_on_generated"),
+    ),
+    Mutant(
+        "graph-refines-reads-a-refusal-as-refining",
+        "dpg.py",
+        "    except PqkError:\n        return False\n",
+        "    except PqkError:\n        return True\n",
+        ("tests/test_dpg.py::test_decompose_disjoint_supports_refused",
+         "tests/test_dpg.py::test_decompose_refusal_matches_no_combination",
+         "tests/test_dpg.py::test_graph_join_is_coarsest"),
+    ),
+    Mutant(
+        "join-reads-an-unknown-label",
+        "dpg.py",
+        "        if unknown := [x for x in (a, b) if x not in self.dlabels]:\n"
+        "            raise ValueError(f\"unknown label {unknown[0]!r}\")\n",
+        "",
+        ("tests/test_dpg.py::test_with_join_refuses_a_present_name_and_a_self_join",
+         "tests/test_io_cli.py::test_cli_join_refuses_an_unknown_label"),
+    ),
+    Mutant(
+        "pivot-ties-go-to-the-later-column",
+        "ratlin.py",
+        "live = [(-abs(rows[i][c]), c, i, p)",
+        "live = [(-abs(rows[i][c]), -c, i, p)",
+        ("tests/test_ratlin.py::test_full_pivot_solve_cases",
+         "tests/test_dpg.py::test_system_join_matches_the_reference_in_random_systems"),
+    ),
+    Mutant(
+        "pivot-takes-the-smallest-entry",
+        "ratlin.py",
+        "live = [(-abs(rows[i][c]), c, i, p)",
+        "live = [(abs(rows[i][c]), c, i, p)",
+        ("tests/test_ratlin.py::test_full_pivot_solve_cases",
+         "tests/test_dpg.py::test_system_join_matches_the_reference_in_random_systems"),
+    ),
+    Mutant(
+        "linear-terms-added-y-first",
+        "_kernels.py",
+        "        expo += lin_x[:, :, None]\n        expo += lin_y[:, None, :]\n",
+        "        expo += lin_y[:, None, :]\n        expo += lin_x[:, :, None]\n",
+        ("tests/test_kernels.py::test_kernels_reproduce_the_former_kernels_bit_for_bit",
+         "tests/test_kernels.py::"
+         "test_product_kernels_skip_the_cross_term_bit_for_bit"),
+    ),
+    Mutant(
+        "chunk-sums-added-last-first",
+        "_kernels.py",
+        "    starts = range(0, nu, chunk)\n",
+        "    starts = range(0, nu, chunk)[::-1]\n",
+        ("tests/test_kernels.py::test_kernels_reproduce_the_former_kernels_bit_for_bit",
+         "tests/test_kernels.py::test_threaded_chunk_sums_keep_every_bit",
+         "tests/test_kernels.py::test_a_slow_first_chunk_is_still_added_first"),
+    ),
 )
 
 

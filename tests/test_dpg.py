@@ -255,17 +255,16 @@ def test_flux_additive_in_incidence():
 def test_decompose_composed_edge():
     fine = Graph((word("a"), word("b")))
     coarse = Graph((word("a", "b"),))
-    dec = decompose_edges(fine, coarse)
-    assert dec.accepted
-    assert dec.factors[coarse.edges[0]] == ((word("a"), 1), (word("b"), 1))
+    factors = decompose_edges(fine, coarse)
+    assert factors == {coarse.edges[0]: ((word("a"), 1), (word("b"), 1))}
 
 
 def test_decompose_disjoint_supports_refused():
     fine = Graph((word("a"),))
     coarse = Graph((word("b"),))
-    dec = decompose_edges(fine, coarse)
-    assert not dec.accepted
-    assert dec.reason == "atom 'b' not covered"
+    with pytest.raises(PqkError, match=r"^atom 'b' not covered$"):
+        decompose_edges(fine, coarse)
+    assert not graph_refines(fine, coarse)
 
 
 def test_decompose_witness_matches_refines(deep_system):
@@ -273,8 +272,8 @@ def test_decompose_witness_matches_refines(deep_system):
     for e in rs.order[:6]:
         fine = rs.dlabels[e.upper]
         coarse = rs.dlabels[e.lower]
-        dec = decompose_edges(fine.graph, coarse.graph)
-        assert dec.accepted
+        factors = decompose_edges(fine.graph, coarse.graph)
+        assert set(factors) == set(coarse.graph.edges)
         assert refines(rs.labels[e.upper], rs.labels[e.lower], e.witness)
 
 
@@ -282,9 +281,9 @@ def test_graph_refines_iff_linear_combination():
     fine = Graph((word("a"), word("b"), word("c")))
     coarse = Graph((word("a", "b"), word("-c")))
     assert graph_refines(fine, coarse)
-    dec = decompose_edges(fine, coarse)
+    factors = decompose_edges(fine, coarse)
     values = word_values((*fine.edges, *coarse.edges))
-    for e, parts in dec.factors.items():
+    for e, parts in factors.items():
         combo = {}
         for f, sign in parts:
             combo[dof_id(f)] = combo.get(dof_id(f), 0) + sign
@@ -487,8 +486,11 @@ def test_graph_join_is_coarsest(n_atoms):
 def test_decompose_refusal_matches_no_combination():
     fine = Graph((word("a", "b"),))
     coarse = Graph((word("a"),))
-    dec = decompose_edges(fine, coarse)
-    assert not dec.accepted
+    with pytest.raises(
+        PqkError, match=r"^word does not factor through 'hol:a\.b' at 'a'$"
+    ):
+        decompose_edges(fine, coarse)
+    assert not graph_refines(fine, coarse)
     # and indeed no scalar multiple of the fine holonomy equals the coarse one
     values = word_values((*fine.edges, *coarse.edges))
     fine_vec = values[dof_id(fine.edges[0])]
@@ -660,8 +662,7 @@ def reference_system_join(a, b, name):
     label = DpgLabel(id=name, graph=new_graph, faces=lead_faces + tail_faces)
 
     def witness_for(part):
-        dec = decompose_edges(new_graph, part.graph)
-        assert dec.accepted, dec.reason
+        factors = decompose_edges(new_graph, part.graph)
         membership = {}
         for f in part.faces:
             over_lead = (incidence_number(f, e) for e in new_edges[:m])
@@ -669,7 +670,10 @@ def reference_system_join(a, b, name):
                 lead.id: v for lead, v in zip(lead_faces, over_lead) if v != 0
             }
         return systems.OrderWitness(
-            combos=dpg.combos_from_decomposition(dec),
+            combos={
+                dof_id(e): {dof_id(f): Fraction(s) for f, s in parts}
+                for e, parts in factors.items()
+            },
             op_membership=membership,
             dof_values=word_values((*part.graph.edges, *new_graph.edges)),
         )
@@ -749,10 +753,15 @@ def test_random_system_refuses_no_edges_and_no_depth(n_edges, depth):
     ("b0", "b1", "b2", "label 'b2' already present"),
     ("b0", "b1", "j(b0+b1)", "label 'j(b0+b1)' already present"),
     ("b0", "b0", "x", "cannot join 'b0' with itself"),
-], ids=["present", "present-join", "self"])
+    ("zz", "b0", "x", "unknown label 'zz'"),
+    ("b0", "zz", "x", "unknown label 'zz'"),
+    ("zz", "zz", "b0", "unknown label 'zz'"),
+], ids=["present", "present-join", "self", "unknown-first", "unknown-second",
+        "unknown-before-self-and-present"])
 def test_with_join_refuses_a_present_name_and_a_self_join(a, b, name, detail):
     # A join under a present name used to replace that label: b2 became
-    # j(b0+b1)'s copy and the family failed A6 and directed.
+    # j(b0+b1)'s copy and the family failed A6 and directed.  An unknown
+    # label is named as such, before the self-join and present-name rules.
     rs = random_system(2, 3, 1)
     with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
         rs.with_join(a, b, name)

@@ -519,6 +519,20 @@ def test_close_witnesses_direct_composed_and_target(deep_system):
     assert refines(rs.labels["c2"], rs.labels["b0"], composed)
 
 
+def test_a_plan_is_kept_for_both_label_objects_it_was_asked_about():
+    # A witness keeps the plan of the (fine, coarse) objects last asked
+    # about: the same pair gets it back, an equal but distinct coarse label
+    # gets a plan of its own, verified anew.
+    fine, coarse, witness = generic_reduction([[1, 1, 0], [0, 0, 1]])
+    plan = witness.plan(fine, coarse)
+    assert witness.plan(fine, coarse) is plan
+    twin = dataclasses.replace(coarse)
+    assert twin == coarse and twin is not coarse
+    twin_plan = witness.plan(fine, twin)
+    assert twin_plan is not plan and twin_plan.coarse is twin and twin_plan.check
+    assert witness.plan(fine, twin) is twin_plan
+
+
 def test_find_witness_reads_the_closure_and_skips_top():
     def w(coarse, fine, c):
         return OrderWitness({coarse: {fine: c}}, {})
