@@ -65,7 +65,6 @@ from .dpg import (
     decompose_edges,
     dof_id,
     dual_flux_basis,
-    flux_operator,
     graph_join,
     graph_refines,
     holonomy,

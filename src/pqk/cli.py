@@ -173,7 +173,7 @@ def cmd_join(args) -> int:
     _require_flag(not present, "--labels", f"label {swapped!r} already present")
     join_name = f"j({a}+{b})"
     merged, result = io.named("--labels", system.with_join, a, b, join_name)
-    io.dump_json(io.system_to_document(merged), args.out)
+    io.dump_json(io.named("--labels", io.system_to_document, merged), args.out)
     _print(
         {
             "command": "join",

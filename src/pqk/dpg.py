@@ -76,17 +76,9 @@ class EdgeWord:
         return EdgeWord(tuple((a, -s) for a, s in reversed(self.letters)))
 
 
-def word(*letters) -> EdgeWord:
+def word(*letters: str) -> EdgeWord:
     """Shorthand: word('a', '-b', 'c') -> a, then b reversed, then c."""
-    out = []
-    for entry in letters:
-        if isinstance(entry, tuple):
-            out.append(entry)
-        elif entry.startswith("-"):
-            out.append((entry[1:], -1))
-        else:
-            out.append((entry, 1))
-    return EdgeWord(tuple(out))
+    return EdgeWord(tuple((x[1:], -1) if x.startswith("-") else (x, 1) for x in letters))
 
 
 def dof_id(w: EdgeWord) -> DofId:
@@ -147,16 +139,6 @@ class Graph:
         return ReducedFrame(self.dofs)
 
 
-def _atom_values(items, owner: str, kind: str) -> tuple[tuple[str, Fraction], ...]:
-    """Sorted nonzero (atom, value) pairs from a mapping or pairs; no atom twice."""
-    if isinstance(items, Mapping):
-        items = items.items()
-    pairs = sorted((str(a), ratlin.as_fraction(v)) for a, v in items)
-    if len({a for a, _ in pairs}) != len(pairs):
-        raise ValueError(f"{owner} has duplicate {kind} entries")
-    return tuple((a, v) for a, v in pairs if v != 0)
-
-
 @dataclass(frozen=True)
 class Face:
     """Signed atom incidences of one flux surface.
@@ -170,8 +152,8 @@ class Face:
     incidence: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        pairs = _atom_values(self.incidence, f"face {self.id!r}", "incidence")
-        object.__setattr__(self, "incidence", pairs)
+        pairs = ratlin.exact_pairs(self.incidence, f"face {self.id!r}", "incidence")
+        object.__setattr__(self, "incidence", tuple(p for p in pairs if p[1]))
 
     @cached_property
     def incidence_map(self) -> dict[str, Fraction]:
@@ -187,8 +169,8 @@ class TestConnection:
     values: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        pairs = _atom_values(self.values, "test connection", "value")
-        object.__setattr__(self, "values", pairs)
+        pairs = ratlin.exact_pairs(self.values, "test connection", "value")
+        object.__setattr__(self, "values", tuple(p for p in pairs if p[1]))
 
     @cached_property
     def value_map(self) -> dict[str, Fraction]:
@@ -224,17 +206,6 @@ def incidence_number(face: Face, e: EdgeWord) -> Fraction:
     inc = face.incidence_map
     terms = [inc[a] if s > 0 else -inc[a] for a, s in e.letters if a in inc]
     return sum(terms[1:], terms[0]) if terms else _ZERO
-
-
-def flux_operator(face: Face, graph: Graph) -> MomentumOperator:
-    """The flux of a face as an operator acting on a graph's holonomies."""
-    return _flux_operator_on(face, [(dof_id(e), e) for e in graph.edges])
-
-
-def _flux_operator_on(face: Face, keyed: Sequence[tuple]) -> MomentumOperator:
-    """Flux operator materialized on (d.o.f. id, word) pairs."""
-    action = {d: incidence_number(face, w) for d, w in keyed}
-    return MomentumOperator(id=face.id, action=tuple(action.items()))
 
 
 def word_values(words: Iterable[EdgeWord]) -> dict[DofId, dict[str, Fraction]]:
@@ -379,12 +350,13 @@ class DpgLabel:
 
 
 def materialize(label: DpgLabel, words: Iterable[EdgeWord]) -> SystemLabel:
-    """The generic system view of a label, with actions on the given words."""
+    """The generic system view of a label: each face's flux operator, acting
+    on each given word by the face's incidence number with it (a zero
+    included, so every word has an entry)."""
     keyed = [(dof_id(w), w) for w in words]
-    return SystemLabel(
-        ops=tuple(_flux_operator_on(f, keyed) for f in label.faces),
-        frame=label.graph.frame(),
-    )
+    ops = (MomentumOperator(f.id, {d: incidence_number(f, w) for d, w in keyed})
+           for f in label.faces)
+    return SystemLabel(ops=tuple(ops), frame=label.graph.frame())
 
 
 @dataclass(frozen=True)

@@ -226,9 +226,13 @@ def _log_traces(state: GaussianMixtureState) -> list[float]:
 
 
 def trace(state: GaussianMixtureState) -> float:
-    """Closed-form trace; raises :class:`DivergentError` on bad terms."""
+    """Closed-form trace, ``inf`` past the largest float; raises
+    :class:`DivergentError` on bad terms."""
     logs = _log_traces(state)
-    return float(sum(w * math.exp(lt) for (w, _), lt in zip(state.terms, logs)))
+    try:
+        return float(sum(w * math.exp(lt) for (w, _), lt in zip(state.terms, logs)))
+    except OverflowError:  # one term overflows, and weights are positive
+        return math.inf
 
 
 def _pair_forms(

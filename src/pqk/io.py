@@ -51,8 +51,6 @@ def rat_to_json(x: Fraction):
 
 def json_to_rat(x, where: str) -> Fraction:
     try:
-        if isinstance(x, bool):
-            raise TypeError("a boolean is not a number")
         return ratlin.as_fraction(x)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DocumentError(f"{where}: not a rational value ({x!r})") from exc
@@ -122,12 +120,14 @@ def _expect_frame(doc, key: str, where: str) -> ReducedFrame:
 
 
 def system_to_document(system: System) -> dict:
-    """Serialize a family under its own edge ids."""
+    """Serialize a family under its own edge ids.  Each face is written once
+    under its id, so two different faces with one id are a ``ValueError``."""
     id_by_dof = {dof_id(w): eid for eid, w in system.words.items()}
     faces: dict[str, Face] = {}
     for d in system.dlabels.values():
         for f in d.faces:
-            faces.setdefault(f.id, f)
+            if faces.setdefault(f.id, f) != f:
+                raise ValueError(f"face id {f.id!r} names two different faces")
     doc = {
         "atomic_edges": [
             {"id": a.id, "source": a.source, "target": a.target, "loop": a.loop}

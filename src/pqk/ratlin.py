@@ -15,7 +15,8 @@ second elimination, :func:`full_pivot_solve`, is Bareiss's full-pivot pass
 that the DPG join reads its edge order, rank test and lead faces off.
 ``Fraction`` objects are made only on return, one per entry.  Sparse rows
 (mappings from keys to ``Fraction``) are summed by :func:`combine` and made
-dense by :func:`from_sparse`.
+dense by :func:`from_sparse`; :func:`exact_pairs` turns a caller's keyed
+values into sorted exact pairs.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ Mat = tuple[Row, ...]
 
 
 def as_fraction(x) -> Fraction:
-    """Convert int/float/str/Fraction to an exact Fraction."""
+    """Convert int/float/str/Fraction to an exact Fraction; a bool is not a
+    number here, though Python counts it as an int."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError("cannot convert bool to Fraction")
     # numpy's integer and float scalars register with these; bool_ does not.
     if isinstance(x, Integral):
         return Fraction(int(x))
@@ -45,6 +49,19 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
+
+
+def exact_pairs(items, owner: str, kind: str) -> tuple[tuple[str, Fraction], ...]:
+    """Sorted (key, value) pairs with str keys and exact values, from a
+    mapping or from pairs: the one conversion of a caller's keyed values.
+    A key given twice (say as 1 and "1") is a ``ValueError`` naming
+    ``owner``; zeros are kept."""
+    if isinstance(items, Mapping):
+        items = items.items()
+    pairs = tuple(sorted((str(k), as_fraction(v)) for k, v in items))
+    if len({k for k, _ in pairs}) != len(pairs):
+        raise ValueError(f"{owner} has duplicate {kind} entries")
+    return pairs
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:

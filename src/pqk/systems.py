@@ -48,10 +48,7 @@ class MomentumOperator:
     action: tuple[tuple[DofId, Fraction], ...]
 
     def __post_init__(self):
-        items = self.action.items() if isinstance(self.action, Mapping) else self.action
-        pairs = tuple(sorted((str(d), ratlin.as_fraction(v)) for d, v in items))
-        if len({d for d, _ in pairs}) != len(pairs):
-            raise ValueError(f"operator {self.id!r} has duplicate action entries")
+        pairs = ratlin.exact_pairs(self.action, f"operator {self.id!r}", "action")
         object.__setattr__(self, "action", pairs)
 
     @cached_property

@@ -5,10 +5,12 @@ For each mutant the runner copies ``src``, ``tests`` and ``pyproject.toml``
 into a fresh temporary directory, replaces the mutant's snippet in its
 module and runs the named tests there with pytest, in a subprocess that
 imports the copy.  The named tests first run once on an unmutated copy,
-where they must pass.  The run fails when a snippet does not occur exactly
+where they must pass, and that run sets each mutant's time limit
+(:func:`limit_for`).  The run fails when a snippet does not occur exactly
 once in its module (so a refactor cannot leave a stale mutant behind), when
-the unmutated copy fails, or when a named test does not fail on its mutant.
-A mutant that survives is a fault of the tests, not of the mutant.
+the unmutated copy fails, or when a named test does not fail on its mutant;
+a mutant whose tests run past the limit is reported as timed out and is not
+caught.  A mutant that survives is a fault of the tests, not of the mutant.
 
 Hypothesis runs with a fixed seed, so every run draws the same examples.
 
@@ -30,7 +32,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT_S = 600  # a mutant that makes its tests hang is not caught
+
+
+def limit_for(unmutated_s: float) -> float:
+    """A mutant's time limit, from its tests' unmutated run: ten times as
+    long, and at least 30 s, so a mutant that makes its tests loop ends in
+    bounded time while a slow machine still finishes an honest run."""
+    return max(30.0, 10 * unmutated_s)
 
 
 class Mutant(NamedTuple):
@@ -366,6 +374,81 @@ MUTANTS = (
          "tests/test_kernels.py::test_threaded_chunk_sums_keep_every_bit",
          "tests/test_kernels.py::test_a_slow_first_chunk_is_still_added_first"),
     ),
+    Mutant(
+        "exact-pairs-admit-a-repeated-key",
+        "ratlin.py",
+        "    if len({k for k, _ in pairs}) != len(pairs):\n",
+        "    if False:\n",
+        ("tests/test_ratlin.py::test_exact_pairs_sorts_converts_and_keeps_zeros",
+         "tests/test_constructors.py::test_constructor_refuses_with_its_type_and_message",
+         "tests/test_dpg.py::test_duplicate_atoms_are_refused_by_connections_as_by_faces"),
+    ),
+    Mutant(
+        "flux-operators-drop-zero-actions",
+        "dpg.py",
+        "{d: incidence_number(f, w) for d, w in keyed}",
+        "{d: v for d, w in keyed if (v := incidence_number(f, w))}",
+        ("tests/test_dpg.py::test_flux_dual_face_is_indicator",
+         "tests/test_dpg.py::test_flux_empty_face_is_zero_operator"),
+    ),
+    Mutant(
+        "faces-keep-zero-incidences",
+        "dpg.py",
+        'object.__setattr__(self, "incidence", tuple(p for p in pairs if p[1]))',
+        'object.__setattr__(self, "incidence", pairs)',
+        ("tests/test_dpg.py::test_shallow_generated_documents_keep_their_bytes",
+         "tests/test_dpg.py::test_join_witness_combines_lead_face_incidences"),
+    ),
+    Mutant(
+        "as-fraction-reads-a-bool",
+        "ratlin.py",
+        "    if isinstance(x, bool):\n"
+        "        raise TypeError(\"cannot convert bool to Fraction\")\n",
+        "",
+        ("tests/test_ratlin.py::test_as_fraction_rejects_bools_complexes_and_decimals",
+         "tests/test_constructors.py::test_constructor_refuses_with_its_type_and_message",
+         "tests/test_io_cli.py::test_document_errors_name_fields",
+         "tests/test_io_cli.py::test_cli_reads_no_json_boolean_as_a_rational"),
+    ),
+    Mutant(
+        "written-face-ids-may-clash",
+        "io.py",
+        "            if faces.setdefault(f.id, f) != f:\n"
+        "                raise ValueError(f\"face id {f.id!r} names two different faces\")\n",
+        "            faces.setdefault(f.id, f)\n",
+        ("tests/test_io_cli.py::test_a_face_id_names_one_face_when_a_family_is_written",
+         "tests/test_io_cli.py::test_cli_join_refuses_a_face_id_the_document_already_holds"),
+    ),
+    Mutant(
+        "zero-weight-admitted",
+        "io.py",
+        "        if not 0 < weight <= sys.float_info.max:\n",
+        "        if not 0 <= weight <= sys.float_info.max:\n",
+        ("tests/test_io_cli.py::test_state_document_refuses_a_zero_weight",),
+    ),
+    Mutant(
+        "logw-bound-excludes-the-largest-float",
+        "io.py",
+        "        if not abs(logw) <= sys.float_info.max:\n",
+        "        if not abs(logw) < sys.float_info.max:\n",
+        ("tests/test_io_cli.py::test_state_document_refuses_logw_at_the_float_limits",),
+    ),
+    Mutant(
+        "trace-lets-an-overflow-through",
+        "gaussian.py",
+        "    except OverflowError:",
+        "    except ZeroDivisionError:",
+        ("tests/test_io_cli.py::test_state_document_refuses_logw_at_the_float_limits",
+         "tests/test_io_cli.py::test_cli_refuses_a_state_whose_trace_overflows"),
+    ),
+    Mutant(
+        "chunk-floor-made-zero",
+        "_kernels.py",
+        "    chunk = max(1, min(chunk, 2**20 // max(1, nx * ny)))\n",
+        "    chunk = max(0, min(chunk, 2**20 // max(1, nx * ny)))\n",
+        ("tests/test_kernels.py::"
+         "test_a_table_past_the_chunk_budget_takes_one_midpoint_a_chunk",),
+    ),
 )
 
 
@@ -376,16 +459,18 @@ def _copy(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest)
 
 
-def _failed(dest: Path, tests: tuple[str, ...], *flags: str) -> tuple[int | None, set[str]]:
+def _failed(
+    dest: Path, tests: tuple[str, ...], *flags: str, limit: float | None = None
+) -> tuple[int | None, set[str]]:
     """Run ``tests`` on the copy at ``dest``, with pytest's ``flags``: its exit
-    code (None when it runs past TIMEOUT_S) and the ids of the tests it
-    reports failed."""
+    code (None when it runs past ``limit`` seconds) and the ids of the tests
+    it reports failed."""
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
              "--hypothesis-seed=0", *flags, *tests],
             cwd=dest, env={**os.environ, "PYTHONPATH": str(dest / "src")},
-            capture_output=True, text=True, timeout=TIMEOUT_S,
+            capture_output=True, text=True, timeout=limit,
         )
     except subprocess.TimeoutExpired:
         return None, set()
@@ -415,6 +500,7 @@ def main(names: list[str]) -> int:
         return 1
 
     every_test = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         _copy(Path(tmp))
         code, failed = _failed(Path(tmp), every_test)
@@ -422,6 +508,9 @@ def main(names: list[str]) -> int:
         print(f"BASELINE  the named tests do not pass unmutated (pytest exit {code}): "
               f"{sorted(failed)}")
         return 1
+    # The mutants run subsets of these tests, so their run bounds each one's.
+    limit = limit_for(time.perf_counter() - start)
+    print(f"limit     {limit:.0f} s per mutant")
 
     survivors = 0
     for m in mutants:
@@ -432,9 +521,12 @@ def main(names: list[str]) -> int:
             (dest / "src" / "pqk" / m.module).write_text(
                 sources[m.module].replace(m.snippet, m.replacement)
             )
-            code, failed = _failed(dest, m.tests)
+            code, failed = _failed(dest, m.tests, limit=limit)
         missed = [t for t in m.tests if not _caught(t, failed)]
-        if code != 1 or missed:
+        if code is None:
+            survivors += 1
+            print(f"TIMED OUT {m.name} (past the {limit:.0f} s limit)")
+        elif code != 1 or missed:
             survivors += 1
             print(f"SURVIVED  {m.name} (pytest exit {code}; not failed: {missed})")
         else:

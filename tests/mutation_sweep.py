@@ -13,10 +13,14 @@ evenly over it, so a sweep of a given budget always makes the same mutants.
 Each mutant runs, as in ``mutants.py``, on a fresh copy of ``src``,
 ``tests`` and ``pyproject.toml``, against the test files with
 ``--hypothesis-seed=0 -x``; a mutant is killed when pytest exits with an
-error or runs past its time limit.  A surviving mutant either gets a test
-or is listed in ``mutation_equivalents.txt`` with the reason that no test
-can tell it from the module; listed survivors are reported apart.  The
-run exits 1 when an unlisted mutant survives.
+error or runs past its time limit, which ``mutants.limit_for`` takes from
+the test files' unmutated run.  A mutant the test files miss runs again
+against the whole of ``tests`` (under a limit from that suite's own
+unmutated run), and one caught there is reported apart, as caught by
+another file.  A mutant that survives both either gets a test or is listed
+in ``mutation_equivalents.txt`` with the reason that no test can tell it
+from the module; listed survivors are reported apart.  The run exits 1
+when an unlisted mutant survives.
 
 A sweep runs for minutes, so it is not part of the test suite.  Run it
 from the repository root with the test dependencies installed::
@@ -32,9 +36,10 @@ import ast
 import copy
 import sys
 import tempfile
+import time
 from pathlib import Path
 
-from mutants import ROOT, _copy, _failed
+from mutants import ROOT, _copy, _failed, limit_for
 
 EQUIVALENTS = Path(__file__).with_name("mutation_equivalents.txt")
 SWAPS = {
@@ -120,33 +125,59 @@ def main(argv: list[str] | None = None) -> int:
               if line.strip() and not line.startswith("#")}
     print(f"{args.module}: {len(chosen)} of {len(every)} sites, against {' '.join(tests)}")
 
-    with tempfile.TemporaryDirectory() as tmp:
-        _copy(Path(tmp))
-        code, _ = _failed(Path(tmp), tests, "-x")
-    if code != 0:
-        print(f"BASELINE  the tests do not pass unmutated (pytest exit {code})")
-        return 1
+    limits: dict[tuple[str, ...], float] = {}
 
-    survivors = equivalent = 0
-    for node, change, replacement in chosen:
+    def unmutated(files: tuple[str, ...]) -> bool:
+        """Run ``files`` on an unmutated copy; set their limit if they pass."""
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            _copy(Path(tmp))
+            code, _ = _failed(Path(tmp), files, "-x")
+        if code != 0:
+            print(f"BASELINE  {' '.join(files)} do not pass unmutated (pytest exit {code})")
+            return False
+        limits[files] = limit_for(time.perf_counter() - start)
+        print(f"limit     {limits[files]:.0f} s a mutant, against {' '.join(files)}")
+        return True
+
+    def run(files: tuple[str, ...], mutated: str) -> tuple[int | None, set[str]]:
         with tempfile.TemporaryDirectory() as tmp:
             dest = Path(tmp)
             _copy(dest)
-            (dest / "src" / "pqk" / args.module).write_text(mutate(source, node, replacement))
-            code, _ = _failed(dest, tests, "-x")
+            (dest / "src" / "pqk" / args.module).write_text(mutated)
+            return _failed(dest, files, "-x", limit=limits[files])
+
+    if not unmutated(tests):
+        return 1
+    everything = ("tests",)
+    survivors = equivalent = elsewhere = 0
+    for node, change, replacement in chosen:
+        mutated = mutate(source, node, replacement)
+        code, _ = run(tests, mutated)
         name = key(args.module, source, node, change)
         if code == 0 and name in listed:
             equivalent += 1
             print(f"listed    line {node.lineno}: {name}")
         elif code == 0:
-            survivors += 1
-            print(f"SURVIVED  line {node.lineno}: {name}")
+            if everything not in limits and not unmutated(everything):
+                return 1
+            code, failed = run(everything, mutated)
+            if code == 0:
+                survivors += 1
+                print(f"SURVIVED  line {node.lineno}: {name}")
+            else:
+                elsewhere += 1
+                by = ", ".join(sorted(failed)) or (
+                    f"timed out past {limits[everything]:.0f} s" if code is None
+                    else f"pytest exit {code}")
+                print(f"elsewhere line {node.lineno}: {name} (caught by another file: {by})")
         else:
-            how = "timed out" if code is None else f"pytest exit {code}"
+            how = f"timed out past {limits[tests]:.0f} s" if code is None \
+                else f"pytest exit {code}"
             print(f"killed    line {node.lineno}: {change} ({how})")
-    killed = len(chosen) - survivors - equivalent
-    print(f"{killed} of {len(chosen)} killed, {equivalent} listed as equivalent, "
-          f"{survivors} survived")
+    killed = len(chosen) - survivors - equivalent - elsewhere
+    print(f"{killed} of {len(chosen)} killed, {elsewhere} caught by another file, "
+          f"{equivalent} listed as equivalent, {survivors} survived")
     return 1 if survivors else 0
 
 

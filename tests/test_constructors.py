@@ -136,6 +136,9 @@ CASES = {
     "duplicate-action": (
         lambda: MomentumOperator("u", (("a", 1), ("a", 2))),
         ValueError, "operator 'u' has duplicate action entries"),
+    "bool-action": (
+        lambda: MomentumOperator("u", {"x": True}),
+        TypeError, "cannot convert bool to Fraction"),
     "operator-count": (
         lambda: SystemLabel((), frame("a")),
         DegeneratePairingError, "0 operators for a 1-d.o.f. frame"),

@@ -18,7 +18,6 @@ from pqk import (
     decompose_edges,
     dof_id,
     dual_flux_basis,
-    flux_operator,
     graph_join,
     graph_refines,
     holonomy,
@@ -224,17 +223,24 @@ def test_incidence_half_integer():
 # --- flux operators -------------------------------------------------------------
 
 
+def flux_on(face, graph):
+    """The face's flux operator on the graph's words, as ``materialize``
+    builds it for a label whose every face is ``face``."""
+    label = DpgLabel("L", graph, (face,) * len(graph.edges))
+    return materialize(label, graph.edges).ops[0]
+
+
 def test_flux_dual_face_is_indicator():
     g = Graph((word("a"), word("b")))
     s = Face("S", (("a", Fraction(1)),))
-    op = flux_operator(s, g)
+    op = flux_on(s, g)
     assert op.on(dof_id(word("a"))) == 1
     assert op.on(dof_id(word("b"))) == 0
 
 
 def test_flux_empty_face_is_zero_operator():
     g = Graph((word("a"),))
-    op = flux_operator(Face("S", ()), g)
+    op = flux_on(Face("S", ()), g)
     assert op.on(dof_id(word("a"))) == 0
 
 

@@ -28,7 +28,15 @@ from pqk import (
 )
 from pqk import io as pio
 from pqk.cli import main
-from pqk.dpg import random_system
+from pqk.dpg import (
+    AtomicEdge,
+    DpgLabel,
+    EdgeWord,
+    Graph,
+    System,
+    dual_flux_basis,
+    random_system,
+)
 
 from conftest import random_mixture, subprocess_env
 
@@ -74,6 +82,46 @@ def test_state_document_rejects_bad_trace():
     doc["terms"][0]["weight"] = 2.0
     with pytest.raises(DocumentError, match="trace"):
         pio.document_to_state(doc, 1)
+
+
+@pytest.mark.parametrize("logw, detail", [
+    (sys.float_info.max, "state.terms: trace is inf, expected 1"),
+    (-sys.float_info.max, "state.terms: trace is 0.0, expected 1"),
+])
+def test_state_document_refuses_logw_at_the_float_limits(logw, detail):
+    # Both are finite, so the loader's logw check admits them and the trace
+    # check refuses them: a trace past the largest float reads as inf.
+    doc = pio.state_to_document(pure_state([[1.0]], [0.0]), "L")
+    doc["terms"][0]["logw"] = logw
+    with pytest.raises(DocumentError) as info:
+        pio.document_to_state(doc, 1)
+    assert str(info.value) == detail
+
+
+@pytest.mark.parametrize("weight", [0, 0.0])
+def test_state_document_refuses_a_zero_weight(weight):
+    doc = pio.state_to_document(pure_state([[1.0]], [0.0]), "L")
+    doc["terms"][0]["weight"] = weight
+    with pytest.raises(DocumentError) as info:
+        pio.document_to_state(doc, 1)
+    assert str(info.value) == "state.terms[0].weight: must be positive and finite"
+
+
+def test_a_face_id_names_one_face_when_a_family_is_written():
+    # dual_flux_basis names each label's first face "dual0" by default, so
+    # two labels on different atoms hold two different faces under one id.
+    atoms = {x: AtomicEdge(x, f"u{x}", f"v{x}") for x in ("a", "b")}
+    graphs = {name: Graph((EdgeWord(((x, 1),)),)) for name, x in (("A", "a"), ("B", "b"))}
+    labels = {name: DpgLabel(name, g, dual_flux_basis(g)) for name, g in graphs.items()}
+    words = {"e0": graphs["A"].edges[0], "e1": graphs["B"].edges[0]}
+    with pytest.raises(ValueError, match="^face id 'dual0' names two different faces$"):
+        pio.system_to_document(System(atoms, words, labels, ()))
+    # Equal faces under one id, as b0 and its twin b0t share, are written once.
+    doc = pio.system_to_document(random_system(2, 2, seed=0))
+    ids = [f["id"] for f in doc["faces"]]
+    assert len(ids) == len(set(ids))
+    basis = {label["id"]: label["flux_basis"] for label in doc["labels"]}
+    assert basis["b0t"] == basis["b0"]
 
 
 def test_state_document_rejects_nonhermitian():
@@ -869,6 +917,53 @@ def test_cli_join_refuses_an_unknown_label(tmp_path, capsys, labels):
         capsys, "join", "--system", sys_path, "--labels", labels, "--out", str(out_path)
     ) == "--labels: unknown label 'zz'"
     assert not out_path.exists()
+
+
+def test_cli_join_refuses_a_face_id_the_document_already_holds(tmp_path, capsys):
+    # b1's first face renamed to the id the join gives its own first face:
+    # the document verifies, but the join would hold two faces under one id.
+    sys_path, out_path = tmp_path / "sys.json", tmp_path / "joined.json"
+    run_cli(capsys, "dpg-demo", "--edges", "2", "--depth", "2", "--seed", "0",
+            "--out", str(sys_path))
+    doc = pio.load_json(str(sys_path))
+    first = next(d for d in doc["labels"] if d["id"] == "b1")["flux_basis"][0]
+    sys_path.write_text(sys_path.read_text().replace(f'"{first}"', '"j(b0+b0t).f0"'))
+    assert run_cli(capsys, "verify", str(sys_path))[0] == 0
+    assert _one_error_line(
+        capsys, "join", "--system", str(sys_path), "--labels", "b0,b0t",
+        "--out", str(out_path),
+    ) == "--labels: face id 'j(b0+b0t).f0' names two different faces"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["project", "consistency", "oracle"])
+def test_cli_refuses_a_state_whose_trace_overflows(system_doc, tmp_path, capsys, command):
+    # logw = 800 is finite, but exp(800) is past the largest float.
+    rs, sys_path = system_doc
+    dim = rs.labels["j(b0+b1)"].dim
+    doc = pio.state_to_document(pure_state(np.eye(dim), np.zeros(dim)), "j(b0+b1)")
+    doc["terms"][0]["logw"] = 800.0
+    state_path = str(tmp_path / "state.json")
+    pio.dump_json(doc, state_path)
+    relation = {
+        "project": ("--from", "j(b0+b1)", "--to", "b0", "--out", str(tmp_path / "x.json")),
+        "consistency": ("--chain", "j(b0+b1),b0,b0t"),
+        "oracle": ("--from", "j(b0+b1)", "--to", "b0"),
+    }[command]
+    assert _one_error_line(
+        capsys, command, "--system", sys_path, "--state", state_path, *relation
+    ) == "state.terms: trace is inf, expected 1"
+
+
+def test_cli_reads_no_json_boolean_as_a_rational(system_doc, tmp_path, capsys):
+    _, sys_path = system_doc
+    doc = pio.load_json(sys_path)
+    doc["faces"][0]["incidence"][0]["value"] = True
+    path = str(tmp_path / "bool.json")
+    pio.dump_json(doc, path)
+    assert _one_error_line(capsys, "verify", path) == (
+        "faces[0].incidence[0].value: not a rational value (True)"
+    )
 
 
 @pytest.mark.parametrize("defect, code", [(None, 0), ("witness", 1), ("document", 2)])

@@ -169,6 +169,17 @@ def same_bits(a, b):
     return np.array_equal(a.view(float), b.view(float))
 
 
+def test_a_table_past_the_chunk_budget_takes_one_midpoint_a_chunk():
+    # 1025 x 1025 cells are more than the 2**20 a chunk may fill, so the cap
+    # 2**20 // (nx * ny) is 0 and the floor makes every chunk one midpoint.
+    rng = np.random.default_rng(4)
+    P, R, s, logw = random_kernel_params(rng, 1)
+    xps = grid(rng, 1025, 1, 0.0)
+    uks = grid(rng, 2, 1, 0.0)
+    a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 0.5)
+    assert same_bits(a, reference_quad_table(P, R, s, logw, xps, xps, uks, 0.5))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     dim=st.integers(1, 4),

@@ -49,11 +49,20 @@ def test_as_fraction_is_exact_on_numpy_floats(kind):
 
 
 @pytest.mark.parametrize(
-    "value", [np.bool_(True), 1 + 2j, np.complex128(1.5), Decimal("0.1")]
+    "value", [np.bool_(True), 1 + 2j, np.complex128(1.5), Decimal("0.1"), True, False]
 )
 def test_as_fraction_rejects_bools_complexes_and_decimals(value):
     with pytest.raises(TypeError):
         ratlin.as_fraction(value)
+
+
+def test_exact_pairs_sorts_converts_and_keeps_zeros():
+    expected = (("1", Fraction(1, 2)), ("a", Fraction(0)), ("b", Fraction(3)))
+    assert ratlin.exact_pairs({"b": 3, 1: "1/2", "a": 0.0}, "row", "entry") == expected
+    assert ratlin.exact_pairs([("b", 3), (1, 0.5), ("a", 0)], "row", "entry") == expected
+    assert ratlin.exact_pairs((), "row", "entry") == ()
+    with pytest.raises(ValueError, match="^row 'r' has duplicate entry entries$"):
+        ratlin.exact_pairs({1: 1, "1": 2}, "row 'r'", "entry")
 
 
 def test_matmul_identity_and_shapes():
