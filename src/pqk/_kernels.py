@@ -30,8 +30,21 @@ the whole grid's (see :func:`_chunk_sums`), each task is the same code on
 the same midpoints whichever thread runs it, and the calling thread adds
 each block's chunk sums into its rows in chunk order.
 
-The cross term x'^T R y' and its (chunk, nx, Np, Np) x' R products are
-built only when R != 0.  Every pure state psi(x) conj(psi(y)), and every
+Each task builds its exponent in row tiles of at most ``_TILE`` = 2**16
+elements (chunk x tile rows x ny, one row at least), one tile after another
+in one buffer that each worker allocates once per call; an R != 0 source
+builds its x' R products and cross term per tile in a second such buffer,
+and each tile's sum over midpoints goes into its rows of the task's sum.
+Tiles bound memory, not time: the exponent takes 1 MiB a worker where the
+chunk cap lets a chunk's take 16 MiB, and each tile makes the numpy calls a
+whole task made.  Traced memory per call fell from 18-37 to 3.5-9.5 MiB at
+the 3->2 grid-256 shape (64 x 64, 256 midpoints) and from 40.5 to 14.6 MiB
+on a 512 x 512 table.  The bits hold as for row blocks: a tile is a row
+slice of its task, and a one-column table keeps two rows a tile, its last
+tile taking a one-row remainder.
+
+The cross term x'^T R y' and its (chunk, tile rows, Np, Np) x' R products
+are built only when R != 0.  Every pure state psi(x) conj(psi(y)), and every
 mixture of pure states, has R = 0, so the quadrature of such a source skips
 them, with the same bits (the argument is in :func:`_chunk_sums`).  On a
 shared 2-vCPU machine this took the ``oracle`` workload, whose sources are
@@ -54,6 +67,9 @@ import numpy as np
 # A call of fewer exponent elements (midpoints x nx x ny) than this runs on
 # the calling thread; see the module docstring for the measurement.
 _FLOOR = 2**16
+# Each task builds its exponent in row tiles of at most this many elements
+# (midpoints x tile rows x ny) in one buffer; see the module docstring.
+_TILE = 2**16
 
 
 def kernel_table(P, R, s, logw, xs, ys):
@@ -72,11 +88,14 @@ def quad_table(P, R, s, logw, xps, yps, uks, weight, chunk=256):
     uks = Kb @ u for each midpoint u (nu, Np); the source kernel is
     evaluated at (u + x', u + y') and summed over u with the fixed
     ``weight`` (cell volume times the Lebesgue factor).  Returns (nx, ny)
-    complex.  Each chunk of midpoints is capped at 2**20 // (nx * ny), so
-    the exponent buffer and the cross term, each (chunk, nx, ny), stay near
-    16 MiB on any grid; the x' R products add (chunk, nx, Np, Np).  The
-    cross term and those products are built only when R != 0; a product
-    kernel (R = 0) skips them with the same bits (see :func:`_chunk_sums`).
+    complex.  Each chunk of midpoints is capped at 2**20 // (nx * ny), and
+    each task builds its exponent in row tiles of at most ``_TILE`` = 2**16
+    elements (one row at least) in one reused buffer, so beyond the table
+    and each task's sum, the exponent and, when R != 0, the cross term
+    (chunk, tile rows, ny) and the x' R products (chunk, tile rows, Np, Np)
+    take memory in proportion to a tile, not to the table.  A product
+    kernel (R = 0) skips the cross term and products with the same bits
+    (see :func:`_chunk_sums`).
 
     A call of at least ``_FLOOR`` exponent elements with fewer chunks than
     CPUs also splits the table into blocks of evaluation rows, and each
@@ -137,12 +156,13 @@ def _chunk_sums(P, R, s, logw, xps, yps, uks, chunk, tasks):
     exponent is summed left to right in one buffer, and each chunk's sum
     over midpoints is as in the reference.
 
-    A row block keeps those bits because its x-side quadratic and linear
-    terms are slices of the terms computed over the whole grid (a one-row
-    ``xp @ s`` takes another BLAS path and can differ in the last bit);
-    the cross term and the sum over midpoints of a row slice equal the
-    whole table's rows, unless the slice is one row of a one-column table
-    (see :func:`quad_table`).
+    A row block, and a row tile within it, keeps those bits because its
+    x-side quadratic and linear terms are slices of the terms computed
+    over the whole grid (a one-row ``xp @ s`` takes another BLAS path and
+    can differ in the last bit); the cross term and the sum over midpoints
+    of a row slice equal the whole table's rows, unless the slice is one
+    row of a one-column table, which neither a block nor a tile is unless
+    the table has one row.
 
     A product kernel, R = 0 (every pure state and every mixture of pure
     states), builds neither the x' R products nor the cross term, and keeps
@@ -162,6 +182,17 @@ def _chunk_sums(P, R, s, logw, xps, yps, uks, chunk, tasks):
     ``R.any()`` counts a NaN and a purely imaginary entry as nonzero.
     """
     cross = R.any()
+    ny, dim = yps.shape[0], xps.shape[1]
+    cu = min(chunk, uks.shape[0])
+    # A tile of one row and one column would sum its midpoints as a 1-D
+    # array, pairwise: other bits.  So such a tile takes two rows at least,
+    # and a last tile takes the one row that would be left after it.
+    floor = 2 if ny == 1 else 1
+    step = max(floor, _TILE // max(1, cu * ny))
+    height = min(xps.shape[0], step + 1)
+    buf = np.empty(cu * height * ny, dtype=np.complex128)
+    if cross:
+        spare = np.empty(cu * height * (ny + dim * dim), dtype=np.complex128)
     for start, rows in tasks:
         u = uks[start : start + chunk, None, :]
         xp = u + xps  # (cu, nx, Np)
@@ -173,14 +204,30 @@ def _chunk_sums(P, R, s, logw, xps, yps, uks, chunk, tasks):
             yp = u + yps  # (cu, ny, Np)
             qy = np.einsum("ujm,mn,ujn->uj", yp, P.conj(), yp)
             lin_y = yp @ s.conj()
-        xp, qx, lin_x = xp[:, rows], qx[:, rows], lin_x[:, rows]
-        expo = -0.5 * qx[:, :, None] - 0.5 * qy[:, None, :]
-        if cross:
-            expo += np.einsum("uimn,ujn->uij", xp[..., :, None] * R, yp)
-        expo += lin_x[:, :, None]
-        expo += lin_y[:, None, :]
-        expo += logw
-        yield np.exp(expo, out=expo).sum(axis=0)
+        xp, lin_x = xp[:, rows], lin_x[:, rows]
+        half_x, half_y = -0.5 * qx[:, rows], 0.5 * qy
+        n, nrows = half_x.shape
+        part = np.empty((nrows, ny), dtype=np.complex128)
+        i = 0
+        while i < nrows:
+            j = i + step
+            if nrows - j < floor:
+                j = nrows
+            size = n * (j - i) * ny
+            expo = buf[:size].reshape(n, j - i, ny)
+            np.subtract(half_x[:, i:j, None], half_y[:, None, :], out=expo)
+            if cross:
+                term = spare[:size].reshape(n, j - i, ny)
+                prods = spare[size : size + n * (j - i) * dim * dim]
+                prods = prods.reshape(n, j - i, dim, dim)
+                np.multiply(xp[:, i:j, :, None], R, out=prods)
+                expo += np.einsum("uimn,ujn->uij", prods, yp, out=term)
+            expo += lin_x[:, i:j, None]
+            expo += lin_y[:, None, :]
+            expo += logw
+            np.exp(expo, out=expo).sum(axis=0, out=part[i:j])
+            i = j
+        yield part
 
 
 def _add_in_threads(out, workers, args, tasks):

@@ -359,8 +359,8 @@ MUTANTS = (
     Mutant(
         "linear-terms-added-y-first",
         "_kernels.py",
-        "        expo += lin_x[:, :, None]\n        expo += lin_y[:, None, :]\n",
-        "        expo += lin_y[:, None, :]\n        expo += lin_x[:, :, None]\n",
+        "            expo += lin_x[:, i:j, None]\n            expo += lin_y[:, None, :]\n",
+        "            expo += lin_y[:, None, :]\n            expo += lin_x[:, i:j, None]\n",
         ("tests/test_kernels.py::test_kernels_reproduce_the_former_kernels_bit_for_bit",
          "tests/test_kernels.py::"
          "test_product_kernels_skip_the_cross_term_bit_for_bit"),
@@ -448,6 +448,21 @@ MUTANTS = (
         "    chunk = max(0, min(chunk, 2**20 // max(1, nx * ny)))\n",
         ("tests/test_kernels.py::"
          "test_a_table_past_the_chunk_budget_takes_one_midpoint_a_chunk",),
+    ),
+    Mutant(
+        "tile-loop-skips-the-last-rows",
+        "_kernels.py",
+        "        while i < nrows:\n",
+        "        while i + step <= nrows:\n",
+        ("tests/test_kernels.py::test_tiles_that_do_not_divide_the_rows_keep_every_bit",
+         "tests/test_kernels.py::test_a_one_column_table_keeps_two_rows_a_tile"),
+    ),
+    Mutant(
+        "one-column-tile-keeps-one-row",
+        "_kernels.py",
+        "    floor = 2 if ny == 1 else 1\n",
+        "    floor = 1\n",
+        ("tests/test_kernels.py::test_a_one_column_table_keeps_two_rows_a_tile",),
     ),
 )
 

@@ -111,12 +111,13 @@ def key(module: str, source: str, node: ast.AST, change: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="a file of src/pqk, such as gaussian.py")
-    parser.add_argument("--tests", nargs="+", help="default: tests/test_<module>")
+    parser.add_argument("--tests", nargs="+",
+                        help="default: tests/test_<module>, less a leading _")
     parser.add_argument("--sites", type=int, default=30, help="mutants to run")
     args = parser.parse_args(argv)
     if args.sites < 1:
         parser.error("--sites must be at least 1")
-    tests = tuple(args.tests or [f"tests/test_{Path(args.module).stem}.py"])
+    tests = tuple(args.tests or [f"tests/test_{Path(args.module).stem.lstrip('_')}.py"])
     source = (ROOT / "src" / "pqk" / args.module).read_text()
     every = sites(source)
     step = max(len(every) / args.sites, 1)

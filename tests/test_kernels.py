@@ -82,9 +82,10 @@ def test_numpy_chunking_is_seamless():
 
 def test_quad_table_memory_stays_bounded_on_a_large_grid(monkeypatch):
     # 512 evaluation points per side, as a 3-dimensional target's 8**3 grid:
-    # a (chunk, 512, 512) complex intermediate is 4 MiB per midpoint.  One
-    # chunk of 4 midpoints fills the per-call budget, so 2 CPUs run one
-    # worker on the 6 chunks; 7 CPUs split the table into 2 row blocks,
+    # the table is 4 MiB, and the chunk cap 2**20 // (512 * 512) makes 4
+    # midpoints a chunk, whose exponent is built in row tiles of 2**16
+    # elements (1 MiB).  One chunk fills the per-call budget, so 2 CPUs run
+    # one worker on the 6 chunks; 7 CPUs split the table into 2 row blocks,
     # whose tasks hold half the budget each, and run 2 workers.
     rng = np.random.default_rng(3)
     P, R, s, logw = random_kernel_params(rng, 3)
@@ -236,6 +237,18 @@ def report_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def test_cpus_are_those_this_process_may_run_on(monkeypatch):
+    # sched_getaffinity(0) names the calling process; without it (as on
+    # macOS) the CPU count is used, and 1 when that is unknown.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2} if pid else {5},
+                        raising=False)
+    assert _kernels._cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, cpus in ((6, 6), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert _kernels._cpus() == cpus
+
+
 @contextlib.contextmanager
 def counted_threads():
     """Record every thread started inside the block."""
@@ -373,6 +386,140 @@ def test_a_one_column_table_keeps_two_rows_a_block(monkeypatch, nx, threads):
     b = reference_quad_table(P, R, s, logw, xps, yps, uks, 1.0)
     assert same_bits(a, b)
     assert len(started) == threads
+
+
+# Row tiles.  Each task builds its exponent in tiles of at most _TILE
+# elements (midpoints x tile rows x ny), one tile at a time in one buffer,
+# and sums each tile's midpoints into its rows; wherever the tiles split a
+# table, no bit may move.
+
+
+def tile_rows(nx, ny, nu, chunk=256):
+    """The rows of a full tile, restated: _TILE // (chunk * ny), at least
+    one row, and two for a one-column table."""
+    chunk = min(chunk, 2**20 // (nx * ny), nu)
+    return max(2 if ny == 1 else 1, _kernels._TILE // (chunk * ny))
+
+
+@pytest.mark.parametrize("product", [False, True])
+@pytest.mark.parametrize(
+    "cpus, nx, ny, nu, shared",
+    [
+        (1, 70, 64, 256, True),  # chunks of 234 and 22: tiles of 4 rows, 2 left
+        (1, 70, 64, 256, False),
+        (2, 70, 64, 128, False),  # 2 row blocks of 35 rows: tiles of 8, 3 left
+        (1, 100, 100, 300, True),  # chunks of 104 and 92: tiles of 6 rows, 4 left
+        (1, 3, 300, 256, False),  # 256 x 300 elements a row: one-row tiles
+    ],
+)
+def test_tiles_that_do_not_divide_the_rows_keep_every_bit(
+    monkeypatch, cpus, nx, ny, nu, shared, product
+):
+    rows, block = tile_rows(nx, ny, nu), nx // cpus
+    assert rows < block and (block % rows or rows == 1)
+    report_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(nx + ny + nu)
+    P, R, s, logw = random_kernel_params(rng, 3)
+    if product:
+        R = zero_R(rng, 3)
+    xps = grid(rng, nx, 3, 0.0)
+    yps = xps if shared else grid(rng, ny, 3, 0.0)
+    uks = grid(rng, nu, 3, 0.0)
+    a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 0.25)
+    assert same_bits(a, reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25))
+
+
+@pytest.mark.parametrize(
+    "nx, nu, chunk",
+    [
+        (257, 256, 256),  # one row left: the last tile takes 257 rows
+        (258, 256, 256),  # two rows left: a tile of its own
+        (259, 256, 256),
+        (513, 256, 256),  # tiles of 256 and 257 rows
+        (5, 40000, 2**15),  # tiles of 2 rows: 2 and 3
+    ],
+)
+def test_a_one_column_table_keeps_two_rows_a_tile(monkeypatch, nx, nu, chunk):
+    # numpy sums a tile of one row and one column as a 1-D array, pairwise,
+    # which moves the last bits; so no tile of such a table has one row.
+    assert tile_rows(nx, 1, nu, chunk) < nx
+    report_cpus(monkeypatch, 1)
+    rng = np.random.default_rng(nx)
+    P, R, s, logw = random_kernel_params(rng, 2)
+    xps = grid(rng, nx, 2, 0.0)
+    yps = grid(rng, 1, 2, 0.0)
+    uks = grid(rng, nu, 2, 0.0)
+    a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 1.0, chunk=chunk)
+    b = reference_quad_table(P, R, s, logw, xps, yps, uks, 1.0, chunk=chunk)
+    assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("shared", [True, False])
+def test_a_mixed_source_keeps_every_bit_across_tiles(monkeypatch, cpus, shared):
+    # The oracle's 3->2 table at grid 256: one chunk of 256 midpoints on a
+    # 64 x 64 table, so tiles of 4 rows, each building its own x'R products
+    # and cross term.
+    report_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(13)
+    P, R, s, logw = random_kernel_params(rng, 3)
+    xps = grid(rng, 64, 3, 0.3)
+    yps = xps if shared else grid(rng, 64, 3, 0.3)
+    uks = grid(rng, 256, 3, 0.3)
+    a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 0.25)
+    assert same_bits(a, reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25))
+
+
+def traced_peak(*args):
+    """quad_table(*args) and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        a = _kernels.quad_table(*args)
+        return a, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("product", [True, False])
+def test_tiles_bound_the_memory_of_a_3_to_2_table(monkeypatch, cpus, product):
+    # 64 x 64 with 256 midpoints, the oracle's 3->2 shape at grid 256: one
+    # (256, 64, 64) exponent would be 16 MiB, and its x'R products 36 MiB.
+    report_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(14)
+    P, R, s, logw = random_kernel_params(rng, 3)
+    if product:
+        R = zero_R(rng, 3)
+    xps = grid(rng, 64, 3, 0.0)
+    uks = grid(rng, 256, 3, 0.0)
+    a, peak = traced_peak(P, R, s, logw, xps, xps, uks, 0.5)
+    assert peak <= 12 * 2**20
+    assert same_bits(a, reference_quad_table(P, R, s, logw, xps, xps, uks, 0.5))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_tiles_bound_the_memory_of_a_512_by_512_table(monkeypatch, cpus):
+    # Six chunks of 4 midpoints: the table, one chunk's sum and the weighted
+    # result are 4 MiB each, and the tiles 1 MiB.
+    report_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(3)
+    P, R, s, logw = random_kernel_params(rng, 3)
+    xps = rng.normal(size=(512, 3))
+    uks = rng.normal(size=(24, 3))
+    a, peak = traced_peak(P, R, s, logw, xps, xps, uks, 0.5)
+    assert peak <= 24 * 2**20
+    assert same_bits(a, reference_quad_table(P, R, s, logw, xps, xps, uks, 0.5))
+
+
+def test_no_midpoints_or_no_columns_make_an_empty_sum():
+    rng = np.random.default_rng(15)
+    P, R, s, logw = random_kernel_params(rng, 2)
+    xps = grid(rng, 4, 2, 0.0)
+    a = _kernels.quad_table(P, R, s, logw, xps, xps, np.zeros((0, 2)), 1.0)
+    assert same_bits(a, np.zeros((4, 4), dtype=complex))
+    uks = grid(rng, 9, 2, 0.0)
+    a = _kernels.quad_table(P, R, s, logw, xps, np.zeros((0, 2)), uks, 1.0)
+    assert a.shape == (4, 0)
 
 
 def first_late(chunk_sums):
