@@ -6,29 +6,38 @@ the quadrature oracle and positivity probe hit (``python3 perfbench/run.py
 --workload oracle --seed 1 --seconds 16 --trace 1`` reports
 ``kernels.quad_table`` and ``kernels.kernel_table``).
 
-``quad_table`` sums its midpoints in chunks. A call with fewer chunks than
-``cpus``, the CPUs the process may run on, also splits its table into
-``min(nx, ceil(cpus / chunks))`` blocks of evaluation rows (one block
-otherwise; a one-column table keeps two rows a block), and each (row block,
-chunk) pair is one task. The tasks run on
-``min(cpus, tasks, max(1, 2**20 // (chunk * block_rows * ny)))`` threads,
-``chunk`` being the largest chunk's midpoint count and ``block_rows`` the
-largest block's row count: the last term keeps the tasks in flight within
-the one-chunk budget of 2**20 table elements, so a 512 x 512 table, whose
-one chunk fills it, runs one worker unless it is split into row blocks. A
-call of fewer than ``_FLOOR`` = 2**16 exponent elements (midpoints x nx x
-ny) runs on the calling thread, which keeps the closed-form samples, the
-positivity probe and the 2->1 tables there. On a shared 2-vCPU machine, 2
-threads ran tables of 8 to 64 rows at 0.6-0.8x the speed of one in 7 of 8
-timings at 2**15 elements, and won 6 of 8 at 2**16 (0.90-1.39x) and 7 of 8
-at 2**17. One worker is the plain loop in the calling thread. More workers
-are threads started for the call and joined before it returns; each runs in
-a copy of the caller's context, so a caller's ``np.errstate`` holds in it,
-and its exception is raised by ``quad_table``. The bits cannot move: each
-block uses the whole table's chunk size and slices its x-side terms from
-the whole grid's (see :func:`_chunk_sums`), each task is the same code on
-the same midpoints whichever thread runs it, and the calling thread adds
-each block's chunk sums into its rows in chunk order.
+``quad_table`` sums its midpoints in chunks and schedules them by one rule.
+``cpus`` is the number of CPUs the process may run on for a call of at
+least ``_FLOOR`` = 2**16 exponent elements (midpoints x nx x ny), and 1
+below it, which keeps the closed-form samples, the positivity probe and the
+2->1 tables on the calling thread.  The table is split into
+``min(nx, ceil(cpus / chunks))`` blocks of evaluation rows (a one-column
+table keeps two rows a block), one block when there are at least as many
+chunks as ``cpus``, and each (chunk, row block) pair is one task.  The tasks
+run on ``min(cpus, tasks, 2**20 // (chunk * block_rows * ny))`` workers, one
+at least, ``chunk`` being the largest chunk's midpoint count and
+``block_rows`` the largest block's row count: the last term keeps the tasks
+in flight within the one-chunk budget of 2**20 table elements, so a 512 x
+512 table, whose one chunk fills it, runs one worker unless it is split into
+row blocks.  On a shared 2-vCPU machine, 2 threads ran tables of 8 to 64
+rows at 0.6-0.8x the speed of one in 7 of 8 timings at 2**15 elements, and
+won 6 of 8 at 2**16 (0.90-1.39x) and 7 of 8 at 2**17.
+
+One driver, :func:`_run_tasks`, runs every call.  The calling thread is
+worker 0, and each other worker is a thread started for the call and joined
+before it returns, so one worker starts no thread.  Worker w computes tasks
+w, w + workers, ...; the calling thread computes each of its own tasks when
+that task's turn to be added comes, and adds every task's sum into its rows
+in task order.  A started thread hands each sum over a one-slot queue, runs
+in a copy of the caller's context, so a caller's ``np.errstate`` holds in
+it, and its exception is raised by ``quad_table``.  The bits cannot move:
+each block uses the whole table's chunk size and slices its x-side terms
+from the whole grid's (see :func:`_chunk_sums`), each task is the same code
+on the same midpoints whichever thread runs it, and each block's chunk sums
+are added into its rows in chunk order.  On a shared 2-vCPU machine this
+driver, in place of one whose calling thread only waited and added, took
+the ``oracle`` workload's median op from 8.21 to 7.23 ms
+(``BENCH_caller_worker.json``).
 
 Each task builds its exponent in row tiles of at most ``_TILE`` = 2**16
 elements (chunk x tile rows x ny, one row at least), one tile after another
@@ -99,41 +108,36 @@ def quad_table(P, R, s, logw, xps, yps, uks, weight, chunk=256):
 
     A call of at least ``_FLOOR`` exponent elements with fewer chunks than
     CPUs also splits the table into blocks of evaluation rows, and each
-    (row block, chunk) pair is one task; the tasks run on up to one thread
-    per CPU, within that budget (see the module docstring).  Every block
-    sums the whole table's chunks, and the calling thread adds each
-    block's chunk sums into its rows in chunk order, so the result does
-    not depend on the number of CPUs.
+    (chunk, row block) pair is one task.  The tasks run on up to one worker
+    per CPU, within that budget, and the calling thread is the first of
+    them (see the module docstring).  Every block sums the whole table's
+    chunks, and the calling thread adds each block's chunk sums into its
+    rows in chunk order, so the result does not depend on the number of
+    CPUs.
     """
     nx = xps.shape[0]
     ny = yps.shape[0]
     nu = uks.shape[0]
     chunk = max(1, min(chunk, 2**20 // max(1, nx * ny)))
     starts = range(0, nu, chunk)
-    tasks = [(start, slice(None)) for start in starts]
-    workers = 1
-    if nu * nx * ny >= _FLOOR:
-        cpus = _cpus()
-        # A block of one row and one column would sum its midpoints as a 1-D
-        # array, which numpy sums pairwise: other bits.  So two rows at least.
-        most = nx if ny > 1 else max(1, nx // 2)
-        blocks = 1 if len(starts) >= cpus else min(most, -(-cpus // len(starts)))
-        budget = max(1, 2**20 // (min(chunk, nu) * -(-nx // blocks) * ny))
-        workers = min(cpus, len(starts) * blocks, budget)
-        if workers > 1:
-            tasks = [
-                (start, slice(nx * b // blocks, nx * (b + 1) // blocks))
-                for start in starts
-                for b in range(blocks)
-            ]
-    args = (P, R, s, logw, xps, yps, uks, chunk)
+    cpus = _cpus() if nu * nx * ny >= _FLOOR else 1
+    # A block of one row and one column would sum its midpoints as a 1-D
+    # array, which numpy sums pairwise: other bits.  So two rows at least.
+    # The max(1, ...) terms keep a call of no rows, columns or midpoints at
+    # one block and one worker.
+    most = max(1, nx if ny > 1 else nx // 2)
+    blocks = min(most, -(-cpus // max(1, len(starts))))
+    tasks = [
+        (start, slice(nx * b // blocks, nx * (b + 1) // blocks))
+        for start in starts
+        for b in range(blocks)
+    ]
+    budget = 2**20 // max(1, min(chunk, nu) * -(-nx // blocks) * ny)
+    workers = max(1, min(cpus, len(tasks), budget))
     out = np.zeros((nx, ny), dtype=np.complex128)
-    if workers == 1:
-        for part in _chunk_sums(*args, tasks):
-            out += part
-    else:
-        _add_in_threads(out, workers, args, tasks)
-    return out * weight
+    _run_tasks(out, workers, (P, R, s, logw, xps, yps, uks, chunk), tasks)
+    out *= weight
+    return out
 
 
 def _cpus():
@@ -230,23 +234,26 @@ def _chunk_sums(P, R, s, logw, xps, yps, uks, chunk, tasks):
         yield part
 
 
-def _add_in_threads(out, workers, args, tasks):
-    """Add each task's chunk sum to its rows of ``out``, in task order,
-    computed on ``workers`` threads started and joined within this call.
+def _run_tasks(out, workers, args, tasks):
+    """Add each task's sum to its rows of ``out``, in task order, computed
+    by ``workers`` workers.
 
-    Worker w computes tasks w, w + workers, ... and hands each sum over a
-    queue of one slot, so no worker runs more than one task ahead of the
-    additions.  Tasks are listed chunk by chunk, so each row block gets its
-    chunk sums in chunk order.  Each worker runs in a copy of the caller's
-    context, which carries numpy's ``errstate``; its exception is
-    re-raised here.
+    Worker w computes tasks w, w + workers, ...  The calling thread is
+    worker 0: it computes each of its tasks when that task's turn to be
+    added comes, so one worker starts no thread.  Each other worker is a
+    thread started and joined within this call, which hands each sum over
+    a queue of one slot, so it runs at most one task ahead of the
+    additions.  Tasks are listed chunk by chunk, so each row block gets
+    its chunk sums in chunk order.  Each started thread runs in a copy of
+    the caller's context, which carries numpy's ``errstate``; its
+    exception is re-raised here.
     """
     import contextvars
     import queue
     import threading
 
     stop = threading.Event()
-    slots = [queue.Queue(maxsize=1) for _ in range(workers)]
+    slots = [queue.Queue(maxsize=1) for _ in range(workers - 1)]
 
     def work(slot, mine):
         try:
@@ -259,18 +266,22 @@ def _add_in_threads(out, workers, args, tasks):
 
     threads = []
     try:
-        for w, slot in enumerate(slots):
+        for w, slot in enumerate(slots, 1):
             ctx = contextvars.copy_context()
             t = threading.Thread(target=ctx.run, args=(work, slot, tasks[w::workers]))
             t.start()
             threads.append(t)
+        own = _chunk_sums(*args, tasks[::workers])
         for k, (_, rows) in enumerate(tasks):
-            part = slots[k % workers].get()
-            if isinstance(part, BaseException):
-                raise part
+            if k % workers:
+                part = slots[k % workers - 1].get()
+                if isinstance(part, BaseException):
+                    raise part
+            else:
+                part = next(own)
             out[rows] += part
     finally:
-        # A worker blocked on its full slot gets room, puts once more and
+        # A thread blocked on its full slot gets room, puts once more and
         # then sees the stop.
         stop.set()
         for slot in slots:

@@ -464,6 +464,29 @@ MUTANTS = (
         "    floor = 1\n",
         ("tests/test_kernels.py::test_a_one_column_table_keeps_two_rows_a_tile",),
     ),
+    Mutant(
+        "slot-queue-unbounded",
+        "_kernels.py",
+        "    slots = [queue.Queue(maxsize=1) for _ in range(workers - 1)]\n",
+        "    slots = [queue.Queue(maxsize=0) for _ in range(workers - 1)]\n",
+        ("tests/test_kernels.py::test_a_started_thread_runs_at_most_one_task_ahead",),
+    ),
+    Mutant(
+        "caller-skips-its-own-tasks",
+        "_kernels.py",
+        "        own = _chunk_sums(*args, tasks[::workers])\n",
+        "        own = _chunk_sums(*args, tasks[1::workers])\n",
+        ("tests/test_kernels.py::test_kernels_reproduce_the_former_kernels_bit_for_bit",
+         "tests/test_kernels.py::test_threaded_chunk_sums_keep_every_bit",
+         "tests/test_kernels.py::test_row_blocks_keep_every_bit"),
+    ),
+    Mutant(
+        "threads-run-outside-the-callers-context",
+        "_kernels.py",
+        "target=ctx.run, args=(work, slot, tasks[w::workers])",
+        "target=work, args=(slot, tasks[w::workers])",
+        ("tests/test_kernels.py::test_workers_keep_the_callers_errstate",),
+    ),
 )
 
 

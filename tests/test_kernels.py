@@ -85,14 +85,15 @@ def test_quad_table_memory_stays_bounded_on_a_large_grid(monkeypatch):
     # the table is 4 MiB, and the chunk cap 2**20 // (512 * 512) makes 4
     # midpoints a chunk, whose exponent is built in row tiles of 2**16
     # elements (1 MiB).  One chunk fills the per-call budget, so 2 CPUs run
-    # one worker on the 6 chunks; 7 CPUs split the table into 2 row blocks,
-    # whose tasks hold half the budget each, and run 2 workers.
+    # one worker, the calling thread, on the 6 chunks; 7 CPUs split the
+    # table into 2 row blocks, whose tasks hold half the budget each, and
+    # run 2 workers: the calling thread and one started thread.
     rng = np.random.default_rng(3)
     P, R, s, logw = random_kernel_params(rng, 3)
     xps = rng.normal(size=(512, 3))
     uks = rng.normal(size=(24, 3))
     b = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 0.5, chunk=1)
-    for cpus, threads in ((2, 0), (7, 2)):
+    for cpus, threads in ((2, 0), (7, 1)):
         report_cpus(monkeypatch, cpus)
         with counted_threads() as started:
             tracemalloc.start()
@@ -215,8 +216,9 @@ def test_kernels_reproduce_the_former_kernels_bit_for_bit(
 
 
 # Threaded chunk sums.  quad_table computes its chunk sums on as many
-# threads as the process has CPUs (within the per-call memory budget) and
-# adds them in chunk order, so the reported CPU count must change no bit.
+# workers as the process has CPUs (within the per-call memory budget), the
+# calling thread one of them, and adds them in chunk order, so the reported
+# CPU count must change no bit.
 
 
 def expected_workers(cpus, nx, ny, nu, chunk=256):
@@ -289,7 +291,7 @@ def test_threaded_chunk_sums_keep_every_bit(cpus, chunks, chunk, last, shared, s
     b = reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25, chunk=chunk)
     assert same_bits(a, b)
     workers = expected_workers(cpus, 5, yps.shape[0], nu, chunk)
-    assert len(started) == (0 if workers == 1 else workers)
+    assert len(started) == workers - 1
     assert not any(t.is_alive() for t in started)
 
 
@@ -331,12 +333,12 @@ def test_row_blocks_keep_every_bit(cpus, dim, nx, ny, nu, shared, seed):
     b = reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25)
     assert same_bits(a, b)
     workers = expected_workers(cpus, nx, yps.shape[0], nu)
-    assert len(started) == (0 if workers == 1 else workers)
+    assert len(started) == workers - 1
     assert not any(t.is_alive() for t in started)
 
 
 @pytest.mark.parametrize(
-    "cpus, nx, ny, nu, threads",
+    "cpus, nx, ny, nu, workers",
     [
         (2, 64, 64, 64, 2),  # a 3->2 table: one chunk, 2 row blocks
         (3, 64, 64, 64, 3),
@@ -346,13 +348,15 @@ def test_row_blocks_keep_every_bit(cpus, dim, nx, ny, nu, shared, seed):
         (7, 1, 70, 1000, 4),  # one row cannot split: one task per chunk
         (3, 8, 8, 4096, 3),  # a 3->1 table: 16 chunks, no row blocks
         (7, 8, 8, 1024, 7),  # 4 chunks of 2 row blocks
-        (7, 8, 8, 256, 0),  # a 2->1 table: 2**14 elements, under the floor
-        (7, 64, 64, 1, 0),  # a closed-form sample or the positivity probe
+        (7, 8, 8, 256, 1),  # a 2->1 table: 2**14 elements, under the floor
+        (7, 64, 64, 1, 1),  # a closed-form sample or the positivity probe
         (7, 64, 64, 16, 7),  # exactly the floor: 2**16 elements
-        (7, 64, 64, 15, 0),  # just under it
+        (7, 64, 64, 15, 1),  # just under it
     ],
 )
-def test_thread_counts_follow_the_row_block_rule(cpus, nx, ny, nu, threads):
+def test_thread_counts_follow_the_row_block_rule(cpus, nx, ny, nu, workers):
+    # The calling thread is one of the workers, so a call starts one thread
+    # fewer than it has workers.
     rng = np.random.default_rng(7)
     P, R, s, logw = random_kernel_params(rng, 2)
     xps = grid(rng, nx, 2, 0.0)
@@ -362,14 +366,14 @@ def test_thread_counts_follow_the_row_block_rule(cpus, nx, ny, nu, threads):
         report_cpus(mp, cpus)
         with counted_threads() as started:
             a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 0.25)
-    assert len(started) == threads
+    assert len(started) == workers - 1
     assert not any(t.is_alive() for t in started)
     b = reference_quad_table(P, R, s, logw, xps, yps, uks, 0.25)
     assert same_bits(a, b)
 
 
-@pytest.mark.parametrize("nx, threads", [(7, 3), (2, 0), (3, 0)])
-def test_a_one_column_table_keeps_two_rows_a_block(monkeypatch, nx, threads):
+@pytest.mark.parametrize("nx, workers", [(7, 3), (2, 1), (3, 1)])
+def test_a_one_column_table_keeps_two_rows_a_block(monkeypatch, nx, workers):
     # numpy sums a block of one row and one column as a 1-D array, pairwise,
     # which moves the last bits; so such a table is split into blocks of two
     # rows at least.  Only the floor keeps this from real calls below a few
@@ -385,7 +389,7 @@ def test_a_one_column_table_keeps_two_rows_a_block(monkeypatch, nx, threads):
         a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 1.0)
     b = reference_quad_table(P, R, s, logw, xps, yps, uks, 1.0)
     assert same_bits(a, b)
-    assert len(started) == threads
+    assert len(started) == workers - 1
 
 
 # Row tiles.  Each task builds its exponent in tiles of at most _TILE
@@ -520,6 +524,8 @@ def test_no_midpoints_or_no_columns_make_an_empty_sum():
     uks = grid(rng, 9, 2, 0.0)
     a = _kernels.quad_table(P, R, s, logw, xps, np.zeros((0, 2)), uks, 1.0)
     assert a.shape == (4, 0)
+    a = _kernels.quad_table(P, R, s, logw, np.zeros((0, 2)), xps, uks, 1.0)
+    assert a.shape == (0, 4)
 
 
 def first_late(chunk_sums):
@@ -537,7 +543,8 @@ def first_late(chunk_sums):
 
 def test_a_slow_first_chunk_is_still_added_first(monkeypatch):
     # The first chunk's sum arrives after the others; the total must still
-    # add it first.  4 chunks of 16 midpoints on 3 CPUs: 3 workers.
+    # add it first.  4 chunks of 16 midpoints on 3 CPUs: 3 workers, the
+    # calling thread and 2 started threads.
     monkeypatch.setattr(_kernels, "_chunk_sums", first_late(_kernels._chunk_sums))
     report_cpus(monkeypatch, 3)
     rng = np.random.default_rng(4)
@@ -548,13 +555,13 @@ def test_a_slow_first_chunk_is_still_added_first(monkeypatch):
         a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=16)
     b = reference_quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=16)
     assert same_bits(a, b)
-    assert len(started) == 3
+    assert len(started) == 2
 
 
 def test_a_slow_first_block_still_lands_in_its_rows(monkeypatch):
-    # One chunk of 64 midpoints on 3 CPUs: 3 row blocks on 3 workers.  The
-    # first block's sum arrives after the others and must still land in
-    # the first rows.
+    # One chunk of 64 midpoints on 3 CPUs: 3 row blocks on 3 workers, the
+    # calling thread and 2 started threads.  The first block's sum arrives
+    # after the others and must still land in the first rows.
     monkeypatch.setattr(_kernels, "_chunk_sums", first_late(_kernels._chunk_sums))
     report_cpus(monkeypatch, 3)
     rng = np.random.default_rng(8)
@@ -566,25 +573,89 @@ def test_a_slow_first_block_still_lands_in_its_rows(monkeypatch):
         a = _kernels.quad_table(P, R, s, logw, xps, yps, uks, 1.0)
     b = reference_quad_table(P, R, s, logw, xps, yps, uks, 1.0)
     assert same_bits(a, b)
-    assert len(started) == 3
+    assert len(started) == 2
+
+
+def recorded(chunk_sums, log):
+    """_chunk_sums, logging each task's sum as it is yielded: the thread
+    that computed it and the task's chunk start."""
+
+    def logged(*args):
+        for (start, _), part in zip(args[-1], chunk_sums(*args)):
+            log.append((threading.get_ident(), start))
+            yield part
+
+    return logged
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3)])
+def test_the_calling_thread_is_worker_0(monkeypatch, cpus, workers):
+    # 4 chunks of 16 midpoints on a 64 x 64 table.  Worker w computes tasks
+    # w, w + workers, ...; worker 0 is the calling thread, so one worker
+    # starts no thread and 3 workers start 2.
+    log = []
+    monkeypatch.setattr(_kernels, "_chunk_sums", recorded(_kernels._chunk_sums, log))
+    report_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(17)
+    P, R, s, logw = random_kernel_params(rng, 2)
+    xps = grid(rng, 64, 2, 0.0)
+    uks = grid(rng, 64, 2, 0.0)
+    with counted_threads() as started:
+        a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=16)
+    assert same_bits(a, reference_quad_table(P, R, s, logw, xps, xps, uks, 1.0, chunk=16))
+    assert len(started) == workers - 1
+    ran = dict((start, ident) for ident, start in log)
+    assert sorted(ran) == [0, 16, 32, 48]
+    caller = threading.get_ident()
+    assert [ran[16 * k] == caller for k in range(4)] == [k % workers == 0 for k in range(4)]
+
+
+def test_a_started_thread_runs_at_most_one_task_ahead(monkeypatch):
+    # A 3->1 table: 16 chunks of 256 midpoints on 8 x 8.  On 2 CPUs the
+    # calling thread computes the even chunks and one started thread the
+    # odd ones.  While the caller's first chunk is held back, the thread
+    # puts one sum in its slot of one, computes one more and waits, so it
+    # yields at most 2 sums before the caller adds its first; an unbounded
+    # slot would let it yield all 8.
+    log = []
+    late = first_late(_kernels._chunk_sums)
+    monkeypatch.setattr(_kernels, "_chunk_sums", recorded(late, log))
+    report_cpus(monkeypatch, 2)
+    rng = np.random.default_rng(18)
+    P, R, s, logw = random_kernel_params(rng, 3)
+    xps = grid(rng, 8, 3, 0.0)
+    uks = grid(rng, 4096, 3, 0.0)
+    with counted_threads() as started:
+        a = _kernels.quad_table(P, R, s, logw, xps, xps, uks, 1.0)
+    assert same_bits(a, reference_quad_table(P, R, s, logw, xps, xps, uks, 1.0))
+    assert len(started) == 1
+    threads = [ident for ident, _ in log]
+    assert len(threads) == 16
+    assert threads.index(threading.get_ident()) <= 2
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_workers_keep_the_callers_errstate(monkeypatch, cpus):
-    # numpy's errstate is a context variable; a worker that ran outside the
+    # numpy's errstate is a context variable; a thread that ran outside the
     # caller's context would overflow silently, or warn, not raise.  Chunks
-    # of 1 make 16 chunk tasks; one chunk of 16 makes row-block tasks.
+    # of 1 make 16 chunk tasks; one chunk of 16 makes 3 row-block tasks.
+    # On 3 CPUs the calling thread computes chunks 0, 3, 6, ... and the
+    # first block (rows 0-20); those midpoints and rows lie far out, where
+    # the exponent is far below 0, so only the started threads overflow.
     report_cpus(monkeypatch, cpus)
     rng = np.random.default_rng(5)
     P, R, s, _ = random_kernel_params(rng, 2)
+    far = np.array([100.0, 0.0])
     xps = np.zeros((64, 2))
+    xps[:21] = far
     uks = np.zeros((16, 2))
+    uks[::3] = far
     for chunk in (1, 256):
         with counted_threads() as started:
             with np.errstate(over="raise"):
                 with pytest.raises(FloatingPointError):
                     _kernels.quad_table(P, R, s, 800.0, xps, xps, uks, 1.0, chunk=chunk)
-        assert len(started) == (0 if cpus == 1 else cpus)
+        assert len(started) == (0 if cpus == 1 else cpus - 1)
         assert not any(t.is_alive() for t in started)
     assert not any(t.is_alive() for t in started)
 
