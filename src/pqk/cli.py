@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: verify, project, consistency, join, oracle, dpg-demo, ap.
-Every command prints one JSON report to stdout.  Exit codes: 0 on success
-or a passing check, 1 on a verification/consistency failure, 2 on
-malformed input or an out-of-range flag.  Its message names the offending
-field or flag, by the one rule :func:`pqk.io.named` (ap inputs over
-mismatched frames name --in), or the path of a file that cannot be read,
-decoded or written.  Only project, consistency and oracle import the
-Gaussian layer, and numpy with it.
+Each command returns its report; :func:`main` names it by the command,
+writes it to ``--report`` where asked, prints it as one JSON document to
+stdout and exits 0 if the report passes (a report without ``passed``
+passes) and 1 if it fails.  Malformed input or an out-of-range flag prints
+one error line and exits 2; its message names the offending field or flag,
+by the one rule :func:`pqk.io.named` (ap inputs over mismatched frames
+name --in), or the path of a file that cannot be read, decoded or written.
+Any other pqk error prints one error line and exits 1.  Only project,
+consistency and oracle import the Gaussian layer, and numpy with it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -36,10 +37,6 @@ def _emit(text: str) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-
-
-def _print(report: dict) -> None:
-    _emit(json.dumps(report, sort_keys=True, indent=2))
 
 
 def _load_system(path: str) -> System:
@@ -79,11 +76,7 @@ def _require_flag(ok: bool, flag: str, rule: str) -> None:
         raise DocumentError(f"{flag}: {rule}")
 
 
-def _require_tol(tol: float) -> None:
-    _require_flag(math.isfinite(tol) and tol >= 0, "--tol", "must be finite and >= 0")
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     system = _load_system(args.system)
     family = dict(system.labels)
     report = check_assumptions(family, system.order, io.default_probes(system))
@@ -97,42 +90,33 @@ def cmd_verify(args) -> int:
         }
         for inst in report.failures()
     ]
-    out = {
-        "command": "verify",
+    return {
         "passed": report.passed,
         "checked": len(report.instances),
         "instances": [dataclasses.asdict(inst) for inst in report.instances],
         "failures": failures,
     }
-    if args.report:
-        io.dump_json(out, args.report)
-    _print(out)
-    return 0 if report.passed else 1
 
 
-def cmd_project(args) -> int:
+def cmd_project(args) -> dict:
     from .gaussian import project_state, trace
 
     projected = project_state(*_load_edge(args))
     io.dump_json(io.state_to_document(projected, args.dest), args.out)
-    _print(
-        {
-            "command": "project",
-            "passed": True,
-            "from": args.src,
-            "to": args.dest,
-            "trace_drift": projected.trace_drift,
-            "trace": trace(projected),
-            "out": args.out,
-        }
-    )
-    return 0
+    return {
+        "passed": True,
+        "from": args.src,
+        "to": args.dest,
+        "trace_drift": projected.trace_drift,
+        "trace": trace(projected),
+        "out": args.out,
+    }
 
 
-def cmd_consistency(args) -> int:
-    from .gaussian import chain_consistency
+def cmd_consistency(args) -> dict:
+    from .gaussian import chain_consistency, check_tol
 
-    _require_tol(args.tol)
+    io.named("--tol", check_tol, args.tol)
     system = _load_system(args.system)
     chain = args.chain.split(",")
     _require_flag(len(chain) == 3, "--chain", "expected three comma-separated labels")
@@ -151,19 +135,15 @@ def cmd_consistency(args) -> int:
         system.find_witness(top, bot),
         tol=args.tol,
     )
-    _print(
-        {
-            "command": "consistency",
-            "chain": chain,
-            "hs_distance": report.distance,
-            "tol": report.tol,
-            "passed": report.passed,
-        }
-    )
-    return 0 if report.passed else 1
+    return {
+        "chain": chain,
+        "hs_distance": report.distance,
+        "tol": report.tol,
+        "passed": report.passed,
+    }
 
 
-def cmd_join(args) -> int:
+def cmd_join(args) -> dict:
     system = _load_system(args.system)
     names = args.labels.split(",")
     _require_flag(len(names) == 2, "--labels", "expected two comma-separated labels")
@@ -174,22 +154,20 @@ def cmd_join(args) -> int:
     join_name = f"j({a}+{b})"
     merged, result = io.named("--labels", system.with_join, a, b, join_name)
     io.dump_json(io.named("--labels", io.system_to_document, merged), args.out)
-    _print(
-        {
-            "command": "join",
-            "label": join_name,
-            "edges": len(result.label.graph.edges),
-            "span_dim": result.span_dim,
-            "out": args.out,
-        }
+    return {
+        "label": join_name,
+        "edges": len(result.label.graph.edges),
+        "span_dim": result.span_dim,
+        "out": args.out,
+    }
+
+
+def cmd_oracle(args) -> dict:
+    from .gaussian import (
+        check_extent, check_kernel_points, check_tol, decomposition_for, oracle_report,
     )
-    return 0
 
-
-def cmd_oracle(args) -> int:
-    from .gaussian import check_extent, check_kernel_points, decomposition_for, oracle_report
-
-    _require_tol(args.tol)
+    io.named("--tol", check_tol, args.tol)
     state, fine, coarse, witness = _load_edge(args)
     kdec = decomposition_for(fine, coarse, witness)
     io.named("--grid", check_kernel_points, args.grid, kdec)
@@ -197,38 +175,29 @@ def cmd_oracle(args) -> int:
     report = oracle_report(
         state, fine, coarse, witness, grid_points=args.grid, extent=args.extent
     )
-    passed = report.max_rel_error <= args.tol
-    _print(
-        {
-            "command": "oracle",
-            "from": args.src,
-            "to": args.dest,
-            "grid": args.grid,
-            "extent": args.extent,
-            "max_rel_error": report.max_rel_error,
-            "tol": args.tol,
-            "passed": passed,
-        }
-    )
-    return 0 if passed else 1
+    return {
+        "from": args.src,
+        "to": args.dest,
+        "grid": args.grid,
+        "extent": args.extent,
+        "max_rel_error": report.max_rel_error,
+        "tol": args.tol,
+        "passed": report.max_rel_error <= args.tol,
+    }
 
 
-def cmd_dpg_demo(args) -> int:
+def cmd_dpg_demo(args) -> dict:
     for flag, value in (("--edges", args.edges), ("--depth", args.depth)):
         _require_flag(value >= 1, flag, "must be at least 1")
     system = random_system(args.edges, args.depth, args.seed)
     io.dump_json(io.system_to_document(system), args.out)
-    _print(
-        {
-            "command": "dpg-demo",
-            "edges": args.edges,
-            "depth": args.depth,
-            "seed": args.seed,
-            "labels": sorted(system.dlabels),
-            "out": args.out,
-        }
-    )
-    return 0
+    return {
+        "edges": args.edges,
+        "depth": args.depth,
+        "seed": args.seed,
+        "labels": sorted(system.dlabels),
+        "out": args.out,
+    }
 
 
 # Each ap operation: what it computes, its vector files, then its projection
@@ -240,7 +209,7 @@ AP_OPS = {
 }
 
 
-def cmd_ap(args) -> int:
+def cmd_ap(args) -> dict:
     op, vectors, projections, files = AP_OPS[args.op]
     writes = args.op == "promote"
     _require_flag(args.out is None or writes, "--out", f"{args.op} writes no vector")
@@ -250,7 +219,7 @@ def cmd_ap(args) -> int:
     vs = [io.document_to_ap(d) for d in docs[:vectors]]
     ps = [io.document_to_projection(d) for d in docs[vectors:]]
     result = io.named("--in", op, *vs, *ps)
-    report = {"command": "ap", "op": args.op}
+    report = {"op": args.op}
     if args.op == "inner":
         re, im = result.re, result.im
         report["value"] = {"re": io.rat_to_json(re), "im": io.rat_to_json(im)}
@@ -262,8 +231,7 @@ def cmd_ap(args) -> int:
             report["out"] = args.out
     else:
         report["passed"] = result
-    _print(report)
-    return 0 if report.get("passed", True) else 1
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,24 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    report = {"command": args.command}
     try:
-        return args.func(args)
+        report.update(args.func(args))
+        if getattr(args, "report", None):
+            io.dump_json(report, args.report)
     except DocumentError as exc:
         _emit(json.dumps({"error": "DocumentError", "detail": str(exc)}))
         return 2
     except OrderViolationError as exc:
-        _print(
-            {
-                "command": args.command,
-                "passed": False,
-                "error": "OrderViolation",
-                "detail": str(exc),
-            }
-        )
-        return 1
+        report.update(passed=False, error="OrderViolation", detail=str(exc))
     except PqkError as exc:
         _emit(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         return 1
+    _emit(json.dumps(report, sort_keys=True, indent=2))
+    return 0 if report.get("passed", True) else 1
 
 
 if __name__ == "__main__":

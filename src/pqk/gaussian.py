@@ -208,10 +208,13 @@ def mix(states: Sequence[GaussianMixtureState], weights: Sequence[float]) -> Gau
     return GaussianMixtureState(dim, terms)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _log_traces(state: GaussianMixtureState) -> list[float]:
     """Closed-form log traces of a state's kernels, from each C with
     rho(x, x) = exp(-x^T C x + ...): one stacked Cholesky check, slogdet and
-    solve, then each sum taken as a scalar."""
+    solve, then each sum taken as a scalar.  A linear term near the largest
+    float overflows to an inf or NaN log trace, which callers refuse, so numpy
+    warns of neither."""
     P, R, s = state._stacks
     c, u = P.real - R.real, 2.0 * s.real
     if not _is_pd(c):
@@ -556,7 +559,9 @@ def project_state(
     return project_with(state, decomposition_for(fine, coarse, witness))
 
 
-def _require_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not finite and >= 0; ``pqk``'s ``--tol``
+    takes the same rule."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and >= 0")
 
@@ -587,7 +592,7 @@ def chain_consistency(
     HS distance, ``hs_distance(direct, two_step)``, measures floating-point
     residue only; from the top of a just-checked family it is the kept one.
     """
-    _require_tol(tol)
+    check_tol(tol)
     direct = project_state(state, top, bottom, w_top_bottom)
     two_step = project_state(
         project_state(state, top, mid, w_top_mid), mid, bottom, w_mid_bottom
@@ -837,7 +842,7 @@ class FamilyReport:
 def check_coherent_family(family: CoherentFamily, tol: float = 1e-8) -> FamilyReport:
     """Verify that each witnessed projection maps the fine state to the coarse
     one, as ``hs_distance(coarse, projected)`` (:func:`chain_consistency`'s order)."""
-    _require_tol(tol)
+    check_tol(tol)
     results = []
     for edge in family.order:
         projected = project_state(

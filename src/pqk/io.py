@@ -363,7 +363,7 @@ def document_to_state(doc: dict, dim: int) -> GaussianMixtureState:
         terms.append((float(weight), kernel))
     state = named("state.terms", GaussianMixtureState, dim, tuple(terms))
     total = named("state.terms", trace, state)
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise DocumentError(f"state.terms: trace is {total!r}, expected 1")
     return state
 

@@ -487,6 +487,45 @@ MUTANTS = (
         "target=work, args=(slot, tasks[w::workers])",
         ("tests/test_kernels.py::test_workers_keep_the_callers_errstate",),
     ),
+    Mutant(
+        "trace-check-lets-nan-through",
+        "io.py",
+        "    if not abs(total - 1.0) <= 1e-10:\n",
+        "    if abs(total - 1.0) > 1e-10:\n",
+        ("tests/test_io_cli.py::test_state_document_refuses_a_trace_that_is_not_a_number",
+         "tests/test_io_cli.py::test_cli_refuses_a_state_whose_trace_is_not_finite_quietly"),
+    ),
+    Mutant(
+        "exit-code-ignores-passed",
+        "cli.py",
+        "    return 0 if report.get(\"passed\", True) else 1\n",
+        "    return 0 if report.get(\"passed\", True) else 0\n",
+        ("tests/test_io_cli.py::test_cli_a_failed_check_at_tol_0_exits_1",
+         "tests/test_io_cli.py::test_cli_project_requires_witnessed_relation"),
+    ),
+    Mutant(
+        "check-tol-refuses-zero",
+        "gaussian.py",
+        "    if not (math.isfinite(tol) and tol >= 0):\n",
+        "    if not (math.isfinite(tol) and tol > 0):\n",
+        ("tests/test_io_cli.py::test_cli_a_failed_check_at_tol_0_exits_1",),
+    ),
+    Mutant(
+        "state-label-rule-and",
+        "cli.py",
+        "if not isinstance(label, str) or label not in system.dlabels:",
+        "if not isinstance(label, str) and label not in system.dlabels:",
+        ("tests/test_io_cli.py::test_cli_refuses_a_state_with_an_unknown_label",),
+    ),
+    Mutant(
+        "ap-amplitude-defaults-to-one",
+        "io.py",
+        "            json_to_rat(entry.get(\"re\", 0), f\"{where}.re\"),\n"
+        "            json_to_rat(entry.get(\"im\", 0), f\"{where}.im\"),\n",
+        "            json_to_rat(entry.get(\"re\", 1), f\"{where}.re\"),\n"
+        "            json_to_rat(entry.get(\"im\", 1), f\"{where}.im\"),\n",
+        ("tests/test_io_cli.py::test_a_missing_ap_amplitude_part_reads_as_zero",),
+    ),
 )
 
 

@@ -22,6 +22,11 @@ in ``mutation_equivalents.txt`` with the reason that no test can tell it
 from the module; listed survivors are reported apart.  The run exits 1
 when an unlisted mutant survives.
 
+The test files default to ``tests/test_<module>.py``, less a leading
+``_``; where that file does not exist, to the ``tests/test_*.py`` files
+whose name, split at ``_``, holds the module's stem (``io.py`` and
+``cli.py`` both take ``tests/test_io_cli.py``).
+
 A sweep runs for minutes, so it is not part of the test suite.  Run it
 from the repository root with the test dependencies installed::
 
@@ -108,16 +113,30 @@ def key(module: str, source: str, node: ast.AST, change: str) -> str:
     return f"{module} | {change} | {text} | {source.splitlines()[node.lineno - 1].strip()}"
 
 
+def default_tests(module: str) -> tuple[str, ...]:
+    """``tests/test_<module>.py``, less a leading ``_``, or where that file
+    does not exist, the test files whose name, split at ``_``, holds the
+    module's stem."""
+    stem = Path(module).stem.lstrip("_")
+    if (ROOT / "tests" / f"test_{stem}.py").exists():
+        return (f"tests/test_{stem}.py",)
+    return tuple(sorted(f"tests/{p.name}" for p in (ROOT / "tests").glob("test_*.py")
+                        if stem in p.stem.split("_")[1:]))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="a file of src/pqk, such as gaussian.py")
     parser.add_argument("--tests", nargs="+",
-                        help="default: tests/test_<module>, less a leading _")
+                        help="default: tests/test_<module>, less a leading _, or "
+                             "else the test files whose name holds the module's stem")
     parser.add_argument("--sites", type=int, default=30, help="mutants to run")
     args = parser.parse_args(argv)
     if args.sites < 1:
         parser.error("--sites must be at least 1")
-    tests = tuple(args.tests or [f"tests/test_{Path(args.module).stem.lstrip('_')}.py"])
+    tests = tuple(args.tests or default_tests(args.module))
+    if not tests:
+        parser.error(f"no test file names {args.module}; give --tests")
     source = (ROOT / "src" / "pqk" / args.module).read_text()
     every = sites(source)
     step = max(len(every) / args.sites, 1)

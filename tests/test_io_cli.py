@@ -98,6 +98,22 @@ def test_state_document_refuses_logw_at_the_float_limits(logw, detail):
     assert str(info.value) == detail
 
 
+@pytest.mark.parametrize("value, detail", [
+    (sys.float_info.max, "state.terms: trace is nan, expected 1"),
+    (1e300, "state.terms: trace is inf, expected 1"),
+])
+def test_state_document_refuses_a_trace_that_is_not_a_number(value, detail):
+    # Both are finite, so the loader admits the linear term, and the trace
+    # overflows.  At the largest float twice the term is inf, and the solve
+    # that reads it gives a NaN trace, which compares false against every
+    # bound; at 1e300 the trace is inf.
+    doc = pio.state_to_document(pure_state(np.eye(3), np.zeros(3)), "L")
+    doc["terms"][0]["s"][0] = [value, 0.0]
+    with pytest.raises(DocumentError) as info:
+        pio.document_to_state(doc, 3)
+    assert str(info.value) == detail
+
+
 @pytest.mark.parametrize("weight", [0, 0.0])
 def test_state_document_refuses_a_zero_weight(weight):
     doc = pio.state_to_document(pure_state([[1.0]], [0.0]), "L")
@@ -377,6 +393,18 @@ def test_ap_document_round_trip():
     assert pio.document_to_ap(doc) == v
 
 
+@pytest.mark.parametrize("entry, amplitude", [
+    ({"freq": [1], "im": 2}, (0, 2)),
+    ({"freq": [1], "re": 2}, (2, 0)),
+], ids=["re-missing", "im-missing"])
+def test_a_missing_ap_amplitude_part_reads_as_zero(entry, amplitude):
+    from pqk import QC, ReducedFrame, ap_vector
+
+    v = pio.document_to_ap({"frame": ["k1"], "terms": [entry]})
+    re_, im = map(Fraction, amplitude)
+    assert v == ap_vector(ReducedFrame(("k1",)), {(Fraction(1),): QC(re_, im)})
+
+
 def test_input_order_changes_no_verdict_and_no_distance():
     """Shuffling a document's five top-level lists leaves the audit's
     instances the same multiset and every chain distance bit-equal."""
@@ -515,6 +543,40 @@ def test_cli_oracle(tmp_path, capsys):
     )
     assert code == 0
     assert report["max_rel_error"] <= 1e-4
+
+
+def _failed_check_argv(tmp_path, capsys, command):
+    """A consistency chain whose HS distance is float residue above 0, or an
+    oracle edge, whose error is never 0, on a one-edge demo system."""
+    sys_path = str(tmp_path / "sys.json")
+    run_cli(capsys, "dpg-demo", "--edges", "1", "--depth", "2", "--seed", "0",
+            "--out", sys_path)
+    loaded = pio.document_to_system(pio.load_json(sys_path))
+    _, state_path = _write_state(tmp_path, loaded, "j(b0+b1)", seed=0)
+    relation = {
+        "consistency": ("--chain", "j(b0+b1),b0,b0t"),
+        "oracle": ("--from", "j(b0+b1)", "--to", "b0", "--grid", "16"),
+    }[command]
+    return (command, "--system", sys_path, "--state", state_path, *relation)
+
+
+@pytest.mark.parametrize("command", ["consistency", "oracle"])
+def test_cli_a_failed_check_at_tol_0_exits_1(tmp_path, capsys, command):
+    # --tol 0 is in range, so the check runs; a distance or an error above 0
+    # fails it, and the report says so.
+    code, report = run_cli(capsys, *_failed_check_argv(tmp_path, capsys, command), "--tol", "0")
+    error = report["hs_distance" if command == "consistency" else "max_rel_error"]
+    assert (code, report["command"], report["passed"], report["tol"]) == (1, command, False, 0.0)
+    assert error > 0
+
+
+def test_cli_oracle_passes_at_a_tol_equal_to_its_error(tmp_path, capsys):
+    argv = _failed_check_argv(tmp_path, capsys, "oracle")
+    _, report = run_cli(capsys, *argv)
+    # A JSON float reads back as the same double, so --tol is the error itself.
+    error = report["max_rel_error"]
+    code, report = run_cli(capsys, *argv, "--tol", json.dumps(error))
+    assert (code, report["passed"], report["max_rel_error"], report["tol"]) == (0, True, error, error)
 
 
 @pytest.mark.parametrize(
@@ -955,6 +1017,34 @@ def test_cli_refuses_a_state_whose_trace_overflows(system_doc, tmp_path, capsys,
     ) == "state.terms: trace is inf, expected 1"
 
 
+@pytest.mark.parametrize("value, detail", [
+    (sys.float_info.max, "state.terms: trace is nan, expected 1"),
+    (1e300, "state.terms: trace is inf, expected 1"),
+], ids=["max", "1e300"])
+@pytest.mark.parametrize("command", ["project", "consistency", "oracle"])
+def test_cli_refuses_a_state_whose_trace_is_not_finite_quietly(tmp_path, command, value, detail):
+    # A linear term at or near the largest float overflows in the trace;
+    # the command exits 2 with one JSON line, no traceback and no numpy
+    # warning on stderr.
+    pio.dump_json(pio.system_to_document(random_system(1, 2, 0)), str(tmp_path / "sys.json"))
+    doc = pio.state_to_document(pure_state(np.eye(3), np.zeros(3)), "j(b0+b1)")
+    doc["terms"][0]["s"][0] = [value, 0.0]
+    pio.dump_json(doc, str(tmp_path / "state.json"))
+    relation = {
+        "project": ("--from", "j(b0+b1)", "--to", "b0", "--out", "x.json"),
+        "consistency": ("--chain", "j(b0+b1),b0,b0t"),
+        "oracle": ("--from", "j(b0+b1)", "--to", "b0"),
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqk.cli", command, "--system", "sys.json",
+         "--state", "state.json", *relation],
+        cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout.count("\n")) == (2, "", 1)
+    assert json.loads(proc.stdout) == {"error": "DocumentError", "detail": detail}
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_cli_reads_no_json_boolean_as_a_rational(system_doc, tmp_path, capsys):
     _, sys_path = system_doc
     doc = pio.load_json(sys_path)
@@ -1023,6 +1113,16 @@ def test_cli_seed_comes_only_from_the_flag(tmp_path, capsys, monkeypatch):
         assert code == 0 and report["seed"] == 7
         written.append(sys_path.read_bytes())
         monkeypatch.setenv("PQK_SEED", "123")
+    assert written[0] == written[1]
+
+
+def test_cli_dpg_demo_seed_defaults_to_0(tmp_path, capsys):
+    written = []
+    for name, seed in (("default", ()), ("zero", ("--seed", "0"))):
+        sys_path = tmp_path / f"{name}.json"
+        code, report = run_cli(capsys, "dpg-demo", *seed, "--out", str(sys_path))
+        assert (code, report["seed"]) == (0, 0)
+        written.append(sys_path.read_bytes())
     assert written[0] == written[1]
 
 
@@ -1332,6 +1432,24 @@ def test_cli_non_object_state_exits_2(system_doc, tmp_path, capsys, command):
     assert report["detail"].startswith("state.label: ")
 
 
+@pytest.mark.parametrize("label, detail", [
+    ("zz", "state.label: unknown label 'zz'"),
+    (["x"], "state.label: unknown label ['x']"),
+], ids=["unknown", "list"])
+def test_cli_refuses_a_state_with_an_unknown_label(system_doc, tmp_path, capsys, label, detail):
+    rs, sys_path = system_doc
+    _, state_path = _write_state(tmp_path, rs, "j(b0+b1)", seed=1, terms=1)
+    doc = pio.load_json(state_path)
+    doc["label"] = label
+    pio.dump_json(doc, state_path)
+    out_path = tmp_path / "x.json"
+    assert _one_error_line(
+        capsys, "project", "--system", sys_path, "--state", state_path,
+        "--from", "j(b0+b1)", "--to", "b0", "--out", str(out_path),
+    ) == detail
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
@@ -1364,6 +1482,8 @@ def test_cli_out_of_range_flag_exits_2(system_doc, tmp_path, capsys, command, fl
     assert code == 2
     assert report["error"] == "DocumentError"
     assert report["detail"].startswith(f"{flag}: ")
+    if flag == "--tol":
+        assert report["detail"] == "--tol: tol must be finite and >= 0"
 
 
 def test_cli_ap_inner_and_limit_equal(tmp_path, capsys):
