@@ -261,26 +261,29 @@ def graph_refines(fine: Graph, coarse: Graph) -> bool:
     return True
 
 
-def _graph_witness(
-    fine: Graph, coarse: Graph, membership: Mapping[str, Mapping[str, Fraction]]
-) -> OrderWitness:
+def order_witness(fine: Graph, coarse: Graph, combos: Mapping,
+                  membership: Mapping) -> OrderWitness:
+    """The witness of ``fine >= coarse`` with the given combinations and
+    membership rows, evaluated on exactly the two graphs' words: the one
+    builder of DPG order witnesses, generated or loaded."""
+    return OrderWitness(combos, membership, word_values((*coarse.edges, *fine.edges)))
+
+
+def _graph_witness(fine: Graph, coarse: Graph, membership: Mapping) -> OrderWitness:
     """The witness of a graph refinement: each coarse edge over the fine
-    edges it factors through, evaluated on both graphs' words.  A pair that
-    does not refine raises :class:`PqkError` with the decomposition's reason.
+    edges it factors through (:func:`order_witness`).  A pair that does not
+    refine raises :class:`PqkError` with the decomposition's reason.
 
     A coarse edge uses each fine edge at most once (a word repeats no atom),
     with sign +-1, and no fine edge serves two coarse edges (they share no
     atom).  So the rows of B hold +-1 on disjoint columns, as do products
     of such B (composed witnesses), and every DPG projection has Lebesgue
     factor 1/|det B[:, pivots]| = 1."""
-    return OrderWitness(
-        combos={
-            dof_id(e): ratlin.combine((s, {dof_id(f): _ONE}) for f, s in parts)
-            for e, parts in decompose_edges(fine, coarse).items()
-        },
-        op_membership=membership,
-        dof_values=word_values((*coarse.edges, *fine.edges)),
-    )
+    combos = {
+        dof_id(e): ratlin.combine((s, {dof_id(f): _ONE}) for f, s in parts)
+        for e, parts in decompose_edges(fine, coarse).items()
+    }
+    return order_witness(fine, coarse, combos, membership)
 
 
 def graph_join(a: Graph, b: Graph) -> Graph:

@@ -46,6 +46,8 @@ _HALF_MAX = np.finfo(np.float64).max / 2
 
 def _as_complex_matrix(m, n: int, name: str) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
+    if n < 1:
+        raise DimensionMismatchError(f"{name} must be at least 1x1, got {a.shape}")
     if a.shape != (n, n):
         raise DimensionMismatchError(f"{name} must be {n}x{n}, got {a.shape}")
     return a
@@ -168,8 +170,7 @@ class GaussianMixtureState:
 
 def pure_state(A, b) -> GaussianMixtureState:
     """Normalized projector onto psi(x) = exp(-x^T A x / 2 + b^T x)."""
-    A = np.asarray(A, dtype=np.complex128)
-    n = A.shape[0]
+    n = len(A) if np.ndim(A) else 0
     A = _as_complex_matrix(A, n, "A")
     b = np.asarray(b, dtype=np.complex128).reshape(-1)
     if b.shape != (n,):
@@ -182,6 +183,8 @@ def pure_state(A, b) -> GaussianMixtureState:
         raise NotPositiveDefiniteError("Re(A) must be positive definite")
     kernel = GaussianKernel(dim=n, P=A, R=np.zeros((n, n)), s=b, logw=0.0)
     logw = -_log_traces(GaussianMixtureState(n, ((1.0, kernel),)))[0]
+    if not math.isfinite(logw):
+        raise ValueError("b is too large: the trace overflows")
     return GaussianMixtureState(n, ((1.0, replace(kernel, logw=logw)),))
 
 

@@ -27,13 +27,14 @@ from .dpg import (
     Graph,
     System,
     dof_id,
+    order_witness,
     span_probe,
     validate_word,
     word_values,
 )
 from .errors import DocumentError, PqkError
 from .frames import ProjectionMatrix, ReducedFrame
-from .systems import OrderEdge, OrderWitness, Probes
+from .systems import OrderEdge, Probes
 from . import ratlin
 
 if TYPE_CHECKING:
@@ -229,8 +230,6 @@ def document_to_system(doc: dict) -> System:
         )
         dlabels[lid] = named(where, DpgLabel, lid, named(where, Graph, edges), basis)
 
-    values = word_values(words.values())
-
     order: list[OrderEdge] = []
     for i, entry in enumerate(_expect(doc, "order", list, "document")):
         where = f"order[{i}]"
@@ -247,15 +246,12 @@ def document_to_system(doc: dict) -> System:
                 dof_id(_declared(words, src, rw, "edge id")): json_to_rat(c, rw)
                 for src, c in row.items()
             }
-        membership = {}
-        for op, row in _expect_rows(entry, "op_witness", where).items():
-            membership[op] = {
-                src: json_to_rat(c, f"{where}.op_witness.{op}")
-                for src, c in row.items()
-            }
-        order.append(
-            OrderEdge(upper, lower, OrderWitness(combos, membership, values))
-        )
+        membership = {
+            op: {src: json_to_rat(c, f"{where}.op_witness.{op}") for src, c in row.items()}
+            for op, row in _expect_rows(entry, "op_witness", where).items()
+        }
+        graphs = (dlabels[upper].graph, dlabels[lower].graph)
+        order.append(OrderEdge(upper, lower, order_witness(*graphs, combos, membership)))
 
     return System(
         atoms=atoms,

@@ -217,19 +217,25 @@ class RefinementCheck:
 
 
 def _combination_fault(
-    dof: DofId, row: Mapping[DofId, Fraction], frame: Sequence[DofId], values: DofValues
+    dofs: Iterable[DofId], combos: Mapping, frame: Sequence[DofId], values: DofValues
 ) -> str | None:
-    """Why ``dof`` is not its combination ``row`` of the ``frame`` d.o.f. as
-    a function on the evaluation data ``values``; ``None`` when it is."""
-    unknown = set(row) - set(frame)
-    if unknown:
-        return f"combination for {dof!r} uses non-frame d.o.f. {sorted(unknown)}"
-    missing = {dof, *row} - set(values)
-    if missing:
-        return f"no evaluation data for d.o.f. {sorted(missing)}"
-    lhs = {p: v for p, v in values[dof].items() if v != 0}
-    if lhs != ratlin.combine((c, values[d]) for d, c in row.items()):
-        return f"{dof!r} differs from its witnessed combination"
+    """Why some of ``dofs`` is not its witnessed combination (``combos``) of
+    the ``frame`` d.o.f. as a function on the evaluation data ``values``;
+    ``None`` when each is.  A non-frame d.o.f. is refused before any data
+    is read."""
+    for dof in dofs:
+        if dof not in combos:
+            return f"no combination witnessed for {dof!r}"
+        row = combos[dof]
+        unknown = set(row) - set(frame)
+        if unknown:
+            return f"combination for {dof!r} uses non-frame d.o.f. {sorted(unknown)}"
+        missing = {dof, *row} - set(values)
+        if missing:
+            return f"no evaluation data for d.o.f. {sorted(missing)}"
+        lhs = {p: v for p, v in values[dof].items() if v != 0}
+        if lhs != ratlin.combine((c, values[d]) for d, c in row.items()):
+            return f"{dof!r} differs from its witnessed combination"
     return None
 
 
@@ -270,6 +276,21 @@ def _membership_fault(
     return None
 
 
+def _linearity_fault(coarse: SystemLabel, combos: Mapping) -> str | None:
+    """Why some coarse operator acts on a coarse d.o.f. otherwise than on its
+    witnessed combination (``combos``); ``None`` when none does."""
+    try:
+        for op in coarse.ops:
+            for dof in coarse.frame.dofs:
+                combination = ((c, op.on(d)) for d, c in combos[dof].items())
+                if not ratlin.equals_dot(op.on(dof), combination):
+                    return (f"operator {op.id!r} is not linear over the witnessed "
+                            f"combination of {dof!r}")
+    except MissingActionError as exc:
+        return str(exc)
+    return None
+
+
 def refines(
     fine: SystemLabel, coarse: SystemLabel, witness: OrderWitness
 ) -> RefinementCheck:
@@ -286,31 +307,10 @@ def refines(
     diagnostic is the first fault in check order.
     """
     membership = _membership_fault(fine, coarse, witness.op_membership)
-    for dof in coarse.frame.dofs:
-        if dof not in witness.combos:
-            return RefinementCheck(
-                False, f"no combination witnessed for {dof!r}", membership
-            )
-        fault = _combination_fault(
-            dof, witness.combos[dof], fine.frame.dofs, witness.dof_values
-        )
-        if fault:
-            return RefinementCheck(False, fault, membership)
-    if membership:
-        return RefinementCheck(False, membership, membership)
-    try:
-        for op in coarse.ops:
-            for dof in coarse.frame.dofs:
-                combination = ((c, op.on(d)) for d, c in witness.combos[dof].items())
-                if not ratlin.equals_dot(op.on(dof), combination):
-                    return RefinementCheck(
-                        False,
-                        f"operator {op.id!r} is not linear over the witnessed "
-                        f"combination of {dof!r}",
-                    )
-    except MissingActionError as exc:
-        return RefinementCheck(False, str(exc))
-    return RefinementCheck(True, "verified")
+    combos, values = witness.combos, witness.dof_values
+    fault = (_combination_fault(coarse.frame.dofs, combos, fine.frame.dofs, values)
+             or membership or _linearity_fault(coarse, combos))
+    return RefinementCheck(not fault, fault or "verified", membership)
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,12 +489,8 @@ def check_assumptions(
         if probe.label not in family:
             record("A1a", probe.label, False, "unknown label")
             continue
-        frame = family[probe.label].frame
-        faults = (
-            _combination_fault(dof, row, frame.dofs, probe.dof_values)
-            for dof, row in probe.combos.items()
-        )
-        fault = next(filter(None, faults), None)
+        frame = family[probe.label].frame.dofs
+        fault = _combination_fault(probe.combos, probe.combos, frame, probe.dof_values)
         detail = fault or f"{len(probe.combos)} d.o.f. spanned by {probe.label!r}"
         record("A1a", probe.label, not fault, detail)
 

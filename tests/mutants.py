@@ -526,6 +526,33 @@ MUTANTS = (
         "            json_to_rat(entry.get(\"im\", 1), f\"{where}.im\"),\n",
         ("tests/test_io_cli.py::test_a_missing_ap_amplitude_part_reads_as_zero",),
     ),
+    Mutant(
+        "linearity-fault-dropped",
+        "systems.py",
+        "             or membership or _linearity_fault(coarse, combos))\n",
+        "             or membership)\n",
+        ("tests/test_systems.py::test_refines_names_each_fault_and_the_audit_reports_it",
+         "tests/test_systems.py::test_integer_verdicts_agree_with_their_fraction_forms"),
+    ),
+    Mutant(
+        "membership-before-combinations",
+        "systems.py",
+        "    fault = (_combination_fault(coarse.frame.dofs, combos, fine.frame.dofs, values)\n"
+        "             or membership or _linearity_fault(coarse, combos))\n",
+        "    fault = (membership\n"
+        "             or _combination_fault(coarse.frame.dofs, combos, fine.frame.dofs, values)\n"
+        "             or _linearity_fault(coarse, combos))\n",
+        ("tests/test_systems.py::test_span_audit_and_refines_share_the_combination_check",
+         "tests/test_systems.py::"
+         "test_refines_names_the_combination_fault_before_the_membership_fault"),
+    ),
+    Mutant(
+        "loaded-witness-gets-the-lower-words",
+        "io.py",
+        "        graphs = (dlabels[upper].graph, dlabels[lower].graph)\n",
+        "        graphs = (dlabels[lower].graph, dlabels[lower].graph)\n",
+        ("tests/test_io_cli.py::test_loaded_witnesses_hold_exactly_their_two_labels_words",),
+    ),
 )
 
 

@@ -1,6 +1,8 @@
 """Each constructor and shape check raises its own exception type with its
 own message."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,25 @@ CASES = {
     "pure-b-length": (
         lambda: pure_state(np.eye(2), np.zeros(3)),
         DimensionMismatchError, "b must have length 2, got (3,)"),
+    "pure-A-shape": (
+        lambda: pure_state(np.ones((2, 3)), [0, 0]),
+        DimensionMismatchError, "A must be 2x2, got (2, 3)"),
+    "pure-A-scalar": (
+        lambda: pure_state(5, [1]),
+        DimensionMismatchError, "A must be at least 1x1, got ()"),
+    "pure-A-empty": (
+        lambda: pure_state(np.zeros((0, 0)), []),
+        DimensionMismatchError, "A must be at least 1x1, got (0, 0)"),
+    "kernel-empty": (
+        lambda: GaussianKernel(0, np.zeros((0, 0)), np.zeros((0, 0)), [], 0.0),
+        DimensionMismatchError, "P must be at least 1x1, got (0, 0)"),
+    # The displacement's trace overflows: refused as b's, not as a logw.
+    "pure-b-overflows": (
+        lambda: pure_state(np.eye(3), [1e300, 0, 0]),
+        ValueError, "b is too large: the trace overflows"),
+    "pure-b-at-the-largest-float": (
+        lambda: pure_state(np.eye(3), [sys.float_info.max, 0, 0]),
+        ValueError, "b is too large: the trace overflows"),
     "pure-A-symmetric": (
         lambda: pure_state([[1.0, 0.5], [0.0, 1.0]], np.zeros(2)),
         ValueError, "A must be symmetric"),

@@ -34,6 +34,7 @@ from pqk.dpg import (
     EdgeWord,
     Graph,
     System,
+    dof_id,
     dual_flux_basis,
     random_system,
 )
@@ -66,6 +67,42 @@ def test_system_document_round_trip(system_doc, tmp_path):
     again = tmp_path / "again.json"
     pio.dump_json(pio.system_to_document(loaded), str(again))
     assert pio.load_json(str(again)) == pio.load_json(path)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_loaded_witnesses_hold_exactly_their_two_labels_words(tmp_path, seed):
+    path = str(tmp_path / "sys.json")
+    pio.dump_json(pio.system_to_document(random_system(3, 3, seed)), path)
+    loaded = pio.document_to_system(pio.load_json(path))
+    for edge in loaded.order:
+        upper, lower = (loaded.dlabels[x].graph for x in (edge.upper, edge.lower))
+        assert set(edge.witness.dof_values) == set(upper.dofs) | set(lower.dofs)
+
+
+def test_a_combination_row_naming_a_third_labels_word_keeps_its_diagnostic(
+    tmp_path, capsys
+):
+    # The lower label's first edge is witnessed as a word of neither label:
+    # refused as non-frame, before any evaluation data is read.
+    doc = pio.system_to_document(random_system(2, 3, 0))
+    graphs = {label["id"]: label["graph"] for label in doc["labels"]}
+    entry = doc["order"][0]
+    pair = graphs[entry["upper"]] + graphs[entry["lower"]]
+    third = next(e["id"] for e in doc["edges"] if e["id"] not in pair)
+    coarse = graphs[entry["lower"]][0]
+    entry["combo_witness"][coarse] = {third: 1}
+    path = str(tmp_path / "sys.json")
+    pio.dump_json(doc, path)
+    words = pio.document_to_system(doc).words
+    code, report = run_cli(capsys, "verify", path)
+    a6 = [(f["subject"], f["detail"]) for f in report["failures"]
+          if f["assumption"] == "A6"]
+    assert code == 1
+    assert a6 == [(
+        f"{entry['upper']} >= {entry['lower']}",
+        f"combination for {dof_id(words[coarse])!r} uses non-frame d.o.f. "
+        f"[{dof_id(words[third])!r}]",
+    )]
 
 
 def test_state_document_round_trip(tmp_path):

@@ -762,6 +762,20 @@ def test_refines_names_each_fault_and_the_audit_reports_it(
     assert (a6.subject, a6.passed, a6.detail) == ("F >= C", False, detail)
 
 
+@pytest.mark.parametrize("combos, detail", [
+    ({}, "no combination witnessed for 'd'"),
+    ({"d": {"k9": 1}}, "combination for 'd' uses non-frame d.o.f. ['k9']"),
+    ({"d": {"k1": 2}}, "'d' differs from its witnessed combination"),
+])
+def test_refines_names_the_combination_fault_before_the_membership_fault(combos, detail):
+    # w acts as 1 on k1, its witnessed combination 2u as 2: the membership
+    # fault is kept, but the diagnostic is the d.o.f. check's.
+    family, witness = one_dof_edge(op("w", d=1, k1=1), combos, {"w": {"u": 2}})
+    check = refines(family["F"], family["C"], witness)
+    assert (check.ok, check.diagnostic) == (False, detail)
+    assert check.membership == "operator 'w' deviates from its witnessed combination on 'k1'"
+
+
 def a5_instance(family, pairs, dof_values):
     report = check_assumptions(
         family, (), Probes(equal_space_pairs=pairs, dof_values=dof_values)
