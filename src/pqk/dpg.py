@@ -33,6 +33,7 @@ from .systems import (
 
 Sign = int
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_SIGN = {1: _ONE, -1: -_ONE}  # a letter's sign as a shared Fraction
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class EdgeWord:
             raise ValueError(f"edge word repeats an atom: {atoms}")
         object.__setattr__(self, "letters", letters)
 
-    @property
+    @cached_property
     def atoms(self) -> tuple[str, ...]:
         return tuple(a for a, _ in self.letters)
 
@@ -91,9 +92,9 @@ def _word_key(w: EdgeWord) -> tuple:
 
 
 def canonical(w: EdgeWord) -> EdgeWord:
-    """The lexicographically smaller of a word and its inverse."""
-    inv = w.inverse()
-    return w if _word_key(w) <= _word_key(inv) else inv
+    """The smaller of a word and its inverse by key, built only as the result."""
+    key = _word_key(w)
+    return w if key <= tuple((a, k ^ 1) for a, k in reversed(key)) else w.inverse()
 
 
 def validate_word(w: EdgeWord, atoms: Mapping[str, AtomicEdge]) -> None:
@@ -211,7 +212,7 @@ def incidence_number(face: Face, e: EdgeWord) -> Fraction:
 def word_values(words: Iterable[EdgeWord]) -> dict[DofId, dict[str, Fraction]]:
     """Evaluation data: each word's holonomy on the per-atom probe basis."""
     return {
-        dof_id(w): {a: Fraction(s) for a, s in w.letters} for w in words
+        dof_id(w): {a: _SIGN[s] for a, s in w.letters} for w in words
     }
 
 
@@ -243,7 +244,7 @@ def decompose_edges(fine: Graph, coarse: Graph) -> dict[EdgeWord, tuple]:
             m = len(f.letters)
             if letters[k : k + m] == f.letters:
                 parts.append((f, 1))
-            elif letters[k : k + m] == f.inverse().letters:
+            elif letters[k : k + m] == tuple((x, -t) for x, t in reversed(f.letters)):
                 parts.append((f, -1))
             else:
                 raise PqkError(f"word does not factor through {dof_id(f)!r} at {a!r}")
@@ -280,7 +281,7 @@ def _graph_witness(fine: Graph, coarse: Graph, membership: Mapping) -> OrderWitn
     of such B (composed witnesses), and every DPG projection has Lebesgue
     factor 1/|det B[:, pivots]| = 1."""
     combos = {
-        dof_id(e): ratlin.combine((s, {dof_id(f): _ONE}) for f, s in parts)
+        dof_id(e): {dof_id(f): _SIGN[s] for f, s in parts}
         for e, parts in decompose_edges(fine, coarse).items()
     }
     return order_witness(fine, coarse, combos, membership)
@@ -414,7 +415,7 @@ def system_join(a: DpgLabel, b: DpgLabel, name: str) -> JoinResult:
     new_edges = tuple(joined.edges[c] for c in cols)
     new_graph = Graph(new_edges)
     lead_faces = tuple(
-        Face(id=f"{name}.f{j}", incidence=tuple(zip(support, row)))
+        Face(id=f"{name}.f{j}", incidence=tuple((x, v) for x, v in zip(support, row) if v))
         for j, row in enumerate(lead_vectors)
     )
     tail_faces = dual_flux_basis(new_graph, prefix=f"{name}.f")[m:]

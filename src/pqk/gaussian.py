@@ -175,6 +175,9 @@ def pure_state(A, b) -> GaussianMixtureState:
     b = np.asarray(b, dtype=np.complex128).reshape(-1)
     if b.shape != (n,):
         raise DimensionMismatchError(f"b must have length {n}, got {b.shape}")
+    for name, a in (("A", A), ("b", b)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
     scale = max(np.abs(A).max(), 1.0)
     if np.abs(A - A.T).max() > _STRUCTURE_TOL * scale:
         raise ValueError("A must be symmetric")

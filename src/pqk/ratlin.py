@@ -13,7 +13,8 @@ the pivot columns reads them off it.  :func:`equals_dot` decides whether
 a value is a sum of products on integers and makes no ``Fraction``.  A
 second elimination, :func:`full_pivot_solve`, is Bareiss's full-pivot pass
 that the DPG join reads its edge order, rank test and lead faces off.
-``Fraction`` objects are made only on return, one per entry.  Sparse rows
+``Fraction`` objects are made only on return, one per entry (:func:`rref`
+and :func:`full_pivot_solve` share one zero).  Sparse rows
 (mappings from keys to ``Fraction``) are summed by :func:`combine` and made
 dense by :func:`from_sparse`; :func:`exact_pairs` turns a caller's keyed
 values into sorted exact pairs.
@@ -225,8 +226,10 @@ def full_pivot_solve(rows: list[list[int]], n: int) -> tuple[list[int], Mat] | N
                 row = [tri[r][r] * x - f * y for x, y in zip(tri[i], tri[r])]
                 g = gcd(*row)
                 tri[i] = [x // g for x in row]
+    zero = Fraction(0)
     return cols, tuple(
-        tuple(Fraction(x, row[r]) for x in row[m:]) for r, row in enumerate(tri)
+        tuple(Fraction(x, row[r]) if x else zero for x in row[m:])
+        for r, row in enumerate(tri)
     )
 
 

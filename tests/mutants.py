@@ -396,8 +396,11 @@ MUTANTS = (
         "dpg.py",
         'object.__setattr__(self, "incidence", tuple(p for p in pairs if p[1]))',
         'object.__setattr__(self, "incidence", pairs)',
-        ("tests/test_dpg.py::test_shallow_generated_documents_keep_their_bytes",
-         "tests/test_dpg.py::test_join_witness_combines_lead_face_incidences"),
+        # The join gives Face only nonzero incidences; the reference join's
+        # dense rows are what still reach it with zeros.
+        ("tests/test_dpg.py::test_system_join_matches_the_reference_in_random_systems",
+         "tests/test_dpg.py::"
+         "test_system_join_of_faces_with_no_incidence_matches_the_reference"),
     ),
     Mutant(
         "as-fraction-reads-a-bool",
@@ -552,6 +555,58 @@ MUTANTS = (
         "        graphs = (dlabels[upper].graph, dlabels[lower].graph)\n",
         "        graphs = (dlabels[lower].graph, dlabels[lower].graph)\n",
         ("tests/test_io_cli.py::test_loaded_witnesses_hold_exactly_their_two_labels_words",),
+    ),
+    Mutant(
+        "canonical-inverse-key-keeps-signs",
+        "dpg.py",
+        "tuple((a, k ^ 1) for a, k in reversed(key))",
+        "tuple((a, k) for a, k in reversed(key))",
+        ("tests/test_dpg.py::test_canonical_is_the_smaller_key_of_a_word_and_its_inverse",
+         "tests/test_dpg.py::test_graph_join_matches_the_reference_on_random_pairs"),
+    ),
+    Mutant(
+        "reversed-factor-keeps-signs",
+        "dpg.py",
+        "tuple((x, -t) for x, t in reversed(f.letters))",
+        "tuple((x, t) for x, t in reversed(f.letters))",
+        ("tests/test_dpg.py::test_decompose_edges_matches_the_reference_on_every_label_pair",
+         "tests/test_dpg.py::test_graph_refines_iff_linear_combination"),
+    ),
+    Mutant(
+        "lead-faces-keep-only-zeros",
+        "dpg.py",
+        "for x, v in zip(support, row) if v)",
+        "for x, v in zip(support, row) if not v)",
+        ("tests/test_dpg.py::test_system_join_disjoint_single_edges",
+         "tests/test_dpg.py::test_system_join_matches_the_reference_in_random_systems"),
+    ),
+    Mutant(
+        "full-pivot-zero-made-one",
+        "ratlin.py",
+        "if x else zero for x in row[m:]",
+        "if x else Fraction(1) for x in row[m:]",
+        ("tests/test_ratlin.py::test_full_pivot_solve_equals_the_fraction_join_elimination",
+         "tests/test_dpg.py::test_system_join_matches_the_reference_in_random_systems"),
+    ),
+    Mutant(
+        "word-value-signs-swapped",
+        "dpg.py",
+        "_SIGN = {1: _ONE, -1: -_ONE}",
+        "_SIGN = {1: -_ONE, -1: _ONE}",
+        ("tests/test_dpg.py::test_flip_witnesses_are_read_off_the_decomposition",
+         "tests/test_systems.py::test_check_assumptions_passes_on_generated"),
+    ),
+    Mutant(
+        "pure-state-finiteness-dropped",
+        "gaussian.py",
+        '    for name, a in (("A", A), ("b", b)):\n'
+        "        if not np.isfinite(a).all():\n"
+        '            raise ValueError(f"{name} must be finite")\n',
+        "",
+        ("tests/test_constructors.py::"
+         "test_constructor_refuses_with_its_type_and_message[pure-A-not-finite]",
+         "tests/test_constructors.py::"
+         "test_constructor_refuses_with_its_type_and_message[pure-b-not-finite]"),
     ),
 )
 

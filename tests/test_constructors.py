@@ -81,6 +81,14 @@ CASES = {
     "pure-b-at-the-largest-float": (
         lambda: pure_state(np.eye(3), [sys.float_info.max, 0, 0]),
         ValueError, "b is too large: the trace overflows"),
+    # A non-finite argument is refused by its own name, before any check
+    # that would compute with it (and warn).
+    "pure-A-not-finite": (
+        lambda: pure_state(np.array([[np.inf, 0], [0, 1]]), [0, 0]),
+        ValueError, "A must be finite"),
+    "pure-b-not-finite": (
+        lambda: pure_state(np.eye(2), [np.nan, 0]),
+        ValueError, "b must be finite"),
     "pure-A-symmetric": (
         lambda: pure_state([[1.0, 0.5], [0.0, 1.0]], np.zeros(2)),
         ValueError, "A must be symmetric"),

@@ -304,6 +304,14 @@ def test_graph_refines_iff_linear_combination():
 # --- graph join -----------------------------------------------------------------
 
 
+@settings(max_examples=80, deadline=None)
+@given(word_strategy)
+def test_canonical_is_the_smaller_key_of_a_word_and_its_inverse(w):
+    inv = w.inverse()
+    assert canonical(w) == (w if dpg._word_key(w) <= dpg._word_key(inv) else inv)
+    assert canonical(inv) == canonical(w)
+
+
 def same_edges(a, b):
     return {canonical(e) for e in a.edges} == {canonical(e) for e in b.edges}
 
@@ -505,6 +513,51 @@ def test_decompose_refusal_matches_no_combination():
         {a: c * v for a, v in fine_vec.items() if c * v != 0} != coarse_vec
         for c in (Fraction(1), Fraction(-1), Fraction(1, 2))
     )
+
+
+def reference_decompose_edges(fine, coarse):
+    """:func:`decompose_edges` matching a reversed factor against the
+    letters of its built inverse, ``f.inverse().letters``."""
+    owner = {a: f for f in fine.edges for a in f.atoms}
+    factors = {}
+    for e in coarse.edges:
+        parts, k = [], 0
+        while k < len(e.letters):
+            a = e.letters[k][0]
+            f = owner.get(a)
+            if f is None:
+                raise PqkError(f"atom {a!r} not covered")
+            piece = e.letters[k : k + len(f.letters)]
+            if piece == f.letters:
+                parts.append((f, 1))
+            elif piece == f.inverse().letters:
+                parts.append((f, -1))
+            else:
+                raise PqkError(f"word does not factor through {dof_id(f)!r} at {a!r}")
+            k += len(f.letters)
+        factors[e] = tuple(parts)
+    return factors
+
+
+def _factors_or_refusal(decompose, fine, coarse):
+    try:
+        return decompose(fine, coarse)
+    except PqkError as err:
+        return str(err)
+
+
+def test_decompose_edges_matches_the_reference_on_every_label_pair():
+    outcomes = []
+    for edges, depth in itertools.product(range(1, 5), repeat=2):
+        system = random_system(edges, depth, seed=edges * depth)
+        graphs = [d.graph for d in system.dlabels.values()]
+        for fine, coarse in itertools.product(graphs, repeat=2):
+            got = _factors_or_refusal(decompose_edges, fine, coarse)
+            assert got == _factors_or_refusal(reference_decompose_edges, fine, coarse)
+            outcomes.append(got)
+    factors = [f for f in outcomes if isinstance(f, dict)]
+    assert any(s < 0 for f in factors for parts in f.values() for _, s in parts)
+    assert len(factors) < len(outcomes)  # some pairs are refused
 
 
 # --- dual flux basis ------------------------------------------------------------
