@@ -22,7 +22,7 @@ import itertools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -61,16 +61,17 @@ def _is_pd(m: np.ndarray) -> bool:
         return False
 
 
-_KERNEL_FAULTS = ("P must be finite", "R must be finite", "s must be finite",
-                  "logw must be finite", "P must be symmetric", "R must be Hermitian",
-                  "P overflows when symmetrised", "R overflows when symmetrised")
+_KERNEL_FAULTS = ("{0} must be finite", "{1} must be finite", "{2} must be finite",
+                  "logw must be finite", "{0} must be symmetric", "{1} must be Hermitian",
+                  "{0} overflows when symmetrised", "{1} overflows when symmetrised")
 
 
-def _checked_terms(P, R, s, logw) -> list[np.ndarray]:
+def _checked_terms(P, R, s, logw, names: str = "PRs") -> list[np.ndarray]:
     """Check and symmetrise a stack of kernel parts: P and R (T, n, n), s
     (T, n), logw T floats.  Returns P, R and s symmetrised and read-only (s
     is not copied).  A faulty stack raises the ValueError of its first
-    faulty term, whose checks run in the order of ``_KERNEL_FAULTS``."""
+    faulty term, whose checks run in the order of ``_KERNEL_FAULTS``, with P,
+    R and s called by the letters of ``names``."""
     def bad(a):
         return ~np.isfinite(a).reshape(len(a), -1).all(axis=1)
 
@@ -89,7 +90,8 @@ def _checked_terms(P, R, s, logw) -> list[np.ndarray]:
         faults += [big & bad(a) if big.any() else big for a in (P, R)]
     faults = np.array(faults)  # (check, term)
     if faults.any():
-        raise ValueError(_KERNEL_FAULTS[faults[:, faults.any(axis=0).argmax()].argmax()])
+        fault = _KERNEL_FAULTS[faults[:, faults.any(axis=0).argmax()].argmax()]
+        raise ValueError(fault.format(*names))
     for a in (P, R, s):
         a.flags.writeable = False
     return [P, R, s]
@@ -175,20 +177,13 @@ def pure_state(A, b) -> GaussianMixtureState:
     b = np.asarray(b, dtype=np.complex128).reshape(-1)
     if b.shape != (n,):
         raise DimensionMismatchError(f"b must have length {n}, got {b.shape}")
-    for name, a in (("A", A), ("b", b)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} must be finite")
-    scale = max(np.abs(A).max(), 1.0)
-    if np.abs(A - A.T).max() > _STRUCTURE_TOL * scale:
-        raise ValueError("A must be symmetric")
-    A = (A + A.T) / 2
-    if not _is_pd(A.real):
+    P, R, s = _checked_terms(A[None], np.zeros((1, n, n)), b[None], [0.0], "ARb")
+    if not _is_pd(P[0].real):
         raise NotPositiveDefiniteError("Re(A) must be positive definite")
-    kernel = GaussianKernel(dim=n, P=A, R=np.zeros((n, n)), s=b, logw=0.0)
-    logw = -_log_traces(GaussianMixtureState(n, ((1.0, kernel),)))[0]
+    logw = -_log_traces(P, R, s, [0.0])[0]
     if not math.isfinite(logw):
         raise ValueError("b is too large: the trace overflows")
-    return GaussianMixtureState(n, ((1.0, replace(kernel, logw=logw)),))
+    return GaussianMixtureState(n, ((1.0, GaussianKernel(n, P[0], R[0], s[0], logw)),))
 
 
 def mix(states: Sequence[GaussianMixtureState], weights: Sequence[float]) -> GaussianMixtureState:
@@ -215,29 +210,25 @@ def mix(states: Sequence[GaussianMixtureState], weights: Sequence[float]) -> Gau
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _log_traces(state: GaussianMixtureState) -> list[float]:
-    """Closed-form log traces of a state's kernels, from each C with
-    rho(x, x) = exp(-x^T C x + ...): one stacked Cholesky check, slogdet and
-    solve, then each sum taken as a scalar.  A linear term near the largest
-    float overflows to an inf or NaN log trace, which callers refuse, so numpy
-    warns of neither."""
-    P, R, s = state._stacks
+def _log_traces(P, R, s, logw) -> list[float]:
+    """Closed-form log traces of the kernels of stacks P, R, s with log
+    weights logw, from each C with rho(x, x) = exp(-x^T C x + ...): one
+    stacked Cholesky check, slogdet and solve, then each sum taken as a
+    scalar.  A linear term near the largest float overflows to an inf or NaN
+    log trace, which callers refuse, so numpy warns of neither."""
     c, u = P.real - R.real, 2.0 * s.real
     if not _is_pd(c):
         raise DivergentError("kernel diagonal form is not positive definite")
     _, logdet = np.linalg.slogdet(c)
     x = np.linalg.solve(c, u[..., None])[..., 0]
-    const = 0.5 * state.dim * math.log(math.pi)
-    return [
-        k.logw + const - 0.5 * ld + 0.25 * float(a @ b)
-        for (_, k), ld, a, b in zip(state.terms, logdet, u, x)
-    ]
+    const = 0.5 * P.shape[-1] * math.log(math.pi)
+    return [lw + const - 0.5 * d + 0.25 * float(a @ b) for lw, d, a, b in zip(logw, logdet, u, x)]
 
 
 def trace(state: GaussianMixtureState) -> float:
     """Closed-form trace, ``inf`` past the largest float; raises
     :class:`DivergentError` on bad terms."""
-    logs = _log_traces(state)
+    logs = _log_traces(*state._stacks, [k.logw for _, k in state.terms])
     try:
         return float(sum(w * math.exp(lt) for (w, _), lt in zip(state.terms, logs)))
     except OverflowError:  # one term overflows, and weights are positive
@@ -294,7 +285,8 @@ def hs_inner(s1: GaussianMixtureState, s2: GaussianMixtureState) -> complex:
 
 
 def _gram_distance(s1: GaussianMixtureState, s2: GaussianMixtureState) -> float:
-    d2 = (hs_inner(s1, s1) + hs_inner(s2, s2) - 2 * hs_inner(s1, s2).real).real
+    cross = hs_inner(s1, s2).real  # first, so unequal dimensions are refused first
+    d2 = (hs_inner(s1, s1) + hs_inner(s2, s2) - 2 * cross).real
     return math.sqrt(max(d2, 0.0))
 
 
@@ -432,11 +424,8 @@ def hs_distance(s1: GaussianMixtureState, s2: GaussianMixtureState) -> float:
     kept = s2.__dict__.get("_compared")
     if kept is not None and kept[0] is s1:
         return kept[1]
-    if s1.dim != s2.dim:
-        raise DimensionMismatchError(
-            f"states live in dimensions {s1.dim} and {s2.dim}"
-        )
-    devs = _term_deviations(s1, s2) if len(s1.terms) == len(s2.terms) else [math.inf]
+    same = (s1.dim, len(s1.terms)) == (s2.dim, len(s2.terms))
+    devs = _term_deviations(s1, s2) if same else [math.inf]
     if not any(devs):
         _pair_forms(s2, s2)
         distance = 0.0

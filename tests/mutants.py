@@ -599,14 +599,35 @@ MUTANTS = (
     Mutant(
         "pure-state-finiteness-dropped",
         "gaussian.py",
-        '    for name, a in (("A", A), ("b", b)):\n'
-        "        if not np.isfinite(a).all():\n"
-        '            raise ValueError(f"{name} must be finite")\n',
-        "",
+        "faults = [bad(a) for a in (P, R, s, logw)]",
+        "faults = [bad(a) & False for a in (P, R, s, logw)]",
         ("tests/test_constructors.py::"
          "test_constructor_refuses_with_its_type_and_message[pure-A-not-finite]",
          "tests/test_constructors.py::"
          "test_constructor_refuses_with_its_type_and_message[pure-b-not-finite]"),
+    ),
+    Mutant(
+        "pure-state-kernel-names",
+        "gaussian.py",
+        '[0.0], "ARb")',
+        '[0.0], "PRs")',
+        ("tests/test_constructors.py::"
+         "test_constructor_refuses_with_its_type_and_message[pure-A-not-finite]",
+         "tests/test_constructors.py::"
+         "test_constructor_refuses_with_its_type_and_message[pure-b-not-finite]",
+         "tests/test_constructors.py::"
+         "test_constructor_refuses_with_its_type_and_message[pure-A-symmetric]",
+         "tests/test_constructors.py::"
+         "test_constructor_refuses_with_its_type_and_message[pure-A-overflows]"),
+    ),
+    Mutant(
+        "gram-cross-last",
+        "gaussian.py",
+        "    cross = hs_inner(s1, s2).real  # first, so unequal dimensions are refused first\n"
+        "    d2 = (hs_inner(s1, s1) + hs_inner(s2, s2) - 2 * cross).real\n",
+        "    d2 = (hs_inner(s1, s1) + hs_inner(s2, s2) - 2 * hs_inner(s1, s2).real).real\n",
+        ("tests/test_gaussian.py::"
+         "test_states_of_unequal_dimension_are_refused_before_any_other_pairing",),
     ),
 )
 

@@ -92,6 +92,14 @@ CASES = {
     "pure-A-symmetric": (
         lambda: pure_state([[1.0, 0.5], [0.0, 1.0]], np.zeros(2)),
         ValueError, "A must be symmetric"),
+    # A finite A whose symmetrisation overflows, or whose asymmetry does,
+    # is refused by A's name and without a numpy warning.
+    "pure-A-overflows": (
+        lambda: pure_state(np.array([[1e308, 0], [0, 1e308]]), [0, 0]),
+        ValueError, "A overflows when symmetrised"),
+    "pure-A-asymmetry-overflows": (
+        lambda: pure_state(np.array([[1, 1e308], [-1e308, 1]]), [0, 0]),
+        ValueError, "A must be symmetric"),
     "mix-weight-count": (
         lambda: mix([ground(2)], [0.5, 0.5]),
         DimensionMismatchError, "one weight per state required"),

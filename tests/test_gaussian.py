@@ -129,10 +129,34 @@ def test_pure_state_rejects_indefinite():
         pure_state([[1.0, 0.0], [0.0, -0.5]], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pure_state_is_the_public_kernel_of_its_symmetrised_A(n):
+    """pure_state checks A and b by the kernel rule and builds one kernel:
+    the one GaussianKernel makes of (A + A.T) / 2, a zero R and b, with
+    logw minus its log trace.  exp then log may round that log trace by an
+    ulp, so logw's bits are those of the closed-form log trace."""
+    rng = np.random.default_rng(70 + n)
+    X, Y = rng.normal(size=(2, n, n))
+    A = X @ X.T + np.eye(n) + 1j * (Y + Y.T) / 4 + 1e-14 * rng.normal(size=(n, n))
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert not np.array_equal(A, A.T)  # symmetrising moves bits
+    unnormalised = GaussianMixtureState(
+        n, ((1.0, GaussianKernel(n, (A + A.T) / 2, np.zeros((n, n)), b, 0.0)),)
+    )
+    logw = -gaussian._log_traces(*unnormalised._stacks, [0.0])[0]
+    assert abs(logw + math.log(trace(unnormalised))) <= math.ulp(logw)
+    expected = GaussianKernel(n, (A + A.T) / 2, np.zeros((n, n)), b, logw)
+    (w, k), = pure_state(A, b).terms
+    assert w == 1.0 and k.logw == expected.logw
+    for a in "PRs":
+        assert getattr(k, a).tobytes() == getattr(expected, a).tobytes()
+
+
 def test_trace_of_weighted_mixture_is_one():
     rng = np.random.default_rng(0)
     st = mix([random_pure(2, rng), random_pure(2, rng)], [0.3, 0.7])
     assert abs(trace(st) - 1.0) <= 1e-12
+    assert st.trace_drift == 0.0  # only a projection has drifted
 
 
 def test_trace_divergent_term():
@@ -1011,6 +1035,18 @@ def test_a_state_compared_again_gives_the_fresh_bits(dim, n_terms, seed, order):
         ], kind
 
 
+def test_term_deviations_scale_by_the_reference_kernels_R():
+    # The states above pair a reference s2 of pure states, whose R is 0;
+    # here s2's terms have a nonzero R, which scales its deviation.
+    rng = np.random.default_rng(31)
+    s2 = perturbed(random_mixture(3, 4, rng), 0.1, rng)
+    s1 = perturbed(s2, 1e-8, rng)
+    assert all(np.abs(k.R).max() > 0.1 for _, k in s2.terms)
+    assert [d.hex() for d in _term_deviations(s1, s2)] == [
+        float(_term_deviation(t1, t2)).hex() for t1, t2 in zip(s1.terms, s2.terms)
+    ]
+
+
 def test_a_divergent_state_keeps_nothing():
     rng = np.random.default_rng(21)
     good = random_mixture(2, 3, rng)
@@ -1142,6 +1178,21 @@ def test_a_failed_distance_keeps_nothing():
     with pytest.raises(DivergentError):
         hs_distance(bad, good)
     assert vars(good)["_compared"] == (close, kept)
+
+
+def test_states_of_unequal_dimension_are_refused_before_any_other_pairing():
+    """Only _pair_forms checks a pair's dimensions, and the Gram form pairs
+    s1 with s2 first, so a first state whose pairing with itself diverges
+    is still refused for its dimension."""
+    divergent = GaussianKernel(1, np.eye(1), 2 * np.eye(1), np.zeros(1), 0.0)
+    s1 = GaussianMixtureState(1, ((1.0, divergent),))
+    s2 = pure_state(np.eye(2), np.zeros(2))
+    with pytest.raises(DivergentError):
+        hs_inner(s1, s1)
+    for _ in range(2):
+        with pytest.raises(DimensionMismatchError, match="^states live in dimensions 1 and 2$"):
+            hs_distance(s1, s2)
+        assert "_compared" not in vars(s1) and "_compared" not in vars(s2)
 
 
 def test_a_state_compared_with_itself_keeps_no_distance():
